@@ -1,8 +1,9 @@
 # Verify tiers for the MaxNVM reproduction.
 #
-#   make check   - tier 1: build + full test suite + vet + race pass on
-#                  the concurrency-heavy packages (the seed contract)
-#                  + the servesim end-to-end smoke
+#   make check   - tier 1: build + full test suite + vet (including the
+#                  perfbench module, which `go build ./...` skips) + race
+#                  pass on the concurrency-heavy packages (the seed
+#                  contract) + the servesim end-to-end smoke
 #   make race    - tier 2: go vet + race detector on a fast test pass
 #   make cover   - per-package coverage floors on the core packages
 #   make fleet-crash - the fleet fault matrix: lease races, zombie
@@ -31,11 +32,11 @@ FUZZTIME ?= 10s
 COVER_FLOOR ?= 70
 COVER_PKGS   = internal/campaign internal/envm internal/sparse internal/ecc internal/telemetry internal/cliutil internal/durable internal/errfs internal/fleet internal/serve internal/supervise internal/chaos internal/ares internal/mitigate internal/tensor internal/crossbar
 
-.PHONY: all check build test race race-fast vet cover fuzz fleet-crash chaos bench bench-inference bench-fleet bench-serve bench-crossbar serve-smoke clean
+.PHONY: all check build test race race-fast vet vet-perfbench cover fuzz fleet-crash chaos bench bench-inference bench-fleet bench-serve bench-crossbar serve-smoke clean
 
 all: check race
 
-check: build test vet race-fast serve-smoke chaos
+check: build test vet vet-perfbench race-fast serve-smoke chaos
 
 build:
 	$(GO) build ./...
@@ -45,6 +46,12 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# perfbench is its own module (repro/perfbench, `replace repro => ../`),
+# so the root `go build ./...` never compiles it: an API change that
+# breaks the benchmark would otherwise surface only when it runs.
+vet-perfbench:
+	GOFLAGS=-mod=mod $(GO) -C perfbench vet ./...
 
 # The race tier runs -short so the exploration-scale benchmarks and the
 # slowest campaigns stay out of the hot CI path; the campaign engine's

@@ -230,32 +230,13 @@ type TrialStats struct {
 	DegradedBlocks int
 }
 
-// RunTrial clones a pristine encoding, injects faults per cfg into every
-// structure, applies ECC correction where configured, decodes, and
-// compares against the original indices. It panics on an invalid config
-// or mismatched inputs; campaign-facing callers should use
-// RunTrialChecked instead.
-func RunTrial(enc sparse.Encoding, orig []uint8, centroids []float32, cfg Config, seed uint64) TrialStats {
-	st, _ := RunTrialDecoded(enc, orig, centroids, cfg, seed)
-	return st
-}
-
-// RunTrialDecoded is RunTrial but also returns the decoded index matrix,
-// so callers (the measured evaluator) can run real inference on the
-// corrupted weights.
-func RunTrialDecoded(enc sparse.Encoding, orig []uint8, centroids []float32, cfg Config, seed uint64) (TrialStats, []uint8) {
-	st, decoded, err := RunTrialChecked(context.Background(), enc, orig, centroids, cfg, seed)
-	if err != nil {
-		panic(err)
-	}
-	return st, decoded
-}
-
-// RunTrialChecked is the error-returning, cancellable form of
-// RunTrialDecoded: an invalid configuration or inconsistent inputs are
-// reported as an error instead of a panic, so a campaign engine can fail
-// one trial (or reject one config) without taking down the run, and a
-// cancelled context aborts between streams.
+// RunTrialChecked runs one layer's trial: it clones a pristine encoding,
+// injects faults per cfg into every structure, applies ECC correction
+// where configured, decodes, and compares against the original indices,
+// returning the corruption statistics and the decoded index matrix. An
+// invalid configuration or inconsistent inputs are reported as an error,
+// so a campaign engine can fail one trial (or reject one config) without
+// taking down the run, and a cancelled context aborts between streams.
 func RunTrialChecked(ctx context.Context, enc sparse.Encoding, orig []uint8, centroids []float32, cfg Config, seed uint64) (TrialStats, []uint8, error) {
 	var st TrialStats
 	if err := cfg.Validate(); err != nil {
@@ -281,7 +262,7 @@ func RunTrialChecked(ctx context.Context, enc sparse.Encoding, orig []uint8, cen
 // injectStreams injects faults per cfg into every stream of the (cloned,
 // caller-owned) encoding, applying ECC correction where configured. It
 // is the one fault-injection loop shared by the decode-to-dense path
-// (RunTrialChecked) and the compute-direct 2:4 path (corruptTrial24):
+// (RunTrialChecked) and the compute-direct 2:4 path (runTrial24):
 // the per-stream fork order src.Fork(i+1) from stats.NewSource(seed) is
 // the seed contract, so both paths draw identical fault maps for the
 // same (cfg, seed).

@@ -1,6 +1,7 @@
 package ares
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/envm"
@@ -19,6 +20,16 @@ func testLayer(rows, cols int, sparsity float64, bits int, seed uint64) *quant.C
 	}
 	quant.Prune(m, sparsity, seed)
 	return quant.Cluster(m, bits, quant.ClusterOptions{Seed: seed})
+}
+
+// runTrial is RunTrialChecked for inputs the test knows are valid.
+func runTrial(t *testing.T, enc sparse.Encoding, orig []uint8, centroids []float32, cfg Config, seed uint64) TrialStats {
+	t.Helper()
+	st, _, err := RunTrialChecked(context.Background(), enc, orig, centroids, cfg, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 func TestPolicyResolution(t *testing.T) {
@@ -83,7 +94,7 @@ func TestRunTrialPerfectStorageNoCorruption(t *testing.T) {
 	cl := testLayer(32, 32, 0.6, 4, 2)
 	cfg := Config{Tech: envm.CTT, Encoding: sparse.KindBitMask, Default: StreamPolicy{BPC: 0}}
 	enc := sparse.Must(EncodeLayer(cl, cfg))
-	st := RunTrial(enc, cl.Indices, cl.Centroids, cfg, 7)
+	st := runTrial(t, enc, cl.Indices, cl.Centroids, cfg, 7)
 	if st.Faults != 0 || st.Mismatch != 0 || st.ValueNSR != 0 {
 		t.Errorf("perfect storage corrupted: %+v", st)
 	}
@@ -93,7 +104,7 @@ func TestRunTrialSLCNoCorruption(t *testing.T) {
 	cl := testLayer(32, 32, 0.6, 4, 3)
 	cfg := Config{Tech: envm.SLCRRAM, Encoding: sparse.KindCSR, Default: StreamPolicy{BPC: 1}}
 	enc := sparse.Must(EncodeLayer(cl, cfg))
-	st := RunTrial(enc, cl.Indices, cl.Centroids, cfg, 7)
+	st := runTrial(t, enc, cl.Indices, cl.Centroids, cfg, 7)
 	if st.Mismatch > 0.001 {
 		t.Errorf("SLC trial corrupted %.4f of weights", st.Mismatch)
 	}
@@ -110,7 +121,7 @@ func TestBitmaskVulnerabilityOrdering(t *testing.T) {
 		var sum float64
 		const n = 10
 		for s := 0; s < n; s++ {
-			st := RunTrial(enc, cl.Indices, cl.Centroids, cfg, uint64(100+s))
+			st := runTrial(t, enc, cl.Indices, cl.Centroids, cfg, uint64(100+s))
 			sum += st.Mismatch
 		}
 		return sum / n
@@ -137,7 +148,7 @@ func TestECCEliminatesValueFaults(t *testing.T) {
 		var sum float64
 		const n = 8
 		for s := 0; s < n; s++ {
-			st := RunTrial(enc, cl.Indices, cl.Centroids, cfg, uint64(s))
+			st := runTrial(t, enc, cl.Indices, cl.Centroids, cfg, uint64(s))
 			sum += st.Mismatch
 		}
 		return sum / n
@@ -159,13 +170,13 @@ func TestRunTrialDeterministic(t *testing.T) {
 	cl := testLayer(64, 64, 0.6, 4, 6)
 	cfg := Config{Tech: envm.CTT, Encoding: sparse.KindCSR, Default: StreamPolicy{BPC: 3}}
 	enc := sparse.Must(EncodeLayer(cl, cfg))
-	a := RunTrial(enc, cl.Indices, cl.Centroids, cfg, 42)
-	b := RunTrial(enc, cl.Indices, cl.Centroids, cfg, 42)
+	a := runTrial(t, enc, cl.Indices, cl.Centroids, cfg, 42)
+	b := runTrial(t, enc, cl.Indices, cl.Centroids, cfg, 42)
 	if a != b {
 		t.Errorf("trials differ: %+v vs %+v", a, b)
 	}
 	// The pristine encoding must be untouched between trials.
-	clean := RunTrial(enc, cl.Indices, cl.Centroids,
+	clean := runTrial(t, enc, cl.Indices, cl.Centroids,
 		Config{Tech: envm.CTT, Encoding: sparse.KindCSR, Default: StreamPolicy{BPC: 0}}, 1)
 	if clean.Mismatch != 0 {
 		t.Error("pristine encoding was mutated by previous trials")

@@ -1,6 +1,7 @@
 package ares
 
 import (
+	"bytes"
 	"context"
 	"sync"
 	"time"
@@ -20,9 +21,9 @@ import (
 // corrupted streams canonicalize straight into the compact
 // (value, position) form the tensor.Sparse24 kernels consume — half the
 // MACs, no dense materialization anywhere on the hot path. The
-// decode-to-dense route is kept (EvalTrialSerial, EvalConfig,
-// MeasureDecoded) as the bit-parity reference oracle; the grid test in
-// evaltrial24_test.go pins the two routes identical.
+// decode-to-dense route is kept (EvalTrialSerial, EvalConfig) as the
+// bit-parity reference oracle; the grid test in evaltrial24_test.go
+// pins the two routes identical.
 //
 // Because the 2-of-4 projection is lossy, the 2:4 baseline is the
 // *projected* model: pristine decode of E24 differs from the clustered
@@ -86,9 +87,8 @@ func (ev *MeasuredEvaluator) twofour() (*twofourState, error) {
 		}
 		// Projected-model baseline, measured through the same kernels the
 		// trials use. One-shot forwarder: replicas are not yet involved.
-		m := ev.Model.CloneShared()
+		m := ev.pristine.CloneShared()
 		for o, li := range ev.layerIdx {
-			m.Layers[li].Weights = ev.snap[li]
 			m.Layers[li].Weights24 = tf.pristine24[o]
 		}
 		fw := dnn.NewForwarder(m)
@@ -179,97 +179,37 @@ func fillCorruption24(st *TrialStats, orig, vals, pos []uint8, centroids []float
 	}
 }
 
-// corruptTrial24 is corruptTrial for the compute-direct route: same
-// per-layer seed derivation (tsrc.Uint64() in layer order from
-// stats.NewSource(seed)), same weight-count-weighted aggregation, but
-// the per-layer outputs are canonical compact forms instead of decoded
-// dense matrices.
-func (ev *MeasuredEvaluator) corruptTrial24(ctx context.Context, cfg Config, seed uint64) ([][]uint8, [][]uint8, TrialStats, error) {
-	var agg TrialStats
-	if err := cfg.Validate(); err != nil {
-		return nil, nil, agg, err
-	}
+// corrupt24 is the compute-direct route's corrupt step: the same
+// per-layer seeds as corruptDense, but each layer yields its canonical
+// compact form instead of a decoded dense matrix. Canonicalization
+// makes compact equality equivalent to decoded-matrix equality, so a
+// layer equal to its pristine compact runs on the shared pristine 2:4
+// weights and a trial with every layer equal takes the fast path. On a
+// miss every weight layer runs on the 2:4 kernels, measured against the
+// projected-model baseline.
+func (ev *MeasuredEvaluator) corrupt24(ctx context.Context, cfg Config, tsrc *stats.Source) (trial, error) {
 	tf, err := ev.twofour()
 	if err != nil {
-		return nil, nil, agg, err
+		return trial{}, err
 	}
-	tsrc := stats.NewSource(seed)
-	vals := make([][]uint8, len(ev.clustered))
-	pos := make([][]uint8, len(ev.clustered))
+	tr := trial{layers: make([]layerTrial, len(ev.clustered)), pristine: true, baseline: tf.baselineErr, timer: met.evalDirect}
 	for i, cl := range ev.clustered {
-		st, cv, cp, err := runTrial24(ctx, tf.encs[i], tf.orig24[i], cl.Centroids, cfg, tsrc.Uint64())
+		st, vals, pos, err := runTrial24(ctx, tf.encs[i], tf.orig24[i], cl.Centroids, cfg, tsrc.Uint64())
 		if err != nil {
-			return nil, nil, agg, err
+			return trial{}, err
 		}
-		vals[i], pos[i] = cv, cp
-		agg.Faults += st.Faults
-		agg.Corrected += st.Corrected
-		agg.Detected += st.Detected
-		w := float64(len(cl.Indices))
-		agg.StructFrac += st.StructFrac * w
-		agg.Mismatch += st.Mismatch * w
-		agg.ValueNSR += st.ValueNSR * w
-	}
-	total := float64(ev.totalWeights())
-	agg.StructFrac /= total
-	agg.Mismatch /= total
-	agg.ValueNSR /= total
-	if err := ctx.Err(); err != nil {
-		return nil, nil, agg, err
-	}
-	return vals, pos, agg, nil
-}
-
-// evalTrial24 is EvalTrial's compute-direct route: corrupted compact
-// streams go straight into the sparse kernels on a checked-out replica.
-func (ev *MeasuredEvaluator) evalTrial24(ctx context.Context, cfg Config, seed uint64) (float64, TrialStats, error) {
-	vals, pos, agg, err := ev.corruptTrial24(ctx, cfg, seed)
-	if err != nil {
-		return 0, agg, err
-	}
-	delta, err := ev.measureCompact24(vals, pos)
-	return delta, agg, err
-}
-
-// measureCompact24 is measureDecoded's compute-direct twin: the fast
-// path compares compact forms (canonicalization makes compact equality
-// equivalent to decoded-matrix equality), and a miss runs the replica's
-// Forwarder with every weight layer on the 2:4 kernels — shared
-// pristine compacts for clean layers, private corrupted buffers for the
-// rest. The delta is measured against the projected-model baseline.
-func (ev *MeasuredEvaluator) measureCompact24(vals, pos [][]uint8) (float64, error) {
-	tf, err := ev.twofour()
-	if err != nil {
-		return 0, err
-	}
-	pristine := true
-	for i := range ev.clustered {
-		if !bytes24Equal(vals[i], pos[i], tf.compVals[i], tf.compPos[i]) {
-			pristine = false
-			break
-		}
-	}
-	if pristine {
-		met.fastHits.Inc()
-		return 0, nil
-	}
-	met.fastMisses.Inc()
-	waitStart := time.Now()
-	r := ev.checkout()
-	defer ev.checkin(r)
-	evalStart := time.Now()
-	for i := range ev.clustered {
-		if bytes24Equal(vals[i], pos[i], tf.compVals[i], tf.compPos[i]) {
-			r.apply24Shared(ev, i, tf.pristine24[i])
+		lt := &tr.layers[i]
+		lt.st = st
+		if bytes.Equal(vals, tf.compVals[i]) && bytes.Equal(pos, tf.compPos[i]) {
+			lt.s24 = tf.pristine24[i]
 		} else {
-			r.apply24(ev, i, vals[i], pos[i])
+			lt.vals, lt.pos = vals, pos
+			tr.pristine = false
 		}
 	}
-	delta := train.ErrorWith(r.fw, ev.Test) - tf.baselineErr
-	met.evalDirect.Since(evalStart)
-	met.evalParallel.Since(waitStart)
-	if delta < 0 {
-		delta = 0
+	if err := ctx.Err(); err != nil {
+		return trial{}, err
 	}
-	return delta, nil
+	tr.stats = ev.aggregate(tr.layers)
+	return tr, nil
 }

@@ -27,6 +27,7 @@ func grid24Configs() []Config {
 		IsolateStream(tech, "meta24", StreamPolicy{BPC: 3}),
 		IsolateStream(tech, "meta24", StreamPolicy{BPC: 3, ECC: true}),
 		{Tech: envm.CTT, Encoding: sparse.Kind24, Default: StreamPolicy{BPC: 3}}, // both streams
+		degradeCfg(sparse.Kind24),
 	}
 }
 
@@ -37,6 +38,7 @@ func grid24Configs() []Config {
 func TestEvalTrial24ParityGrid(t *testing.T) {
 	ev := getMeasured(t)
 	ctx := context.Background()
+	degraded := 0
 	for ci, cfg := range grid24Configs() {
 		for _, seed := range []uint64{3, 271, 88888} {
 			dSer, sSer, err := ev.EvalTrialSerial(ctx, cfg, seed)
@@ -51,7 +53,11 @@ func TestEvalTrial24ParityGrid(t *testing.T) {
 				t.Errorf("cfg %d seed %d: direct (%v, %+v) != oracle (%v, %+v)",
 					ci, seed, dDir, sDir, dSer, sSer)
 			}
+			checkCorruptAndDegraded(t, ev, cfg, seed, sDir, &degraded)
 		}
+	}
+	if degraded == 0 {
+		t.Error("no grid trial degraded a block: the Degrade input exercises nothing")
 	}
 }
 
@@ -68,12 +74,13 @@ func TestEvalTrial24PristineBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Baseline 0 makes measureDecodedSerial return the absolute error:
-	// no clamp can hide a kernel divergence.
-	abs, err := ev.measureDecodedSerial(tf.orig24, 0)
+	// Baseline 0 makes measureSerial return the absolute error: no
+	// clamp can hide a kernel divergence.
+	tr, err := ev.decodedTrial(asDecoded(tf.orig24), tf.orig24, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	abs := ev.measureSerial(tr)
 	if abs != tf.baselineErr {
 		t.Errorf("dense-kernel projected error %v != 2:4-kernel baseline %v", abs, tf.baselineErr)
 	}

@@ -56,6 +56,32 @@ func TestRunTrialCheckedMatchesEvalConfig(t *testing.T) {
 	}
 }
 
+// layerDegraded sums DegradedBlocks over per-layer RunTrialChecked
+// calls fed a trial's per-layer seeds (stats.NewSource(seed), drawn in
+// layer order): the count the trial's aggregate must carry.
+func layerDegraded(t *testing.T, ev *MeasuredEvaluator, cfg Config, seed uint64) int {
+	t.Helper()
+	tsrc := stats.NewSource(seed)
+	n := 0
+	for _, cl := range ev.Clustered() {
+		st, _, err := RunTrialChecked(context.Background(), sparse.Must(EncodeLayer(cl, cfg)),
+			cl.Indices, cl.Centroids, cfg, tsrc.Uint64())
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += st.DegradedBlocks
+	}
+	return n
+}
+
+// degradeCfg is a graceful-degradation input for the parity grids:
+// 4096-bit SEC-DED blocks at 3 bpc see multi-fault blocks often enough
+// that most trials zero at least one.
+func degradeCfg(kind sparse.Kind) Config {
+	return Config{Tech: envm.CTT, Encoding: kind, Default: StreamPolicy{BPC: 3, ECC: true},
+		ECCBlockBits: 4096, Degrade: true}
+}
+
 func TestEvalTrialConcurrentSafe(t *testing.T) {
 	// Concurrent EvalTrial calls must neither race (run under -race) nor
 	// perturb each other's results: the model-mutation critical section is

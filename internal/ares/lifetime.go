@@ -194,6 +194,9 @@ func (ev *MeasuredEvaluator) LifetimeTrial(ctx context.Context, cfg Config, lp L
 	if err := cfg.Validate(); err != nil {
 		return res, err
 	}
+	if cfg.Crossbar != nil {
+		return res, fmt.Errorf("ares: lifetime simulation ages stored bits; crossbar config %s has none", cfg)
+	}
 	encs, err := ev.encodings(cfg)
 	if err != nil {
 		return res, err
@@ -224,8 +227,7 @@ func (ev *MeasuredEvaluator) LifetimeTrial(ctx context.Context, cfg Config, lp L
 			driftAge = age - prevAge
 		}
 		esrc := src.Fork(uint64(e) + 1)
-		var agg TrialStats
-		decoded := make([][]uint8, len(ev.clustered))
+		lts := make([]layerTrial, len(ev.clustered))
 		for li, cl := range ev.clustered {
 			if err := ctx.Err(); err != nil {
 				return res, err
@@ -247,31 +249,18 @@ func (ev *MeasuredEvaluator) LifetimeTrial(ctx context.Context, cfg Config, lp L
 				return res, fmt.Errorf("ares: layer %d: %d decoded vs %d original indices", li, len(dec), len(cl.Indices))
 			}
 			fillCorruption(&st, refs[li], dec, cl.Centroids)
-			decoded[li] = dec
-
-			agg.Faults += st.Faults
-			agg.Corrected += st.Corrected
-			agg.Detected += st.Detected
-			agg.DegradedBlocks += st.DegradedBlocks
-			w := float64(len(cl.Indices))
-			agg.StructFrac += st.StructFrac * w
-			agg.Mismatch += st.Mismatch * w
-			agg.ValueNSR += st.ValueNSR * w
+			lts[li] = layerTrial{st: st, idx: dec}
 		}
-		total := float64(ev.totalWeights())
-		agg.StructFrac /= total
-		agg.Mismatch /= total
-		agg.ValueNSR /= total
-
-		delta, err := ev.measureDecoded(decoded, refs, baseline)
+		tr, err := ev.decodedTrial(lts, refs, baseline)
 		if err != nil {
 			return res, err
 		}
+		delta := ev.measure(tr)
 		es := EpochStats{
 			Epoch:           e,
 			AgeYears:        age,
 			SinceScrubYears: driftAge,
-			Stats:           agg,
+			Stats:           tr.stats,
 			DeltaErr:        delta,
 		}
 		if lp.FloorDelta > 0 && delta > lp.FloorDelta {

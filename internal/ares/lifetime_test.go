@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/crossbar"
 	"repro/internal/envm"
 	"repro/internal/sparse"
 )
@@ -202,5 +203,16 @@ func TestLifetimeTrialFloorGuard(t *testing.T) {
 	}
 	if !res.Epochs[res.FirstViolation].FloorViolated {
 		t.Fatal("FirstViolation epoch not flagged")
+	}
+}
+
+// TestLifetimeTrialRejectsCrossbar: a lifetime simulation ages stored
+// bits, so a crossbar config (whose weights live as conductances) is an
+// error, not a silently clean deployment.
+func TestLifetimeTrialRejectsCrossbar(t *testing.T) {
+	ev := getMeasured(t)
+	cfg := xbarCfg(crossbar.Config{Rows: 32, Cols: 16, VarSigma: 0.03, StuckRate: 1e-3})
+	if _, err := ev.LifetimeTrial(context.Background(), cfg, LifetimePolicy{Years: 5}, 1); err == nil {
+		t.Fatal("lifetime trial accepted a crossbar config")
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"repro/internal/quant"
 	"repro/internal/sparse"
 	"repro/internal/stats"
-	"repro/internal/tensor"
 	"repro/internal/train"
 )
 
@@ -34,16 +33,17 @@ type MeasuredEvaluator struct {
 	// tf is the lazily-built compute-direct 2:4 state (see direct24.go).
 	tf twofourState
 
-	// snap is the pristine clustered weight snapshot taken at
-	// construction, restored after every inference.
-	snap map[int]*tensor.Matrix
-
-	// mu serializes the legacy MeasureDecoded path: it mutates the
-	// shared model's weight matrices in place, so only one caller may
-	// occupy the model at a time. The campaign hot path (EvalTrial,
-	// LifetimeTrial) instead measures on a checked-out replica (see
-	// replica.go) and never takes this lock.
-	mu sync.Mutex
+	// pristine shares the model's layers but holds a private copy of
+	// the clustered weights taken at construction: pool replicas and
+	// route baselines clone it, so they never observe the serial
+	// reference's overlays on Model.
+	pristine *dnn.Model
+	// mu serializes the serial reference (measureSerial): it overlays
+	// trials on the shared model itself (through serial), so only one
+	// caller may occupy the model at a time. The hot path measures on a
+	// checked-out replica (see replica.go) and never takes this lock.
+	mu     sync.Mutex
+	serial *replica
 	// replicas holds idle inference replicas; replicaSem bounds lazy
 	// replica creation to the pool capacity (see initReplicaPool).
 	replicas   chan *replica
@@ -78,7 +78,11 @@ func NewMeasuredEvaluator(m *dnn.Model, test *train.Dataset, seed uint64) (*Meas
 		ev.origIdx = append(ev.origIdx, cl.Indices)
 	}
 	ev.BaselineErr = train.Error(m, test)
-	ev.snap = m.CloneWeights()
+	ev.pristine = m.CloneShared()
+	for li, w := range m.CloneWeights() {
+		ev.pristine.Layers[li].Weights = w
+	}
+	ev.serial = ev.newReplica(m)
 	ev.encCache = make(map[string][]sparse.Encoding)
 	ev.xbarCache = make(map[string]*xbarState)
 	ev.initReplicaPool()
@@ -118,59 +122,26 @@ type MeasuredResult struct {
 }
 
 // EvalConfig runs `trials` independent fault maps under cfg and measures
-// the true classification error of each corrupted model.
+// the true classification error of each corrupted model through the
+// serial reference. Trial t draws its per-layer seeds from
+// stats.NewSource(seed).Fork(t+1).
 func (ev *MeasuredEvaluator) EvalConfig(cfg Config, trials int, seed uint64) MeasuredResult {
 	if trials < 1 {
 		panic("ares: trials < 1")
 	}
-	// Pre-encode each layer once; trials clone.
-	encs := make([]sparse.Encoding, len(ev.clustered))
-	for i, cl := range ev.clustered {
-		encs[i] = sparse.Must(EncodeLayer(cl, cfg))
-	}
-	refs, baseline, err := ev.refFor(cfg)
-	if err != nil {
-		panic(err)
-	}
-	snap := ev.Model.CloneWeights()
-	defer ev.Model.RestoreWeights(snap)
-
 	src := stats.NewSource(seed)
 	var res MeasuredResult
 	for t := 0; t < trials; t++ {
-		tsrc := src.Fork(uint64(t) + 1)
-		var agg TrialStats
-		for i, cl := range ev.clustered {
-			st, decoded := RunTrialDecoded(encs[i], refs[i], cl.Centroids, cfg, tsrc.Uint64())
-			agg.Faults += st.Faults
-			agg.Corrected += st.Corrected
-			agg.Detected += st.Detected
-			// Weight-count-weighted averages.
-			w := float64(len(cl.Indices))
-			agg.StructFrac += st.StructFrac * w
-			agg.Mismatch += st.Mismatch * w
-			agg.ValueNSR += st.ValueNSR * w
-			// Apply corrupted weights to the live model.
-			layer := ev.Model.Layers[ev.layerIdx[i]]
-			for j, idx := range decoded {
-				layer.Weights.Data[j] = cl.Centroids[idx]
-			}
+		tr, err := ev.corrupt(context.Background(), cfg, src.Fork(uint64(t)+1), false)
+		if err != nil {
+			panic(err)
 		}
-		total := float64(ev.totalWeights())
-		agg.StructFrac /= total
-		agg.Mismatch /= total
-		agg.ValueNSR /= total
-		res.Stats = append(res.Stats, agg)
-
-		delta := train.Error(ev.Model, ev.Test) - baseline
-		if delta < 0 {
-			delta = 0
-		}
+		delta := ev.measureSerial(tr)
+		res.Stats = append(res.Stats, tr.stats)
 		res.MeanDeltaErr += delta
 		if delta > res.MaxDeltaErr {
 			res.MaxDeltaErr = delta
 		}
-		ev.Model.RestoreWeights(snap)
 	}
 	res.MeanDeltaErr /= float64(trials)
 	return res
@@ -202,58 +173,17 @@ func (ev *MeasuredEvaluator) encodings(cfg Config) ([]sparse.Encoding, error) {
 	return encs, nil
 }
 
-// corruptTrial runs the encode -> inject -> decode stages of one trial
-// and returns the per-layer decoded cluster indices plus the aggregated
-// corruption statistics. The per-layer injection seeds are drawn from
-// stats.NewSource(seed), so the decoded indices are a pure function of
-// (cfg, seed) regardless of worker interleaving.
-func (ev *MeasuredEvaluator) corruptTrial(ctx context.Context, cfg Config, seed uint64) ([][]uint8, TrialStats, error) {
-	var agg TrialStats
-	encs, err := ev.encodings(cfg)
-	if err != nil {
-		return nil, agg, err
-	}
-	refs, _, err := ev.refFor(cfg)
-	if err != nil {
-		return nil, agg, err
-	}
-	tsrc := stats.NewSource(seed)
-	decodedLayers := make([][]uint8, len(ev.clustered))
-	for i, cl := range ev.clustered {
-		st, decoded, err := RunTrialChecked(ctx, encs[i], refs[i], cl.Centroids, cfg, tsrc.Uint64())
-		if err != nil {
-			return nil, agg, err
-		}
-		decodedLayers[i] = decoded
-		agg.Faults += st.Faults
-		agg.Corrected += st.Corrected
-		agg.Detected += st.Detected
-		w := float64(len(cl.Indices))
-		agg.StructFrac += st.StructFrac * w
-		agg.Mismatch += st.Mismatch * w
-		agg.ValueNSR += st.ValueNSR * w
-	}
-	total := float64(ev.totalWeights())
-	agg.StructFrac /= total
-	agg.Mismatch /= total
-	agg.ValueNSR /= total
-	if err := ctx.Err(); err != nil {
-		return nil, agg, err
-	}
-	return decodedLayers, agg, nil
-}
-
-// CorruptTrial runs only the encode -> inject -> decode stages of one
-// trial — no inference — and returns the aggregated corruption
-// statistics. It serves callers that want the storage-level damage
-// picture (fault counts, mismatch, value NSR) without paying for a
-// measurement: the inject endpoint of the evaluation server, and any
+// CorruptTrial runs only the corrupt step of one trial — no inference —
+// on the route cfg selects (as EvalTrial does) and returns the
+// aggregated corruption statistics. It serves callers that want the
+// damage picture (fault counts, mismatch, value NSR) without paying for
+// a measurement: the inject endpoint of the evaluation server, and any
 // probe that triages configurations before spending inference on them.
 // Same purity contract as EvalTrial: the outcome is a pure function of
 // (cfg, seed).
 func (ev *MeasuredEvaluator) CorruptTrial(ctx context.Context, cfg Config, seed uint64) (TrialStats, error) {
-	_, agg, err := ev.corruptTrial(ctx, cfg, seed)
-	return agg, err
+	tr, err := ev.corrupt(ctx, cfg, stats.NewSource(seed), true)
+	return tr.stats, err
 }
 
 // EvalTrial runs ONE fault-injection trial under cfg with the given
@@ -262,92 +192,39 @@ func (ev *MeasuredEvaluator) CorruptTrial(ctx context.Context, cfg Config, seed 
 //
 // It is the campaign-engine entry point: errors are returned rather than
 // panicking, a cancelled context aborts between layers, and concurrent
-// calls are safe AND parallel end to end — encode/inject/decode share
+// calls are safe AND parallel end to end — the corrupt steps share
 // nothing, and measurement runs on a checked-out model replica rather
 // than a lock around the shared model, so up to GOMAXPROCS trials run
-// inference simultaneously. Seeding contract: the per-layer injection
-// seeds are drawn from stats.NewSource(seed), so the trial outcome is a
-// pure function of (cfg, seed) regardless of worker interleaving or
-// which replica serves the measurement (see replica.go for the
-// argument).
+// inference simultaneously. Seeding contract: the per-layer seeds are
+// drawn from stats.NewSource(seed), so the trial outcome is a pure
+// function of (cfg, seed) regardless of worker interleaving or which
+// replica serves the measurement (see replica.go for the argument).
 //
-// Kind24 configs take the compute-direct route (direct24.go): the
-// corrupted compressed streams go straight into the 2:4 sparse kernels
-// with no dense materialization anywhere on the hot path.
+// Crossbar configs take the compute-in-memory route (xbar.go); Kind24
+// configs take the compute-direct route (direct24.go): the corrupted
+// compressed streams go straight into the 2:4 sparse kernels with no
+// dense materialization anywhere on the hot path.
 func (ev *MeasuredEvaluator) EvalTrial(ctx context.Context, cfg Config, seed uint64) (float64, TrialStats, error) {
-	if cfg.Crossbar != nil {
-		return ev.EvalTrialCrossbar(ctx, cfg, seed)
-	}
-	if cfg.Encoding == sparse.Kind24 {
-		return ev.evalTrial24(ctx, cfg, seed)
-	}
-	decodedLayers, agg, err := ev.corruptTrial(ctx, cfg, seed)
+	tr, err := ev.corrupt(ctx, cfg, stats.NewSource(seed), true)
 	if err != nil {
-		return 0, agg, err
+		return 0, TrialStats{}, err
 	}
-	refs, baseline, err := ev.refFor(cfg)
-	if err != nil {
-		return 0, agg, err
-	}
-	delta, err := ev.measureDecoded(decodedLayers, refs, baseline)
-	return delta, agg, err
+	return ev.measure(tr), tr.stats, nil
 }
 
-// EvalTrialSerial is EvalTrial measured through the legacy serialized
-// MeasureDecoded path (mutate the one shared model under a mutex). It
-// exists as the reference implementation: the replica path is pinned
-// bit-identical to it by test, and the benchmark suite compares the two
-// to track the parallel speedup. For Kind24 it is the decode-to-dense
-// oracle: the corrupted streams decode to a dense index matrix and run
-// the dense kernels, pinning the compute-direct route by bit parity.
+// EvalTrialSerial is EvalTrial measured through the serial reference
+// (overlay the one shared model under a mutex, always run inference).
+// The replica path and the fast path are pinned bit-identical to it by
+// test, and the benchmark suite compares the two. For Kind24 it is the
+// decode-to-dense oracle: the corrupted streams decode to a dense index
+// matrix and run the dense kernels, pinning the compute-direct route by
+// bit parity.
 func (ev *MeasuredEvaluator) EvalTrialSerial(ctx context.Context, cfg Config, seed uint64) (float64, TrialStats, error) {
-	if cfg.Crossbar != nil {
-		return ev.evalTrialXbarSerial(ctx, cfg, seed)
-	}
-	decodedLayers, agg, err := ev.corruptTrial(ctx, cfg, seed)
+	tr, err := ev.corrupt(ctx, cfg, stats.NewSource(seed), false)
 	if err != nil {
-		return 0, agg, err
+		return 0, TrialStats{}, err
 	}
-	_, baseline, err := ev.refFor(cfg)
-	if err != nil {
-		return 0, agg, err
-	}
-	delta, err := ev.measureDecodedSerial(decodedLayers, baseline)
-	return delta, agg, err
-}
-
-// MeasureDecoded applies per-layer decoded cluster indices to the live
-// model, measures the classification-error delta against the baseline
-// (clamped at 0), and restores the pristine weights. Concurrent calls
-// are serialized on the model; it is kept as the reference measurement
-// path (see EvalTrialSerial) while the campaign hot path uses the
-// replica-pool measureDecoded in replica.go.
-func (ev *MeasuredEvaluator) MeasureDecoded(decodedLayers [][]uint8) (float64, error) {
-	return ev.measureDecodedSerial(decodedLayers, ev.BaselineErr)
-}
-
-// measureDecodedSerial is MeasureDecoded against an arbitrary baseline
-// (the projected-model baseline on the Kind24 oracle route).
-func (ev *MeasuredEvaluator) measureDecodedSerial(decodedLayers [][]uint8, baseline float64) (float64, error) {
-	if err := ev.checkDecoded(decodedLayers); err != nil {
-		return 0, err
-	}
-	ev.mu.Lock()
-	defer ev.mu.Unlock()
-	evalStart := time.Now()
-	for i, cl := range ev.clustered {
-		layer := ev.Model.Layers[ev.layerIdx[i]]
-		for j, idx := range decodedLayers[i] {
-			layer.Weights.Data[j] = cl.Centroids[idx]
-		}
-	}
-	delta := train.Error(ev.Model, ev.Test) - baseline
-	ev.Model.RestoreWeights(ev.snap)
-	met.eval.Since(evalStart)
-	if delta < 0 {
-		delta = 0
-	}
-	return delta, nil
+	return ev.measureSerial(tr), tr.stats, nil
 }
 
 func (ev *MeasuredEvaluator) totalWeights() int {

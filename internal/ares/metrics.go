@@ -1,27 +1,31 @@
 package ares
 
 // Pipeline telemetry: per-phase timers over the trial pipeline
-// (encode -> inject -> decode -> eval) and the encoding-cache hit/miss
-// counters, recorded into telemetry.Default(). The handles are resolved
-// once at package init; recording on the trial hot path is
-// allocation-free (see internal/telemetry).
+// (encode -> inject -> decode -> eval, see trial.go) and the
+// encoding-cache hit/miss counters, recorded into telemetry.Default().
+// The handles are resolved once at package init; recording on the
+// trial hot path is allocation-free (see internal/telemetry).
 //
 // Metric names:
 //
-//	ares.phase.encode    time spent building pristine encodings (ns)
-//	ares.phase.inject    time in clone+inject+ECC per trial (ns)
+//	ares.phase.encode    time spent building pristine encodings and
+//	                     crossbar mappings (ns)
+//	ares.phase.inject    time in clone+inject+ECC (storage routes) or
+//	                     program+online loop (crossbar route) per trial (ns)
 //	ares.phase.decode    time decoding corrupted structures (ns)
-//	ares.phase.eval      time in apply-weights + inference (ns)
+//	ares.phase.eval      time in overlay + inference on the decode-to-dense
+//	                     and crossbar routes, and in the serial reference (ns)
 //	ares.enccache.hits   encoding-cache hits
 //	ares.enccache.misses encoding-cache misses (encodes performed)
 //
-// Replica-pool measurement (the parallel inference tail, replica.go):
+// Replica-pool measurement (measure, the parallel inference tail of
+// every route):
 //
-//	ares.eval.parallel   wall time of measureDecoded incl. replica wait (ns)
-//	ares.eval.direct     wall time of compute-direct 2:4 measurement —
-//	                     compressed streams straight into the sparse
-//	                     kernels, no dense decode (ns)
-//	ares.fastpath.hits   trials whose decoded indices matched pristine
+//	ares.eval.parallel   wall time of measure incl. replica wait (ns)
+//	ares.eval.direct     time in overlay + inference on the compute-direct
+//	                     2:4 route — compressed streams straight into the
+//	                     sparse kernels, no dense decode (ns)
+//	ares.fastpath.hits   trials that reproduced their route's baseline
 //	                     exactly (inference skipped, delta 0 by construction)
 //	ares.fastpath.misses trials that required real inference
 //	ares.replicas.created model replicas materialized (lazy, <= GOMAXPROCS)

@@ -1,167 +1,130 @@
 package ares
 
 import (
-	"bytes"
-	"fmt"
 	"runtime"
-	"time"
 
 	"repro/internal/dnn"
 	"repro/internal/tensor"
-	"repro/internal/train"
 )
 
-// The inference replica pool: the parallel measurement tail of
-// EvalTrial and LifetimeTrial.
+// The inference replica pool: the parallel measurement tail of every
+// trial route (see trial.go).
 //
-// The serial path (MeasureDecoded) mutates the ONE shared model under a
-// mutex, so with W campaign workers the encode/inject/decode stages
-// parallelize but every trial still funnels through a single inference
-// critical section — the campaign's throughput ceiling is one core as
-// soon as inference dominates. A replica is a CloneShared copy of the
-// evaluator's model whose weight matrices point at the pristine
-// clustered snapshot; a trial checks out a replica, swaps private
-// buffers over ONLY the layers its decoded indices actually corrupt,
-// runs the allocation-free Forwarder pass, and repoints the shared
-// matrices on check-in. Replicas are created lazily up to GOMAXPROCS.
+// The serial reference (measureSerial) mutates the ONE shared model
+// under a mutex, so with W campaign workers the encode/inject/decode
+// stages parallelize but every trial still funnels through a single
+// inference critical section — the campaign's throughput ceiling is one
+// core as soon as inference dominates. A replica is a CloneShared copy
+// of the evaluator's pristine model whose weight matrices point at the
+// shared clustered snapshot; a trial checks out a replica, overlays
+// ONLY the layers its route corrupted, runs the allocation-free
+// Forwarder pass, and repoints the shared matrices on check-in.
+// Replicas are created lazily up to GOMAXPROCS.
 //
 // Purity argument (why the (cfg, seed) contract survives): a trial's
-// decoded indices are a pure function of (cfg, seed) — all randomness
-// is drawn from stats.NewSource(seed) before measurement begins. The
-// measurement itself is a deterministic function of the decoded indices
-// alone: every replica holds bit-identical pristine weights (the shared
-// snapshot), private buffers are fully overwritten before use, and the
-// Forwarder's arithmetic is independent of worker count and replica
-// identity. Which replica serves a trial therefore cannot affect its
-// delta.
+// overlays are a pure function of (cfg, seed) — all randomness is drawn
+// from stats.NewSource(seed) before measurement begins. The measurement
+// itself is a deterministic function of the overlays alone: every
+// replica holds bit-identical pristine weights (the shared snapshot),
+// private buffers are fully overwritten before use, and the Forwarder's
+// arithmetic is independent of worker count and replica identity. Which
+// replica serves a trial therefore cannot affect its delta.
 
-// replica is one checked-out-able inference engine.
+// replica is one checked-out-able inference engine. The serial
+// reference is a replica too: one over the evaluator's own model,
+// measured with train.Error under ev.mu.
 type replica struct {
 	model *dnn.Model
-	fw    *dnn.Forwarder
-	// priv[i] is the lazily materialized private weight buffer for
-	// weight-layer ordinal i; it is swapped over the shared pristine
-	// matrix only when trial i's decoded indices differ from pristine.
-	priv []*tensor.Matrix
-	// dirty lists the ordinals whose layers currently point at private
-	// buffers, so reset is O(corrupted layers).
-	dirty []int
-	// priv24[i] is the lazily materialized private compute-direct 2:4
-	// buffer for weight-layer ordinal i (Kind24 trials only).
+	// fw is the replica's serial Forwarder (nil for the serial
+	// reference, which measures through train.Error).
+	fw *dnn.Forwarder
+	// home[i] is weight-layer ordinal i's pristine dense matrix, which
+	// reset repoints the layer back at.
+	home []*tensor.Matrix
+	// priv[i] and priv24[i] are the lazily materialized private dense
+	// and compute-direct 2:4 buffers for weight-layer ordinal i.
+	priv   []*tensor.Matrix
 	priv24 []*tensor.Sparse24
-	// dirty24 lists the ordinals whose layers currently carry a non-nil
-	// Weights24 (shared pristine or private), so reset can clear them.
-	dirty24 []int
-	// dirtyX lists the ordinals whose layers currently carry a non-nil
-	// WeightsXbar (crossbar trials own the handle; the replica only
-	// borrows it for one measurement), so reset can clear them.
-	dirtyX []int
+	// dirty lists the ordinals whose layers currently carry an overlay,
+	// so reset is O(corrupted layers).
+	dirty []int
 }
 
-// newReplica clones the evaluator's model with shared storage, points
-// every weight layer at the pristine snapshot, and binds a serial
-// (Workers=1) Forwarder: trial-level parallelism already fills the
-// machine, so kernel-level goroutines would only add oversubscription
-// and per-call allocations.
-func (ev *MeasuredEvaluator) newReplica() *replica {
-	m := ev.Model.CloneShared()
-	for _, li := range ev.layerIdx {
-		m.Layers[li].Weights = ev.snap[li]
+// newReplica wraps m, whose weight layers hold pristine dense weights.
+func (ev *MeasuredEvaluator) newReplica(m *dnn.Model) *replica {
+	n := len(ev.clustered)
+	r := &replica{
+		model:  m,
+		home:   make([]*tensor.Matrix, n),
+		priv:   make([]*tensor.Matrix, n),
+		priv24: make([]*tensor.Sparse24, n),
+		dirty:  make([]int, 0, n),
 	}
-	fw := dnn.NewForwarder(m)
-	fw.Workers = 1
-	return &replica{
-		model:   m,
-		fw:      fw,
-		priv:    make([]*tensor.Matrix, len(ev.clustered)),
-		dirty:   make([]int, 0, len(ev.clustered)),
-		priv24:  make([]*tensor.Sparse24, len(ev.clustered)),
-		dirty24: make([]int, 0, len(ev.clustered)),
-		dirtyX:  make([]int, 0, len(ev.clustered)),
+	for i, li := range ev.layerIdx {
+		r.home[i] = m.Layers[li].Weights
+	}
+	return r
+}
+
+// newPoolReplica clones the pristine model with shared storage and
+// binds a serial (Workers=1) Forwarder: trial-level parallelism already
+// fills the machine, so kernel-level goroutines would only add
+// oversubscription and per-call allocations.
+func (ev *MeasuredEvaluator) newPoolReplica() *replica {
+	r := ev.newReplica(ev.pristine.CloneShared())
+	r.fw = dnn.NewForwarder(r.model)
+	r.fw.Workers = 1
+	return r
+}
+
+// overlay installs every layer's operand for one measurement. A layer
+// with no operand keeps the pristine snapshot.
+func (r *replica) overlay(ev *MeasuredEvaluator, layers []layerTrial) {
+	for i, lt := range layers {
+		l := r.model.Layers[ev.layerIdx[i]]
+		cl := ev.clustered[i]
+		switch {
+		case lt.idx != nil:
+			if r.priv[i] == nil {
+				r.priv[i] = tensor.NewMatrix(cl.Rows, cl.Cols)
+			}
+			for j, idx := range lt.idx {
+				r.priv[i].Data[j] = cl.Centroids[idx]
+			}
+			l.Weights = r.priv[i]
+		case lt.vals != nil:
+			// No dense matrix is materialized on the 2:4 route.
+			if r.priv24[i] == nil {
+				r.priv24[i] = tensor.NewSparse24(cl.Rows, cl.Cols)
+			}
+			for j, v := range lt.vals {
+				r.priv24[i].Val[j] = cl.Centroids[v]
+			}
+			copy(r.priv24[i].Pos, lt.pos)
+			l.Weights24 = r.priv24[i]
+		case lt.s24 != nil:
+			l.Weights24 = lt.s24
+		case lt.w != nil:
+			l.Weights = lt.w
+		case lt.x != nil:
+			l.WeightsXbar = lt.x
+		default:
+			continue
+		}
+		r.dirty = append(r.dirty, i)
 	}
 }
 
-// applyRaw points weight-layer ordinal i at a caller-owned dense weight
-// matrix for the duration of one measurement (the crossbar route's
-// ideal-ADC path: the trial already materialized its effective weights,
-// so the replica borrows them zero-copy instead of filling a private
-// buffer).
-func (r *replica) applyRaw(ev *MeasuredEvaluator, i int, w *tensor.Matrix) {
-	r.model.Layers[ev.layerIdx[i]].Weights = w
-	r.dirty = append(r.dirty, i)
-}
-
-// applyXbar routes weight-layer ordinal i through the crossbar kernels
-// for one measurement.
-func (r *replica) applyXbar(ev *MeasuredEvaluator, i int, x *tensor.Xbar) {
-	r.model.Layers[ev.layerIdx[i]].WeightsXbar = x
-	r.dirtyX = append(r.dirtyX, i)
-}
-
-// apply swaps weight-layer ordinal i to a private buffer filled with
-// the decoded centroids.
-func (r *replica) apply(ev *MeasuredEvaluator, i int, decoded []uint8) {
-	cl := ev.clustered[i]
-	buf := r.priv[i]
-	if buf == nil {
-		buf = tensor.NewMatrix(cl.Rows, cl.Cols)
-		r.priv[i] = buf
-	}
-	for j, idx := range decoded {
-		buf.Data[j] = cl.Centroids[idx]
-	}
-	r.model.Layers[ev.layerIdx[i]].Weights = buf
-	r.dirty = append(r.dirty, i)
-}
-
-// apply24Shared points weight-layer ordinal i at the evaluator's shared
-// pristine 2:4 compact — read-only, so sharing across replicas is safe.
-func (r *replica) apply24Shared(ev *MeasuredEvaluator, i int, s24 *tensor.Sparse24) {
-	r.model.Layers[ev.layerIdx[i]].Weights24 = s24
-	r.dirty24 = append(r.dirty24, i)
-}
-
-// apply24 swaps weight-layer ordinal i to a private compute-direct 2:4
-// buffer filled from a corrupted canonical compact form: cluster
-// indices map through the centroid table into Val, positions copy
-// verbatim. No dense matrix is materialized.
-func (r *replica) apply24(ev *MeasuredEvaluator, i int, vals, pos []uint8) {
-	cl := ev.clustered[i]
-	buf := r.priv24[i]
-	if buf == nil {
-		buf = tensor.NewSparse24(cl.Rows, cl.Cols)
-		r.priv24[i] = buf
-	}
-	for j, v := range vals {
-		buf.Val[j] = cl.Centroids[v]
-	}
-	copy(buf.Pos, pos)
-	r.model.Layers[ev.layerIdx[i]].Weights24 = buf
-	r.dirty24 = append(r.dirty24, i)
-}
-
-// reset repoints every corrupted layer back at the shared pristine
-// snapshot and clears any 2:4 overlays (a non-nil Weights24 would
+// reset repoints every overlaid layer back at its pristine dense
+// matrix and clears its 2:4 and crossbar operands (either would
 // otherwise shadow the dense weights for the next trial). Private
 // buffers are kept for reuse.
 func (r *replica) reset(ev *MeasuredEvaluator) {
 	for _, i := range r.dirty {
-		r.model.Layers[ev.layerIdx[i]].Weights = ev.snap[ev.layerIdx[i]]
+		l := r.model.Layers[ev.layerIdx[i]]
+		l.Weights, l.Weights24, l.WeightsXbar = r.home[i], nil, nil
 	}
 	r.dirty = r.dirty[:0]
-	for _, i := range r.dirty24 {
-		r.model.Layers[ev.layerIdx[i]].Weights24 = nil
-	}
-	r.dirty24 = r.dirty24[:0]
-	for _, i := range r.dirtyX {
-		r.model.Layers[ev.layerIdx[i]].WeightsXbar = nil
-	}
-	r.dirtyX = r.dirtyX[:0]
-}
-
-// bytes24Equal reports whether two compact forms are equal.
-func bytes24Equal(av, ap, bv, bp []uint8) bool {
-	return bytes.Equal(av, bv) && bytes.Equal(ap, bp)
 }
 
 // initReplicaPool sizes the pool to GOMAXPROCS at construction time.
@@ -189,7 +152,7 @@ func (ev *MeasuredEvaluator) checkout() *replica {
 		return r
 	case ev.replicaSem <- struct{}{}:
 		met.replicasCreated.Inc()
-		return ev.newReplica()
+		return ev.newPoolReplica()
 	}
 }
 
@@ -198,67 +161,4 @@ func (ev *MeasuredEvaluator) checkin(r *replica) {
 	r.reset(ev)
 	ev.replicas <- r
 	met.replicasBusy.Add(-1)
-}
-
-// checkDecoded validates the decoded-layer matrix against the
-// evaluator's clustered layers.
-func (ev *MeasuredEvaluator) checkDecoded(decodedLayers [][]uint8) error {
-	if len(decodedLayers) != len(ev.clustered) {
-		return fmt.Errorf("ares: %d decoded layers vs %d clustered", len(decodedLayers), len(ev.clustered))
-	}
-	for i, cl := range ev.clustered {
-		if len(decodedLayers[i]) != len(cl.Indices) {
-			return fmt.Errorf("ares: layer %d: %d decoded indices vs %d weights",
-				i, len(decodedLayers[i]), len(cl.Indices))
-		}
-	}
-	return nil
-}
-
-// measureDecoded is the parallel inference tail shared by EvalTrial and
-// LifetimeTrial: validate, take the zero-mismatch fast path when every
-// decoded layer equals its reference indices (the common SLC / post-ECC
-// case — reference indices reproduce the baseline exactly, so the delta
-// is 0 by construction), otherwise check out a replica, overlay the
-// corrupted layers, and run real inference. Concurrent calls proceed in
-// parallel up to the pool size. refs and baseline come from refFor: the
-// clustered indices and clustered baseline for lossless encodings, the
-// projected indices and projected baseline for Kind24's decode-to-dense
-// oracle route.
-func (ev *MeasuredEvaluator) measureDecoded(decodedLayers, refs [][]uint8, baseline float64) (float64, error) {
-	if err := ev.checkDecoded(decodedLayers); err != nil {
-		return 0, err
-	}
-	pristine := true
-	for i := range ev.clustered {
-		if !bytes.Equal(decodedLayers[i], refs[i]) {
-			pristine = false
-			break
-		}
-	}
-	if pristine {
-		met.fastHits.Inc()
-		return 0, nil
-	}
-	met.fastMisses.Inc()
-	waitStart := time.Now()
-	r := ev.checkout()
-	defer ev.checkin(r)
-	evalStart := time.Now()
-	// Overlay every layer whose decoded indices differ from the pristine
-	// SNAPSHOT (not the reference): on the Kind24 oracle route a clean
-	// layer decodes to the projected indices, which still differ from the
-	// clustered snapshot the replica's shared matrices hold.
-	for i, cl := range ev.clustered {
-		if !bytes.Equal(decodedLayers[i], cl.Indices) {
-			r.apply(ev, i, decodedLayers[i])
-		}
-	}
-	delta := train.ErrorWith(r.fw, ev.Test) - baseline
-	met.eval.Since(evalStart)
-	met.evalParallel.Since(waitStart)
-	if delta < 0 {
-		delta = 0
-	}
-	return delta, nil
 }

@@ -24,8 +24,10 @@ func TestReplicaParityWithSerial(t *testing.T) {
 			"values", StreamPolicy{BPC: 3}),
 		IsolateStream(Config{Tech: envm.CTT, Encoding: sparse.KindBitMask},
 			"bitmask", StreamPolicy{BPC: 3}),
+		degradeCfg(sparse.KindCSR),
 	}
 	seeds := []uint64{1, 77, 1234, 99999}
+	degraded := 0
 	for ci, cfg := range configs {
 		for _, seed := range seeds {
 			dSer, sSer, err := ev.EvalTrialSerial(ctx, cfg, seed)
@@ -40,8 +42,32 @@ func TestReplicaParityWithSerial(t *testing.T) {
 				t.Errorf("cfg %d seed %d: replica (%v, %+v) != serial (%v, %+v)",
 					ci, seed, dPar, sPar, dSer, sSer)
 			}
+			checkCorruptAndDegraded(t, ev, cfg, seed, sPar, &degraded)
 		}
 	}
+	if degraded == 0 {
+		t.Error("no grid trial degraded a block: the Degrade input exercises nothing")
+	}
+}
+
+// checkCorruptAndDegraded pins two properties of one grid trial whose
+// EvalTrial statistics are st: CorruptTrial reports exactly the same
+// statistics, and DegradedBlocks equals the per-layer sum (added to
+// *degraded so the grid can assert it exercised degradation).
+func checkCorruptAndDegraded(t *testing.T, ev *MeasuredEvaluator, cfg Config, seed uint64, st TrialStats, degraded *int) {
+	t.Helper()
+	cst, err := ev.CorruptTrial(context.Background(), cfg, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cst != st {
+		t.Errorf("%s seed %d: CorruptTrial %+v != EvalTrial %+v", cfg, seed, cst, st)
+	}
+	want := layerDegraded(t, ev, cfg, seed)
+	if st.DegradedBlocks != want {
+		t.Errorf("%s seed %d: trial DegradedBlocks %d != per-layer sum %d", cfg, seed, st.DegradedBlocks, want)
+	}
+	*degraded += want
 }
 
 // TestReplicaParityConcurrent repeats the parity check with the replica
@@ -92,9 +118,20 @@ func TestReplicaParityConcurrent(t *testing.T) {
 	}
 }
 
-// TestFastPathFiresIffPristine drives measureDecoded directly: pristine
-// indices must take the zero-inference fast path (hit counter, delta 0),
-// and a single flipped index must force real inference (miss counter).
+// asDecoded wraps per-layer decoded indices as decode-to-dense trial
+// layers.
+func asDecoded(decoded [][]uint8) []layerTrial {
+	layers := make([]layerTrial, len(decoded))
+	for i, d := range decoded {
+		layers[i].idx = d
+	}
+	return layers
+}
+
+// TestFastPathFiresIffPristine drives the decode-to-dense trial and the
+// replica measurement directly: pristine indices must take the
+// zero-inference fast path (hit counter, delta 0), and a single flipped
+// index must force real inference (miss counter).
 func TestFastPathFiresIffPristine(t *testing.T) {
 	ev := getMeasured(t)
 	pristine := make([][]uint8, len(ev.clustered))
@@ -103,10 +140,11 @@ func TestFastPathFiresIffPristine(t *testing.T) {
 	}
 
 	hits0, misses0 := met.fastHits.Value(), met.fastMisses.Value()
-	delta, err := ev.measureDecoded(pristine, ev.origIdx, ev.BaselineErr)
+	tr, err := ev.decodedTrial(asDecoded(pristine), ev.origIdx, ev.BaselineErr)
 	if err != nil {
 		t.Fatal(err)
 	}
+	delta := ev.measure(tr)
 	if delta != 0 {
 		t.Errorf("pristine delta = %v, want exactly 0", delta)
 	}
@@ -118,8 +156,8 @@ func TestFastPathFiresIffPristine(t *testing.T) {
 	}
 	// The serial reference agrees: pristine indices reproduce the
 	// baseline, so the clamped delta is 0 there too.
-	if dSer, err := ev.MeasureDecoded(pristine); err != nil || dSer != 0 {
-		t.Errorf("serial pristine delta = %v err %v, want 0", dSer, err)
+	if dSer := ev.measureSerial(tr); dSer != 0 {
+		t.Errorf("serial pristine delta = %v, want 0", dSer)
 	}
 
 	// Flip one index in one layer (to a different valid centroid).
@@ -133,10 +171,11 @@ func TestFastPathFiresIffPristine(t *testing.T) {
 		corrupted[0][0] = 0
 	}
 	hits0, misses0 = met.fastHits.Value(), met.fastMisses.Value()
-	dCor, err := ev.measureDecoded(corrupted, ev.origIdx, ev.BaselineErr)
+	trCor, err := ev.decodedTrial(asDecoded(corrupted), ev.origIdx, ev.BaselineErr)
 	if err != nil {
 		t.Fatal(err)
 	}
+	dCor := ev.measure(trCor)
 	if h := met.fastHits.Value() - hits0; h != 0 {
 		t.Errorf("corrupted trial took the fast path (%d hits)", h)
 	}
@@ -144,10 +183,7 @@ func TestFastPathFiresIffPristine(t *testing.T) {
 		t.Errorf("fast-path misses += %d, want 1", m)
 	}
 	// And it matches the serial measurement of the same corruption.
-	dSer, err := ev.MeasureDecoded(corrupted)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dSer := ev.measureSerial(trCor)
 	if dCor != dSer {
 		t.Errorf("corrupted replica delta %v != serial %v", dCor, dSer)
 	}
@@ -174,11 +210,11 @@ func TestFastPathOnPerfectStorage(t *testing.T) {
 	}
 }
 
-// TestMeasureDecodedValidates keeps the replica path's input validation
-// at parity with the serial path.
+// TestMeasureDecodedValidates keeps the decode-to-dense trial's input
+// validation: malformed decoded layers never reach a measurement.
 func TestMeasureDecodedValidates(t *testing.T) {
 	ev := getMeasured(t)
-	if _, err := ev.measureDecoded(nil, ev.origIdx, ev.BaselineErr); err == nil {
+	if _, err := ev.decodedTrial(asDecoded(nil), ev.origIdx, ev.BaselineErr); err == nil {
 		t.Error("nil decoded layers accepted")
 	}
 	bad := make([][]uint8, len(ev.clustered))
@@ -186,7 +222,7 @@ func TestMeasureDecodedValidates(t *testing.T) {
 		bad[i] = append([]uint8(nil), cl.Indices...)
 	}
 	bad[0] = bad[0][:1]
-	if _, err := ev.measureDecoded(bad, ev.origIdx, ev.BaselineErr); err == nil {
+	if _, err := ev.decodedTrial(asDecoded(bad), ev.origIdx, ev.BaselineErr); err == nil {
 		t.Error("truncated layer accepted")
 	}
 }

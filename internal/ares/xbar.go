@@ -22,8 +22,8 @@ var errNoCrossbar = errors.New("ares: config has no crossbar design point")
 // with sampled variation and stuck-at faults, optionally runs the
 // online tolerance loop (detect -> remap -> degrade), and the resulting
 // effective weights run through the crossbar kernels — per-row-tile
-// analog accumulation with per-column ADC quantization — on a
-// checked-out replica.
+// analog accumulation with per-column ADC quantization — through the
+// shared measurement (trial.go).
 //
 // Baseline discipline follows the 2:4 route (direct24.go): the DAC
 // snap of weights to programmed levels and the ADC quantization of the
@@ -35,7 +35,7 @@ var errNoCrossbar = errors.New("ares: config has no crossbar design point")
 // exactly (the determinism-parity acceptance test).
 //
 // Seed contract: per-layer seeds are drawn tsrc.Uint64() in layer
-// order from stats.NewSource(seed), matching corruptTrial; within a
+// order from stats.NewSource(seed), matching corruptDense; within a
 // layer, Program forks 1..3 (variation / stuck cells / stuck columns)
 // and the scrubber draws from fork 4. The trial outcome is a pure
 // function of (cfg, seed).
@@ -65,7 +65,7 @@ func (ev *MeasuredEvaluator) xbar(cfg Config) (*xbarState, error) {
 	start := time.Now()
 	xs := &xbarState{layers: make([]*crossbar.Layer, len(ev.clustered))}
 	for i, li := range ev.layerIdx {
-		ly, err := crossbar.Map(ev.snap[li], xc, cfg.Tech)
+		ly, err := crossbar.Map(ev.pristine.Layers[li].Weights, xc, cfg.Tech)
 		if err != nil {
 			return nil, err
 		}
@@ -78,7 +78,7 @@ func (ev *MeasuredEvaluator) xbar(cfg Config) (*xbarState, error) {
 	if xc.BPC == 0 && xc.ADCBits == 0 {
 		xs.baselineErr = ev.BaselineErr
 	} else {
-		m := ev.Model.CloneShared()
+		m := ev.pristine.CloneShared()
 		for o, li := range ev.layerIdx {
 			if x := xs.layers[o].PristineXbar(); x != nil {
 				m.Layers[li].WeightsXbar = x
@@ -117,130 +117,69 @@ func (ev *MeasuredEvaluator) XbarGeometry(cfg Config) (segments, tiles int, err 
 	return segments, tiles, nil
 }
 
-// corruptTrialXbar programs every layer's crossbar for one trial and
-// runs the online tolerance loop when enabled, returning the per-layer
-// trials plus aggregated corruption statistics in the storage-route
-// vocabulary: Faults = injected stuck devices + stuck column drivers,
-// Detected = segments flagged online, Corrected = segments remapped to
-// spares, DegradedBlocks = segments zeroed, StructFrac = fraction of
-// weights zeroed by degradation, Mismatch = fraction of effective
-// weights differing from the pristine mapping, ValueNSR = weight-space
-// noise-to-signal vs the mapped baseline.
-func (ev *MeasuredEvaluator) corruptTrialXbar(ctx context.Context, cfg Config, seed uint64) ([]*crossbar.Trial, *xbarState, TrialStats, error) {
-	var agg TrialStats
-	if err := cfg.Validate(); err != nil {
-		return nil, nil, agg, err
-	}
+// corruptXbar is the crossbar route's corrupt step: it programs every
+// layer's crossbar for one trial and runs the online tolerance loop
+// when enabled. Each layer runs on its trial's effective weights (ideal
+// ADC) or ADC kernel handle; zero aggregate mismatch takes the fast
+// path. Statistics use the storage-route vocabulary: Faults = injected
+// stuck devices + stuck column drivers, Detected = segments flagged
+// online, Corrected = segments remapped to spares, DegradedBlocks =
+// segments zeroed, StructFrac = fraction of weights zeroed by
+// degradation, Mismatch = fraction of effective weights differing from
+// the pristine mapping, ValueNSR = weight-space noise-to-signal vs the
+// mapped baseline.
+func (ev *MeasuredEvaluator) corruptXbar(ctx context.Context, cfg Config, tsrc *stats.Source) (trial, error) {
 	xs, err := ev.xbar(cfg)
 	if err != nil {
-		return nil, nil, agg, err
+		return trial{}, err
 	}
 	xc := *cfg.Crossbar
 	injectStart := time.Now()
-	tsrc := stats.NewSource(seed)
-	trials := make([]*crossbar.Trial, len(ev.clustered))
+	tr := trial{layers: make([]layerTrial, len(ev.clustered)), baseline: xs.baselineErr, timer: met.eval}
 	var zeroedW int
 	for i := range ev.clustered {
 		lseed := tsrc.Uint64()
 		if err := ctx.Err(); err != nil {
-			return nil, nil, agg, err
+			return trial{}, err
 		}
 		t, err := xs.layers[i].NewTrial(xc)
 		if err != nil {
-			return nil, nil, agg, err
+			return trial{}, err
 		}
 		lsrc := stats.NewSource(lseed)
 		t.Program(lsrc)
 		if xc.Online() {
 			t.Online(lsrc.Fork(4))
 		}
-		trials[i] = t
-		agg.Faults += t.Stats.StuckCells + t.Stats.StuckCols
-		agg.Detected += t.Stats.Flagged
-		agg.Corrected += t.Stats.Remapped
-		agg.DegradedBlocks += t.Stats.Zeroed
+		lt := layerTrial{st: TrialStats{
+			Faults:         t.Stats.StuckCells + t.Stats.StuckCols,
+			Detected:       t.Stats.Flagged,
+			Corrected:      t.Stats.Remapped,
+			DegradedBlocks: t.Stats.Zeroed,
+			Mismatch:       t.MismatchFrac(),
+			ValueNSR:       t.NSR(),
+		}, x: t.Xbar()}
+		if lt.x == nil {
+			lt.w = t.W
+		}
+		tr.layers[i] = lt
 		zeroedW += t.Stats.ZeroedWeights
-		w := float64(len(ev.clustered[i].Indices))
-		agg.Mismatch += t.MismatchFrac() * w
-		agg.ValueNSR += t.NSR() * w
 	}
-	total := float64(ev.totalWeights())
-	agg.StructFrac = float64(zeroedW) / total
-	agg.Mismatch /= total
-	agg.ValueNSR /= total
+	tr.stats = ev.aggregate(tr.layers)
+	// The exact zeroed fraction, not a weighted mean of layer ratios.
+	tr.stats.StructFrac = float64(zeroedW) / float64(ev.totalWeights())
+	tr.pristine = tr.stats.Mismatch == 0
 	met.inject.Since(injectStart)
-	return trials, xs, agg, nil
+	return tr, nil
 }
 
-// EvalTrialCrossbar runs ONE compute-in-memory trial under cfg
-// (cfg.Crossbar must be set) and returns the measured classification-
+// EvalTrialCrossbar is EvalTrial for a config that must carry a
+// crossbar design point (cfg.Crossbar): the measured classification-
 // error delta against the mapped baseline (clamped at 0) plus the
-// aggregated corruption statistics. Same campaign contract as
-// EvalTrial — pure in (cfg, seed), concurrent-safe, measured on a
-// checked-out replica — so campaigns, checkpoints, fleets, and chaos
-// run over it unchanged.
+// aggregated corruption statistics, under EvalTrial's campaign contract.
 func (ev *MeasuredEvaluator) EvalTrialCrossbar(ctx context.Context, cfg Config, seed uint64) (float64, TrialStats, error) {
-	trials, xs, agg, err := ev.corruptTrialXbar(ctx, cfg, seed)
-	if err != nil {
-		return 0, agg, err
+	if cfg.Crossbar == nil {
+		return 0, TrialStats{}, errNoCrossbar
 	}
-	// Fast path: nothing perturbed the mapping, so the measurement
-	// would reproduce the mapped baseline exactly.
-	if agg.Mismatch == 0 {
-		met.fastHits.Inc()
-		return 0, agg, nil
-	}
-	met.fastMisses.Inc()
-	waitStart := time.Now()
-	r := ev.checkout()
-	defer ev.checkin(r)
-	evalStart := time.Now()
-	for i, t := range trials {
-		if x := t.Xbar(); x != nil {
-			r.applyXbar(ev, i, x)
-		} else {
-			r.applyRaw(ev, i, t.W)
-		}
-	}
-	delta := train.ErrorWith(r.fw, ev.Test) - xs.baselineErr
-	met.eval.Since(evalStart)
-	met.evalParallel.Since(waitStart)
-	if delta < 0 {
-		delta = 0
-	}
-	return delta, agg, nil
-}
-
-// evalTrialXbarSerial is EvalTrialCrossbar measured through the legacy
-// serialized path (mutate the one shared model under the evaluator
-// mutex) — the reference implementation the replica route is pinned
-// bit-identical to by test.
-func (ev *MeasuredEvaluator) evalTrialXbarSerial(ctx context.Context, cfg Config, seed uint64) (float64, TrialStats, error) {
-	trials, xs, agg, err := ev.corruptTrialXbar(ctx, cfg, seed)
-	if err != nil {
-		return 0, agg, err
-	}
-	ev.mu.Lock()
-	defer ev.mu.Unlock()
-	evalStart := time.Now()
-	var dirtyX []int
-	for i, t := range trials {
-		li := ev.layerIdx[i]
-		if x := t.Xbar(); x != nil {
-			ev.Model.Layers[li].WeightsXbar = x
-			dirtyX = append(dirtyX, li)
-		} else {
-			copy(ev.Model.Layers[li].Weights.Data, t.W.Data)
-		}
-	}
-	delta := train.Error(ev.Model, ev.Test) - xs.baselineErr
-	ev.Model.RestoreWeights(ev.snap)
-	for _, li := range dirtyX {
-		ev.Model.Layers[li].WeightsXbar = nil
-	}
-	met.eval.Since(evalStart)
-	if delta < 0 {
-		delta = 0
-	}
-	return delta, agg, nil
+	return ev.EvalTrial(ctx, cfg, seed)
 }

@@ -96,6 +96,10 @@ func TestEvalTrialXbarSerialParityGrid(t *testing.T) {
 				t.Errorf("cfg %d seed %d: replica (%v, %+v) != serial (%v, %+v)",
 					ci, seed, dDir, sDir, dSer, sSer)
 			}
+			// CorruptTrial takes the same route as EvalTrial.
+			if cst, err := ev.CorruptTrial(ctx, cfg, seed); err != nil || cst != sDir {
+				t.Errorf("cfg %d seed %d: CorruptTrial (%+v, %v) != EvalTrial %+v", ci, seed, cst, err, sDir)
+			}
 		}
 	}
 }

@@ -5,7 +5,7 @@
 // non-idealities — programming variation sampled from the envm level
 // model, stuck-at-G_on/G_off cells, and stuck column drivers — perturb
 // the *computation*, not just stored bits, which is the failure mode
-// the storage-oriented fault pipeline (internal/ares RunTrial) cannot
+// the storage-oriented fault pipeline (internal/ares RunTrialChecked) cannot
 // express.
 //
 // The package also implements the online tolerance loop from the
