@@ -28,6 +28,7 @@ import (
 	"testing"
 
 	"repro/internal/ares"
+	"repro/internal/crossbar"
 	"repro/internal/dnn"
 	"repro/internal/envm"
 	"repro/internal/sparse"
@@ -235,6 +236,40 @@ func BenchmarkForwardAllocFree24(b *testing.B) {
 	f.Forward(ds.Images)
 	if n := testing.AllocsPerRun(10, func() { f.Forward(ds.Images) }); n != 0 {
 		b.Fatalf("2:4 steady-state forward pass allocates %v allocs/op, want 0", n)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.Forward(ds.Images)
+	}
+}
+
+// BenchmarkForwardAllocFreeXbar is the same steady-state forward pass
+// with every weight layer routed through the crossbar kernels: the
+// pristine mapping of benchXbarConfig's 64x32 tiles and 8-bit column
+// ADCs. Same acceptance criterion: 0 allocs/op. The ns/op delta vs
+// BenchmarkForwardAllocFree is the cost of per-tile accumulation and
+// ADC quantization.
+func BenchmarkForwardAllocFreeXbar(b *testing.B) {
+	ds := train.Synthesize(train.SynthConfig{N: 100, Seed: 1})
+	m := dnn.TinyCNN()
+	m.InitWeights(1)
+	cfg := *benchXbarConfig(8).Crossbar
+	for _, l := range m.Layers {
+		if !l.HasWeights() {
+			continue
+		}
+		ly, err := crossbar.Map(l.Weights, cfg, envm.CTT)
+		if err != nil {
+			b.Fatal(err)
+		}
+		l.WeightsXbar = ly.PristineXbar()
+	}
+	f := dnn.NewForwarder(m)
+	f.Workers = 1
+	f.Forward(ds.Images)
+	if n := testing.AllocsPerRun(10, func() { f.Forward(ds.Images) }); n != 0 {
+		b.Fatalf("crossbar steady-state forward pass allocates %v allocs/op, want 0", n)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -14,19 +14,19 @@ import (
 // the garbage generated per trial scales with trials x test-set size.
 //
 // A Forwarder is NOT safe for concurrent use; run one per worker (the
-// ares replica pool does exactly that). Weight matrices are read from
-// the model at call time, so swapping a layer's Weights pointer between
-// calls (the replica pool's private corrupted buffers) is supported —
-// and a non-nil Weights24 routes the layer through the compute-direct
-// 2:4 kernels instead of the dense ones (bit-identical output, half the
-// MACs; see tensor.MulABt24Band).
+// ares replica pool does exactly that). Each weight layer runs on the
+// operand Layer.Operand returns, read at call time, so swapping a
+// layer's Weights pointer between calls (the replica pool's private
+// corrupted buffers) is supported, and setting Weights24 or WeightsXbar
+// routes the layer through the compute-direct 2:4 or the crossbar
+// kernels instead of the dense ones.
 type Forwarder struct {
 	m *Model
 	// Workers bounds kernel parallelism (convolution image bands and
-	// GEMM row bands). 0 means GOMAXPROCS. Set 1 when the caller
-	// parallelizes at a higher level — one Forwarder per worker — which
-	// also keeps the pass free of goroutine spawns and therefore
-	// allocation-free in steady state.
+	// GEMM row bands, conv and FC alike, in every weight encoding). 0
+	// means GOMAXPROCS. Set 1 when the caller parallelizes at a higher
+	// level — one Forwarder per worker — which also keeps the pass free
+	// of goroutine spawns and therefore allocation-free in steady state.
 	Workers int
 
 	acts   []*tensor.Tensor4 // per-layer output buffers, grown on demand
@@ -85,31 +85,12 @@ func (f *Forwarder) Forward(in *tensor.Tensor4) *tensor.Matrix {
 		switch l.Kind {
 		case Conv:
 			out := f.ensure(i, x.N, l.Conv.OutC, l.Conv.OutH(), l.Conv.OutW())
-			if l.WeightsXbar != nil {
-				tensor.Conv2DXbarInto(out, x, l.WeightsXbar, l.Bias, l.Conv, &f.conv)
-			} else if l.Weights24 != nil {
-				tensor.Conv2D24Into(out, x, l.Weights24, l.Bias, l.Conv, &f.conv)
-			} else {
-				tensor.Conv2DInto(out, x, l.Weights, l.Bias, l.Conv, &f.conv)
-			}
+			tensor.Conv2DInto(out, x, l.Operand(), l.Bias, l.Conv, &f.conv)
 		case FC:
 			out := f.ensure(i, x.N, l.OutFeatures, 1, 1)
 			f.flat = tensor.Matrix{Rows: x.N, Cols: x.C * x.H * x.W, Data: x.Data}
 			f.view = tensor.Matrix{Rows: x.N, Cols: l.OutFeatures, Data: out.Data}
-			switch {
-			case l.WeightsXbar != nil:
-				// The crossbar route is always serial: it runs inside a
-				// replica (Workers=1) or a one-shot baseline pass.
-				tensor.MulABtXbarBand(&f.view, &f.flat, l.WeightsXbar, 0, x.N)
-			case l.Weights24 != nil && f.Workers == 1:
-				tensor.MulABt24Band(&f.view, &f.flat, l.Weights24, 0, x.N)
-			case l.Weights24 != nil:
-				tensor.MulABt24Into(&f.view, &f.flat, l.Weights24)
-			case f.Workers == 1:
-				tensor.MulABtBand(&f.view, &f.flat, l.Weights, 0, x.N)
-			default:
-				tensor.MulABtInto(&f.view, &f.flat, l.Weights)
-			}
+			tensor.MulABtInto(&f.view, &f.flat, l.Operand(), f.Workers)
 			if l.Bias != nil {
 				f.view.AddBiasRows(l.Bias)
 			}

@@ -137,21 +137,8 @@ func TestForwarder24OverlayToggle(t *testing.T) {
 	}
 }
 
-// TestForwarder24SteadyStateAllocFree: the acceptance criterion holds on
-// the compute-direct route too — Workers=1, warmed up, 0 allocs/op.
+// TestForwarder24SteadyStateAllocFree: the allocation-free forward pass
+// holds on the compute-direct route too.
 func TestForwarder24SteadyStateAllocFree(t *testing.T) {
-	m := TinyCNN()
-	m.InitWeights(43)
-	for _, l := range m.Layers {
-		if l.HasWeights() {
-			l.Weights24 = project24(l.Weights)
-		}
-	}
-	in := forwardTestInput(4)
-	f := NewForwarder(m)
-	f.Workers = 1
-	f.Forward(in)
-	if allocs := testing.AllocsPerRun(10, func() { f.Forward(in) }); allocs != 0 {
-		t.Errorf("2:4 Forward allocates %v per run, want 0", allocs)
-	}
+	assertForwarderAllocFree(t, "2:4", 43, func(l *Layer) { l.Weights24 = project24(l.Weights) })
 }

@@ -124,11 +124,18 @@ func TestForwarderSeesWeightPointerSwap(t *testing.T) {
 	}
 }
 
-func TestForwarderSteadyStateAllocFree(t *testing.T) {
-	// Acceptance criterion: with Workers=1 (the replica configuration) a
-	// warmed-up Forwarder allocates nothing per pass.
+// assertForwarderAllocFree: with Workers=1 (the replica configuration) a
+// warmed-up Forwarder over TinyCNN, with overlay applied to every weighted
+// layer, allocates nothing per Forward or Predict pass.
+func assertForwarderAllocFree(t *testing.T, name string, seed uint64, overlay func(l *Layer)) {
+	t.Helper()
 	m := TinyCNN()
-	m.InitWeights(31)
+	m.InitWeights(seed)
+	for _, l := range m.Layers {
+		if l.HasWeights() {
+			overlay(l)
+		}
+	}
 	in := forwardTestInput(4)
 	f := NewForwarder(m)
 	f.Workers = 1
@@ -136,9 +143,26 @@ func TestForwarderSteadyStateAllocFree(t *testing.T) {
 	var preds []int
 	preds = f.Predict(in, preds) // warm up the prediction slice too
 	if allocs := testing.AllocsPerRun(10, func() { f.Forward(in) }); allocs != 0 {
-		t.Errorf("Forward allocates %v per run, want 0", allocs)
+		t.Errorf("%s: Forward allocates %v per run, want 0", name, allocs)
 	}
 	if allocs := testing.AllocsPerRun(10, func() { preds = f.Predict(in, preds) }); allocs != 0 {
-		t.Errorf("Predict allocates %v per run, want 0", allocs)
+		t.Errorf("%s: Predict allocates %v per run, want 0", name, allocs)
 	}
+}
+
+// TestForwarderSteadyStateAllocFree: the forward pass is allocation-free
+// on dense and crossbar weights (the 2:4 route is
+// TestForwarder24SteadyStateAllocFree).
+func TestForwarderSteadyStateAllocFree(t *testing.T) {
+	assertForwarderAllocFree(t, "dense", 31, func(*Layer) {})
+	assertForwarderAllocFree(t, "xbar", 47, func(l *Layer) {
+		const tileRows = 8
+		w := l.Weights
+		x := &tensor.Xbar{W: w, TileRows: tileRows, ADCBits: 6,
+			FS: make([]float32, (w.Cols+tileRows-1)/tileRows*w.Rows)}
+		for i := range x.FS {
+			x.FS[i] = 1
+		}
+		l.WeightsXbar = x
+	})
 }

@@ -93,11 +93,23 @@ type Layer struct {
 	// WeightsXbar, when non-nil, routes the layer through the crossbar
 	// compute-in-memory kernels (effective weights with per-row-tile
 	// ADC quantization; see tensor.Xbar). Takes precedence over both
-	// Weights and Weights24. Set (and cleared) per trial by the ares
-	// evaluator's replica pool.
+	// Weights and Weights24 (see Operand). Set (and cleared) per trial
+	// by the ares evaluator's replica pool.
 	WeightsXbar *tensor.Xbar
 	// Bias holds the per-output-channel bias (may be nil).
 	Bias []float32
+}
+
+// Operand returns the weight operand the layer runs on. Precedence:
+// WeightsXbar, then Weights24, then Weights.
+func (l *Layer) Operand() tensor.Operand {
+	switch {
+	case l.WeightsXbar != nil:
+		return l.WeightsXbar
+	case l.Weights24 != nil:
+		return l.Weights24
+	}
+	return l.Weights
 }
 
 // HasWeights reports whether the layer carries parameters.

@@ -1,10 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-	"runtime"
-	"sync"
-)
+import "fmt"
 
 // Tensor4 is a dense NCHW float32 tensor (batch, channels, height, width).
 type Tensor4 struct {
@@ -85,32 +81,57 @@ func Im2col(in *Tensor4, n int, cs ConvShape) *Matrix {
 // values from a previous image), and filled. With a recycled dst the
 // call allocates nothing once the buffer has grown to the layer's size.
 func Im2colInto(dst *Matrix, in *Tensor4, n int, cs ConvShape) {
+	im2colBatch(dst, in, cs, n, n+1)
+}
+
+// im2colBatch lowers images [lo, hi) into one k x (hi-lo)*ohw patch
+// matrix: image i occupies the ohw-wide column block (i-lo)*ohw, laid
+// out as Im2col lays out one image. dst is reshaped and zeroed first
+// (padding positions stay zero); stride-1 kernel rows are copied as
+// contiguous runs instead of element-by-element.
+func im2colBatch(dst *Matrix, in *Tensor4, cs ConvShape, lo, hi int) {
 	oh, ow := cs.OutH(), cs.OutW()
-	dst.Reshape(cs.InC*cs.KH*cs.KW, oh*ow)
-	out := dst
-	for i := range out.Data {
-		out.Data[i] = 0
+	ohw := oh * ow
+	dst.Reshape(cs.InC*cs.KH*cs.KW, (hi-lo)*ohw)
+	for i := range dst.Data {
+		dst.Data[i] = 0
 	}
-	img := in.Image(n)
-	for c := 0; c < cs.InC; c++ {
-		chanBase := c * cs.InH * cs.InW
-		for kh := 0; kh < cs.KH; kh++ {
-			for kw := 0; kw < cs.KW; kw++ {
-				rowIdx := (c*cs.KH+kh)*cs.KW + kw
-				dst := out.Row(rowIdx)
-				for oy := 0; oy < oh; oy++ {
-					iy := oy*cs.Stride + kh - cs.Pad
-					if iy < 0 || iy >= cs.InH {
-						continue // leave zeros (padding)
-					}
-					srcRow := chanBase + iy*cs.InW
-					dstRow := oy * ow
-					for ox := 0; ox < ow; ox++ {
-						ix := ox*cs.Stride + kw - cs.Pad
-						if ix < 0 || ix >= cs.InW {
+	for i := lo; i < hi; i++ {
+		img := in.Image(i)
+		colOff := (i - lo) * ohw
+		for c := 0; c < cs.InC; c++ {
+			chanBase := c * cs.InH * cs.InW
+			for kh := 0; kh < cs.KH; kh++ {
+				for kw := 0; kw < cs.KW; kw++ {
+					row := dst.Row((c*cs.KH+kh)*cs.KW + kw)[colOff : colOff+ohw]
+					for oy := 0; oy < oh; oy++ {
+						iy := oy*cs.Stride + kh - cs.Pad
+						if iy < 0 || iy >= cs.InH {
+							continue // leave zeros (padding)
+						}
+						srcRow := chanBase + iy*cs.InW
+						dstRow := oy * ow
+						if cs.Stride == 1 {
+							off := kw - cs.Pad
+							xlo, xhi := 0, ow
+							if xlo < -off {
+								xlo = -off
+							}
+							if xhi > cs.InW-off {
+								xhi = cs.InW - off
+							}
+							if xlo < xhi {
+								copy(row[dstRow+xlo:dstRow+xhi], img[srcRow+xlo+off:srcRow+xhi+off])
+							}
 							continue
 						}
-						dst[dstRow+ox] = img[srcRow+ix]
+						for ox := 0; ox < ow; ox++ {
+							ix := ox*cs.Stride + kw - cs.Pad
+							if ix < 0 || ix >= cs.InW {
+								continue
+							}
+							row[dstRow+ox] = img[srcRow+ix]
+						}
 					}
 				}
 			}
@@ -119,9 +140,9 @@ func Im2colInto(dst *Matrix, in *Tensor4, n int, cs ConvShape) {
 }
 
 // ConvScratch holds the scratch buffers of one convolution worker: the
-// im2col patch matrix, and (2:4 path only) the batched GEMM output that
-// is copied out to NCHW. Both grow to the largest layer seen and are
-// reused across calls; a scratch must never be shared between concurrent
+// batched im2col patch matrix and the channel-major GEMM output that is
+// copied out to NCHW. Both grow to the largest layer seen and are reused
+// across calls; a scratch must never be shared between concurrent
 // workers.
 type ConvScratch struct {
 	patches Matrix
@@ -130,23 +151,15 @@ type ConvScratch struct {
 
 // ConvWorkspace provides the per-worker scratch buffers Conv2DInto needs
 // to run batch images in parallel without allocating. The zero value is
-// ready to use. Workers bounds image-level parallelism: 0 means
-// GOMAXPROCS, 1 keeps the convolution strictly serial (and the steady
-// state allocation-free) for callers that already parallelize at a
-// higher level, e.g. one inference replica per campaign worker. A
-// workspace must not be used by two Conv2DInto calls concurrently.
+// ready to use. Workers bounds parallelism (image bands, or GEMM row
+// bands for a single image): 0 means GOMAXPROCS, 1 keeps the convolution
+// strictly serial (and the steady state allocation-free) for callers
+// that already parallelize at a higher level, e.g. one inference replica
+// per campaign worker. A workspace must not be used by two Conv2DInto
+// calls concurrently.
 type ConvWorkspace struct {
 	Workers int
 	scratch []*ConvScratch
-}
-
-// scratchFor returns worker w's private scratch, growing the pool on
-// first use.
-func (ws *ConvWorkspace) scratchFor(w int) *ConvScratch {
-	for len(ws.scratch) <= w {
-		ws.scratch = append(ws.scratch, &ConvScratch{})
-	}
-	return ws.scratch[w]
 }
 
 // Conv2D performs a batched convolution: weights is (OutC) x (InC*KH*KW),
@@ -159,20 +172,29 @@ func Conv2D(in *Tensor4, weights *Matrix, bias []float32, cs ConvShape) *Tensor4
 	return out
 }
 
-// Conv2DInto is Conv2D into a caller-owned output tensor, parallelized
-// across batch images: each worker lowers and multiplies its own images
-// with a private ConvScratch, so no scratch state is shared between
-// goroutines and a reused workspace allocates nothing in steady state.
-// Single-image batches fall back to row-band parallelism inside the
-// GEMM instead. Per-element arithmetic is identical for every worker
-// count.
-func Conv2DInto(out *Tensor4, in *Tensor4, weights *Matrix, bias []float32, cs ConvShape, ws *ConvWorkspace) {
+// Conv2DInto is Conv2D into a caller-owned output tensor, with the
+// (OutC) x (InC*KH*KW) weights in any encoding. The batch is split into
+// image bands, one per worker, each with a private ConvScratch, so no
+// scratch state is shared between goroutines and a reused workspace
+// allocates nothing in steady state. A single band (one image, or
+// Workers=1) instead passes the Workers bound to the GEMM's row bands.
+//
+// Within a band, images are lowered in cache-sized blocks: per block,
+// one batched im2col, one GEMM of the operand, then a fused
+// bias-add/copy-out from the channel-major GEMM layout to NCHW. The
+// block bound balances two costs: per-image GEMMs on the zoo's tiny
+// output planes spend more time on per-row setup (and, for 2:4, on
+// decoding stored entries) than on MACs, while one whole-batch patch
+// matrix spills L2 and turns every AXPY into a memory stream. Each
+// output element accumulates the same terms in the same order whatever
+// the block width or worker count, so the result is bit-identical to a
+// per-image GEMM.
+func Conv2DInto(out *Tensor4, in *Tensor4, w Operand, bias []float32, cs ConvShape, ws *ConvWorkspace) {
 	if err := cs.Validate(); err != nil {
 		panic(err)
 	}
-	if weights.Rows != cs.OutC || weights.Cols != cs.InC*cs.KH*cs.KW {
-		panic(fmt.Sprintf("tensor: conv weight shape %dx%d incompatible with %+v",
-			weights.Rows, weights.Cols, cs))
+	if rows, cols := w.dims(); rows != cs.OutC || cols != cs.InC*cs.KH*cs.KW {
+		panic(fmt.Sprintf("tensor: conv weight shape %dx%d incompatible with %+v", rows, cols, cs))
 	}
 	if in.C != cs.InC || in.H != cs.InH || in.W != cs.InW {
 		panic("tensor: conv input shape mismatch")
@@ -180,70 +202,57 @@ func Conv2DInto(out *Tensor4, in *Tensor4, weights *Matrix, bias []float32, cs C
 	if out.N != in.N || out.C != cs.OutC || out.H != cs.OutH() || out.W != cs.OutW() {
 		panic("tensor: conv output shape mismatch")
 	}
-	workers := ws.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	workers := workersFor(ws.Workers, in.N)
+	for len(ws.scratch) < workers {
+		ws.scratch = append(ws.scratch, &ConvScratch{})
 	}
-	if workers > in.N {
-		workers = in.N
+	gemmWorkers := ws.Workers
+	if workers > 1 {
+		gemmWorkers = 1
 	}
-	if workers <= 1 {
-		// One image (or one worker): the only parallelism worth having is
-		// row bands inside the GEMM; the caller's Workers bound still
-		// applies so replica-style callers stay goroutine-free.
-		sc := ws.scratchFor(0)
-		k, ohw := cs.InC*cs.KH*cs.KW, cs.OutH()*cs.OutW()
-		for n := 0; n < in.N; n++ {
-			Im2colInto(&sc.patches, in, n, cs)
-			mulParallel(out.Image(n), weights, &sc.patches, cs.OutC, k, ohw, ws.Workers)
-			addConvBias(out.Image(n), bias, cs)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	band := (in.N + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * band
-		hi := lo + band
-		if hi > in.N {
-			hi = in.N
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int, sc *ConvScratch) {
-			defer wg.Done()
-			convImages(out, in, weights, bias, cs, sc, lo, hi)
-		}(lo, hi, ws.scratchFor(w))
-	}
-	wg.Wait()
+	fanOut(convJob{out, in, w, bias, cs, ws.scratch, gemmWorkers}, in.N, workers)
 }
 
-// convImages runs images [lo, hi) serially with one private scratch: the
-// per-image GEMM goes straight into the output tensor (mulBand clears
-// its destination rows itself, so no zero fill or product copy is
-// needed).
-func convImages(out, in *Tensor4, weights *Matrix, bias []float32, cs ConvShape, sc *ConvScratch, lo, hi int) {
-	k, ohw := cs.InC*cs.KH*cs.KW, cs.OutH()*cs.OutW()
-	for n := lo; n < hi; n++ {
-		Im2colInto(&sc.patches, in, n, cs)
-		mulBand(out.Image(n), weights, &sc.patches, 0, cs.OutC, k, ohw)
-		addConvBias(out.Image(n), bias, cs)
-	}
+// convJob is one Conv2DInto call, banded over batch images.
+type convJob struct {
+	out, in     *Tensor4
+	w           Operand
+	bias        []float32
+	cs          ConvShape
+	scratch     []*ConvScratch
+	gemmWorkers int
 }
 
-// addConvBias adds the per-output-channel bias to one image.
-func addConvBias(dst []float32, bias []float32, cs ConvShape) {
-	if bias == nil {
-		return
-	}
+// patchBudget bounds the bytes of one image block's patch matrix. It
+// keeps the block's patches and GEMM output inside L2, and it bounds
+// the scratch every Forwarder keeps live: at 256 KB, the per-replica
+// buffers raised a campaign process's peak RSS by about a sixth.
+const patchBudget = 64 << 10
+
+// run convolves images [lo, hi) with worker w's scratch.
+func (j convJob) run(w, lo, hi int) {
+	cs, sc := j.cs, j.scratch[w]
 	ohw := cs.OutH() * cs.OutW()
-	for c := 0; c < cs.OutC; c++ {
-		b := bias[c]
-		plane := dst[c*ohw : (c+1)*ohw]
-		for i := range plane {
-			plane[i] += b
+	block := max(1, patchBudget/(4*cs.InC*cs.KH*cs.KW*ohw))
+	for b0 := lo; b0 < hi; b0 += block {
+		b1 := min(b0+block, hi)
+		im2colBatch(&sc.patches, j.in, cs, b0, b1)
+		sc.gemm.Reshape(cs.OutC, sc.patches.Cols)
+		mul(sc.gemm.Data, j.w, &sc.patches, j.gemmWorkers)
+		for c := 0; c < cs.OutC; c++ {
+			row := sc.gemm.Row(c)
+			for i := b0; i < b1; i++ {
+				plane := j.out.Image(i)[c*ohw : (c+1)*ohw]
+				seg := row[(i-b0)*ohw : (i-b0+1)*ohw : (i-b0+1)*ohw]
+				if j.bias == nil {
+					copy(plane, seg)
+					continue
+				}
+				b := j.bias[c]
+				for k := range seg {
+					plane[k] = seg[k] + b
+				}
+			}
 		}
 	}
 }

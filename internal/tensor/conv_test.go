@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -85,6 +86,117 @@ func TestConv2DMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// convParityGrid pins the one convolution driver for one weight
+// encoding: dense weights, the 2:4 compact form (against its densified
+// twin) or the crossbar route in passthrough (one row tile, FS=0, so the
+// ADC changes nothing). Every shape is crossed with Workers {0, 1, 2, 5,
+// 16} and two batch sizes: the one the shape came with and 70 images,
+// which spans at least two patch blocks on every shape (a block of the
+// 3x3x3, 9x9 shape is 7 images). Outputs start dirty and each worker
+// count reuses one workspace across every row and pass, so stale scratch
+// would show. The reference is convRef on the dense twin, which does not
+// go through the driver; results must match bit for bit.
+func convParityGrid(t *testing.T, encoding string) {
+	lcg := func(seed uint64) func([]float32) {
+		return func(data []float32) {
+			s := seed
+			for i := range data {
+				s = s*6364136223846793005 + 1442695040888963407
+				data[i] = float32(int32(s>>33)) / float32(1<<31)
+			}
+		}
+	}
+	pattern := func(data []float32) { fillPattern(data, 11, 9, 0) }
+	bias5 := []float32{0.5, -1, 0, 2, -0.25}
+	// Stride 1 exercises the contiguous-run im2col copy (with pad
+	// clipping), stride 2 the element-wise fallback; pad 0 and 2 cover
+	// both window edge cases.
+	shapes := []struct {
+		cs   ConvShape
+		n    int
+		fill func([]float32)
+		bias []float32
+	}{
+		{ConvShape{InC: 3, OutC: 5, KH: 3, KW: 3, Pad: 1, Stride: 1, InH: 9, InW: 9}, 6, pattern, bias5},
+		{ConvShape{InC: 2, OutC: 5, KH: 5, KW: 5, Pad: 0, Stride: 1, InH: 11, InW: 11}, 6, pattern, bias5},
+		{ConvShape{InC: 3, OutC: 5, KH: 3, KW: 3, Pad: 2, Stride: 2, InH: 9, InW: 9}, 6, pattern, bias5},
+		{ConvShape{InC: 3, OutC: 5, KH: 3, KW: 3, Pad: 1, Stride: 1, InH: 8, InW: 8}, 2, lcg(11), []float32{0.1, -0.2, 0.3, 0, 0.5}},
+	}
+	// Each encoding returns the operand and its dense twin for a shape.
+	encodings := []struct {
+		name    string
+		operand func(out, k int) (Operand, *Matrix)
+	}{
+		{"dense", func(out, k int) (Operand, *Matrix) {
+			w := NewMatrix(out, k)
+			fillPattern(w.Data, 19, 7, 1)
+			return w, w
+		}},
+		{"2:4", func(out, k int) (Operand, *Matrix) { return random24(out, k, 5) }},
+		{"xbar", func(out, k int) (Operand, *Matrix) {
+			w := denseRand(out, k, 7)
+			return xbarFor(w, k, 8, 0), w
+		}},
+	}
+	type row struct {
+		name string
+		cs   ConvShape
+		in   *Tensor4
+		w    Operand
+		bias []float32
+		want *Tensor4
+	}
+	var rows []row
+	for _, e := range encodings {
+		if e.name != encoding {
+			continue
+		}
+		for si, sh := range shapes {
+			w, dense := e.operand(sh.cs.OutC, sh.cs.InC*sh.cs.KH*sh.cs.KW)
+			for _, n := range []int{sh.n, 70} {
+				in := NewTensor4(n, sh.cs.InC, sh.cs.InH, sh.cs.InW)
+				sh.fill(in.Data)
+				rows = append(rows, row{
+					name: fmt.Sprintf("%s/shape%d/n=%d", e.name, si, n),
+					cs:   sh.cs, in: in, w: w, bias: sh.bias,
+					want: convRef(in, dense, sh.bias, sh.cs),
+				})
+			}
+		}
+	}
+	if len(rows) == 0 {
+		t.Fatalf("unknown encoding %q", encoding)
+	}
+	for _, workers := range []int{0, 1, 2, 5, 16} {
+		ws := ConvWorkspace{Workers: workers}
+		for _, r := range rows {
+			out := NewTensor4(r.in.N, r.cs.OutC, r.cs.OutH(), r.cs.OutW())
+			for pass := 0; pass < 2; pass++ {
+				for i := range out.Data {
+					out.Data[i] = 77 // dirty: the driver must fully overwrite
+				}
+				Conv2DInto(out, r.in, r.w, r.bias, r.cs, &ws)
+				for i := range r.want.Data {
+					if out.Data[i] != r.want.Data[i] {
+						t.Fatalf("%s workers=%d pass %d: differs at %d: %v vs %v",
+							r.name, workers, pass, i, out.Data[i], r.want.Data[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestConv2DIntoMatchesConv2D: the dense rows of the conv parity grid.
+func TestConv2DIntoMatchesConv2D(t *testing.T) { convParityGrid(t, "dense") }
+
+// TestConv2D24MatchesDense: the 2:4 rows of the conv parity grid.
+func TestConv2D24MatchesDense(t *testing.T) { convParityGrid(t, "2:4") }
+
+// TestConv2DXbarPassthroughParity: the crossbar passthrough rows of the
+// conv parity grid.
+func TestConv2DXbarPassthroughParity(t *testing.T) { convParityGrid(t, "xbar") }
 
 func TestConv2DStride2(t *testing.T) {
 	cs := ConvShape{InC: 2, OutC: 3, KH: 3, KW: 3, Pad: 1, Stride: 2, InH: 8, InW: 8}

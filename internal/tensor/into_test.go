@@ -44,7 +44,7 @@ func TestMulABtMatchesMulTranspose(t *testing.T) {
 		want := Mul(a, b.Transpose())
 		got := NewMatrix(m, n)
 		got.Fill(-1)
-		MulABtInto(got, a, b)
+		MulABtInto(got, a, b, 0)
 		for i := range want.Data {
 			if got.Data[i] != want.Data[i] {
 				t.Fatalf("%dx%dx%d: MulABt differs at %d: %v vs %v",
@@ -55,17 +55,17 @@ func TestMulABtMatchesMulTranspose(t *testing.T) {
 }
 
 func TestMulABtBandMatchesInto(t *testing.T) {
-	// The exported serial band (replica path, Workers=1) and the
-	// parallel driver must agree bit for bit.
+	// The serial band (replica path, Workers=1) and the parallel driver
+	// must agree bit for bit.
 	m, k, n := 50, 70, 60
 	a, b := NewMatrix(m, k), NewMatrix(n, k)
 	fillPattern(a.Data, 13, 17, 3)
 	fillPattern(b.Data, 29, 19, 4)
 	par := NewMatrix(m, n)
-	MulABtInto(par, a, b)
+	MulABtInto(par, a, b, 0)
 	ser := NewMatrix(m, n)
 	ser.Fill(42)
-	MulABtBand(ser, a, b, 0, m)
+	b.mulABtBand(ser, a, 0, m)
 	for i := range par.Data {
 		if ser.Data[i] != par.Data[i] {
 			t.Fatalf("band/parallel mismatch at %d: %v vs %v", i, ser.Data[i], par.Data[i])
@@ -75,8 +75,8 @@ func TestMulABtBandMatchesInto(t *testing.T) {
 
 func TestMulABtShapePanics(t *testing.T) {
 	cases := []func(){
-		func() { MulABtInto(NewMatrix(2, 4), NewMatrix(2, 3), NewMatrix(4, 5)) }, // inner dims
-		func() { MulABtInto(NewMatrix(3, 4), NewMatrix(2, 3), NewMatrix(4, 3)) }, // dst shape
+		func() { MulABtInto(NewMatrix(2, 4), NewMatrix(2, 3), NewMatrix(4, 5), 0) }, // inner dims
+		func() { MulABtInto(NewMatrix(3, 4), NewMatrix(2, 3), NewMatrix(4, 3), 0) }, // dst shape
 	}
 	for i, f := range cases {
 		func() {
@@ -104,38 +104,6 @@ func TestReshapeReusesBacking(t *testing.T) {
 	m.Reshape(4, 8) // regrow within capacity: still no alloc
 	if &m.Data[0] != grown {
 		t.Error("regrow within capacity reallocated")
-	}
-}
-
-func TestConv2DIntoMatchesConv2D(t *testing.T) {
-	cs := ConvShape{InC: 3, OutC: 5, KH: 3, KW: 3, Pad: 1, Stride: 1, InH: 9, InW: 9}
-	in := NewTensor4(6, 3, 9, 9)
-	fillPattern(in.Data, 11, 9, 0)
-	weights := NewMatrix(cs.OutC, cs.InC*cs.KH*cs.KW)
-	fillPattern(weights.Data, 19, 7, 1)
-	bias := []float32{0.5, -1, 0, 2, -0.25}
-	want := Conv2D(in, weights, bias, cs)
-	for _, workers := range []int{0, 1, 2, 5, 16} {
-		out := NewTensor4(in.N, cs.OutC, cs.OutH(), cs.OutW())
-		for i := range out.Data {
-			out.Data[i] = 77 // dirty: Conv2DInto must fully overwrite
-		}
-		ws := ConvWorkspace{Workers: workers}
-		Conv2DInto(out, in, weights, bias, cs, &ws)
-		for i := range want.Data {
-			if out.Data[i] != want.Data[i] {
-				t.Fatalf("workers=%d: differs at %d: %v vs %v",
-					workers, i, out.Data[i], want.Data[i])
-			}
-		}
-		// Reuse the same workspace: scratch state from the first pass must
-		// not bleed into the second.
-		Conv2DInto(out, in, weights, bias, cs, &ws)
-		for i := range want.Data {
-			if out.Data[i] != want.Data[i] {
-				t.Fatalf("workers=%d (reused ws): differs at %d", workers, i)
-			}
-		}
 	}
 }
 

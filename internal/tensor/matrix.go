@@ -1,8 +1,9 @@
 // Package tensor implements the minimal dense linear-algebra substrate
 // needed to run real DNN inference and training in pure Go: float32
-// matrices and 4-D tensors, blocked parallel matrix multiplication,
-// im2col-based convolution, pooling, and the activation functions used by
-// the model zoo.
+// matrices and 4-D tensors, parallel matrix multiplication and
+// im2col-based convolution over weight operands in three encodings
+// (dense, 2:4 compute-direct, crossbar; see Operand), pooling, and the
+// activation functions used by the model zoo.
 //
 // The package exists because MaxNVM's fault-tolerance studies require
 // *measured* classification error under injected memory faults, which in
@@ -12,8 +13,6 @@ package tensor
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 )
 
 // Matrix is a dense row-major float32 matrix.
@@ -81,8 +80,8 @@ func (m *Matrix) Fill(v float32) {
 // MulInto computes dst = a * b. Shapes must agree: a is (M x K), b is
 // (K x N), dst is (M x N). dst must not alias a or b; its prior contents
 // are ignored (each row band clears its own rows, so no serial memset
-// precedes the parallel section). The multiplication is cache-blocked
-// and parallelized across row bands.
+// precedes the parallel section). The multiplication is parallelized
+// across row bands of a.
 func MulInto(dst, a, b *Matrix) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MulInto inner dims %d != %d", a.Cols, b.Rows))
@@ -90,59 +89,20 @@ func MulInto(dst, a, b *Matrix) {
 	if dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic("tensor: MulInto dst shape mismatch")
 	}
-	mulParallel(dst.Data, a, b, a.Rows, a.Cols, b.Cols, 0)
+	mul(dst.Data, a, b, 0)
 }
 
-// mulParallel runs dst = a*b over the full dst backing slice with the
-// given worker bound (0 = GOMAXPROCS). It is the shared engine behind
-// MulInto and the single-image convolution path, which multiplies
-// straight into an output-tensor image slice instead of a Matrix.
-func mulParallel(dst []float32, a, b *Matrix, m, k, n, workers int) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > m {
-		workers = m
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	// Serial path for small problems: goroutine overhead dominates below
-	// ~64k multiply-accumulates.
-	if m*k*n < 65536 || workers == 1 {
-		mulBand(dst, a, b, 0, m, k, n)
-		return
-	}
-	var wg sync.WaitGroup
-	band := (m + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * band
-		hi := lo + band
-		if hi > m {
-			hi = m
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			mulBand(dst, a, b, lo, hi, k, n)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
+func (m *Matrix) dims() (rows, cols int) { return m.Rows, m.Cols }
 
-// mulBand computes rows [lo, hi) of dst = a*b using an ikj loop order so
+// mulBand computes rows [lo, hi) of dst = m*b using an ikj loop order so
 // the inner loop streams through contiguous rows of b and dst. Each band
 // clears its own rows before accumulating, so large GEMMs never pay a
-// single-threaded zero fill ahead of the parallel section. The inner
-// loop is 4-way unrolled; each dst element still accumulates its terms
-// one at a time in ascending-p order, so results are bit-identical to
-// the scalar kernel (and to the pre-unroll one).
-func mulBand(dst []float32, a, b *Matrix, lo, hi, k, n int) {
+// single-threaded zero fill ahead of the parallel section. Each dst
+// element accumulates its terms one at a time in ascending-p order.
+func (m *Matrix) mulBand(dst []float32, b *Matrix, lo, hi int) {
+	k, n := m.Cols, b.Cols
 	for i := lo; i < hi; i++ {
-		ar := a.Data[i*k : (i+1)*k]
+		ar := m.Data[i*k : (i+1)*k]
 		dr := dst[i*n : (i+1)*n]
 		for j := range dr {
 			dr[j] = 0
@@ -152,77 +112,42 @@ func mulBand(dst []float32, a, b *Matrix, lo, hi, k, n int) {
 			if av == 0 {
 				continue // pruned weights are common; skip zero rows cheaply
 			}
-			br := b.Data[p*n : (p+1)*n]
-			j := 0
-			for ; j+4 <= n; j += 4 {
-				d := dr[j : j+4 : j+4]
-				s := br[j : j+4 : j+4]
-				d[0] += av * s[0]
-				d[1] += av * s[1]
-				d[2] += av * s[2]
-				d[3] += av * s[3]
-			}
-			for ; j < n; j++ {
-				dr[j] += av * br[j]
-			}
+			axpy(dr, b.Data[p*n:(p+1)*n], av)
 		}
 	}
 }
 
-// MulABtInto computes dst = a * bᵀ without materializing the transpose:
-// a is (M x K), b is (N x K), dst is (M x N). Both operands are walked
-// row-major (dst[i][j] is the dot product of row i of a and row j of b),
-// so the fully-connected forward pass needs neither a transposed weight
-// copy nor a zero fill. Accumulation order and the zero-skip on a's
-// elements match mulBand term for term, so dst is bit-identical to
-// MulInto(dst, a, Transpose(b)). Parallelized across row bands of a.
-func MulABtInto(dst, a, b *Matrix) {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MulABtInto inner dims %d != %d", a.Cols, b.Cols))
+// axpy computes dst[i] += a*src[i] for every i < len(dst), 4-way
+// unrolled. Each element still takes one multiply and one add, so the
+// result is bit-identical to the scalar loop; every conv GEMM kernel
+// accumulates through it.
+func axpy(dst, src []float32, a float32) {
+	src = src[:len(dst)]
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		d := dst[i : i+4 : i+4]
+		s := src[i : i+4 : i+4]
+		d[0] += a * s[0]
+		d[1] += a * s[1]
+		d[2] += a * s[2]
+		d[3] += a * s[3]
 	}
-	if dst.Rows != a.Rows || dst.Cols != b.Rows {
-		panic("tensor: MulABtInto dst shape mismatch")
+	for ; i < len(dst); i++ {
+		dst[i] += a * src[i]
 	}
-	m, k, n := a.Rows, a.Cols, b.Rows
-	workers := runtime.GOMAXPROCS(0)
-	if workers > m {
-		workers = m
-	}
-	if m*k*n < 65536 || workers <= 1 {
-		MulABtBand(dst, a, b, 0, m)
-		return
-	}
-	var wg sync.WaitGroup
-	band := (m + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * band
-		hi := lo + band
-		if hi > m {
-			hi = m
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			MulABtBand(dst, a, b, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
-// MulABtBand computes rows [lo, hi) of dst = a * bᵀ serially. It is the
-// building block of MulABtInto, exported so callers that parallelize at
-// a higher level (one inference replica per worker) can run the kernel
-// with zero goroutine spawns and zero allocations.
-func MulABtBand(dst, a, b *Matrix, lo, hi int) {
-	k, n := a.Cols, b.Rows
+// mulABtBand computes rows [lo, hi) of dst = a * mᵀ serially: dst[i][j]
+// is the dot product of row i of a and row j of m. Accumulation order
+// and the zero-skip on a's elements match mulBand term for term, so dst
+// is bit-identical to MulInto(dst, a, Transpose(m)).
+func (m *Matrix) mulABtBand(dst, a *Matrix, lo, hi int) {
+	k, n := a.Cols, m.Rows
 	for i := lo; i < hi; i++ {
 		ar := a.Data[i*k : (i+1)*k]
 		dr := dst.Data[i*n : (i+1)*n]
 		for j := 0; j < n; j++ {
-			br := b.Data[j*k : (j+1)*k]
+			br := m.Data[j*k : (j+1)*k]
 			var acc float32
 			for p, av := range ar {
 				if av == 0 {

@@ -1,0 +1,126 @@
+package tensor
+
+import (
+	"fmt"
+	"runtime"
+	"sync"
+)
+
+// Operand is a layer weight matrix (Out x In) in one of the encodings the
+// forward pass runs on: dense (*Matrix), 2:4 compute-direct (*Sparse24)
+// or crossbar compute-in-memory (*Xbar). This is the shape of oneDNN's
+// sparse memory descriptor: one memory object, many encodings. Each
+// encoding supplies only its two serial band kernels; the row-band
+// fan-out, the convolution driver (Conv2DInto) and the fully-connected
+// entry (MulABtInto) are shared, so every encoding gets the same shape
+// checks, worker bound and image blocking.
+//
+// Every kernel accumulates each output element's terms in a fixed order
+// that does not depend on the band split or on the GEMM width, so any
+// worker count produces the same bits.
+type Operand interface {
+	// dims returns the Out x In shape. It panics on an internally
+	// inconsistent operand.
+	dims() (rows, cols int)
+	// mulBand computes rows [lo, hi) of dst = W·b, where b is In x N and
+	// dst is row-major Out x N (the convolution GEMM). It overwrites
+	// every element of those rows.
+	mulBand(dst []float32, b *Matrix, lo, hi int)
+	// mulABtBand computes rows [lo, hi) of dst = a·Wᵀ, where a is
+	// M x In and dst is M x Out (the fully-connected forward pass).
+	mulABtBand(dst, a *Matrix, lo, hi int)
+}
+
+// minParallelMACs is the GEMM size below which goroutine overhead
+// dominates and the kernels run as a single band.
+const minParallelMACs = 65536
+
+// workersFor resolves a worker bound (0 = GOMAXPROCS) against rows
+// independent units of work: the result is in [1, max(rows, 1)].
+func workersFor(workers, rows int) int {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return max(1, min(workers, rows))
+}
+
+// bandJob is work that splits into contiguous row bands; run handles
+// rows [lo, hi) as band w (w < the resolved worker count, so a job may
+// index per-worker scratch by it).
+type bandJob interface{ run(w, lo, hi int) }
+
+// fanOut runs j over rows [0, rows) in at most workers contiguous bands
+// (0 = GOMAXPROCS), one goroutine per band, and returns when all are
+// done. With one band it runs on the caller's goroutine and spawns
+// nothing, so a Workers=1 forward pass stays allocation-free. The job is
+// a type parameter rather than an interface value for the same reason:
+// an interface (or closure) argument reaches the goroutines, so it would
+// be heap-allocated on every call, serial ones included.
+func fanOut[J bandJob](j J, rows, workers int) {
+	workers = workersFor(workers, rows)
+	if workers == 1 {
+		j.run(0, 0, rows)
+		return
+	}
+	band := (rows + workers - 1) / workers
+	var wg sync.WaitGroup
+	for w := 0; w*band < rows; w++ {
+		wg.Add(1)
+		// j goes in as an argument, not a capture: a capture of a large
+		// job moves it to the heap at entry, serial calls included.
+		go func(j J, w, lo, hi int) {
+			defer wg.Done()
+			j.run(w, lo, hi)
+		}(j, w, w*band, min((w+1)*band, rows))
+	}
+	wg.Wait()
+}
+
+// mulJob is dst = W·b, banded over W's rows.
+type mulJob struct {
+	dst []float32
+	w   Operand
+	b   *Matrix
+}
+
+func (j mulJob) run(_, lo, hi int) { j.w.mulBand(j.dst, j.b, lo, hi) }
+
+// mul computes dst = W·b over the full dst slice with at most workers
+// row bands (0 = GOMAXPROCS).
+func mul(dst []float32, w Operand, b *Matrix, workers int) {
+	rows, cols := w.dims()
+	if rows*cols*b.Cols < minParallelMACs {
+		workers = 1
+	}
+	fanOut(mulJob{dst, w, b}, rows, workers)
+}
+
+// abtJob is dst = a·Wᵀ, banded over a's rows.
+type abtJob struct {
+	dst, a *Matrix
+	w      Operand
+}
+
+func (j abtJob) run(_, lo, hi int) { j.w.mulABtBand(j.dst, j.a, lo, hi) }
+
+// MulABtInto computes dst = a·Wᵀ for a weight operand in any encoding:
+// a is M x In, W is Out x In, dst is M x Out. It is the fully-connected
+// forward pass: both operands are walked row-major, so no transposed
+// weight copy and no zero fill are needed. Rows of a are split into at
+// most workers bands (0 = GOMAXPROCS; 1 runs serially with no goroutine
+// spawns and no allocation). On dense weights dst is bit-identical to
+// MulInto(dst, a, Transpose(W)), and on 2:4 weights to the dense kernel
+// on the decoded matrix.
+func MulABtInto(dst, a *Matrix, w Operand, workers int) {
+	rows, cols := w.dims()
+	if a.Cols != cols {
+		panic(fmt.Sprintf("tensor: MulABtInto inner dims %d != %d", a.Cols, cols))
+	}
+	if dst.Rows != a.Rows || dst.Cols != rows {
+		panic("tensor: MulABtInto dst shape mismatch")
+	}
+	if a.Rows*cols*rows < minParallelMACs {
+		workers = 1
+	}
+	fanOut(abtJob{dst, a, w}, a.Rows, workers)
+}

@@ -2,7 +2,8 @@ package tensor
 
 // Compute-direct 2:4 kernel tests: bit parity against the dense kernels
 // on the densified twin of the same compact form, across the serial
-// band, the parallel drivers, and the conv lowering.
+// band and the parallel driver (the conv rows are
+// TestConv2D24MatchesDense in conv_test.go).
 
 import "testing"
 
@@ -64,11 +65,11 @@ func TestMulABt24MatchesDense(t *testing.T) {
 		fillPattern(a.Data, 7, 9, 1)
 		w24, dense := random24(n, k, uint64(m*k*n))
 		want := NewMatrix(m, n)
-		MulABtBand(want, a, dense, 0, m)
+		dense.mulABtBand(want, a, 0, m)
 
 		got := NewMatrix(m, n)
 		got.Fill(-1)
-		MulABt24Band(got, a, w24, 0, m)
+		w24.mulABtBand(got, a, 0, m)
 		for i := range want.Data {
 			if got.Data[i] != want.Data[i] {
 				t.Fatalf("%dx%dx%d: band differs at %d: %v vs %v", m, k, n, i, got.Data[i], want.Data[i])
@@ -76,45 +77,10 @@ func TestMulABt24MatchesDense(t *testing.T) {
 		}
 
 		got.Fill(-1)
-		MulABt24Into(got, a, w24)
+		MulABtInto(got, a, w24, 0)
 		for i := range want.Data {
 			if got.Data[i] != want.Data[i] {
 				t.Fatalf("%dx%dx%d: parallel differs at %d", m, k, n, i)
-			}
-		}
-	}
-}
-
-func TestConv2D24MatchesDense(t *testing.T) {
-	// Stride 1 exercises the 4-wide row sweep (with pad clipping), the
-	// strided shapes the scalar fallback; pad 0 and 2 cover both window
-	// edge cases.
-	shapes := []ConvShape{
-		{InC: 3, OutC: 5, KH: 3, KW: 3, Pad: 1, Stride: 1, InH: 9, InW: 9},
-		{InC: 2, OutC: 5, KH: 5, KW: 5, Pad: 0, Stride: 1, InH: 11, InW: 11},
-		{InC: 3, OutC: 5, KH: 3, KW: 3, Pad: 2, Stride: 2, InH: 9, InW: 9},
-	}
-	for _, cs := range shapes {
-		in := NewTensor4(6, cs.InC, cs.InH, cs.InW)
-		fillPattern(in.Data, 11, 9, 0)
-		w24, dense := random24(cs.OutC, cs.InC*cs.KH*cs.KW, 5)
-		bias := []float32{0.5, -1, 0, 2, -0.25}
-		want := NewTensor4(in.N, cs.OutC, cs.OutH(), cs.OutW())
-		{
-			ws := ConvWorkspace{Workers: 1}
-			Conv2DInto(want, in, dense, bias, cs, &ws)
-		}
-		for _, workers := range []int{0, 1, 2, 5, 16} {
-			out := NewTensor4(in.N, cs.OutC, cs.OutH(), cs.OutW())
-			for i := range out.Data {
-				out.Data[i] = 77 // dirty: the kernel must fully overwrite
-			}
-			ws := ConvWorkspace{Workers: workers}
-			Conv2D24Into(out, in, w24, bias, cs, &ws)
-			for i := range want.Data {
-				if out.Data[i] != want.Data[i] {
-					t.Fatalf("%+v workers=%d: differs at %d: %v vs %v", cs, workers, i, out.Data[i], want.Data[i])
-				}
 			}
 		}
 	}
@@ -131,16 +97,16 @@ func TestSparse24ShapePanics(t *testing.T) {
 	}
 	a := NewMatrix(2, 8)
 	w := NewSparse24(3, 9) // cols mismatch vs a
-	expectPanic("MulABt24Into inner dim", func() {
-		MulABt24Into(NewMatrix(2, 3), a, w)
+	expectPanic("MulABtInto inner dim", func() {
+		MulABtInto(NewMatrix(2, 3), a, w, 0)
 	})
 	w8 := NewSparse24(3, 8)
-	expectPanic("MulABt24Into dst shape", func() {
-		MulABt24Into(NewMatrix(2, 4), a, w8)
+	expectPanic("MulABtInto dst shape", func() {
+		MulABtInto(NewMatrix(2, 4), a, w8, 0)
 	})
 	cs := ConvShape{InC: 2, OutC: 4, KH: 3, KW: 3, Pad: 1, Stride: 1, InH: 8, InW: 8}
-	expectPanic("Conv2D24Into weight shape", func() {
-		Conv2D24Into(NewTensor4(1, 4, 8, 8), NewTensor4(1, 2, 8, 8),
+	expectPanic("Conv2DInto 2:4 weight shape", func() {
+		Conv2DInto(NewTensor4(1, 4, 8, 8), NewTensor4(1, 2, 8, 8),
 			NewSparse24(4, 7), nil, cs, &ConvWorkspace{Workers: 1})
 	})
 	expectPanic("NewSparse24 negative", func() { NewSparse24(-1, 4) })
@@ -154,7 +120,7 @@ func TestGemm24Telemetry(t *testing.T) {
 	fillPattern(a.Data, 7, 9, 1)
 	w24, _ := random24(n, k, 9)
 	g0, s0 := met24.groups.Value(), met24.skippedMACs.Value()
-	MulABt24Band(NewMatrix(m, n), a, w24, 0, m)
+	w24.mulABtBand(NewMatrix(m, n), a, 0, m)
 	gpr := (k + 3) / 4
 	if got, want := met24.groups.Value()-g0, int64(m*n*gpr); got != want {
 		t.Errorf("groups += %d, want %d", got, want)

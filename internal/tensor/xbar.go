@@ -36,7 +36,7 @@ type Xbar struct {
 	// meaningful range; its partial passes through unquantized).
 	FS []float32
 	// Clips counts quantizer saturation events (shared handles are
-	// updated atomically, once per kernel call).
+	// updated atomically, once per kernel band).
 	Clips atomic.Int64
 	// ClipCounter, when non-nil, additionally receives every clip
 	// increment (internal/crossbar points it at the
@@ -44,9 +44,9 @@ type Xbar struct {
 	ClipCounter interface{ Add(n int64) }
 }
 
-// check panics on an internally inconsistent Xbar; the kernels call it
-// once per entry so a mis-built handle fails loudly instead of reading
-// out of bounds mid-GEMM.
+// check panics on an internally inconsistent Xbar; dims calls it, so
+// every kernel entry validates the handle once and a mis-built one fails
+// loudly instead of reading out of bounds mid-GEMM.
 func (x *Xbar) check() {
 	if x.W == nil || x.TileRows < 1 || x.ADCBits < 1 {
 		panic(fmt.Sprintf("tensor: invalid Xbar (W=%v tileRows=%d adcBits=%d)", x.W != nil, x.TileRows, x.ADCBits))
@@ -57,7 +57,7 @@ func (x *Xbar) check() {
 	}
 }
 
-// addClips publishes a kernel call's locally accumulated clip count.
+// addClips publishes a kernel band's locally accumulated clip count.
 func (x *Xbar) addClips(n int64) {
 	if n == 0 {
 		return
@@ -115,19 +115,17 @@ func dotTiled(ar, wr []float32, x *Xbar, j int, clips *int64) float32 {
 	return acc
 }
 
-// MulABtXbarBand computes rows [lo, hi) of dst = a * Weffᵀ through the
-// crossbar dataflow: dst[i][j] sums the ADC-quantized per-tile partial
-// dot products of a's row i and Weff's row j. It is the FC twin of
-// MulABtBand and runs strictly serially — the ares replica pool
-// parallelizes at trial level, one Forwarder per worker.
-func MulABtXbarBand(dst, a *Matrix, x *Xbar, lo, hi int) {
+func (x *Xbar) dims() (rows, cols int) {
 	x.check()
-	if a.Cols != x.W.Cols {
-		panic(fmt.Sprintf("tensor: MulABtXbarBand inner dims %d != %d", a.Cols, x.W.Cols))
-	}
-	if dst.Rows != a.Rows || dst.Cols != x.W.Rows {
-		panic("tensor: MulABtXbarBand dst shape mismatch")
-	}
+	return x.W.Rows, x.W.Cols
+}
+
+// mulABtBand computes rows [lo, hi) of dst = a * Weffᵀ through the
+// crossbar dataflow: dst[i][j] sums the ADC-quantized per-tile partial
+// dot products of a's row i and Weff's row j. It is the FC twin of the
+// dense mulABtBand. Clips are summed per band and published with one
+// atomic add.
+func (x *Xbar) mulABtBand(dst, a *Matrix, lo, hi int) {
 	k, n := a.Cols, x.W.Rows
 	var clips int64
 	for i := lo; i < hi; i++ {
@@ -140,74 +138,46 @@ func MulABtXbarBand(dst, a *Matrix, x *Xbar, lo, hi int) {
 	x.addClips(clips)
 }
 
-// mulXbar computes dst = Weff * b (Weff is Out x K, b is K x N) with
-// the per-row-tile ADC between accumulation windows — the GEMM behind
-// the crossbar convolution path. scratch must hold at least N floats
-// (a per-worker ConvScratch row); it carries the running analog
-// partial of the current row tile.
-func mulXbar(dst []float32, x *Xbar, b *Matrix, scratch []float32, clips *int64) {
+// xbarChunk is the column width of the analog partial sums mulBand keeps
+// on the stack.
+const xbarChunk = 256
+
+// mulBand computes rows [lo, hi) of dst = Weff * b (b is K x N) with the
+// per-row-tile ADC between accumulation windows: the GEMM behind the
+// crossbar convolution path. It walks b in xbarChunk-column slices, so a
+// slice stays cache-resident across every output row, and keeps the
+// running analog partial of the current row tile in a stack array, so
+// bands need no shared scratch. Per element the terms and conversions
+// happen in the same order at any chunk, band or GEMM width. Clips are
+// summed per band and published with one atomic add.
+func (x *Xbar) mulBand(dst []float32, b *Matrix, lo, hi int) {
 	k, n := b.Rows, b.Cols
 	out := x.W.Rows
-	for j := 0; j < out; j++ {
-		wr := x.W.Data[j*k : (j+1)*k]
-		dr := dst[j*n : (j+1)*n]
-		for i := range dr {
-			dr[i] = 0
-		}
-		for lo, rt := 0, 0; lo < k; lo, rt = lo+x.TileRows, rt+1 {
-			hi := lo + x.TileRows
-			if hi > k {
-				hi = k
-			}
-			part := scratch[:n]
-			for i := range part {
-				part[i] = 0
-			}
-			for p := lo; p < hi; p++ {
-				wv := wr[p]
-				if wv == 0 {
-					continue // pruned weights stay zero rows
-				}
-				br := b.Data[p*n : (p+1)*n]
-				for i, bv := range br {
-					part[i] += wv * bv
-				}
-			}
-			fs := x.FS[rt*out+j]
-			for i, pv := range part {
-				dr[i] += quantize(pv, fs, x.ADCBits, clips)
-			}
-		}
-	}
-}
-
-// Conv2DXbarInto is Conv2DInto with the layer routed through the
-// crossbar kernels: each image is lowered with im2col and multiplied
-// by the effective weights with per-tile ADC quantization. It runs the
-// batch serially with worker 0's scratch — the crossbar route always
-// executes inside a replica (Workers=1) or a one-shot baseline pass.
-func Conv2DXbarInto(out *Tensor4, in *Tensor4, x *Xbar, bias []float32, cs ConvShape, ws *ConvWorkspace) {
-	x.check()
-	if err := cs.Validate(); err != nil {
-		panic(err)
-	}
-	if x.W.Rows != cs.OutC || x.W.Cols != cs.InC*cs.KH*cs.KW {
-		panic(fmt.Sprintf("tensor: xbar conv weight shape %dx%d incompatible with %+v", x.W.Rows, x.W.Cols, cs))
-	}
-	if in.C != cs.InC || in.H != cs.InH || in.W != cs.InW {
-		panic("tensor: xbar conv input shape mismatch")
-	}
-	if out.N != in.N || out.C != cs.OutC || out.H != cs.OutH() || out.W != cs.OutW() {
-		panic("tensor: xbar conv output shape mismatch")
-	}
-	sc := ws.scratchFor(0)
-	ohw := cs.OutH() * cs.OutW()
-	sc.gemm.Reshape(1, ohw)
+	var part [xbarChunk]float32
 	var clips int64
-	for n := 0; n < in.N; n++ {
-		Im2colInto(&sc.patches, in, n, cs)
-		mulXbar(out.Image(n), x, &sc.patches, sc.gemm.Data, &clips)
-		addConvBias(out.Image(n), bias, cs)
+	for c0 := 0; c0 < n; c0 += xbarChunk {
+		c1 := min(c0+xbarChunk, n)
+		p := part[:c1-c0]
+		for j := lo; j < hi; j++ {
+			wr := x.W.Data[j*k : (j+1)*k]
+			dr := dst[j*n+c0 : j*n+c1]
+			clear(dr)
+			for tlo, rt := 0, 0; tlo < k; tlo, rt = tlo+x.TileRows, rt+1 {
+				thi := min(tlo+x.TileRows, k)
+				clear(p)
+				for q := tlo; q < thi; q++ {
+					wv := wr[q]
+					if wv == 0 {
+						continue // pruned weights stay zero rows
+					}
+					axpy(p, b.Data[q*n+c0:q*n+c1], wv)
+				}
+				fs := x.FS[rt*out+j]
+				for i, pv := range p {
+					dr[i] += quantize(pv, fs, x.ADCBits, &clips)
+				}
+			}
+		}
 	}
 	x.addClips(clips)
 }

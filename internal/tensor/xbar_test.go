@@ -60,15 +60,15 @@ func TestQuantize(t *testing.T) {
 
 // TestMulABtXbarBandPassthroughParity: with a single row tile and
 // quantization disabled per column (FS=0), the crossbar FC kernel
-// accumulates term-for-term like MulABtBand, so the output must be
+// accumulates term-for-term like the dense one, so the output must be
 // bit-identical.
 func TestMulABtXbarBandPassthroughParity(t *testing.T) {
 	a := denseRand(7, 33, 1)
 	w := denseRand(9, 33, 2)
 	want := NewMatrix(7, 9)
-	MulABtBand(want, a, w, 0, 7)
+	w.mulABtBand(want, a, 0, 7)
 	got := NewMatrix(7, 9)
-	MulABtXbarBand(got, a, xbarFor(w, 33, 8, 0), 0, 7)
+	MulABtInto(got, a, xbarFor(w, 33, 8, 0), 1)
 	for i := range want.Data {
 		if want.Data[i] != got.Data[i] {
 			t.Fatalf("passthrough parity broken at %d: %v vs %v", i, got.Data[i], want.Data[i])
@@ -83,10 +83,10 @@ func TestMulABtXbarBandQuantizes(t *testing.T) {
 	a := denseRand(5, 24, 3)
 	w := denseRand(6, 24, 4)
 	exact := NewMatrix(5, 6)
-	MulABtBand(exact, a, w, 0, 5)
+	w.mulABtBand(exact, a, 0, 5)
 	rms := func(bits int) float64 {
 		got := NewMatrix(5, 6)
-		MulABtXbarBand(got, a, xbarFor(w, 8, bits, 4), 0, 5)
+		MulABtInto(got, a, xbarFor(w, 8, bits, 4), 1)
 		var ss float64
 		for i := range got.Data {
 			d := float64(got.Data[i] - exact.Data[i])
@@ -104,7 +104,9 @@ func TestMulABtXbarBandQuantizes(t *testing.T) {
 }
 
 // TestXbarClipCounting: saturating columns must count clips on both the
-// handle atomic and the pluggable counter.
+// handle atomic and the pluggable counter, and on FC and conv inputs
+// alike the parallel bands (Workers 0 and 2) must report the serial
+// totals: each band sums its clips and publishes them once.
 func TestXbarClipCounting(t *testing.T) {
 	a := NewMatrix(1, 4)
 	w := NewMatrix(2, 4)
@@ -118,43 +120,66 @@ func TestXbarClipCounting(t *testing.T) {
 	x := xbarFor(w, 4, 2, 0.5) // partial sum 4 vs full scale 0.5: clips
 	x.ClipCounter = counterFunc{&ext}
 	dst := NewMatrix(1, 2)
-	MulABtXbarBand(dst, a, x, 0, 1)
+	MulABtInto(dst, a, x, 1)
 	if x.Clips.Load() != 2 {
 		t.Fatalf("Clips = %d, want 2 (one per saturated column)", x.Clips.Load())
 	}
 	if ext.Load() != 2 {
 		t.Fatalf("ClipCounter = %d, want 2", ext.Load())
 	}
+
+	// clipsOf runs one kernel call on a fresh handle over the same
+	// weights and returns what the atomic and the counter saw.
+	clipsOf := func(w *Matrix, call func(x *Xbar)) (int64, int64) {
+		var ext atomic.Int64
+		x := xbarFor(w, 16, 3, 0.75)
+		x.ClipCounter = counterFunc{&ext}
+		call(x)
+		return x.Clips.Load(), ext.Load()
+	}
+	// FC: 64x64 activations against 32 outputs, above the serial
+	// threshold, so Workers 0 and 2 split the batch rows.
+	fa, fw := denseRand(64, 64, 21), denseRand(32, 64, 22)
+	fc := func(workers int) func(*Xbar) {
+		return func(x *Xbar) { MulABtInto(NewMatrix(64, 32), fa, x, workers) }
+	}
+	// Conv: an 8-image batch (image bands) and a single image whose GEMM
+	// is large enough for row bands.
+	cs := ConvShape{InC: 4, InH: 16, InW: 16, OutC: 16, KH: 3, KW: 3, Stride: 1, Pad: 1}
+	cw := denseRand(cs.OutC, cs.InC*cs.KH*cs.KW, 23)
+	conv := func(n, workers int) func(*Xbar) {
+		in := NewTensor4(n, cs.InC, cs.InH, cs.InW)
+		copy(in.Data, denseRand(1, len(in.Data), 24).Data)
+		return func(x *Xbar) {
+			Conv2DInto(NewTensor4(n, cs.OutC, cs.OutH(), cs.OutW()), in, x, nil, cs, &ConvWorkspace{Workers: workers})
+		}
+	}
+	for _, c := range []struct {
+		name string
+		w    *Matrix
+		run  func(workers int) func(*Xbar)
+	}{
+		{"fc", fw, fc},
+		{"conv-batch", cw, func(workers int) func(*Xbar) { return conv(8, workers) }},
+		{"conv-single", cw, func(workers int) func(*Xbar) { return conv(1, workers) }},
+	} {
+		want, _ := clipsOf(c.w, c.run(1))
+		if want == 0 {
+			t.Fatalf("%s: serial run clipped nothing; the input does not saturate", c.name)
+		}
+		for _, workers := range []int{0, 2} {
+			clips, ext := clipsOf(c.w, c.run(workers))
+			if clips != want || ext != want {
+				t.Errorf("%s workers=%d: Clips=%d ClipCounter=%d, want serial total %d",
+					c.name, workers, clips, ext, want)
+			}
+		}
+	}
 }
 
 type counterFunc struct{ v *atomic.Int64 }
 
 func (c counterFunc) Add(n int64) { c.v.Add(n) }
-
-// TestConv2DXbarPassthroughParity: the conv route with a single tile
-// and FS=0 must be bit-identical to the dense convolution.
-func TestConv2DXbarPassthroughParity(t *testing.T) {
-	cs := ConvShape{InC: 3, InH: 8, InW: 8, OutC: 5, KH: 3, KW: 3, Stride: 1, Pad: 1}
-	k := cs.InC * cs.KH * cs.KW
-	w := denseRand(cs.OutC, k, 7)
-	bias := []float32{0.1, -0.2, 0.3, 0, 0.5}
-	in := NewTensor4(2, cs.InC, cs.InH, cs.InW)
-	s := uint64(11)
-	for i := range in.Data {
-		s = s*6364136223846793005 + 1442695040888963407
-		in.Data[i] = float32(int32(s>>33)) / float32(1<<31)
-	}
-	var ws ConvWorkspace
-	want := NewTensor4(2, cs.OutC, cs.OutH(), cs.OutW())
-	Conv2DInto(want, in, w, bias, cs, &ws)
-	got := NewTensor4(2, cs.OutC, cs.OutH(), cs.OutW())
-	Conv2DXbarInto(got, in, xbarFor(w, k, 8, 0), bias, cs, &ws)
-	for i := range want.Data {
-		if want.Data[i] != got.Data[i] {
-			t.Fatalf("conv passthrough parity broken at %d: %v vs %v", i, got.Data[i], want.Data[i])
-		}
-	}
-}
 
 // TestConv2DXbarQuantizes: a coarse ADC on the conv route must perturb
 // the output.
@@ -172,7 +197,7 @@ func TestConv2DXbarQuantizes(t *testing.T) {
 	want := NewTensor4(1, cs.OutC, cs.OutH(), cs.OutW())
 	Conv2DInto(want, in, w, nil, cs, &ws)
 	got := NewTensor4(1, cs.OutC, cs.OutH(), cs.OutW())
-	Conv2DXbarInto(got, in, xbarFor(w, 6, 3, 2), nil, cs, &ws)
+	Conv2DInto(got, in, xbarFor(w, 6, 3, 2), nil, cs, &ws)
 	same := true
 	for i := range want.Data {
 		if want.Data[i] != got.Data[i] {
