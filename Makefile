@@ -1,9 +1,10 @@
 # Verify tiers for the MaxNVM reproduction.
 #
-#   make check   - tier 1: build + full test suite + vet (including the
-#                  perfbench module, which `go build ./...` skips) + race
-#                  pass on the concurrency-heavy packages (the seed
-#                  contract) + the servesim end-to-end smoke
+#   make check   - tier 1: gofmt gate + build + full test suite + vet
+#                  (including the perfbench module, which `go build
+#                  ./...` skips) + race pass on the concurrency-heavy
+#                  packages (the seed contract) + the servesim
+#                  end-to-end smoke
 #   make race    - tier 2: go vet + race detector on a fast test pass
 #   make cover   - per-package coverage floors on the core packages
 #   make fleet-crash - the fleet fault matrix: lease races, zombie
@@ -32,11 +33,16 @@ FUZZTIME ?= 10s
 COVER_FLOOR ?= 70
 COVER_PKGS   = internal/campaign internal/envm internal/sparse internal/ecc internal/telemetry internal/cliutil internal/durable internal/errfs internal/fleet internal/serve internal/supervise internal/chaos internal/ares internal/mitigate internal/tensor internal/crossbar
 
-.PHONY: all check build test race race-fast vet vet-perfbench cover fuzz fleet-crash chaos bench bench-inference bench-fleet bench-serve bench-crossbar serve-smoke clean
+.PHONY: all check fmt build test race race-fast vet vet-perfbench cover fuzz fleet-crash chaos bench bench-inference bench-fleet bench-serve bench-crossbar serve-smoke clean
 
 all: check race
 
-check: build test vet vet-perfbench race-fast serve-smoke chaos
+check: fmt build test vet vet-perfbench race-fast serve-smoke chaos
+
+# Fails when any Go file (perfbench included) is not gofmt-formatted,
+# listing the offenders.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...

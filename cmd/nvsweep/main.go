@@ -26,11 +26,13 @@ import (
 	"os"
 	"strings"
 
+	"repro/internal/ares"
 	"repro/internal/campaign"
 	"repro/internal/cliutil"
 	"repro/internal/durable"
 	"repro/internal/envm"
 	"repro/internal/nvsim"
+	"repro/internal/quant"
 	"repro/internal/sparse"
 	"repro/internal/stats"
 )
@@ -304,19 +306,14 @@ func encodedDensity(kind sparse.Kind, sparsity float64) (float64, error) {
 			indices[i] = uint8(1 + src.Intn(1<<idxBits-1))
 		}
 	}
-	var enc sparse.Encoding
-	var err error
-	if kind == sparse.Kind24 {
-		// Centroid table for magnitude-based 2-of-4 selection: index 0 is
-		// the pruned zero, the rest spread over [-1, 1].
-		centroids := make([]float32, 1<<idxBits)
-		for i := 1; i < len(centroids); i++ {
-			centroids[i] = float32(i)/float32(len(centroids)-1)*2 - 1
-		}
-		enc, err = sparse.Encode24(indices, rows, cols, idxBits, centroids)
-	} else {
-		enc, err = sparse.Encode(kind, indices, rows, cols, idxBits)
+	// Centroid table for magnitude-based 2-of-4 selection: index 0 is the
+	// pruned zero, the rest spread over [-1, 1].
+	centroids := make([]float32, 1<<idxBits)
+	for i := 1; i < len(centroids); i++ {
+		centroids[i] = float32(i)/float32(len(centroids)-1)*2 - 1
 	}
+	cl := &quant.Clustered{Rows: rows, Cols: cols, IndexBits: idxBits, Centroids: centroids, Indices: indices}
+	enc, err := ares.EncodeLayer(cl, ares.Config{Encoding: kind})
 	if err != nil {
 		return 0, err
 	}

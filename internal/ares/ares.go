@@ -176,19 +176,27 @@ type StreamCost struct {
 // TotalBits returns data + parity bits.
 func (sc StreamCost) TotalBits() int64 { return sc.DataBits + sc.ParityBits }
 
+// PriceStream is the storage bill of one structure of dataBits bits
+// held under p: SEC-DED parity over blockBits-bit blocks when p.ECC is
+// set, and the cells that hold data + parity at p.BPC bits per cell.
+// It is the one stream bill: Cost, the design-space explorer
+// (internal/core) and the protection planner (internal/mitigate) all
+// price through it.
+func PriceStream(name string, p StreamPolicy, dataBits int64, blockBits int) StreamCost {
+	sc := StreamCost{Name: name, BPC: p.BPC, ECC: p.ECC, DataBits: dataBits}
+	if p.ECC {
+		sc.ParityBits = ecc.NewBlockCode(blockBits).ParityBits(int(dataBits))
+	}
+	sc.Cells = envm.CellsFor(sc.TotalBits(), p.BPC)
+	return sc
+}
+
 // Cost computes the per-stream storage bill for an encoded layer under
 // cfg: data bits, ECC parity bits, and total cells.
 func Cost(enc sparse.Encoding, cfg Config) []StreamCost {
 	var out []StreamCost
 	for _, s := range enc.Streams() {
-		p := cfg.PolicyFor(s.Name)
-		sc := StreamCost{Name: s.Name, BPC: p.BPC, ECC: p.ECC, DataBits: s.SizeBits()}
-		if p.ECC {
-			code := ecc.NewBlockCode(cfg.BlockBits())
-			sc.ParityBits = code.ParityBits(int(sc.DataBits))
-		}
-		sc.Cells = envm.CellsFor(sc.TotalBits(), p.BPC)
-		out = append(out, sc)
+		out = append(out, PriceStream(s.Name, cfg.PolicyFor(s.Name), s.SizeBits(), cfg.BlockBits()))
 	}
 	return out
 }

@@ -278,8 +278,8 @@ func TestEvaluateLayerIdxSyncReducesDamage(t *testing.T) {
 func TestLambdaEffECCReduction(t *testing.T) {
 	sc := envm.StoreConfig{Tech: envm.CTT, BPC: 3}
 	bits := int64(1 << 20)
-	raw := lambdaEff(bits, sc, false)
-	corrected := lambdaEff(bits, sc, true)
+	raw := LambdaEff(bits, sc, false)
+	corrected := LambdaEff(bits, sc, true)
 	if corrected >= raw/10 {
 		t.Errorf("ECC lambda %.4g not << raw %.4g", corrected, raw)
 	}

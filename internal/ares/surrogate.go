@@ -25,7 +25,7 @@ import (
 // heavily than value drift. The constants are calibrated against (a) the
 // measured TinyCNN/LeNet behaviour and (b) the paper's reported safe
 // bits-per-cell decisions (see DESIGN.md section 6 and the calibration
-// test in surrogate_test.go).
+// test TestSurrogateOrderingMatchesMeasured).
 
 // StructWeight is the relative impact of structurally corrupted weights
 // versus unit value-NSR.
@@ -106,6 +106,13 @@ type StreamDamage struct {
 // event rather than linearly.
 const catastrophicThreshold = 0.02
 
+// Cascades reports whether a single fault event that changes dMismatch
+// of a layer's decoded weight indices is a cascade. It is the one
+// cascade rule: EvaluateLayer, the explorer's damage probes
+// (internal/core) and the criticality ranker (internal/mitigate) all
+// classify through it.
+func Cascades(dMismatch float64) bool { return dMismatch >= catastrophicThreshold }
+
 // LayerDamage is the full surrogate input for one layer.
 type LayerDamage struct {
 	Costs   []StreamCost
@@ -158,18 +165,22 @@ func EvaluateLayer(cl *quant.Clustered, cfg Config, opt EvalOptions) LayerDamage
 			continue
 		}
 		sc := cfg.StoreConfig(p)
-		sd.LambdaEff = lambdaEff(s.SizeBits(), sc, p.ECC)
-		sd.DStruct, sd.DNSR, sd.DMismatch = probeDamage(enc, i, cl, cfg, p, opt.DamageTrials, src.Fork(uint64(i)+1))
-		sd.Catastrophic = sd.DMismatch >= catastrophicThreshold
+		sd.LambdaEff = LambdaEff(s.SizeBits(), sc, p.ECC)
+		sd.DStruct, sd.DNSR, sd.DMismatch = probeDamage(enc, i, cl, p, opt.DamageTrials, src.Fork(uint64(i)+1))
+		sd.Catastrophic = Cascades(sd.DMismatch)
 		ld.Streams = append(ld.Streams, sd)
 	}
 	return ld
 }
 
-// LambdaEff exposes the expected-uncorrectable-event model for external
-// explorers (internal/core) that combine per-stream profiles themselves.
+// LambdaEff returns the expected number of uncorrectable fault events
+// for a structure of the given size. Without ECC every cell fault is an
+// event. With ECC, single faults per 4KB block are corrected; the
+// residual events are blocks with >= 2 faults (Poisson tail), each
+// counted as one event (of roughly double damage, folded into the probe
+// which forces two faults for ECC streams).
 func LambdaEff(bits int64, sc envm.StoreConfig, eccOn bool) float64 {
-	return lambdaEff(bits, sc, eccOn)
+	return LambdaEffWithBlock(bits, sc, eccOn, ECCDataBits)
 }
 
 // LambdaEffWithBlock is LambdaEff at an explicit SEC-DED data-block size
@@ -200,24 +211,14 @@ func LambdaEffWithBlock(bits int64, sc envm.StoreConfig, eccOn bool, blockBits i
 // decoding (see probeDamage). Damage is tech-independent: it depends only
 // on the encoding, the bits-per-cell grouping, and the level mapping.
 func ProbeStreamDamage(enc sparse.Encoding, streamIdx int, cl *quant.Clustered, p StreamPolicy, trials int, seed uint64) (dStruct, dNSR, dMismatch float64) {
-	return probeDamage(enc, streamIdx, cl, Config{}, p, trials, stats.NewSource(seed))
-}
-
-// lambdaEff returns the expected number of uncorrectable fault events
-// for a structure of the given size. Without ECC every cell fault is an
-// event. With ECC, single faults per 4KB block are corrected; the
-// residual events are blocks with >= 2 faults (Poisson tail), each
-// counted as one event (of roughly double damage, folded into the probe
-// which forces two faults for ECC streams).
-func lambdaEff(bits int64, sc envm.StoreConfig, eccOn bool) float64 {
-	return LambdaEffWithBlock(bits, sc, eccOn, ECCDataBits)
+	return probeDamage(enc, streamIdx, cl, p, trials, stats.NewSource(seed))
 }
 
 // probeDamage forces fault events into clones of the encoding and
 // measures the resulting corruption, averaged over trials. For
 // ECC-protected streams the event is two faults in one block (the
 // uncorrectable case); otherwise a single cell fault.
-func probeDamage(enc sparse.Encoding, streamIdx int, cl *quant.Clustered, cfg Config, p StreamPolicy, trials int, src *stats.Source) (dStruct, dNSR, dMismatch float64) {
+func probeDamage(enc sparse.Encoding, streamIdx int, cl *quant.Clustered, p StreamPolicy, trials int, src *stats.Source) (dStruct, dNSR, dMismatch float64) {
 	// Reference = the pristine decode: identical to cl.Indices for the
 	// lossless kinds, the projected indices for 2:4 — so the probe
 	// measures fault damage only, never static projection loss.

@@ -117,8 +117,8 @@ func TestFoldRejectsForeignRecords(t *testing.T) {
 	}
 	forged := Sample{Value: 999}
 	recs = append(recs,
-		&Record{Config: "cfg", Trial: 2, Seed: 0xBAD, Sample: &forged},  // wrong seed
-		&Record{Config: "ghost", Trial: 0, Seed: 1, Sample: &forged},    // unknown config
+		&Record{Config: "cfg", Trial: 2, Seed: 0xBAD, Sample: &forged},        // wrong seed
+		&Record{Config: "ghost", Trial: 0, Seed: 1, Sample: &forged},          // unknown config
 		&Record{Config: "cfg", Trial: 1, Seed: TrialSeed(opt.Seed, "cfg", 1)}, // no outcome
 	)
 	res, err := Fold([]string{"cfg"}, opt, recs)

@@ -76,7 +76,7 @@ func (t *Telemetry) SyncPolicy() durable.SyncPolicy { return t.fsync }
 // lockSupported and lockWarnWriter are seams so tests can exercise the
 // unsupported-platform warning on any platform.
 var (
-	lockSupported  = durable.LockSupported
+	lockSupported            = durable.LockSupported
 	lockWarnWriter io.Writer = os.Stderr
 )
 

@@ -99,6 +99,33 @@ func TestPolicyChoices(t *testing.T) {
 	}
 }
 
+// TestSearchedPoliciesAreProbed: every policy the search enumerates, on
+// every evaluated technology and encoding, has a measured probe in every
+// layer profile — an unprobed policy would read a zero probe and score
+// as harmless.
+func TestSearchedPoliciesAreProbed(t *testing.T) {
+	_, ex := getLeNetExplorer(t)
+	for _, tech := range envm.Evaluated() {
+		for _, kind := range sparse.Kinds {
+			t.Run(tech.Name+"/"+kind.String(), func(t *testing.T) {
+				forEachSelection(tech, kind, func(policies map[string]ares.StreamPolicy) {
+					for _, lp := range ex.Profiles[kind] {
+						for _, sp := range lp.Streams {
+							p, ok := policies[sp.Name]
+							if !ok {
+								t.Fatalf("%s: no policy for stream %q", lp.LayerName, sp.Name)
+							}
+							if _, ok := sp.Probes[p]; !ok {
+								t.Fatalf("%s/%s: searched policy %s has no probe", lp.LayerName, sp.Name, p)
+							}
+						}
+					}
+				})
+			})
+		}
+	}
+}
+
 func TestProfileLayerStructure(t *testing.T) {
 	pm, ex := getLeNetExplorer(t)
 	_ = pm
@@ -115,7 +142,7 @@ func TestProfileLayerStructure(t *testing.T) {
 	for _, sp := range lp.Streams {
 		byName[sp.Name] = sp
 	}
-	key := PolicyKey{BPC: 3}
+	key := ares.StreamPolicy{BPC: 3}
 	if !byName["rowcount"].Probes[key].Catastrophic() {
 		t.Errorf("rowcount probe %v should cascade", byName["rowcount"].Probes[key])
 	}

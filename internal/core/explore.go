@@ -9,7 +9,6 @@ import (
 	"sync"
 
 	"repro/internal/ares"
-	"repro/internal/ecc"
 	"repro/internal/envm"
 	"repro/internal/sparse"
 )
@@ -36,9 +35,13 @@ func (c Candidate) TotalBits() int64 { return c.TotalDataBits + c.TotalParityBit
 
 // Label renders the candidate like the paper's tables ("BitM+IdxSync",
 // "CSR+ECC", ...).
-func (c Candidate) Label() string {
-	name := c.Kind.String()
-	for _, p := range c.Policies {
+func (c Candidate) Label() string { return label(c.Kind, c.Policies) }
+
+// label renders an encoding with its policies: the kind, suffixed
+// "+ECC" when any stream is protected.
+func label(kind sparse.Kind, policies map[string]ares.StreamPolicy) string {
+	name := kind.String()
+	for _, p := range policies {
 		if p.ECC {
 			return name + "+ECC"
 		}
@@ -120,101 +123,125 @@ func (e *Explorer) WithRetention(years float64) *Explorer {
 // Evaluate scores one candidate: exact storage cost plus the surrogate
 // expected error delta, against the model's error bound.
 func (e *Explorer) Evaluate(tech envm.Tech, kind sparse.Kind, policies map[string]ares.StreamPolicy) Candidate {
-	cand := Candidate{
-		Model: e.PM.Model.Name, Tech: tech, Kind: kind, Policies: policies,
-	}
-	code := ecc.NewBlockCode(ares.ECCDataBits)
 	var lds []ares.LayerDamage
 	for _, lp := range e.Profiles[kind] {
-		ld := ares.LayerDamage{
-			Weights:  int(lp.FullWeights),
-			SignalSS: lp.SubSignalSS * lp.Scale,
-		}
-		for _, sp := range lp.Streams {
-			p, ok := policies[sp.Name]
-			if !ok {
-				panic(fmt.Sprintf("core: no policy for stream %q", sp.Name))
-			}
-			key := PolicyKey{BPC: p.BPC, ECC: p.ECC}
-			probe := sp.Probes[key]
-
-			cost := ares.StreamCost{Name: sp.Name, BPC: p.BPC, ECC: p.ECC, DataBits: sp.FullDataBits}
-			if p.ECC {
-				cost.ParityBits = code.ParityBits(int(sp.FullDataBits))
-			}
-			cost.Cells = envm.CellsFor(cost.TotalBits(), p.BPC)
-			ld.Costs = append(ld.Costs, cost)
-
-			sc := envm.StoreConfig{Tech: tech, BPC: p.BPC, Gray: p.ECC, RetentionYears: e.Opt.RetentionYears}
-			sd := ares.StreamDamage{
-				Name:      sp.Name,
-				LambdaEff: ares.LambdaEff(sp.FullDataBits, sc, p.ECC),
-				DStruct:   probe.DStruct,
-				DNSR:      probe.DNSR,
-				DMismatch: probe.DMismatch,
-			}
-			sd.Catastrophic = probe.Catastrophic()
-			if !sd.Catastrophic && lp.Scale > 1 {
-				// Point damage dilutes at full scale (the event corrupts a
-				// fixed number of weights, not a fixed fraction).
-				sd.DStruct /= lp.Scale
-				sd.DNSR /= lp.Scale
-				sd.DMismatch /= lp.Scale
-			}
-			ld.Streams = append(ld.Streams, sd)
-
-			cand.TotalDataBits += cost.DataBits
-			cand.TotalParityBits += cost.ParityBits
-			cand.TotalCells += cost.Cells
-			if p.BPC > cand.MaxBPC {
-				cand.MaxBPC = p.BPC
-			}
-		}
-		lds = append(lds, ld)
+		lds = append(lds, e.priceLayer(tech, lp, policies))
 	}
-	md := ares.Aggregate(lds)
-	meta := e.PM.Model.Meta
-	sens := ares.Sensitivity(e.PM.Model.Name)
-	headroom := ares.Headroom(e.PM.Model.Classes, meta.BaselineError)
-	cand.DeltaErr = md.ExpectedDeltaError(sens, headroom)
-	cand.Accepted = cand.DeltaErr <= meta.ErrorBound
-	return cand
+	v := e.judge(lds)
+	return Candidate{
+		Model: e.PM.Model.Name, Tech: tech, Kind: kind, Policies: policies,
+		TotalDataBits: v.dataBits, TotalParityBits: v.parityBits, TotalCells: v.cells,
+		MaxBPC: v.maxBPC, DeltaErr: v.delta, Accepted: v.accepted,
+	}
+}
+
+// priceLayer prices one layer profile under per-stream policies on
+// tech: each stream's exact storage bill, and its surrogate exposure —
+// the expected uncorrectable events at the explorer's storage age times
+// the probed per-event damage. It is the one per-stream pricing behind
+// both the uniform and the per-layer search.
+func (e *Explorer) priceLayer(tech envm.Tech, lp LayerProfile, policies map[string]ares.StreamPolicy) ares.LayerDamage {
+	ld := ares.LayerDamage{Weights: int(lp.FullWeights), SignalSS: lp.SubSignalSS * lp.Scale}
+	for _, sp := range lp.Streams {
+		p, ok := policies[sp.Name]
+		if !ok {
+			panic(fmt.Sprintf("core: no policy for stream %q", sp.Name))
+		}
+		probe, ok := sp.Probes[p]
+		if !ok {
+			panic(fmt.Sprintf("core: stream %q has no probe for policy %s", sp.Name, p))
+		}
+		ld.Costs = append(ld.Costs, ares.PriceStream(sp.Name, p, sp.FullDataBits, ares.ECCDataBits))
+
+		sc := envm.StoreConfig{Tech: tech, BPC: p.BPC, Gray: p.ECC, RetentionYears: e.Opt.RetentionYears}
+		sd := ares.StreamDamage{
+			Name:         sp.Name,
+			LambdaEff:    ares.LambdaEff(sp.FullDataBits, sc, p.ECC),
+			DStruct:      probe.DStruct,
+			DNSR:         probe.DNSR,
+			DMismatch:    probe.DMismatch,
+			Catastrophic: probe.Catastrophic(),
+		}
+		if !sd.Catastrophic && lp.Scale > 1 {
+			// Point damage dilutes at full scale (the event corrupts a
+			// fixed number of weights, not a fixed fraction).
+			sd.DStruct /= lp.Scale
+			sd.DNSR /= lp.Scale
+			sd.DMismatch /= lp.Scale
+		}
+		ld.Streams = append(ld.Streams, sd)
+	}
+	return ld
+}
+
+// verdict is the model-level outcome of one storage selection: its
+// storage bill and the surrogate's expected error delta.
+type verdict struct {
+	dataBits, parityBits, cells int64
+	maxBPC                      int
+	delta                       float64
+	accepted                    bool
+}
+
+// judge is the one acceptance scorer: it totals the bill of the priced
+// layers and accepts them when the surrogate's expected error delta
+// holds the model's iso-training-noise bound.
+func (e *Explorer) judge(lds []ares.LayerDamage) verdict {
+	var v verdict
+	for _, ld := range lds {
+		for _, c := range ld.Costs {
+			v.dataBits += c.DataBits
+			v.parityBits += c.ParityBits
+			v.cells += c.Cells
+			v.maxBPC = max(v.maxBPC, c.BPC)
+		}
+	}
+	m := e.PM.Model
+	v.delta = ares.Aggregate(lds).ExpectedDeltaError(ares.Sensitivity(m.Name), ares.Headroom(m.Classes, m.Meta.BaselineError))
+	v.accepted = v.delta <= m.Meta.ErrorBound
+	return v
+}
+
+// forEachSelection calls fn with every per-stream policy assignment of
+// kind in the search space of tech, each as a fresh policy map. It is
+// the one enumeration behind both the uniform and the per-layer search.
+func forEachSelection(tech envm.Tech, kind sparse.Kind, fn func(map[string]ares.StreamPolicy)) {
+	names := StreamNames(kind)
+	choices := searchChoices(tech)
+	assign := make([]ares.StreamPolicy, len(names))
+	var walk func(i int)
+	walk = func(i int) {
+		if i < len(names) {
+			for _, key := range choices {
+				assign[i] = key
+				walk(i + 1)
+			}
+			return
+		}
+		policies := make(map[string]ares.StreamPolicy, len(names))
+		for j, n := range names {
+			policies[n] = assign[j]
+		}
+		fn(policies)
+	}
+	walk(0)
 }
 
 // Best finds the minimal-cell accepted candidate for one encoding on one
 // technology (a cell of Figure 6). If no combination is accepted, the
 // lowest-delta candidate is returned with Accepted=false.
 func (e *Explorer) Best(tech envm.Tech, kind sparse.Kind) Candidate {
-	names := StreamNames(kind)
-	choices := PolicyChoices(minInt(3, tech.MaxBitsPerCell))
 	var best, fallback Candidate
 	bestSet, fbSet := false, false
-
-	assign := make([]PolicyKey, len(names))
-	var walk func(i int)
-	walk = func(i int) {
-		if i == len(names) {
-			policies := make(map[string]ares.StreamPolicy, len(names))
-			for j, n := range names {
-				policies[n] = assign[j].Policy()
-			}
-			c := e.Evaluate(tech, kind, policies)
-			if c.Accepted {
-				if !bestSet || c.TotalCells < best.TotalCells {
-					best, bestSet = c, true
-				}
-			}
-			if !fbSet || c.DeltaErr < fallback.DeltaErr {
-				fallback, fbSet = c, true
-			}
-			return
+	forEachSelection(tech, kind, func(policies map[string]ares.StreamPolicy) {
+		c := e.Evaluate(tech, kind, policies)
+		if c.Accepted && (!bestSet || c.TotalCells < best.TotalCells) {
+			best, bestSet = c, true
 		}
-		for _, key := range choices {
-			assign[i] = key
-			walk(i + 1)
+		if !fbSet || c.DeltaErr < fallback.DeltaErr {
+			fallback, fbSet = c, true
 		}
-	}
-	walk(0)
+	})
 	if bestSet {
 		return best
 	}
@@ -245,19 +272,12 @@ func (e *Explorer) BestOverall(tech envm.Tech) Candidate {
 // EncodedLayerBits returns the per-weight-layer stored bits (data +
 // parity) of a candidate, for the NVDLA workload model.
 func (e *Explorer) EncodedLayerBits(c Candidate) []int64 {
-	code := ecc.NewBlockCode(ares.ECCDataBits)
 	lps := e.Profiles[c.Kind]
 	out := make([]int64, len(lps))
 	for i, lp := range lps {
-		var bits int64
 		for _, sp := range lp.Streams {
-			p := c.Policies[sp.Name]
-			bits += sp.FullDataBits
-			if p.ECC {
-				bits += code.ParityBits(int(sp.FullDataBits))
-			}
+			out[i] += ares.PriceStream(sp.Name, c.Policies[sp.Name], sp.FullDataBits, ares.ECCDataBits).TotalBits()
 		}
-		out[i] = bits
 	}
 	return out
 }
@@ -265,13 +285,6 @@ func (e *Explorer) EncodedLayerBits(c Candidate) []int64 {
 // SortCandidates orders candidates by total cells ascending.
 func SortCandidates(cs []Candidate) {
 	sort.Slice(cs, func(a, b int) bool { return cs[a].TotalCells < cs[b].TotalCells })
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // AreaBenefit returns the cell-count ratio of the naive baseline — a

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"repro/internal/ares"
-	"repro/internal/ecc"
 	"repro/internal/envm"
 	"repro/internal/sparse"
 )
@@ -36,15 +35,7 @@ type LayerOption struct {
 }
 
 // Label renders the option like "CSR+ECC".
-func (o LayerOption) Label() string {
-	name := o.Kind.String()
-	for _, p := range o.Policies {
-		if p.ECC {
-			return name + "+ECC"
-		}
-	}
-	return name
-}
+func (o LayerOption) Label() string { return label(o.Kind, o.Policies) }
 
 // PerLayerCandidate is a per-layer selection with its exact evaluation.
 type PerLayerCandidate struct {
@@ -82,61 +73,17 @@ func (c PerLayerCandidate) Summary() string {
 // layerOptions enumerates every (kind, policy combo) for one layer on one
 // technology and Pareto-filters to the (cells, x) frontier.
 func (e *Explorer) layerOptions(tech envm.Tech, li int, wShare, sShare, sens float64) []LayerOption {
-	code := ecc.NewBlockCode(ares.ECCDataBits)
 	var opts []LayerOption
 	for _, kind := range sparse.Kinds {
 		lp := e.Profiles[kind][li]
-		names := StreamNames(kind)
-		choices := PolicyChoices(minInt(3, tech.MaxBitsPerCell))
-		assign := make([]PolicyKey, len(names))
-		var walk func(i int)
-		walk = func(i int) {
-			if i < len(names) {
-				for _, key := range choices {
-					assign[i] = key
-					walk(i + 1)
-				}
-				return
-			}
+		forEachSelection(tech, kind, func(policies map[string]ares.StreamPolicy) {
+			ld := e.priceLayer(tech, lp, policies)
 			opt := LayerOption{
-				Kind:     kind,
-				Policies: make(map[string]ares.StreamPolicy, len(names)),
-				damage: ares.LayerDamage{
-					Weights:  int(lp.FullWeights),
-					SignalSS: lp.SubSignalSS * lp.Scale,
-				},
+				Kind: kind, Policies: policies,
+				Cells: ares.TotalCells(ld.Costs), Bits: ares.TotalBits(ld.Costs),
+				damage: ld,
 			}
-			for j, sp := range lp.Streams {
-				key := assign[j]
-				p := key.Policy()
-				opt.Policies[sp.Name] = p
-				probe := sp.Probes[key]
-
-				cost := ares.StreamCost{Name: sp.Name, BPC: p.BPC, ECC: p.ECC, DataBits: sp.FullDataBits}
-				if p.ECC {
-					cost.ParityBits = code.ParityBits(int(sp.FullDataBits))
-				}
-				cost.Cells = envm.CellsFor(cost.TotalBits(), p.BPC)
-				opt.damage.Costs = append(opt.damage.Costs, cost)
-				opt.Cells += cost.Cells
-				opt.Bits += cost.TotalBits()
-
-				sc := envm.StoreConfig{Tech: tech, BPC: p.BPC, Gray: p.ECC, RetentionYears: e.Opt.RetentionYears}
-				sd := ares.StreamDamage{
-					Name:      sp.Name,
-					LambdaEff: ares.LambdaEff(sp.FullDataBits, sc, p.ECC),
-					DStruct:   probe.DStruct,
-					DNSR:      probe.DNSR,
-					DMismatch: probe.DMismatch,
-				}
-				sd.Catastrophic = probe.Catastrophic()
-				if !sd.Catastrophic && lp.Scale > 1 {
-					sd.DStruct /= lp.Scale
-					sd.DNSR /= lp.Scale
-					sd.DMismatch /= lp.Scale
-				}
-				opt.damage.Streams = append(opt.damage.Streams, sd)
-
+			for _, sd := range ld.Streams {
 				// Corruption score: linear exposure plus a saturated term
 				// for cascade events.
 				if sd.Catastrophic {
@@ -146,8 +93,7 @@ func (e *Explorer) layerOptions(tech envm.Tech, li int, wShare, sShare, sens flo
 				}
 			}
 			opts = append(opts, opt)
-		}
-		walk(0)
+		})
 	}
 	return paretoOptions(opts)
 }
@@ -174,9 +120,7 @@ func paretoOptions(opts []LayerOption) []LayerOption {
 // BestPerLayer finds the cheapest per-layer selection that passes the
 // model-level bound.
 func (e *Explorer) BestPerLayer(tech envm.Tech) PerLayerCandidate {
-	meta := e.PM.Model.Meta
 	sens := ares.Sensitivity(e.PM.Model.Name)
-	headroom := ares.Headroom(e.PM.Model.Classes, meta.BaselineError)
 
 	// Model-scale shares for the corruption score.
 	var totalW int64
@@ -214,22 +158,16 @@ func (e *Explorer) BestPerLayer(tech envm.Tech) PerLayerCandidate {
 		return out
 	}
 	evaluate := func(choices []LayerOption) PerLayerCandidate {
-		c := PerLayerCandidate{Model: e.PM.Model.Name, Tech: tech, Choices: choices}
-		var lds []ares.LayerDamage
-		for _, o := range choices {
-			lds = append(lds, o.damage)
-			c.TotalCells += o.Cells
-			c.TotalBits += o.Bits
-			for _, p := range o.Policies {
-				if p.BPC > c.MaxBPC {
-					c.MaxBPC = p.BPC
-				}
-			}
+		lds := make([]ares.LayerDamage, len(choices))
+		for i, o := range choices {
+			lds[i] = o.damage
 		}
-		md := ares.Aggregate(lds)
-		c.DeltaErr = md.ExpectedDeltaError(sens, headroom)
-		c.Accepted = c.DeltaErr <= meta.ErrorBound
-		return c
+		v := e.judge(lds)
+		return PerLayerCandidate{
+			Model: e.PM.Model.Name, Tech: tech, Choices: choices,
+			TotalCells: v.cells, TotalBits: v.dataBits + v.parityBits,
+			MaxBPC: v.maxBPC, DeltaErr: v.delta, Accepted: v.accepted,
+		}
 	}
 
 	// mu = 0 is the unconstrained minimum; if it already passes, done.

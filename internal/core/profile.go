@@ -2,25 +2,28 @@ package core
 
 import (
 	"repro/internal/ares"
+	"repro/internal/envm"
 	"repro/internal/sparse"
 )
 
-// PolicyKey identifies a per-stream storage policy in the search space.
-type PolicyKey struct {
-	BPC int
-	ECC bool
-}
+// searchMaxBPC is the densest bits-per-cell in the design space (the
+// densest MLC in the evaluated set). The profiler probes every policy up
+// to it and the search enumerates up to it, capped by the technology,
+// so every policy the search scores has a measured probe.
+const searchMaxBPC = 3
 
-// Policy converts the key to an ares policy.
-func (k PolicyKey) Policy() ares.StreamPolicy { return ares.StreamPolicy{BPC: k.BPC, ECC: k.ECC} }
+// searchChoices is the per-stream policy space searched on tech.
+func searchChoices(tech envm.Tech) []ares.StreamPolicy {
+	return PolicyChoices(min(searchMaxBPC, tech.MaxBitsPerCell))
+}
 
 // PolicyChoices enumerates the per-stream search space: 1..maxBPC bits
 // per cell, each with and without ECC. (ECC at SLC is allowed but never
 // useful; the explorer prunes it by cost.)
-func PolicyChoices(maxBPC int) []PolicyKey {
-	var out []PolicyKey
+func PolicyChoices(maxBPC int) []ares.StreamPolicy {
+	var out []ares.StreamPolicy
 	for bpc := 1; bpc <= maxBPC; bpc++ {
-		out = append(out, PolicyKey{BPC: bpc}, PolicyKey{BPC: bpc, ECC: true})
+		out = append(out, ares.StreamPolicy{BPC: bpc}, ares.StreamPolicy{BPC: bpc, ECC: true})
 	}
 	return out
 }
@@ -32,7 +35,7 @@ type DamageProbe struct {
 }
 
 // Catastrophic reports whether a single event is a cascade.
-func (d DamageProbe) Catastrophic() bool { return d.DMismatch >= 0.02 }
+func (d DamageProbe) Catastrophic() bool { return ares.Cascades(d.DMismatch) }
 
 // StreamProfile is one stored structure's probe table.
 type StreamProfile struct {
@@ -41,7 +44,7 @@ type StreamProfile struct {
 	// FullDataBits extrapolates to the real layer.
 	SubDataBits  int64
 	FullDataBits int64
-	Probes       map[PolicyKey]DamageProbe
+	Probes       map[ares.StreamPolicy]DamageProbe
 }
 
 // LayerProfile is the complete fault-exposure profile of one layer under
@@ -60,9 +63,6 @@ type LayerProfile struct {
 
 // ProfileOptions tunes profiling.
 type ProfileOptions struct {
-	// MaxBPC bounds the probed bits-per-cell (default 3, the densest MLC
-	// in the evaluated set).
-	MaxBPC int
 	// DamageTrials per probe (default 6).
 	DamageTrials int
 	Seed         uint64
@@ -72,9 +72,6 @@ type ProfileOptions struct {
 }
 
 func (o ProfileOptions) withDefaults() ProfileOptions {
-	if o.MaxBPC == 0 {
-		o.MaxBPC = 3
-	}
 	if o.DamageTrials == 0 {
 		o.DamageTrials = 6
 	}
@@ -86,14 +83,7 @@ func (o ProfileOptions) withDefaults() ProfileOptions {
 func ProfileLayer(pl PreparedLayer, kind sparse.Kind, opt ProfileOptions) LayerProfile {
 	opt = opt.withDefaults()
 	cl := pl.CL
-	var enc sparse.Encoding
-	if kind == sparse.Kind24 {
-		// 2:4 selects survivors by centroid magnitude; route the centroid
-		// table through (the generic dispatch has no access to it).
-		enc = sparse.Must(sparse.Encode24(cl.Indices, cl.Rows, cl.Cols, cl.IndexBits, cl.Centroids))
-	} else {
-		enc = sparse.Must(sparse.Encode(kind, cl.Indices, cl.Rows, cl.Cols, cl.IndexBits))
-	}
+	enc := sparse.Must(ares.EncodeLayer(cl, ares.Config{Encoding: kind}))
 	lp := LayerProfile{
 		LayerName:   pl.Name,
 		Kind:        kind,
@@ -110,10 +100,10 @@ func ProfileLayer(pl PreparedLayer, kind sparse.Kind, opt ProfileOptions) LayerP
 			Name:         s.Name,
 			SubDataBits:  s.SizeBits(),
 			FullDataBits: int64(float64(s.SizeBits()) * pl.Scale),
-			Probes:       make(map[PolicyKey]DamageProbe),
+			Probes:       make(map[ares.StreamPolicy]DamageProbe),
 		}
-		for _, key := range PolicyChoices(opt.MaxBPC) {
-			dS, dN, dM := ares.ProbeStreamDamage(enc, i, cl, key.Policy(),
+		for _, key := range PolicyChoices(searchMaxBPC) {
+			dS, dN, dM := ares.ProbeStreamDamage(enc, i, cl, key,
 				opt.DamageTrials, opt.Seed+uint64(i)*131+uint64(key.BPC)*7+b2u(key.ECC))
 			sp.Probes[key] = DamageProbe{DStruct: dS, DNSR: dN, DMismatch: dM}
 		}

@@ -17,11 +17,11 @@ package crossbar
 import "repro/internal/telemetry"
 
 var met = struct {
-	stuckCells, stuckCols   *telemetry.Counter
-	detectHits              *telemetry.Counter
+	stuckCells, stuckCols    *telemetry.Counter
+	detectHits               *telemetry.Counter
 	colsRemapped, colsZeroed *telemetry.Counter
-	scrubRewrites           *telemetry.Counter
-	adcClips                *telemetry.Counter
+	scrubRewrites            *telemetry.Counter
+	adcClips                 *telemetry.Counter
 }{
 	stuckCells:    telemetry.Default().Counter("crossbar.stuck.cells"),
 	stuckCols:     telemetry.Default().Counter("crossbar.stuck.columns"),

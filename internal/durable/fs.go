@@ -77,8 +77,8 @@ func (osFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
 	return &osFile{f}, nil
 }
 
-func (osFS) Rename(oldpath, newpath string) error      { return os.Rename(oldpath, newpath) }
-func (osFS) Remove(name string) error                  { return os.Remove(name) }
+func (osFS) Rename(oldpath, newpath string) error         { return os.Rename(oldpath, newpath) }
+func (osFS) Remove(name string) error                     { return os.Remove(name) }
 func (osFS) MkdirAll(path string, perm os.FileMode) error { return os.MkdirAll(path, perm) }
 func (osFS) Stat(name string) (os.FileInfo, error) {
 	return os.Stat(name)

@@ -29,14 +29,9 @@ import (
 	"sort"
 
 	"repro/internal/ares"
-	"repro/internal/core"
 	"repro/internal/envm"
 	"repro/internal/quant"
 )
-
-// catastrophicThreshold matches ares/core: a single fault event
-// corrupting more than this fraction of a layer's indices is a cascade.
-const catastrophicThreshold = 0.02
 
 // StreamRank scores one stream name's criticality across all layers of
 // a model. Damage is in surrogate units (valueNSR + StructWeight *
@@ -124,61 +119,11 @@ func RankModel(layers []*quant.Clustered, cfg ares.Config, rc RankConfig) ([]Str
 			r.Cells += cells
 			r.Score += float64(cells) * damage
 			r.Mismatch += dMismatch * layerW
-			if dMismatch >= catastrophicThreshold {
+			if ares.Cascades(dMismatch) {
 				r.Catastrophic = true
 			}
 			if s.Name == "values" && r.BitSensitivity == nil {
 				r.BitSensitivity = IndexBitSensitivity(cl.Centroids, cl.IndexBits)
-			}
-		}
-	}
-	out := make([]StreamRank, 0, len(order))
-	for _, name := range order {
-		r := byName[name]
-		if r.Cells > 0 {
-			r.DamagePerEvent = r.Score / float64(r.Cells)
-		}
-		out = append(out, *r)
-	}
-	sortRanks(out)
-	return out, nil
-}
-
-// RankFromProfiles converts explorer layer profiles (core.ProfileLayer
-// probe tables, the existing sensitivity hooks) into stream ranks at the
-// given baseline policy — no re-probing, so an explorer that already
-// profiled a model gets mitigation planning for free.
-func RankFromProfiles(profiles []core.LayerProfile, key core.PolicyKey) ([]StreamRank, error) {
-	if len(profiles) == 0 {
-		return nil, fmt.Errorf("mitigate: no profiles to rank")
-	}
-	var totalW float64
-	for _, lp := range profiles {
-		totalW += float64(lp.FullWeights)
-	}
-	byName := map[string]*StreamRank{}
-	var order []string
-	for _, lp := range profiles {
-		layerW := float64(lp.FullWeights) / totalW
-		for _, sp := range lp.Streams {
-			probe, ok := sp.Probes[key]
-			if !ok {
-				return nil, fmt.Errorf("mitigate: profile %q stream %q lacks a %+v probe", lp.LayerName, sp.Name, key)
-			}
-			r := byName[sp.Name]
-			if r == nil {
-				r = &StreamRank{Name: sp.Name, BPC: key.BPC}
-				byName[sp.Name] = r
-				order = append(order, sp.Name)
-			}
-			damage := (probe.DNSR + ares.StructWeight*probe.DStruct) * layerW
-			cells := envm.CellsFor(sp.FullDataBits, key.BPC)
-			r.DataBits += sp.FullDataBits
-			r.Cells += cells
-			r.Score += float64(cells) * damage
-			r.Mismatch += probe.DMismatch * layerW
-			if probe.Catastrophic() {
-				r.Catastrophic = true
 			}
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"repro/internal/ares"
-	"repro/internal/ecc"
 	"repro/internal/envm"
 )
 
@@ -134,7 +133,6 @@ func PlanProtection(ranks []StreamRank, tech envm.Tech, budgetFrac float64) (Pla
 	// worst exposure ECC must hold until the first scrub.
 	rate := envm.StoreConfig{Tech: tech, BPC: maxBPC}.FaultMap().TotalRate()
 	pl.BlockBits = ChooseBlockBits(rate, maxBPC)
-	code := ecc.NewBlockCode(pl.BlockBits)
 
 	budget := budgetFrac * float64(baseline)
 	spent := 0.0
@@ -156,10 +154,7 @@ func PlanProtection(ranks []StreamRank, tech envm.Tech, budgetFrac float64) (Pla
 		}
 		cands = append(cands, candidate{ares.StreamPolicy{BPC: r.BPC, ECC: true}, false})
 		for _, c := range cands {
-			cells := envm.CellsFor(r.DataBits, c.pol.BPC)
-			if c.pol.ECC {
-				cells += envm.CellsFor(code.ParityBits(int(r.DataBits)), c.pol.BPC)
-			}
+			cells := ares.PriceStream(r.Name, c.pol, r.DataBits, pl.BlockBits).Cells
 			extra := float64(cells - r.Cells)
 			if extra > budget-spent {
 				continue
