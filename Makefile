@@ -67,12 +67,13 @@ race: vet
 	$(GO) test -race ./internal/campaign/... ./internal/stats/...
 
 # The telemetry registry, the instrumented campaign engine, the replica
-# pool, the fleet lease protocol, and the parallel tensor kernels are
-# the most concurrency-sensitive pieces; they get a dedicated race pass
+# pool and the Forwarder (replicas read shared cached activations), the
+# fleet lease protocol, and the parallel tensor kernels are the most
+# concurrency-sensitive pieces; they get a dedicated race pass
 # in tier 1 so a data race cannot land even when the full race tier is
 # skipped.
 race-fast:
-	$(GO) test -race ./internal/campaign/... ./internal/telemetry/... ./internal/ares/... ./internal/sparse/... ./internal/tensor/... ./internal/crossbar/... ./internal/fleet/... ./internal/serve/... ./internal/supervise/... ./internal/chaos/...
+	$(GO) test -race ./internal/campaign/... ./internal/telemetry/... ./internal/ares/... ./internal/dnn/... ./internal/sparse/... ./internal/tensor/... ./internal/crossbar/... ./internal/fleet/... ./internal/serve/... ./internal/supervise/... ./internal/chaos/...
 
 # The server's own end-to-end smoke: train, serve every endpoint on an
 # ephemeral port, scrape /metrics, drain.

@@ -54,6 +54,9 @@ type twofourState struct {
 	// baselineErr is the fault-free error of the projected model,
 	// measured once through the compute-direct kernels.
 	baselineErr float64
+	// prefix caches the projected model's input to each weight layer
+	// over ev.Test (see capturePrefix).
+	prefix []*tensor.Tensor4
 }
 
 // twofour builds (once) and returns the evaluator's pristine 2:4 state.
@@ -86,7 +89,8 @@ func (ev *MeasuredEvaluator) twofour() (*twofourState, error) {
 			tf.pristine24[i] = s24
 		}
 		// Projected-model baseline, measured through the same kernels the
-		// trials use. One-shot forwarder: replicas are not yet involved.
+		// trials use; the pass doubles as the route's prefix pass.
+		// One-shot forwarder: replicas are not yet involved.
 		m := ev.pristine.CloneShared()
 		for o, li := range ev.layerIdx {
 			m.Layers[li].Weights24 = tf.pristine24[o]
@@ -94,6 +98,7 @@ func (ev *MeasuredEvaluator) twofour() (*twofourState, error) {
 		fw := dnn.NewForwarder(m)
 		fw.Workers = 1
 		tf.baselineErr = train.ErrorWith(fw, ev.Test)
+		tf.prefix = ev.capturePrefix(fw)
 	})
 	return tf, tf.err
 }
@@ -192,7 +197,8 @@ func (ev *MeasuredEvaluator) corrupt24(ctx context.Context, cfg Config, tsrc *st
 	if err != nil {
 		return trial{}, err
 	}
-	tr := trial{layers: make([]layerTrial, len(ev.clustered)), pristine: true, baseline: tf.baselineErr, timer: met.evalDirect}
+	tr := trial{layers: make([]layerTrial, len(ev.clustered)), pristine: true, baseline: tf.baselineErr,
+		prefix: tf.prefix, timer: met.evalDirect}
 	for i, cl := range ev.clustered {
 		st, vals, pos, err := runTrial24(ctx, tf.encs[i], tf.orig24[i], cl.Centroids, cfg, tsrc.Uint64())
 		if err != nil {

@@ -10,6 +10,7 @@ import (
 	"repro/internal/quant"
 	"repro/internal/sparse"
 	"repro/internal/stats"
+	"repro/internal/tensor"
 	"repro/internal/train"
 )
 
@@ -32,6 +33,9 @@ type MeasuredEvaluator struct {
 	origIdx [][]uint8
 	// tf is the lazily-built compute-direct 2:4 state (see direct24.go).
 	tf twofourState
+	// prefix caches the clustered baseline's input to each weight layer
+	// over Test, for the decode-to-dense route (see capturePrefix).
+	prefix []*tensor.Tensor4
 
 	// pristine shares the model's layers but holds a private copy of
 	// the clustered weights taken at construction: pool replicas and
@@ -77,11 +81,16 @@ func NewMeasuredEvaluator(m *dnn.Model, test *train.Dataset, seed uint64) (*Meas
 		ev.clustered = append(ev.clustered, cl)
 		ev.origIdx = append(ev.origIdx, cl.Indices)
 	}
-	ev.BaselineErr = train.Error(m, test)
 	ev.pristine = m.CloneShared()
 	for li, w := range m.CloneWeights() {
 		ev.pristine.Layers[li].Weights = w
 	}
+	// The baseline pass doubles as the decode-to-dense route's prefix
+	// pass. One-shot forwarder: replicas are not yet involved.
+	fw := dnn.NewForwarder(ev.pristine)
+	fw.Workers = 1
+	ev.BaselineErr = train.ErrorWith(fw, test)
+	ev.prefix = ev.capturePrefix(fw)
 	ev.serial = ev.newReplica(m)
 	ev.encCache = make(map[string][]sparse.Encoding)
 	ev.xbarCache = make(map[string]*xbarState)

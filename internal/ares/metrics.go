@@ -28,6 +28,11 @@ package ares
 //	ares.fastpath.hits   trials that reproduced their route's baseline
 //	                     exactly (inference skipped, delta 0 by construction)
 //	ares.fastpath.misses trials that required real inference
+//	ares.prefix.skipped_layers weight layers whose computation prefix
+//	                     reuse skipped, summed over measured trials: a
+//	                     storage-route trial starts its pass at its first
+//	                     corrupted weight layer, fed that layer's cached
+//	                     baseline input (see entry in trial.go)
 //	ares.replicas.created model replicas materialized (lazy, <= GOMAXPROCS)
 //	ares.replicas.busy   replicas currently checked out (occupancy gauge)
 //
@@ -47,6 +52,7 @@ var met = struct {
 	evalParallel, evalDirect     *telemetry.Timer
 	cacheHits, cacheMisses       *telemetry.Counter
 	fastHits, fastMisses         *telemetry.Counter
+	prefixSkipped                *telemetry.Counter
 	replicasCreated              *telemetry.Counter
 	replicasBusy                 *telemetry.Gauge
 	eccCorrected, eccDetected    *telemetry.Counter
@@ -64,6 +70,7 @@ var met = struct {
 	cacheMisses:     telemetry.Default().Counter("ares.enccache.misses"),
 	fastHits:        telemetry.Default().Counter("ares.fastpath.hits"),
 	fastMisses:      telemetry.Default().Counter("ares.fastpath.misses"),
+	prefixSkipped:   telemetry.Default().Counter("ares.prefix.skipped_layers"),
 	replicasCreated: telemetry.Default().Counter("ares.replicas.created"),
 	replicasBusy:    telemetry.Default().Gauge("ares.replicas.busy"),
 	eccCorrected:    telemetry.Default().Counter("ecc.corrected"),

@@ -27,8 +27,15 @@ import (
 // itself is a deterministic function of the overlays alone: every
 // replica holds bit-identical pristine weights (the shared snapshot),
 // private buffers are fully overwritten before use, and the Forwarder's
-// arithmetic is independent of worker count and replica identity. Which
-// replica serves a trial therefore cannot affect its delta.
+// arithmetic is independent of worker count and replica identity.
+// Prefix reuse keeps this: a pass starts at the trial's first dirty
+// layer, fed that layer's input cached from the route baseline's pass
+// (see capturePrefix and entry in trial.go). The cache depends only on
+// the route baseline, and the per-element arithmetic does not depend on
+// where a pass is split, so a cached prefix equals what the full pass
+// computes. Replicas only read the cached tensors. measureSerial never
+// reads them and stays the full-pass reference. Which replica serves a
+// trial, and where its pass starts, therefore cannot affect its delta.
 
 // replica is one checked-out-able inference engine. The serial
 // reference is a replica too: one over the evaluator's own model,

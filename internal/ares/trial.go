@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/dnn"
 	"repro/internal/sparse"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
@@ -39,6 +40,11 @@ type layerTrial struct {
 	x *tensor.Xbar
 }
 
+// dirty reports whether the layer runs on a private corrupted operand
+// (idx or vals). A layer on the shared pristine 2:4 weights (s24) runs
+// on its route's baseline, so it is not dirty.
+func (lt *layerTrial) dirty() bool { return lt.idx != nil || lt.vals != nil }
+
 // trial is one corrupted trial, ready to measure.
 type trial struct {
 	layers []layerTrial
@@ -47,6 +53,11 @@ type trial struct {
 	// exactly, so its delta is 0 without inference (the fast path).
 	pristine bool
 	baseline float64
+	// prefix is the route baseline's cached weight-layer inputs (see
+	// capturePrefix), from which measure starts the pass at the first
+	// dirty layer. Nil on the crossbar route: its trials corrupt every
+	// layer.
+	prefix []*tensor.Tensor4
 	// timer is the route's eval timer (the serial reference always
 	// records ares.phase.eval).
 	timer *telemetry.Timer
@@ -106,7 +117,7 @@ func (ev *MeasuredEvaluator) decodedTrial(layers []layerTrial, refs [][]uint8, b
 	if len(layers) != len(ev.clustered) {
 		return trial{}, fmt.Errorf("ares: %d decoded layers vs %d clustered", len(layers), len(ev.clustered))
 	}
-	tr := trial{layers: layers, pristine: true, baseline: baseline, timer: met.eval}
+	tr := trial{layers: layers, pristine: true, baseline: baseline, prefix: ev.prefix, timer: met.eval}
 	for i, cl := range ev.clustered {
 		lt := &layers[i]
 		if len(lt.idx) != len(cl.Indices) {
@@ -157,13 +168,49 @@ func (ev *MeasuredEvaluator) measure(tr trial) float64 {
 	defer ev.checkin(r)
 	evalStart := time.Now()
 	r.overlay(ev, tr.layers)
-	delta := train.ErrorWith(r.fw, ev.Test) - tr.baseline
+	k, act := ev.entry(tr)
+	delta := train.ErrorFrom(r.fw, k, act, ev.Test) - tr.baseline
 	tr.timer.Since(evalStart)
 	met.evalParallel.Since(waitStart)
 	if delta < 0 {
 		delta = 0
 	}
 	return delta
+}
+
+// capturePrefix copies, from fw's just-finished baseline pass over
+// ev.Test, the input of every weight layer a trial's pass may start at:
+// each one past model layer 0 at a legal cut (dnn.Model.CanCut). Other
+// ordinals stay nil. Only the weight layers' inputs are kept, not every
+// activation of the pass.
+func (ev *MeasuredEvaluator) capturePrefix(fw *dnn.Forwarder) []*tensor.Tensor4 {
+	prefix := make([]*tensor.Tensor4, len(ev.layerIdx))
+	for o, li := range ev.layerIdx {
+		if li > 0 && ev.pristine.CanCut(li) {
+			prefix[o] = fw.Input(li).Clone()
+		}
+	}
+	return prefix
+}
+
+// entry returns where a replica pass over tr starts: at the trial's
+// first dirty weight layer, fed its cached baseline input, when the
+// route has that layer's input cached; otherwise at layer 0, fed the
+// test images. Every layer before the first dirty one runs on the
+// route baseline's operand, so its cached input is what a full pass
+// would compute.
+func (ev *MeasuredEvaluator) entry(tr trial) (int, *tensor.Tensor4) {
+	for o, act := range tr.prefix {
+		if !tr.layers[o].dirty() {
+			continue
+		}
+		if act != nil {
+			met.prefixSkipped.Add(int64(o))
+			return ev.layerIdx[o], act
+		}
+		break
+	}
+	return 0, ev.Test.Images
 }
 
 // measureSerial is the serialized reference measurement: it overlays

@@ -20,6 +20,13 @@ import (
 // corrupted buffers) is supported, and setting Weights24 or WeightsXbar
 // routes the layer through the compute-direct 2:4 or the crossbar
 // kernels instead of the dense ones.
+//
+// A pass may also start mid-network (ForwardFrom): fed the activation
+// a full pass computed as layer k's input, it runs only layers k
+// onward and returns the same logits bit for bit. That is how a
+// corrupted trial skips the layers before its first corrupted one,
+// whose outputs are the same for every trial. Input exposes a layer's
+// input after a pass, so a caller can cache it.
 type Forwarder struct {
 	m *Model
 	// Workers bounds kernel parallelism (convolution image bands and
@@ -37,7 +44,7 @@ type Forwarder struct {
 }
 
 // NewForwarder builds a Forwarder for m. Buffers are materialized
-// lazily on the first Forward call and thereafter reused whenever the
+// lazily on the first pass and thereafter reused whenever the
 // batch shape repeats.
 func NewForwarder(m *Model) *Forwarder {
 	return &Forwarder{m: m, acts: make([]*tensor.Tensor4, len(m.Layers))}
@@ -61,26 +68,39 @@ func (f *Forwarder) ensure(i, n, c, h, w int) *tensor.Tensor4 {
 }
 
 // Forward runs inference on a batch and returns the (N x Classes) logit
-// matrix. The returned matrix is a view into Forwarder-owned storage:
-// it is valid until the next Forward call. The model must be valid (see
-// Model.Validate); Forward panics on shape errors.
+// matrix: ForwardFrom(0, in).
+func (f *Forwarder) Forward(in *tensor.Tensor4) *tensor.Matrix { return f.ForwardFrom(0, in) }
+
+// ForwardFrom feeds act as layer k's input, runs layers k through the
+// last, and returns the (N x Classes) logit matrix. ForwardFrom(0, in)
+// is a full pass over the batch in. The returned matrix is a view into
+// Forwarder-owned storage: it is valid until the next pass. The model
+// must be valid (see Model.Validate) and k a legal cut (see
+// Model.CanCut); ForwardFrom panics otherwise. act is only read, never
+// written or retained, so one activation may feed many Forwarders
+// concurrently (the ares replica pool's cached pristine prefixes).
 //
 // Per-element arithmetic is identical to Model.Forward for every
 // Workers setting (parallelism only partitions independent rows and
 // images), so a pool of Forwarders is bit-for-bit exchangeable with the
-// serial path.
-func (f *Forwarder) Forward(in *tensor.Tensor4) *tensor.Matrix {
-	f.conv.Workers = f.Workers
-	fetch := func(i, ref int) *tensor.Tensor4 {
-		if ref == -1 {
-			if i == 0 {
-				return in
-			}
-			return f.acts[i-1]
-		}
-		return f.acts[ref]
+// serial path. Nor does it depend on where the pass starts: feeding
+// layer k the activation a full pass computed for it reproduces that
+// pass's logits bit for bit.
+func (f *Forwarder) ForwardFrom(k int, act *tensor.Tensor4) *tensor.Matrix {
+	if !f.m.CanCut(k) {
+		panic(fmt.Sprintf("dnn: model %q cannot start a pass at layer %d", f.m.Name, k))
 	}
-	for i, l := range f.m.Layers {
+	f.conv.Workers = f.Workers
+	// A legal cut leaves act as the only activation from before k that
+	// layers k onward read.
+	fetch := func(i, ref int) *tensor.Tensor4 {
+		if src := f.m.source(i, ref); src >= k {
+			return f.acts[src]
+		}
+		return act
+	}
+	for i := k; i < len(f.m.Layers); i++ {
+		l := f.m.Layers[i]
 		x := fetch(i, l.Input)
 		switch l.Kind {
 		case Conv:
@@ -118,6 +138,13 @@ func (f *Forwarder) Forward(in *tensor.Tensor4) *tensor.Matrix {
 	last := f.acts[len(f.acts)-1]
 	f.logits = tensor.Matrix{Rows: last.N, Cols: last.C * last.H * last.W, Data: last.Data}
 	return &f.logits
+}
+
+// Input returns the activation layer k (k >= 1) read as its input in the
+// last pass that ran it: Forwarder-owned storage, valid until the next
+// pass. Copy it to keep it.
+func (f *Forwarder) Input(k int) *tensor.Tensor4 {
+	return f.acts[f.m.source(k, f.m.Layers[k].Input)]
 }
 
 // Predict returns the argmax class per batch sample, appending into dst

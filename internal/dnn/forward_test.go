@@ -61,12 +61,7 @@ func TestForwarderReusedAcrossBatchSizes(t *testing.T) {
 func TestForwarderResidualAdd(t *testing.T) {
 	// The Add layer reads a non-adjacent activation; the Forwarder must
 	// resolve layer references the same way Model.Forward does.
-	b := newBuilder("res-fwd", 1, 4, 4, 4)
-	i0 := b.conv("c1", 4, 1, 0, 1, false)
-	b.conv("c2", 4, 1, 0, 1, false)
-	b.add("add", -1, i0, true)
-	b.gap("gap")
-	m := b.done(Meta{})
+	m := residualModel()
 	m.InitWeights(2)
 
 	in := tensor.NewTensor4(2, 1, 4, 4)
@@ -80,6 +75,115 @@ func TestForwarderResidualAdd(t *testing.T) {
 	for i := range want.Data {
 		if got.Data[i] != want.Data[i] {
 			t.Fatalf("residual forwarder differs at %d", i)
+		}
+	}
+}
+
+// residualModel is TestForwarderResidualAdd's network: c1, c2, then an
+// Add of c2 and c1 (a skip over c2), then global average pooling.
+func residualModel() *Model {
+	b := newBuilder("res-fwd", 1, 4, 4, 4)
+	i0 := b.conv("c1", 4, 1, 0, 1, false)
+	b.conv("c2", 4, 1, 0, 1, false)
+	b.add("add", -1, i0, true)
+	b.gap("gap")
+	return b.done(Meta{})
+}
+
+// TestCanCutRejectsSkippedReferences pins the cut predicate: a cut at k
+// is illegal exactly when a layer from k on reads, through Input or
+// Input2, an activation produced before k other than layer k's input.
+func TestCanCutRejectsSkippedReferences(t *testing.T) {
+	// A longer skip: the Add at 3 reads c1 (layer 0) across c2 and c3.
+	b := newBuilder("res-long", 1, 4, 4, 4)
+	i0 := b.conv("c1", 4, 1, 0, 1, false)
+	b.conv("c2", 4, 1, 0, 1, false)
+	b.conv("c3", 4, 1, 0, 1, false)
+	b.add("add", -1, i0, true)
+	b.gap("gap")
+	long := b.done(Meta{})
+
+	cases := []struct {
+		m     *Model
+		legal []bool // per layer index
+	}{
+		// Cut 1 is legal: the skip reads c1's output, which is c2's
+		// own input. Cut 2 is crossed by the Add's Input2.
+		{residualModel(), []bool{true, true, false, true}},
+		{long, []bool{true, true, false, false, true}},
+		{TinyCNN(), []bool{true, true, true, true, true, true}},
+	}
+	for _, c := range cases {
+		for k, want := range c.legal {
+			if got := c.m.CanCut(k); got != want {
+				t.Errorf("%s: CanCut(%d) = %v, want %v", c.m.Name, k, got, want)
+			}
+		}
+		for _, k := range []int{-1, len(c.m.Layers)} {
+			if c.m.CanCut(k) {
+				t.Errorf("%s: CanCut(%d) accepted an out-of-range cut", c.m.Name, k)
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("ForwardFrom at an illegal cut did not panic")
+		}
+	}()
+	m := residualModel()
+	m.InitWeights(2)
+	NewForwarder(m).ForwardFrom(2, tensor.NewTensor4(1, 4, 4, 4))
+}
+
+// TestForwardFromMatchesForward: at every legal cut k, a pass started at
+// k and fed the input a full pass computed for layer k returns the full
+// pass's logits bit for bit, for every Workers setting, and never writes
+// the activation it was fed.
+func TestForwardFromMatchesForward(t *testing.T) {
+	res := residualModel()
+	res.InitWeights(2)
+	resIn := tensor.NewTensor4(2, 1, 4, 4)
+	for i := range resIn.Data {
+		resIn.Data[i] = float32(i%5) - 2
+	}
+	tiny := TinyCNN()
+	tiny.InitWeights(37)
+	for _, c := range []struct {
+		m  *Model
+		in *tensor.Tensor4
+	}{{res, resIn}, {tiny, forwardTestInput(3)}} {
+		for _, workers := range []int{1, 2} {
+			full := NewForwarder(c.m)
+			full.Workers = workers
+			want := full.Forward(c.in).Clone()
+			cut := NewForwarder(c.m)
+			cut.Workers = workers
+			for k := 1; k < len(c.m.Layers); k++ {
+				if !c.m.CanCut(k) {
+					continue
+				}
+				act := full.Input(k).Clone()
+				orig := act.Clone()
+				got := cut.ForwardFrom(k, act)
+				for i := range want.Data {
+					if got.Data[i] != want.Data[i] {
+						t.Fatalf("%s workers=%d: ForwardFrom(%d) logits differ at %d: %v vs %v",
+							c.m.Name, workers, k, i, got.Data[i], want.Data[i])
+					}
+				}
+				for i := range orig.Data {
+					if act.Data[i] != orig.Data[i] {
+						t.Fatalf("%s workers=%d: ForwardFrom(%d) wrote its input at %d", c.m.Name, workers, k, i)
+					}
+				}
+			}
+			// The same Forwarder then runs a full pass unharmed.
+			got := cut.Forward(c.in)
+			for i := range want.Data {
+				if got.Data[i] != want.Data[i] {
+					t.Fatalf("%s workers=%d: full pass after cut passes differs at %d", c.m.Name, workers, i)
+				}
+			}
 		}
 	}
 }
@@ -144,6 +248,13 @@ func assertForwarderAllocFree(t *testing.T, name string, seed uint64, overlay fu
 	preds = f.Predict(in, preds) // warm up the prediction slice too
 	if allocs := testing.AllocsPerRun(10, func() { f.Forward(in) }); allocs != 0 {
 		t.Errorf("%s: Forward allocates %v per run, want 0", name, allocs)
+	}
+	// A pass started mid-network at the last weight layer (the prefix
+	// reuse a corrupted trial takes), fed a copy of its input.
+	k := len(m.Layers) - 1
+	act := f.Input(k).Clone()
+	if allocs := testing.AllocsPerRun(10, func() { f.ForwardFrom(k, act) }); allocs != 0 {
+		t.Errorf("%s: ForwardFrom(%d) allocates %v per run, want 0", name, k, allocs)
 	}
 	if allocs := testing.AllocsPerRun(10, func() { preds = f.Predict(in, preds) }); allocs != 0 {
 		t.Errorf("%s: Predict allocates %v per run, want 0", name, allocs)

@@ -324,16 +324,47 @@ type actShape struct{ c, h, w int }
 func (s actShape) flat() int { return s.c * s.h * s.w }
 
 func (m *Model) inputShape(shapes []actShape, i, ref int) (actShape, error) {
-	if ref == -1 {
-		if i == 0 {
-			return actShape{c: m.InputC, h: m.InputH, w: m.InputW}, nil
-		}
-		return shapes[i-1], nil
-	}
-	if ref < 0 || ref >= i {
+	if ref < -1 || ref >= i {
 		return actShape{}, fmt.Errorf("dnn: layer %d references invalid input %d", i, ref)
 	}
-	return shapes[ref], nil
+	if src := m.source(i, ref); src >= 0 {
+		return shapes[src], nil
+	}
+	return actShape{c: m.InputC, h: m.InputH, w: m.InputW}, nil
+}
+
+// source resolves layer i's input reference ref (Input or Input2) to
+// the index of the producing layer, or -1 for the model input.
+func (m *Model) source(i, ref int) int {
+	if ref == -1 {
+		return i - 1
+	}
+	return ref
+}
+
+// CanCut reports whether a forward pass may start at layer k given only
+// layer k's input (see Forwarder.ForwardFrom): no layer from k on reads,
+// through Input or Input2, an activation produced before k other than
+// that input. A residual reference that skips over the cut makes it
+// illegal. A cut at layer 0 is always legal.
+func (m *Model) CanCut(k int) bool {
+	if k < 0 || k >= len(m.Layers) {
+		return false
+	}
+	in := m.source(k, m.Layers[k].Input)
+	for i := k; i < len(m.Layers); i++ {
+		l := m.Layers[i]
+		if src := m.source(i, l.Input); src < k && src != in {
+			return false
+		}
+		if l.Kind != Add {
+			continue
+		}
+		if src := m.source(i, l.Input2); src < k && src != in {
+			return false
+		}
+	}
+	return true
 }
 
 // LayerSeed derives the deterministic per-layer weight stream seed from a

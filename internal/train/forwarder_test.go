@@ -28,4 +28,13 @@ func TestErrorWithMatchesError(t *testing.T) {
 	if acc := AccuracyWith(f, ds); acc != Accuracy(m, ds) {
 		t.Fatalf("AccuracyWith = %v, Accuracy = %v", acc, Accuracy(m, ds))
 	}
+	// A pass started at any layer, fed that layer's input from the full
+	// pass, counts exactly what the full pass counts.
+	cut := dnn.NewForwarder(m)
+	cut.Workers = 1
+	for k := 1; k < len(m.Layers); k++ {
+		if got := ErrorFrom(cut, k, f.Input(k), ds); got != want {
+			t.Fatalf("ErrorFrom(%d) = %v, want %v", k, got, want)
+		}
+	}
 }

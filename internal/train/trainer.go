@@ -277,16 +277,7 @@ func gapBackward(in, dOut *tensor.Tensor4) *tensor.Tensor4 {
 }
 
 // Accuracy returns the fraction of correct predictions on ds.
-func Accuracy(m *dnn.Model, ds *Dataset) float64 {
-	preds := m.Predict(ds.Images)
-	correct := 0
-	for i, p := range preds {
-		if p == ds.Labels[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(preds))
-}
+func Accuracy(m *dnn.Model, ds *Dataset) float64 { return AccuracyWith(dnn.NewForwarder(m), ds) }
 
 // Error returns 1 - Accuracy.
 func Error(m *dnn.Model, ds *Dataset) float64 { return 1 - Accuracy(m, ds) }
@@ -294,10 +285,18 @@ func Error(m *dnn.Model, ds *Dataset) float64 { return 1 - Accuracy(m, ds) }
 // AccuracyWith returns the fraction of correct predictions on ds using
 // a caller-owned reusable Forwarder, so repeated evaluations (the
 // inference tail of fault-injection trials) allocate nothing in steady
-// state. The count and the final division match Accuracy exactly, so
-// the two paths are bit-identical on identical weights.
-func AccuracyWith(f *dnn.Forwarder, ds *Dataset) float64 {
-	logits := f.Forward(ds.Images)
+// state.
+func AccuracyWith(f *dnn.Forwarder, ds *Dataset) float64 { return AccuracyFrom(f, 0, ds.Images, ds) }
+
+// ErrorWith returns 1 - AccuracyWith.
+func ErrorWith(f *dnn.Forwarder, ds *Dataset) float64 { return ErrorFrom(f, 0, ds.Images, ds) }
+
+// AccuracyFrom is AccuracyWith for a pass that starts at layer k, fed
+// act — layer k's input over ds.Images (see dnn.Forwarder.ForwardFrom).
+// It is the one counting path: every accuracy and error above is this
+// count and this division.
+func AccuracyFrom(f *dnn.Forwarder, k int, act *tensor.Tensor4, ds *Dataset) float64 {
+	logits := f.ForwardFrom(k, act)
 	correct := 0
 	for r := 0; r < logits.Rows; r++ {
 		if logits.ArgmaxRow(r) == ds.Labels[r] {
@@ -307,5 +306,7 @@ func AccuracyWith(f *dnn.Forwarder, ds *Dataset) float64 {
 	return float64(correct) / float64(logits.Rows)
 }
 
-// ErrorWith returns 1 - AccuracyWith.
-func ErrorWith(f *dnn.Forwarder, ds *Dataset) float64 { return 1 - AccuracyWith(f, ds) }
+// ErrorFrom returns 1 - AccuracyFrom.
+func ErrorFrom(f *dnn.Forwarder, k int, act *tensor.Tensor4, ds *Dataset) float64 {
+	return 1 - AccuracyFrom(f, k, act, ds)
+}
