@@ -262,17 +262,23 @@ func assertForwarderAllocFree(t *testing.T, name string, seed uint64, overlay fu
 }
 
 // TestForwarderSteadyStateAllocFree: the forward pass is allocation-free
-// on dense and crossbar weights (the 2:4 route is
-// TestForwarder24SteadyStateAllocFree).
+// on dense weights (the 2:4 route is TestForwarder24SteadyStateAllocFree,
+// the crossbar route TestForwarderXbarSteadyStateAllocFree).
 func TestForwarderSteadyStateAllocFree(t *testing.T) {
 	assertForwarderAllocFree(t, "dense", 31, func(*Layer) {})
+}
+
+// TestForwarderXbarSteadyStateAllocFree: the allocation-free forward
+// pass holds on the crossbar route, with the column ADC off on some
+// columns and clipping on others, so every converter path runs.
+func TestForwarderXbarSteadyStateAllocFree(t *testing.T) {
 	assertForwarderAllocFree(t, "xbar", 47, func(l *Layer) {
 		const tileRows = 8
 		w := l.Weights
 		x := &tensor.Xbar{W: w, TileRows: tileRows, ADCBits: 6,
 			FS: make([]float32, (w.Cols+tileRows-1)/tileRows*w.Rows)}
 		for i := range x.FS {
-			x.FS[i] = 1
+			x.FS[i] = []float32{1, 0, 0.01}[i%3]
 		}
 		l.WeightsXbar = x
 	})

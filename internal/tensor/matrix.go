@@ -104,16 +104,40 @@ func (m *Matrix) mulBand(dst []float32, b *Matrix, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		ar := m.Data[i*k : (i+1)*k]
 		dr := dst[i*n : (i+1)*n]
-		for j := range dr {
-			dr[j] = 0
+		clear(dr)
+		axpyRows(dr, ar, b.Data, n)
+	}
+}
+
+// axpyRows computes dst[i] += w[r]*src[r*stride+i] for every row r of
+// the span in ascending order, skipping zero weights (pruned weights are
+// common). It gathers the nonzero weights four at a time and adds their
+// four rows with one load and one store of dst per element; the adds
+// stay in ascending-r order, left to right, so each element takes
+// exactly the terms and roundings of one axpy per nonzero weight.
+func axpyRows(dst, w, src []float32, stride int) {
+	var ws [4]float32
+	var off [4]int
+	g := 0
+	for r, wv := range w {
+		if wv == 0 {
+			continue
 		}
-		for p := 0; p < k; p++ {
-			av := ar[p]
-			if av == 0 {
-				continue // pruned weights are common; skip zero rows cheaply
-			}
-			axpy(dr, b.Data[p*n:(p+1)*n], av)
+		ws[g], off[g] = wv, r*stride
+		if g++; g < 4 {
+			continue
 		}
+		g = 0
+		s0 := src[off[0]:][:len(dst)]
+		s1 := src[off[1]:][:len(dst)]
+		s2 := src[off[2]:][:len(dst)]
+		s3 := src[off[3]:][:len(dst)]
+		for i, d := range dst {
+			dst[i] = d + ws[0]*s0[i] + ws[1]*s1[i] + ws[2]*s2[i] + ws[3]*s3[i]
+		}
+	}
+	for r := range g {
+		axpy(dst, src[off[r]:], ws[r])
 	}
 }
 
@@ -142,22 +166,63 @@ func axpy(dst, src []float32, a float32) {
 // and the zero-skip on a's elements match mulBand term for term, so dst
 // is bit-identical to MulInto(dst, a, Transpose(m)).
 func (m *Matrix) mulABtBand(dst, a *Matrix, lo, hi int) {
-	k, n := a.Cols, m.Rows
+	mulABtTiled(dst, a, m, nil, lo, hi)
+}
+
+// mulABtTiled computes rows [lo, hi) of dst = a * wᵀ: the FC kernel of
+// the dense and the crossbar operands. With x nil the k dimension is one
+// tile and no column has an ADC, which is the plain dense product; with
+// x set it is cut into x's row tiles, each tile's partial converted by
+// its column ADC, and it returns the clips counted. Output columns go
+// four at a time: the four share each activation load and its zero skip
+// (post-ReLU activations are mostly zero), and each keeps its own tile
+// partial, so four independent add chains run where a scalar dot has
+// one (a short last block repeats its last column and drops the copies).
+// Per element the terms still add in ascending order from +0, and the
+// converted partials across tiles in ascending order from +0.
+func mulABtTiled(dst, a, w *Matrix, x *Xbar, lo, hi int) (clips int64) {
+	k, n := a.Cols, w.Rows
+	tileRows := max(k, 1)
+	if x != nil {
+		tileRows = x.TileRows
+	}
 	for i := lo; i < hi; i++ {
-		ar := a.Data[i*k : (i+1)*k]
-		dr := dst.Data[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			br := m.Data[j*k : (j+1)*k]
-			var acc float32
-			for p, av := range ar {
-				if av == 0 {
-					continue // post-ReLU activations are mostly zero
+		clear(dst.Data[i*n : (i+1)*n])
+	}
+	for j := 0; j < n; j += 4 {
+		width := min(4, n-j)
+		for tlo, rt := 0, 0; tlo < k; tlo, rt = tlo+tileRows, rt+1 {
+			thi := min(tlo+tileRows, k)
+			var wr [4][]float32
+			var adc [4]colADC
+			for c := range wr {
+				jc := j + min(c, width-1)
+				wr[c] = w.Data[jc*k+tlo : jc*k+thi]
+				if x != nil {
+					adc[c] = x.adc(rt, jc)
 				}
-				acc += av * br[p]
 			}
-			dr[j] = acc
+			w0, w1, w2, w3 := wr[0], wr[1][:len(wr[0])], wr[2][:len(wr[0])], wr[3][:len(wr[0])]
+			for i := lo; i < hi; i++ {
+				var p0, p1, p2, p3 float32
+				for q, av := range a.Data[i*k+tlo : i*k+thi][:len(w0)] {
+					if av == 0 {
+						continue
+					}
+					p0 += av * w0[q]
+					p1 += av * w1[q]
+					p2 += av * w2[q]
+					p3 += av * w3[q]
+				}
+				p := [4]float32{p0, p1, p2, p3}
+				d := dst.Data[i*n+j : i*n+j+width]
+				for c := range d {
+					adc[c].addConv(d[c:c+1], p[c:c+1], &clips)
+				}
+			}
 		}
 	}
+	return clips
 }
 
 // Mul returns a * b as a new matrix.

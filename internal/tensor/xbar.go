@@ -26,9 +26,10 @@ type Xbar struct {
 	// k-dimension is cut into ceil(In/TileRows) analog accumulation
 	// windows with an ADC conversion between them.
 	TileRows int
-	// ADCBits is the per-column ADC resolution. The quantizer is a
-	// symmetric mid-tread with 2^ADCBits codes clamped to
-	// [-2^(b-1), 2^(b-1)-1] steps; values over full scale saturate.
+	// ADCBits is the per-column ADC resolution, 1 to 16 bits (the range
+	// crossbar.Config.Validate accepts). The quantizer is a symmetric
+	// mid-tread with 2^ADCBits codes clamped to [-2^(b-1), 2^(b-1)-1]
+	// steps; values over full scale saturate.
 	ADCBits int
 	// FS holds the ADC full-scale range per (row-tile, output) column:
 	// FS[rt*Out + j]. A non-positive entry disables quantization for
@@ -48,7 +49,7 @@ type Xbar struct {
 // every kernel entry validates the handle once and a mis-built one fails
 // loudly instead of reading out of bounds mid-GEMM.
 func (x *Xbar) check() {
-	if x.W == nil || x.TileRows < 1 || x.ADCBits < 1 {
+	if x.W == nil || x.TileRows < 1 || x.ADCBits < 1 || x.ADCBits > 16 {
 		panic(fmt.Sprintf("tensor: invalid Xbar (W=%v tileRows=%d adcBits=%d)", x.W != nil, x.TileRows, x.ADCBits))
 	}
 	nrt := (x.W.Cols + x.TileRows - 1) / x.TileRows
@@ -68,51 +69,52 @@ func (x *Xbar) addClips(n int64) {
 	}
 }
 
-// quantize converts one analog partial sum through the column ADC:
-// round to the nearest step of fs/2^(b-1), clamp to the code range.
-// fs <= 0 passes the value through (see FS). The arithmetic is pure
-// float64 -> float32 with a single math.Round, so it is deterministic
-// and independent of call order.
-func quantize(p, fs float32, bits int, clips *int64) float32 {
-	if fs <= 0 {
-		return p
-	}
-	half := float64(int64(1) << uint(bits-1))
-	step := float64(fs) / half
-	q := math.Round(float64(p) / step)
-	if q > half-1 {
-		q = half - 1
-		*clips++
-	} else if q < -half {
-		q = -half
-		*clips++
-	}
-	return float32(q * step)
+// colADC is the ADC of one (row tile, output column): the column's full
+// scale resolved once to its quantizer step and code range, so a
+// conversion costs one division, one round and the clamp. A
+// non-positive full scale leaves step at 0, and the column passes its
+// partials through unquantized (see FS).
+type colADC struct {
+	step, lo, hi float64
 }
 
-// dotTiled computes one output element: the a-row x weight-row dot
-// product with a per-row-tile ADC conversion. ar and wr have equal
-// length In; fs indexes this column's full-scale per row tile.
-func dotTiled(ar, wr []float32, x *Xbar, j int, clips *int64) float32 {
-	in := len(wr)
-	out := x.W.Rows
-	var acc float32
-	for lo, rt := 0, 0; lo < in; lo, rt = lo+x.TileRows, rt+1 {
-		hi := lo + x.TileRows
-		if hi > in {
-			hi = in
-		}
-		var partial float32
-		for p := lo; p < hi; p++ {
-			av := ar[p]
-			if av == 0 {
-				continue // post-ReLU activations are mostly zero
-			}
-			partial += av * wr[p]
-		}
-		acc += quantize(partial, x.FS[rt*out+j], x.ADCBits, clips)
+// adc returns the converter of output column j in row tile rt.
+func (x *Xbar) adc(rt, j int) colADC {
+	fs := x.FS[rt*x.W.Rows+j]
+	if fs <= 0 {
+		return colADC{}
 	}
-	return acc
+	half := float64(int64(1) << uint(x.ADCBits-1))
+	return colADC{step: float64(fs) / half, lo: -half, hi: half - 1}
+}
+
+// addConv converts every analog partial of p through the column ADC and
+// adds it to dst: round to the nearest step, clamp to the code range,
+// count a clip on saturation. A column without an ADC takes a plain add
+// loop. The arithmetic is pure float64 -> float32 with a single
+// math.Round per element, so it is deterministic and independent of
+// call order.
+func (c colADC) addConv(dst, p []float32, clips *int64) {
+	dst = dst[:len(p)]
+	if c.step == 0 {
+		for i, v := range p {
+			dst[i] += v
+		}
+		return
+	}
+	var n int64
+	for i, v := range p {
+		q := math.Round(float64(v) / c.step)
+		if q > c.hi {
+			q = c.hi
+			n++
+		} else if q < c.lo {
+			q = c.lo
+			n++
+		}
+		dst[i] += float32(q * c.step)
+	}
+	*clips += n
 }
 
 func (x *Xbar) dims() (rows, cols int) {
@@ -122,20 +124,10 @@ func (x *Xbar) dims() (rows, cols int) {
 
 // mulABtBand computes rows [lo, hi) of dst = a * Weffᵀ through the
 // crossbar dataflow: dst[i][j] sums the ADC-quantized per-tile partial
-// dot products of a's row i and Weff's row j. It is the FC twin of the
-// dense mulABtBand. Clips are summed per band and published with one
-// atomic add.
+// dot products of a's row i and Weff's row j (see mulABtTiled). Clips
+// are summed per band and published with one atomic add.
 func (x *Xbar) mulABtBand(dst, a *Matrix, lo, hi int) {
-	k, n := a.Cols, x.W.Rows
-	var clips int64
-	for i := lo; i < hi; i++ {
-		ar := a.Data[i*k : (i+1)*k]
-		dr := dst.Data[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			dr[j] = dotTiled(ar, x.W.Data[j*k:(j+1)*k], x, j, &clips)
-		}
-	}
-	x.addClips(clips)
+	x.addClips(mulABtTiled(dst, a, x.W, x, lo, hi))
 }
 
 // xbarChunk is the column width of the analog partial sums mulBand keeps
@@ -152,7 +144,6 @@ const xbarChunk = 256
 // summed per band and published with one atomic add.
 func (x *Xbar) mulBand(dst []float32, b *Matrix, lo, hi int) {
 	k, n := b.Rows, b.Cols
-	out := x.W.Rows
 	var part [xbarChunk]float32
 	var clips int64
 	for c0 := 0; c0 < n; c0 += xbarChunk {
@@ -165,17 +156,8 @@ func (x *Xbar) mulBand(dst []float32, b *Matrix, lo, hi int) {
 			for tlo, rt := 0, 0; tlo < k; tlo, rt = tlo+x.TileRows, rt+1 {
 				thi := min(tlo+x.TileRows, k)
 				clear(p)
-				for q := tlo; q < thi; q++ {
-					wv := wr[q]
-					if wv == 0 {
-						continue // pruned weights stay zero rows
-					}
-					axpy(p, b.Data[q*n+c0:q*n+c1], wv)
-				}
-				fs := x.FS[rt*out+j]
-				for i, pv := range p {
-					dr[i] += quantize(pv, fs, x.ADCBits, &clips)
-				}
+				axpyRows(p, wr[tlo:thi], b.Data[tlo*n+c0:], n)
+				x.adc(rt, j).addConv(dr, p, &clips)
 			}
 		}
 	}

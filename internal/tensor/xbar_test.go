@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"sync/atomic"
 	"testing"
@@ -49,8 +50,10 @@ func TestQuantize(t *testing.T) {
 		{0.33, -1, 4, 0.33}, // negative fs passes through too
 	}
 	for _, c := range cases {
-		if got := quantize(c.p, c.fs, c.bits, &clips); got != c.want {
-			t.Errorf("quantize(%v, fs=%v, b=%d) = %v, want %v", c.p, c.fs, c.bits, got, c.want)
+		var got [1]float32
+		xbarFor(NewMatrix(1, 1), 1, c.bits, c.fs).adc(0, 0).addConv(got[:], []float32{c.p}, &clips)
+		if got[0] != c.want {
+			t.Errorf("addConv(%v, fs=%v, b=%d) = %v, want %v", c.p, c.fs, c.bits, got[0], c.want)
 		}
 	}
 	if clips != 2 {
@@ -217,7 +220,9 @@ func TestXbarCheckPanics(t *testing.T) {
 		{W: nil, TileRows: 4, ADCBits: 4},
 		{W: w, TileRows: 0, ADCBits: 4},
 		{W: w, TileRows: 4, ADCBits: 0},
-		{W: w, TileRows: 4, ADCBits: 4, FS: make([]float32, 1)}, // wrong FS length
+		{W: w, TileRows: 4, ADCBits: 17, FS: make([]float32, 2)}, // beyond the 16-bit ADC range
+		{W: w, TileRows: 4, ADCBits: 64, FS: make([]float32, 2)}, // the code-range shift would wrap
+		{W: w, TileRows: 4, ADCBits: 4, FS: make([]float32, 1)},  // wrong FS length
 	}
 	for i, x := range bad {
 		func() {
@@ -228,5 +233,158 @@ func TestXbarCheckPanics(t *testing.T) {
 			}()
 			x.check()
 		}()
+	}
+}
+
+// refQuantize is the mid-tread column ADC written out plainly: round to
+// the nearest step of fs/2^(b-1), clamp to [-2^(b-1), 2^(b-1)-1] codes,
+// pass through when fs <= 0. It reports whether the code saturated.
+func refQuantize(p, fs float32, bits int) (float32, bool) {
+	if fs <= 0 {
+		return p, false
+	}
+	half := math.Ldexp(1, bits-1)
+	step := float64(fs) / half
+	q := math.Round(float64(p) / step)
+	switch {
+	case q > half-1:
+		return float32((half - 1) * step), true
+	case q < -half:
+		return float32(-half * step), true
+	}
+	return float32(q * step), false
+}
+
+// refXbarDot is one crossbar output element computed naively: per row
+// tile, the terms w[p]*v[p] summed in ascending p with nothing skipped,
+// then that partial through column j's ADC, the converted partials
+// summed across tiles in order.
+func refXbarDot(x *Xbar, j int, v func(p int) float32, clips *int64) float32 {
+	k, out := x.W.Cols, x.W.Rows
+	var acc float32
+	for rt := 0; rt*x.TileRows < k; rt++ {
+		var partial float32
+		for p := rt * x.TileRows; p < min((rt+1)*x.TileRows, k); p++ {
+			partial += x.W.At(j, p) * v(p)
+		}
+		q, clipped := refQuantize(partial, x.FS[rt*out+j], x.ADCBits)
+		if clipped {
+			*clips++
+		}
+		acc += q
+	}
+	return acc
+}
+
+// TestXbarKernelsMatchReference pins both crossbar kernels (FC and
+// conv) bit for bit, clip counts included, to refXbarDot across tile
+// heights, ADC resolutions, full scales that are off, negative or small
+// enough to clip, zero-laden operands and worker counts. The trial
+// parity tests compare two routes that share these kernels, so only an
+// independent reference catches a kernel that moves bits.
+func TestXbarKernelsMatchReference(t *testing.T) {
+	// sparsify zeroes runs of seven entries in every third window (whole
+	// pruned spans, some a full row tile) plus the negative entries when
+	// relu is set (post-ReLU activations).
+	sparsify := func(m *Matrix, relu bool) *Matrix {
+		for i, v := range m.Data {
+			if (i/7)%3 == 0 || (relu && v < 0) {
+				m.Data[i] = 0
+			}
+		}
+		return m
+	}
+	// xbarOf maps w with full scales cycling through off (0), negative,
+	// small enough to clip, and two in-range values.
+	xbarOf := func(w *Matrix, tileRows, bits int) *Xbar {
+		x := xbarFor(w, tileRows, bits, 0)
+		for i := range x.FS {
+			x.FS[i] = []float32{0, -1, 0.02, 1.5, 4}[i%5]
+		}
+		return x
+	}
+	check := func(name string, got []float32, clips int64, want []float32, wantClips int64) {
+		t.Helper()
+		for i := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("%s: element %d = %v (%#x), reference %v (%#x)", name, i,
+					got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+			}
+		}
+		if clips != wantClips {
+			t.Fatalf("%s: %d clips, reference %d", name, clips, wantClips)
+		}
+	}
+
+	// FC: 64x131 activations against 11 outputs (not a multiple of any
+	// block width), above the serial threshold so workers split rows.
+	fa := sparsify(denseRand(64, 131, 31), true)
+	fw := sparsify(denseRand(11, 131, 32), false)
+	// Conv: 3 images of 16x20x20 (400 output columns, more than one
+	// stack chunk), 3x3 kernels, pad 1: K = 144.
+	cs := ConvShape{InC: 16, InH: 20, InW: 20, OutC: 7, KH: 3, KW: 3, Stride: 1, Pad: 1}
+	cw := sparsify(denseRand(cs.OutC, cs.InC*cs.KH*cs.KW, 33), false)
+	in := NewTensor4(3, cs.InC, cs.InH, cs.InW)
+	copy(in.Data, sparsify(denseRand(1, len(in.Data), 34), true).Data)
+	oh, ow := cs.OutH(), cs.OutW()
+	patch := func(n, oy, ox int) func(p int) float32 {
+		return func(p int) float32 {
+			c, kh, kw := p/(cs.KH*cs.KW), p/cs.KW%cs.KH, p%cs.KW
+			iy, ix := oy*cs.Stride+kh-cs.Pad, ox*cs.Stride+kw-cs.Pad
+			if iy < 0 || iy >= cs.InH || ix < 0 || ix >= cs.InW {
+				return 0
+			}
+			return in.Image(n)[(c*cs.InH+iy)*cs.InW+ix]
+		}
+	}
+
+	for _, tileRows := range []int{1, 3, 8, 64, 200} {
+		for _, bits := range []int{1, 2, 4, 8} {
+			var fcClips, convClips, firstClips int64
+			fcWant := NewMatrix(fa.Rows, fw.Rows)
+			fx := xbarOf(fw, tileRows, bits)
+			for i := 0; i < fa.Rows; i++ {
+				for j := 0; j < fw.Rows; j++ {
+					fcWant.Set(i, j, refXbarDot(fx, j, func(p int) float32 { return fa.At(i, p) }, &fcClips))
+				}
+			}
+			convWant := NewTensor4(in.N, cs.OutC, oh, ow)
+			cx := xbarOf(cw, tileRows, bits)
+			for n := 0; n < in.N; n++ {
+				if n == 1 {
+					firstClips = convClips
+				}
+				for j := 0; j < cs.OutC; j++ {
+					for oy := 0; oy < oh; oy++ {
+						for ox := 0; ox < ow; ox++ {
+							convWant.Image(n)[(j*oh+oy)*ow+ox] = refXbarDot(cx, j, patch(n, oy, ox), &convClips)
+						}
+					}
+				}
+			}
+			if fcClips == 0 || convClips == 0 {
+				t.Fatalf("tile %d bits %d: the reference clipped nothing", tileRows, bits)
+			}
+			for _, workers := range []int{1, 2, 0} {
+				name := func(route string) string {
+					return fmt.Sprintf("%s tile=%d bits=%d workers=%d", route, tileRows, bits, workers)
+				}
+				x := xbarOf(fw, tileRows, bits)
+				got := NewMatrix(fa.Rows, fw.Rows)
+				MulABtInto(got, fa, x, workers)
+				check(name("fc"), got.Data, x.Clips.Load(), fcWant.Data, fcClips)
+
+				x = xbarOf(cw, tileRows, bits)
+				out := NewTensor4(in.N, cs.OutC, oh, ow)
+				Conv2DInto(out, in, x, nil, cs, &ConvWorkspace{Workers: workers})
+				check(name("conv"), out.Data, x.Clips.Load(), convWant.Data, convClips)
+				// A single image takes the GEMM row bands instead.
+				x = xbarOf(cw, tileRows, bits)
+				one := NewTensor4(1, cs.OutC, oh, ow)
+				Conv2DInto(one, &Tensor4{N: 1, C: in.C, H: in.H, W: in.W, Data: in.Image(0)}, x, nil, cs,
+					&ConvWorkspace{Workers: workers})
+				check(name("conv-single"), one.Data, x.Clips.Load(), convWant.Image(0), firstClips)
+			}
+		}
 	}
 }
