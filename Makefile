@@ -16,12 +16,6 @@
 #   make fuzz    - short fuzz pass over the sparse decode and
 #                  checkpoint-loader targets
 #   make bench   - full benchmark harness (regenerates every figure)
-#   make bench-inference - tracked inference/campaign throughput baseline,
-#                  written to BENCH_inference.json. To compare two
-#                  revisions benchstat-style, save each run's stdout
-#                  (e.g. `make bench-inference | tee old.txt`) and diff
-#                  the ns/op, allocs/op, and trials/s columns; the JSON
-#                  diff in review serves the same purpose.
 #   make all     - check + race
 
 GO      ?= go
@@ -33,7 +27,7 @@ FUZZTIME ?= 10s
 COVER_FLOOR ?= 70
 COVER_PKGS   = internal/campaign internal/envm internal/sparse internal/ecc internal/telemetry internal/cliutil internal/durable internal/errfs internal/fleet internal/serve internal/supervise internal/chaos internal/ares internal/mitigate internal/tensor internal/crossbar
 
-.PHONY: all check fmt build test race race-fast vet vet-perfbench cover fuzz fleet-crash chaos bench bench-inference bench-fleet bench-serve bench-crossbar serve-smoke clean
+.PHONY: all check fmt build test race race-fast vet vet-perfbench cover fuzz fleet-crash chaos bench serve-smoke clean
 
 all: check race
 
@@ -124,41 +118,6 @@ fuzz:
 
 bench:
 	$(GO) test -bench=. -benchmem .
-
-# The tracked baseline: campaign trial throughput (replica pool vs the
-# serialized reference path) and the steady-state forward pass, teed
-# through cmd/benchjson into BENCH_inference.json so the numbers land in
-# review diffs.
-bench-inference:
-	$(GO) test -run '^$$' -bench 'TrialThroughput|ForwardAllocFree' -benchmem -benchtime=2s . \
-		| $(GO) run ./cmd/benchjson -out BENCH_inference.json
-
-# The tracked fleet baseline: end-to-end fleet runs at 1/2/4 workers vs
-# the same campaign without the fleet, plus the raw lease-cycle cost,
-# written to BENCH_fleet.json. On a single-core container the worker
-# counts share one core and trials/s stays flat; the tracked signal is
-# fleet overhead vs the baseline row (see internal/fleet/bench_test.go).
-bench-fleet:
-	$(GO) test -run '^$$' -bench 'Fleet' -benchmem -benchtime=2s ./internal/fleet/ \
-		| $(GO) run ./cmd/benchjson -out BENCH_fleet.json
-
-# The tracked crossbar baseline: compute-in-memory trial throughput
-# (ADC-quantized analog kernels vs the digital dense route on identical
-# effective weights, replica pool vs serialized oracle) plus the
-# per-epoch cost of the online detect/remap/degrade loop, written to
-# BENCH_crossbar.json (see bench_crossbar_test.go for the row-by-row
-# comparisons).
-bench-crossbar:
-	$(GO) test -run '^$$' -bench 'Crossbar' -benchmem -benchtime=2s . \
-		| $(GO) run ./cmd/benchjson -out BENCH_crossbar.json
-
-# The tracked server baseline: a closed-loop client fleet against the
-# batched evaluation server (real replica pool behind it), written to
-# BENCH_serve.json. Tracked signals: req/s (throughput) and p99-ms
-# (tail latency under the coalescing + admission path).
-bench-serve:
-	$(GO) test -run '^$$' -bench 'ServeLoad' -benchmem -benchtime=2s ./internal/serve/ \
-		| $(GO) run ./cmd/benchjson -out BENCH_serve.json
 
 clean:
 	$(GO) clean -testcache

@@ -1,11 +1,12 @@
 package maxnvm
 
-// Tracked crossbar compute-in-memory benchmarks (make bench-crossbar):
-// trial throughput through the analog route — per-tile accumulation
-// with per-column ADC quantization — against the digital dense route
-// running the same programmed weights, plus the per-epoch cost of the
-// online detect/remap/degrade loop. Results land in BENCH_crossbar.json
-// via cmd/benchjson.
+// Crossbar compute-in-memory micro-benchmarks (`go test -run '^$'
+// -bench Crossbar -benchmem .`): trial throughput through the analog
+// route — per-tile accumulation with per-column ADC quantization —
+// against the digital dense route running the same programmed weights,
+// plus the per-epoch cost of the online detect/remap/degrade loop. The
+// tracked end-to-end crossbar numbers are perfbench's xbar workload
+// (see BENCHMARK.json).
 //
 // Rows to compare:
 //

@@ -1,14 +1,14 @@
 package maxnvm
 
-// Tracked inference-engine benchmarks (make bench-inference): campaign
-// trial throughput through the replica pool vs the legacy serialized
-// path, and the allocation profile of the steady-state forward pass.
-// Results are written to BENCH_inference.json so speedups and
-// regressions are visible in review diffs. Compare runs benchstat-style:
-// save the old and new `go test -bench` output and diff the ns/op,
-// allocs/op, and trials/s columns.
+// Inference-engine micro-benchmarks: campaign trial throughput through
+// the replica pool vs the legacy serialized path, and the allocation
+// profile of the steady-state forward pass. Run them with
+// `go test -run '^$' -bench 'TrialThroughput|ForwardAllocFree' -benchmem .`
+// and compare runs benchstat-style (ns/op, allocs/op, trials/s). The
+// repository's tracked end-to-end numbers come from perfbench (see
+// BENCHMARK.json and perfbench/README.md).
 //
-// Two workloads are tracked:
+// Two workloads:
 //
 //   - CampaignTrialThroughput*: the paper's Figure 5 row-counter config
 //     (CTT MLC3 on the CSR rowcount stream). The stream is a few hundred
@@ -19,7 +19,7 @@ package maxnvm
 //     the worst case, isolating replica-vs-lock measurement cost.
 //
 // The reported fasthit/op metric makes the fast-path fraction explicit
-// in the JSON so the two workloads cannot be confused.
+// so the two workloads cannot be confused.
 
 import (
 	"context"

@@ -372,9 +372,11 @@ func BenchmarkConvForward(b *testing.B) {
 	for i := range w.Data {
 		w.Data[i] = float32(src.Gaussian(0, 0.1))
 	}
+	out := tensor.NewTensor4(4, 32, 28, 28)
+	var ws tensor.ConvWorkspace
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tensor.Conv2D(in, w, nil, cs)
+		tensor.Conv2DInto(out, in, w, nil, cs, &ws)
 	}
 }
 
@@ -392,7 +394,7 @@ func BenchmarkMeasuredInference(b *testing.B) {
 	m.InitWeights(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Predict(ds.Images)
+		dnn.NewForwarder(m).Predict(ds.Images, nil)
 	}
 }
 

@@ -66,8 +66,8 @@ type Config struct {
 	// TrialStats.DegradedBlocks, instead of cascading corrupt bits
 	// through the decoder.
 	Degrade bool
-	// Crossbar, when non-nil, routes trials through the compute-in-memory
-	// fault model (EvalTrialCrossbar): weights live as differential
+	// Crossbar, when non-nil, routes EvalTrial through the
+	// compute-in-memory fault model (xbar.go): weights live as differential
 	// conductance pairs on Tech's crossbar tiles and the device faults
 	// perturb the analog matrix-vector product itself. The storage-path
 	// knobs (Encoding, policies, ECC) are ignored on this route.

@@ -13,7 +13,8 @@ import (
 
 var errNoCrossbar = errors.New("ares: config has no crossbar design point")
 
-// The crossbar compute-in-memory trial route (EvalTrialCrossbar).
+// The crossbar compute-in-memory trial route (EvalTrial on a config
+// with Crossbar set).
 //
 // The storage routes model faults in *stored bits*: inject, decode,
 // apply the decoded weights to digital kernels. Here the array IS the
@@ -171,15 +172,4 @@ func (ev *MeasuredEvaluator) corruptXbar(ctx context.Context, cfg Config, tsrc *
 	tr.pristine = tr.stats.Mismatch == 0
 	met.inject.Since(injectStart)
 	return tr, nil
-}
-
-// EvalTrialCrossbar is EvalTrial for a config that must carry a
-// crossbar design point (cfg.Crossbar): the measured classification-
-// error delta against the mapped baseline (clamped at 0) plus the
-// aggregated corruption statistics, under EvalTrial's campaign contract.
-func (ev *MeasuredEvaluator) EvalTrialCrossbar(ctx context.Context, cfg Config, seed uint64) (float64, TrialStats, error) {
-	if cfg.Crossbar == nil {
-		return 0, TrialStats{}, errNoCrossbar
-	}
-	return ev.EvalTrial(ctx, cfg, seed)
 }

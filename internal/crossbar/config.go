@@ -16,7 +16,7 @@
 // graceful-degradation path zeroes columns that cannot be repaired
 // instead of aborting the trial. internal/mitigate plans the policy
 // (threshold, budgets) against the deployment's endurance machinery;
-// internal/ares drives trials through it (EvalTrialCrossbar).
+// internal/ares drives trials through it (EvalTrial's crossbar route).
 package crossbar
 
 import (

@@ -9,9 +9,12 @@ import (
 // Forwarder runs repeated forward passes over one model with zero
 // steady-state allocation: every inter-layer activation tensor, im2col
 // patch buffer, and logit view is owned by the Forwarder and reused
-// across calls. It exists because fault-injection campaigns evaluate
-// the same test set thousands of times — with the default Forward path
-// the garbage generated per trial scales with trials x test-set size.
+// across calls. It is the repository's one forward pass: training
+// (internal/train) runs its SGD steps on one, reading the activations
+// Input and Output expose for its backward pass, and every inference —
+// baselines, fault-injection trials, the ares replica pool — runs on
+// one, so a campaign that evaluates the same test set thousands of
+// times generates no garbage per trial.
 //
 // A Forwarder is NOT safe for concurrent use; run one per worker (the
 // ares replica pool does exactly that). Each weight layer runs on the
@@ -80,12 +83,12 @@ func (f *Forwarder) Forward(in *tensor.Tensor4) *tensor.Matrix { return f.Forwar
 // written or retained, so one activation may feed many Forwarders
 // concurrently (the ares replica pool's cached pristine prefixes).
 //
-// Per-element arithmetic is identical to Model.Forward for every
-// Workers setting (parallelism only partitions independent rows and
-// images), so a pool of Forwarders is bit-for-bit exchangeable with the
-// serial path. Nor does it depend on where the pass starts: feeding
-// layer k the activation a full pass computed for it reproduces that
-// pass's logits bit for bit.
+// Per-element arithmetic is identical for every Workers setting
+// (parallelism only partitions independent rows and images), so a pool
+// of Forwarders is bit-for-bit exchangeable with the serial path. Nor
+// does it depend on where the pass starts: feeding layer k the
+// activation a full pass computed for it reproduces that pass's logits
+// bit for bit.
 func (f *Forwarder) ForwardFrom(k int, act *tensor.Tensor4) *tensor.Matrix {
 	if !f.m.CanCut(k) {
 		panic(fmt.Sprintf("dnn: model %q cannot start a pass at layer %d", f.m.Name, k))
@@ -146,6 +149,11 @@ func (f *Forwarder) ForwardFrom(k int, act *tensor.Tensor4) *tensor.Matrix {
 func (f *Forwarder) Input(k int) *tensor.Tensor4 {
 	return f.acts[f.m.source(k, f.m.Layers[k].Input)]
 }
+
+// Output returns layer k's output, after its ReLU, from the last pass
+// that ran it: Forwarder-owned storage, valid until the next pass. It
+// is what training's backward pass reads as the forward's activations.
+func (f *Forwarder) Output(k int) *tensor.Tensor4 { return f.acts[k] }
 
 // Predict returns the argmax class per batch sample, appending into dst
 // (pass a recycled slice to avoid the allocation).

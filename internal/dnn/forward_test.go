@@ -14,11 +14,14 @@ func forwardTestInput(n int) *tensor.Tensor4 {
 	return in
 }
 
-func TestForwarderMatchesModelForward(t *testing.T) {
+// TestForwarderWorkersBitIdentical: the Workers bound only partitions
+// independent rows and images, so every setting returns the default
+// pass's logits bit for bit.
+func TestForwarderWorkersBitIdentical(t *testing.T) {
 	m := TinyCNN()
 	m.InitWeights(21)
 	in := forwardTestInput(3)
-	want := m.Forward(in)
+	want := NewForwarder(m).Forward(in)
 	for _, workers := range []int{0, 1, 2, 7} {
 		f := NewForwarder(m)
 		f.Workers = workers
@@ -45,7 +48,7 @@ func TestForwarderReusedAcrossBatchSizes(t *testing.T) {
 	f.Workers = 1
 	for _, n := range []int{2, 5, 1, 5, 3} {
 		in := forwardTestInput(n)
-		want := m.Forward(in)
+		want := NewForwarder(m).Forward(in)
 		got := f.Forward(in)
 		if got.Rows != n {
 			t.Fatalf("batch %d: got %d rows", n, got.Rows)
@@ -59,8 +62,8 @@ func TestForwarderReusedAcrossBatchSizes(t *testing.T) {
 }
 
 func TestForwarderResidualAdd(t *testing.T) {
-	// The Add layer reads a non-adjacent activation; the Forwarder must
-	// resolve layer references the same way Model.Forward does.
+	// The Add layer reads a non-adjacent activation; a serial Forwarder
+	// must resolve layer references the same way a parallel one does.
 	m := residualModel()
 	m.InitWeights(2)
 
@@ -68,7 +71,7 @@ func TestForwarderResidualAdd(t *testing.T) {
 	for i := range in.Data {
 		in.Data[i] = float32(i%5) - 2
 	}
-	want := m.Forward(in)
+	want := NewForwarder(m).Forward(in)
 	f := NewForwarder(m)
 	f.Workers = 1
 	got := f.Forward(in)

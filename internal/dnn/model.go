@@ -418,14 +418,6 @@ func (m *Model) RestoreWeights(snap map[int]*tensor.Matrix) {
 	}
 }
 
-// Forward runs inference on a batch and returns the (N x Classes) logit
-// matrix. The model must be valid (see Validate); Forward panics on shape
-// errors. It delegates to a throwaway Forwarder; callers that evaluate
-// repeatedly should hold a Forwarder themselves to reuse its buffers.
-func (m *Model) Forward(in *tensor.Tensor4) *tensor.Matrix {
-	return NewForwarder(m).Forward(in)
-}
-
 // CloneShared returns a model whose Layer structs are copies but whose
 // weight and bias storage is SHARED with the receiver. It is the basis
 // of the inference replica pool: replicas treat the shared matrices as
@@ -440,14 +432,4 @@ func (m *Model) CloneShared() *Model {
 		out.Layers[i] = &ll
 	}
 	return &out
-}
-
-// Predict returns the argmax class per batch sample.
-func (m *Model) Predict(in *tensor.Tensor4) []int {
-	logits := m.Forward(in)
-	out := make([]int, logits.Rows)
-	for r := range out {
-		out[r] = logits.ArgmaxRow(r)
-	}
-	return out
 }

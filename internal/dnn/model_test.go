@@ -108,11 +108,12 @@ func TestForwardShapes(t *testing.T) {
 	for i := range in.Data {
 		in.Data[i] = float32(i%7) / 7
 	}
-	logits := m.Forward(in)
+	f := NewForwarder(m)
+	logits := f.Forward(in)
 	if logits.Rows != 4 || logits.Cols != 10 {
 		t.Fatalf("logits shape %dx%d, want 4x10", logits.Rows, logits.Cols)
 	}
-	preds := m.Predict(in)
+	preds := f.Predict(in, nil)
 	if len(preds) != 4 {
 		t.Fatalf("predictions %d, want 4", len(preds))
 	}
@@ -130,8 +131,8 @@ func TestForwardDeterministic(t *testing.T) {
 	for i := range in.Data {
 		in.Data[i] = float32(i % 3)
 	}
-	a := m.Forward(in)
-	b := m.Forward(in)
+	a := NewForwarder(m).Forward(in)
+	b := NewForwarder(m).Forward(in)
 	for i := range a.Data {
 		if a.Data[i] != b.Data[i] {
 			t.Fatal("forward is not deterministic")
@@ -186,7 +187,7 @@ func TestResidualAddForward(t *testing.T) {
 	for i := range in.Data {
 		in.Data[i] = 1
 	}
-	out := m.Forward(in)
+	out := NewForwarder(m).Forward(in)
 	if out.Rows != 1 || out.Cols != 4 {
 		t.Fatalf("residual output shape %dx%d", out.Rows, out.Cols)
 	}

@@ -1,23 +1,21 @@
 package fleet
 
-// Tracked fleet benchmarks (make bench-fleet): end-to-end fleet runs
-// (plan + N lease-claiming workers + deterministic merge) at 1/2/4
-// workers, and the raw lease-protocol cost. Results land in
-// BENCH_fleet.json so scaling and protocol-overhead regressions show
-// in review diffs.
+// Fleet micro-benchmarks (`go test -run '^$' -bench Fleet -benchmem
+// ./internal/fleet/`): end-to-end fleet runs (plan + N lease-claiming
+// workers + deterministic merge) at 1/2/4 workers, and the raw
+// lease-protocol cost. perfbench has no fleet workload, so these are
+// the only fleet-overhead measurement.
 //
 // Scaling note: on a multi-core host the worker counts should scale
 // near-linearly (the trial function is pure CPU and shards are
-// independent). This repository's tracked numbers were produced in a
-// single-core container (GOMAXPROCS=1), where 1/2/4 workers
+// independent). On a single-core host (GOMAXPROCS=1) 1/2/4 workers
 // necessarily share one core and trials/s stays roughly flat; the
-// tracked signals there are that adding workers never *loses*
-// throughput, and the absolute protocol overhead. That overhead is
-// fsync-bound and per-shard (BenchmarkFleetLeaseCycle is one claim
-// cycle, ~1ms on this filesystem), so it dominates the deliberately
-// tiny ~40µs trials used here but amortizes to noise under real
-// inference trials (~1.4ms each, BENCH_inference.json), which run
-// hundreds of trials per lease.
+// signals there are that adding workers never *loses* throughput, and
+// the absolute protocol overhead. That overhead is fsync-bound and
+// per-shard (BenchmarkFleetLeaseCycle is one claim cycle, ~1ms on a
+// local disk), so it dominates the deliberately tiny ~40µs trials used
+// here but amortizes to noise under real inference trials (~1.4ms each
+// on one core), which run hundreds of trials per lease.
 
 import (
 	"context"

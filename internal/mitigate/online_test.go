@@ -146,7 +146,7 @@ func TestOnlineAcceptance(t *testing.T) {
 		var sum float64
 		var agg ares.TrialStats
 		for _, seed := range seeds {
-			d, st, err := ev.EvalTrialCrossbar(ctx, ares.Config{Tech: envm.CTT, Crossbar: &xc}, seed)
+			d, st, err := ev.EvalTrial(ctx, ares.Config{Tech: envm.CTT, Crossbar: &xc}, seed)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,10 +1,11 @@
 package serve
 
-// BenchmarkServeLoad is the closed-loop load generator behind
-// `make bench-serve`: a fixed fleet of clients fires evaluate requests
-// at a server backed by the real replica pool, each client issuing its
-// next request the moment the previous one answers. Reported metrics
-// (landing in BENCH_serve.json):
+// BenchmarkServeLoad is a closed-loop load generator (`go test -run
+// '^$' -bench ServeLoad -benchmem ./internal/serve/`): a fixed fleet of
+// clients fires evaluate requests at a server backed by the real
+// replica pool, each client issuing its next request the moment the
+// previous one answers. The tracked end-to-end server numbers are
+// perfbench's serve workload (see BENCHMARK.json). Reported metrics:
 //
 //	req/s   completed requests per second
 //	p99-ms  99th-percentile end-to-end request latency

@@ -162,18 +162,9 @@ type ConvWorkspace struct {
 	scratch []*ConvScratch
 }
 
-// Conv2D performs a batched convolution: weights is (OutC) x (InC*KH*KW),
-// bias has OutC entries (may be nil). Returns an (N, OutC, OutH, OutW)
-// tensor.
-func Conv2D(in *Tensor4, weights *Matrix, bias []float32, cs ConvShape) *Tensor4 {
-	out := NewTensor4(in.N, cs.OutC, cs.OutH(), cs.OutW())
-	var ws ConvWorkspace
-	Conv2DInto(out, in, weights, bias, cs, &ws)
-	return out
-}
-
-// Conv2DInto is Conv2D into a caller-owned output tensor, with the
-// (OutC) x (InC*KH*KW) weights in any encoding. The batch is split into
+// Conv2DInto performs a batched convolution into a caller-owned
+// (N, OutC, OutH, OutW) output tensor, with the (OutC) x (InC*KH*KW)
+// weights in any encoding and bias of OutC entries (may be nil). The batch is split into
 // image bands, one per worker, each with a private ConvScratch, so no
 // scratch state is shared between goroutines and a reused workspace
 // allocates nothing in steady state. A single band (one image, or
@@ -257,15 +248,9 @@ func (j convJob) run(w, lo, hi int) {
 	}
 }
 
-// MaxPool2D applies non-overlapping k x k max pooling with stride k.
-func MaxPool2D(in *Tensor4, k int) *Tensor4 {
-	out := NewTensor4(in.N, in.C, in.H/k, in.W/k)
-	MaxPool2DInto(out, in, k)
-	return out
-}
-
-// MaxPool2DInto is MaxPool2D into a caller-owned (N, C, H/k, W/k)
-// output tensor; it allocates nothing. The window walk runs on raw
+// MaxPool2DInto applies non-overlapping k x k max pooling with stride k
+// into a caller-owned (N, C, H/k, W/k) output tensor; it allocates
+// nothing. The window walk runs on raw
 // channel-plane slices instead of At/Set index arithmetic — max is
 // order-independent, so the result is identical to the naive loop.
 func MaxPool2DInto(out *Tensor4, in *Tensor4, k int) {
@@ -327,16 +312,9 @@ func MaxPool2DInto(out *Tensor4, in *Tensor4, k int) {
 	}
 }
 
-// GlobalAvgPool2D reduces each channel plane to its mean, producing an
-// (N x C) matrix. Used by ResNet-style heads.
-func GlobalAvgPool2D(in *Tensor4) *Matrix {
-	out := NewMatrix(in.N, in.C)
-	GlobalAvgPool2DInto(out, in)
-	return out
-}
-
-// GlobalAvgPool2DInto is GlobalAvgPool2D into a reusable matrix (it is
-// reshaped to N x C, reusing its backing array when large enough).
+// GlobalAvgPool2DInto reduces each channel plane to its mean, into a
+// reusable matrix (it is reshaped to N x C, reusing its backing array
+// when large enough). Used by ResNet-style heads.
 func GlobalAvgPool2DInto(out *Matrix, in *Tensor4) {
 	out.Reshape(in.N, in.C)
 	plane := in.H * in.W

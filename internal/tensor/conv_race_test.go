@@ -20,7 +20,7 @@ func TestConcurrentConvAndMulNoRace(t *testing.T) {
 	fillPattern(weights.Data, 7, 9, 3)
 	bias := make([]float32, cs.OutC)
 	fillPattern(bias, 3, 5, 1)
-	convWant := Conv2D(in, weights, bias, cs)
+	convWant := conv2D(in, weights, bias, cs)
 
 	am, ak, an := 40, 60, 50
 	a, b := NewMatrix(am, ak), NewMatrix(ak, an)

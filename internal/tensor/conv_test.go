@@ -67,6 +67,14 @@ func convRef(in *Tensor4, w *Matrix, bias []float32, cs ConvShape) *Tensor4 {
 	return out
 }
 
+// conv2D runs Conv2DInto into a fresh output tensor with a fresh
+// workspace (Workers 0, GOMAXPROCS).
+func conv2D(in *Tensor4, w Operand, bias []float32, cs ConvShape) *Tensor4 {
+	out := NewTensor4(in.N, cs.OutC, cs.OutH(), cs.OutW())
+	Conv2DInto(out, in, w, bias, cs, &ConvWorkspace{})
+	return out
+}
+
 func TestConv2DMatchesReference(t *testing.T) {
 	cs := ConvShape{InC: 3, OutC: 4, KH: 3, KW: 3, Pad: 1, Stride: 1, InH: 7, InW: 5}
 	in := NewTensor4(2, cs.InC, cs.InH, cs.InW)
@@ -78,7 +86,7 @@ func TestConv2DMatchesReference(t *testing.T) {
 		w.Data[i] = float32((i*7)%5) - 2
 	}
 	bias := []float32{0.5, -0.5, 1, 0}
-	got := Conv2D(in, w, bias, cs)
+	got := conv2D(in, w, bias, cs)
 	want := convRef(in, w, bias, cs)
 	for i := range want.Data {
 		if math.Abs(float64(got.Data[i]-want.Data[i])) > 1e-3 {
@@ -188,8 +196,8 @@ func convParityGrid(t *testing.T, encoding string) {
 	}
 }
 
-// TestConv2DIntoMatchesConv2D: the dense rows of the conv parity grid.
-func TestConv2DIntoMatchesConv2D(t *testing.T) { convParityGrid(t, "dense") }
+// TestConv2DDenseParity: the dense rows of the conv parity grid.
+func TestConv2DDenseParity(t *testing.T) { convParityGrid(t, "dense") }
 
 // TestConv2D24MatchesDense: the 2:4 rows of the conv parity grid.
 func TestConv2D24MatchesDense(t *testing.T) { convParityGrid(t, "2:4") }
@@ -208,7 +216,7 @@ func TestConv2DStride2(t *testing.T) {
 	for i := range w.Data {
 		w.Data[i] = float32(i%4) - 1
 	}
-	got := Conv2D(in, w, nil, cs)
+	got := conv2D(in, w, nil, cs)
 	want := convRef(in, w, nil, cs)
 	for i := range want.Data {
 		if got.Data[i] != want.Data[i] {
@@ -227,7 +235,7 @@ func TestConv2DIdentityKernel(t *testing.T) {
 	w := NewMatrix(2, 2)
 	w.Set(0, 0, 1)
 	w.Set(1, 1, 1)
-	out := Conv2D(in, w, nil, cs)
+	out := conv2D(in, w, nil, cs)
 	for i := range in.Data {
 		if out.Data[i] != in.Data[i] {
 			t.Fatalf("identity conv differs at %d", i)
@@ -240,10 +248,8 @@ func TestMaxPool2D(t *testing.T) {
 	for i := range in.Data {
 		in.Data[i] = float32(i)
 	}
-	out := MaxPool2D(in, 2)
-	if out.H != 2 || out.W != 2 {
-		t.Fatalf("pool shape %dx%d", out.H, out.W)
-	}
+	out := NewTensor4(1, 1, 2, 2)
+	MaxPool2DInto(out, in, 2)
 	want := []float32{5, 7, 13, 15}
 	for i, v := range want {
 		if out.Data[i] != v {
@@ -257,7 +263,8 @@ func TestGlobalAvgPool2D(t *testing.T) {
 	for i := range in.Data {
 		in.Data[i] = float32(i)
 	}
-	out := GlobalAvgPool2D(in)
+	var out Matrix
+	GlobalAvgPool2DInto(&out, in)
 	if out.At(0, 0) != 1.5 || out.At(0, 1) != 5.5 {
 		t.Errorf("gap = %v", out.Data)
 	}

@@ -114,7 +114,7 @@ func TestConv2DIntoSingleImage(t *testing.T) {
 	fillPattern(in.Data, 5, 11, 2)
 	weights := NewMatrix(cs.OutC, cs.InC*cs.KH*cs.KW)
 	fillPattern(weights.Data, 3, 5, 0)
-	want := Conv2D(in, weights, nil, cs)
+	want := convRef(in, weights, nil, cs)
 	out := NewTensor4(1, cs.OutC, cs.OutH(), cs.OutW())
 	ws := ConvWorkspace{Workers: 4}
 	Conv2DInto(out, in, weights, nil, cs, &ws)
@@ -210,7 +210,21 @@ func TestMaxPool2DIntoParity(t *testing.T) {
 func TestGlobalAvgPool2DIntoParity(t *testing.T) {
 	in := NewTensor4(3, 4, 5, 5)
 	fillPattern(in.Data, 17, 13, 2)
-	want := GlobalAvgPool2D(in)
+	// Naive reference: each plane's sum over its H*W entries, scaled by
+	// 1/(H*W) as the kernel does.
+	inv := 1 / float32(in.H*in.W)
+	want := NewMatrix(in.N, in.C)
+	for n := 0; n < in.N; n++ {
+		for c := 0; c < in.C; c++ {
+			var s float32
+			for y := 0; y < in.H; y++ {
+				for x := 0; x < in.W; x++ {
+					s += in.At(n, c, y, x)
+				}
+			}
+			want.Set(n, c, s*inv)
+		}
+	}
 	var out Matrix
 	out.Reshape(1, 1)
 	out.Data[0] = 123 // dirty, smaller than needed: must reshape and overwrite

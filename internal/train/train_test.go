@@ -181,8 +181,9 @@ func TestGradientCheckFC(t *testing.T) {
 	}
 	m.InitWeights(1)
 
+	fw := dnn.NewForwarder(m)
 	lossAt := func() float64 {
-		logits := m.Forward(ds.Images)
+		logits := fw.Forward(ds.Images)
 		probs := logits.Clone()
 		probs.Softmax()
 		var loss float64

@@ -17,8 +17,6 @@ type Config struct {
 	Momentum     float64
 	WeightDecay  float64
 	Seed         uint64
-	// Verbose enables per-epoch logging via the Log callback.
-	Log func(epoch int, loss, acc float64)
 }
 
 func (c Config) withDefaults() Config {
@@ -52,6 +50,7 @@ func Train(m *dnn.Model, ds *Dataset, cfg Config) (float64, error) {
 	}
 	src := stats.NewSource(cfg.Seed)
 	vel := newVelocity(m)
+	fw := dnn.NewForwarder(m)
 	var lastLoss float64
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		perm := src.Perm(ds.N())
@@ -60,16 +59,12 @@ func Train(m *dnn.Model, ds *Dataset, cfg Config) (float64, error) {
 		for lo := 0; lo+cfg.BatchSize <= ds.N(); lo += cfg.BatchSize {
 			idx := perm[lo : lo+cfg.BatchSize]
 			x, labels := ds.Batch(idx)
-			loss := step(m, x, labels, vel, cfg)
+			loss := step(m, fw, x, labels, vel, cfg)
 			epochLoss += loss
 			batches++
 		}
 		if batches > 0 {
 			lastLoss = epochLoss / float64(batches)
-		}
-		if cfg.Log != nil {
-			acc := Accuracy(m, ds)
-			cfg.Log(epoch, lastLoss, acc)
 		}
 	}
 	return lastLoss, nil
@@ -92,45 +87,14 @@ func newVelocity(m *dnn.Model) *velocity {
 	return v
 }
 
-// layerCache stores per-layer forward state needed by backward.
-type layerCache struct {
-	input  *tensor.Tensor4 // input activation
-	output *tensor.Tensor4 // post-ReLU output
-}
-
 // step runs one forward+backward+update pass; returns the batch loss.
-func step(m *dnn.Model, x *tensor.Tensor4, labels []int, vel *velocity, cfg Config) float64 {
-	caches := make([]layerCache, len(m.Layers))
-	cur := x
-	for i, l := range m.Layers {
-		caches[i].input = cur
-		var out *tensor.Tensor4
-		switch l.Kind {
-		case dnn.Conv:
-			out = tensor.Conv2D(cur, l.Weights, l.Bias, l.Conv)
-		case dnn.FC:
-			flat := tensor.Flatten(cur)
-			prod := tensor.Mul(flat, l.Weights.Transpose())
-			prod.AddBiasRows(l.Bias)
-			out = &tensor.Tensor4{N: cur.N, C: l.OutFeatures, H: 1, W: 1, Data: prod.Data}
-		case dnn.MaxPool:
-			out = tensor.MaxPool2D(cur, l.PoolK)
-		case dnn.GlobalAvgPool:
-			gap := tensor.GlobalAvgPool2D(cur)
-			out = &tensor.Tensor4{N: cur.N, C: cur.C, H: 1, W: 1, Data: gap.Data}
-		default:
-			panic("train: unsupported layer kind in step")
-		}
-		if l.ReLUAfter {
-			out.ReLU()
-		}
-		caches[i].output = out
-		cur = out
-	}
+// The forward pass is fw's: backward reads each layer's input and
+// post-ReLU output from the activations that pass left in fw.
+func step(m *dnn.Model, fw *dnn.Forwarder, x *tensor.Tensor4, labels []int, vel *velocity, cfg Config) float64 {
+	logits := fw.Forward(x)
 
 	// Softmax cross-entropy loss and gradient.
 	n := x.N
-	logits := tensor.FromSlice(n, cur.C*cur.H*cur.W, cur.Data)
 	probs := logits.Clone()
 	probs.Softmax()
 	var loss float64
@@ -148,29 +112,31 @@ func step(m *dnn.Model, x *tensor.Tensor4, labels []int, vel *velocity, cfg Conf
 	loss /= float64(n)
 
 	// Backward pass.
-	dOut := &tensor.Tensor4{N: n, C: cur.C, H: cur.H, W: cur.W, Data: grad.Data}
+	last := fw.Output(len(m.Layers) - 1)
+	dOut := &tensor.Tensor4{N: n, C: last.C, H: last.H, W: last.W, Data: grad.Data}
 	for i := len(m.Layers) - 1; i >= 0; i-- {
 		l := m.Layers[i]
-		c := caches[i]
+		in := x
+		if i > 0 {
+			in = fw.Input(i)
+		}
 		if l.ReLUAfter {
-			for j, v := range c.output.Data {
+			for j, v := range fw.Output(i).Data {
 				if v <= 0 {
 					dOut.Data[j] = 0
 				}
 			}
 		}
-		var dIn *tensor.Tensor4
 		switch l.Kind {
 		case dnn.Conv:
-			dIn = convBackward(l, c.input, dOut, vel, i, cfg)
+			dOut = convBackward(l, in, dOut, vel, i, cfg)
 		case dnn.FC:
-			dIn = fcBackward(l, c.input, dOut, vel, i, cfg)
+			dOut = fcBackward(l, in, dOut, vel, i, cfg)
 		case dnn.MaxPool:
-			dIn = maxPoolBackward(l, c.input, dOut)
+			dOut = maxPoolBackward(l, in, dOut)
 		case dnn.GlobalAvgPool:
-			dIn = gapBackward(c.input, dOut)
+			dOut = gapBackward(in, dOut)
 		}
-		dOut = dIn
 	}
 	return loss
 }
