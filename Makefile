@@ -4,7 +4,7 @@
 #                  (including the perfbench module, which `go build
 #                  ./...` skips) + race pass on the concurrency-heavy
 #                  packages (the seed contract) + the servesim
-#                  end-to-end smoke
+#                  end-to-end smoke + the iot-keyword example's verdict
 #   make race    - tier 2: go vet + race detector on a fast test pass
 #   make cover   - per-package coverage floors on the core packages
 #   make fleet-crash - the fleet fault matrix: lease races, zombie
@@ -27,11 +27,11 @@ FUZZTIME ?= 10s
 COVER_FLOOR ?= 70
 COVER_PKGS   = internal/campaign internal/envm internal/sparse internal/ecc internal/telemetry internal/cliutil internal/durable internal/errfs internal/fleet internal/serve internal/supervise internal/chaos internal/ares internal/mitigate internal/tensor internal/crossbar
 
-.PHONY: all check fmt build test race race-fast vet vet-perfbench cover fuzz fleet-crash chaos bench serve-smoke clean
+.PHONY: all check fmt build test race race-fast vet vet-perfbench cover fuzz fleet-crash chaos bench serve-smoke examples-smoke clean
 
 all: check race
 
-check: fmt build test vet vet-perfbench race-fast serve-smoke chaos
+check: fmt build test vet vet-perfbench race-fast serve-smoke examples-smoke chaos
 
 # Fails when any Go file (perfbench included) is not gofmt-formatted,
 # listing the offenders.
@@ -73,6 +73,14 @@ race-fast:
 # ephemeral port, scrape /metrics, drain.
 serve-smoke:
 	$(GO) run ./cmd/servesim -smoke
+
+# The iot-keyword example measures a naive and a co-designed storage
+# configuration with real fault-injected inference; it must keep
+# concluding that the co-designed one is safe and the naive one is not.
+examples-smoke:
+	@out=$$($(GO) run ./examples/iot-keyword) || exit 1; echo "$$out"; \
+	echo "$$out" | grep -qF 'co-designed configuration is safe; naive MLC3 storage is not.' || \
+		{ echo "examples-smoke: iot-keyword verdict missing"; exit 1; }
 
 # The fleet fault matrix, repeated to shake out schedule-dependent
 # flakes: claim races, expiry steals with zombie fencing, simulated

@@ -11,6 +11,7 @@ package maxnvm
 // subsequent iterations measure the evaluation/rendering path.
 
 import (
+	"context"
 	"io"
 	"sync"
 	"testing"
@@ -18,6 +19,7 @@ import (
 
 	"repro/internal/ares"
 	"repro/internal/bitstream"
+	"repro/internal/campaign"
 	"repro/internal/dnn"
 	"repro/internal/ecc"
 	"repro/internal/envm"
@@ -83,7 +85,7 @@ func BenchmarkTable2ModelSizes(b *testing.B) {
 func BenchmarkFig5StructureVulnerability(b *testing.B) {
 	skipIfShort(b)
 	for i := 0; i < b.N; i++ {
-		if err := env().Fig5(io.Discard, 6); err != nil {
+		if err := env().Fig5(context.Background(), io.Discard, campaign.Options{MaxTrials: 6}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -150,9 +150,9 @@ func cmdPlan(args []string) {
 		}
 		ps.Spec = raw
 	case specFig5:
-		// Mirror Env.Fig5Campaign: the campaign seed is the environment
-		// seed plus the fixed offset, so fleet results are bit-identical
-		// to "maxnvm -fig 5c" at the same -seed.
+		// Mirror Env.Fig5: the campaign seed is the environment seed
+		// plus the fixed offset, so fleet results are bit-identical to
+		// "maxnvm fig5" at the same -seed.
 		ps.Seed = *seed + 99
 		ps.Configs = exper.Fig5Configs()
 		raw, err := json.Marshal(fig5Spec{EnvSeed: *seed})

@@ -32,6 +32,7 @@ import (
 	"os"
 	"strings"
 
+	"repro/internal/campaign"
 	"repro/internal/cliutil"
 	"repro/internal/exper"
 )
@@ -78,13 +79,13 @@ func main() {
 		fig6Models = []string{*model}
 	}
 
-	campaignOpt := exper.CampaignOptions{
+	campaignOpt := campaign.Options{
 		MaxTrials:      *maxTrials,
 		MinTrials:      *minTrials,
 		CITarget:       *ciTarget,
 		Workers:        *workers,
 		TrialTimeout:   *timeout,
-		Checkpoint:     *checkpoint,
+		CheckpointPath: *checkpoint,
 		Resume:         *resume,
 		Fsync:          tel.SyncPolicy(),
 		LockCheckpoint: tel.LockCheckpoint(),
@@ -110,7 +111,7 @@ func main() {
 		case "table2":
 			env.Table2(w, models)
 		case "fig5":
-			if err := env.Fig5Campaign(ctx, w, campaignOpt); err != nil {
+			if err := env.Fig5(ctx, w, campaignOpt); err != nil {
 				if ctx.Err() != nil {
 					fmt.Fprintln(os.Stderr, "fig5: interrupted")
 					tel.Dump()

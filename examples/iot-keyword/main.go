@@ -9,10 +9,12 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"repro/internal/ares"
+	"repro/internal/campaign"
 	"repro/internal/dnn"
 	"repro/internal/envm"
 	"repro/internal/sparse"
@@ -38,28 +40,45 @@ func main() {
 	}
 	fmt.Printf("  after pruning (60%%) + 4-bit clustering: %.1f%% accuracy\n", 100*(1-ev.BaselineErr))
 
+	// The two configurations run as one campaign: trial t of a
+	// configuration measures the fault map drawn from
+	// campaign.TrialSeed(99, label, t).
 	const trials = 20
-	show := func(label string, cfg ares.Config) ares.MeasuredResult {
-		res := ev.EvalConfig(cfg, trials, 99)
-		fmt.Printf("  %-44s mean +%.4f  worst +%.4f\n", label, res.MeanDeltaErr, res.MaxDeltaErr)
-		return res
+	badLabel, goodLabel := "BitMask, everything at MLC3, unprotected:", "BitM+IdxSync, mask at SLC, values at MLC3:"
+	safe := ares.Config{Tech: envm.CTT, Encoding: sparse.KindBitMaskIdxSync,
+		Default: ares.StreamPolicy{BPC: 3},
+		Overrides: map[string]ares.StreamPolicy{
+			"bitmask": {BPC: 1}, "idxsync": {BPC: 1},
+		}}
+	cfgs := map[string]ares.Config{
+		badLabel: {Tech: envm.CTT, Encoding: sparse.KindBitMask,
+			Default: ares.StreamPolicy{BPC: 3}},
+		goodLabel: safe,
 	}
-
+	run := func(ctx context.Context, t campaign.Trial) (campaign.Sample, error) {
+		delta, _, err := ev.EvalTrial(ctx, cfgs[t.Config], t.Seed)
+		return campaign.Sample{Value: delta}, err
+	}
+	c, err := campaign.New([]string{badLabel, goodLabel}, run, campaign.Options{Seed: 99, MaxTrials: trials})
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := c.Run(context.Background())
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\nMeasured error increase over %d fault maps (MLC-CTT):\n", trials)
-	bad := show("BitMask, everything at MLC3, unprotected:",
-		ares.Config{Tech: envm.CTT, Encoding: sparse.KindBitMask,
-			Default: ares.StreamPolicy{BPC: 3}})
-	good := show("BitM+IdxSync, mask at SLC, values at MLC3:",
-		ares.Config{Tech: envm.CTT, Encoding: sparse.KindBitMaskIdxSync,
-			Default: ares.StreamPolicy{BPC: 3},
-			Overrides: map[string]ares.StreamPolicy{
-				"bitmask": {BPC: 1},
-				"idxsync": {BPC: 1},
-			}})
+	for _, cr := range res.Configs {
+		if len(cr.Errors) > 0 {
+			log.Fatalf("%s %d failed trials, first: %v", cr.Config, len(cr.Errors), cr.Errors[0])
+		}
+		fmt.Printf("  %-44s mean +%.4f  worst +%.4f\n", cr.Config, cr.Mean, cr.Max)
+	}
+	bad, good := res.Configs[0], res.Configs[1]
 
 	bound := m.Meta.ErrorBound
 	fmt.Printf("\niso-training-noise bound: %.4f\n", bound)
-	if good.MeanDeltaErr <= bound && bad.MeanDeltaErr > bound {
+	if good.Mean <= bound && bad.Mean > bound {
 		fmt.Println("-> co-designed configuration is safe; naive MLC3 storage is not.")
 	} else {
 		fmt.Println("-> unexpected outcome; inspect fault rates and bounds.")
@@ -69,11 +88,7 @@ func main() {
 	var cells, bits int64
 	for _, cl := range ev.Clustered() {
 		enc := sparse.Must(sparse.Encode(sparse.KindBitMaskIdxSync, cl.Indices, cl.Rows, cl.Cols, cl.IndexBits))
-		costs := ares.Cost(enc, ares.Config{Tech: envm.CTT, Encoding: sparse.KindBitMaskIdxSync,
-			Default: ares.StreamPolicy{BPC: 3},
-			Overrides: map[string]ares.StreamPolicy{
-				"bitmask": {BPC: 1}, "idxsync": {BPC: 1},
-			}})
+		costs := ares.Cost(enc, safe)
 		cells += ares.TotalCells(costs)
 		bits += ares.TotalBits(costs)
 	}

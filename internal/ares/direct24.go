@@ -21,9 +21,9 @@ import (
 // corrupted streams canonicalize straight into the compact
 // (value, position) form the tensor.Sparse24 kernels consume — half the
 // MACs, no dense materialization anywhere on the hot path. The
-// decode-to-dense route is kept (EvalTrialSerial, EvalConfig) as the
-// bit-parity reference oracle; the grid test in evaltrial24_test.go
-// pins the two routes identical.
+// decode-to-dense route is kept (EvalTrialSerial) as the bit-parity
+// reference oracle; the grid test in evaltrial24_test.go pins the two
+// routes identical.
 //
 // Because the 2-of-4 projection is lossy, the 2:4 baseline is the
 // *projected* model: pristine decode of E24 differs from the clustered

@@ -28,15 +28,15 @@ func TestEvalTrialDeterministic(t *testing.T) {
 	}
 }
 
-func TestRunTrialCheckedMatchesEvalConfig(t *testing.T) {
-	// RunTrialChecked fed EvalConfig's derived per-layer seeds must
-	// reproduce its per-trial fault counts exactly: the checked variant is
-	// the same injection pipeline, only with errors instead of panics.
+func TestRunTrialCheckedMatchesSerialTrials(t *testing.T) {
+	// RunTrialChecked fed evalSerial's derived per-layer seeds must
+	// reproduce its per-trial fault counts exactly: the per-layer
+	// injection and the evaluator's trial pipeline are the same code.
 	ev := getMeasured(t)
 	cfg := IsolateStream(Config{Tech: envm.CTT, Encoding: sparse.KindCSR},
 		"rowcount", StreamPolicy{BPC: 3})
 	const trials, seed = 4, 99
-	legacy := ev.EvalConfig(cfg, trials, seed)
+	serial := evalSerial(t, ev, cfg, trials, seed)
 
 	src := stats.NewSource(seed)
 	for tr := 0; tr < trials; tr++ {
@@ -50,8 +50,8 @@ func TestRunTrialCheckedMatchesEvalConfig(t *testing.T) {
 			}
 			agg.Faults += st.Faults
 		}
-		if agg.Faults != legacy.Stats[tr].Faults {
-			t.Fatalf("trial %d: %d faults vs legacy %d", tr, agg.Faults, legacy.Stats[tr].Faults)
+		if agg.Faults != serial.Stats[tr].Faults {
+			t.Fatalf("trial %d: %d faults vs serial %d", tr, agg.Faults, serial.Stats[tr].Faults)
 		}
 	}
 }

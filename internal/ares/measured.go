@@ -119,43 +119,6 @@ func (ev *MeasuredEvaluator) refFor(cfg Config) ([][]uint8, float64, error) {
 	return ev.origIdx, ev.BaselineErr, nil
 }
 
-// MeasuredResult is the outcome of a measured fault-injection campaign.
-type MeasuredResult struct {
-	// MeanDeltaErr is the mean classification-error increase over trials
-	// (negative deltas clamp to 0: sampling noise).
-	MeanDeltaErr float64
-	// MaxDeltaErr is the worst trial.
-	MaxDeltaErr float64
-	// Stats aggregates the per-trial corruption statistics.
-	Stats []TrialStats
-}
-
-// EvalConfig runs `trials` independent fault maps under cfg and measures
-// the true classification error of each corrupted model through the
-// serial reference. Trial t draws its per-layer seeds from
-// stats.NewSource(seed).Fork(t+1).
-func (ev *MeasuredEvaluator) EvalConfig(cfg Config, trials int, seed uint64) MeasuredResult {
-	if trials < 1 {
-		panic("ares: trials < 1")
-	}
-	src := stats.NewSource(seed)
-	var res MeasuredResult
-	for t := 0; t < trials; t++ {
-		tr, err := ev.corrupt(context.Background(), cfg, src.Fork(uint64(t)+1), false)
-		if err != nil {
-			panic(err)
-		}
-		delta := ev.measureSerial(tr)
-		res.Stats = append(res.Stats, tr.stats)
-		res.MeanDeltaErr += delta
-		if delta > res.MaxDeltaErr {
-			res.MaxDeltaErr = delta
-		}
-	}
-	res.MeanDeltaErr /= float64(trials)
-	return res
-}
-
 // encodings returns the pristine per-layer encodings for cfg, encoding
 // each distinct configuration once and caching the result (trials clone
 // before mutating, so sharing the pristine encodings is safe).

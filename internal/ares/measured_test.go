@@ -1,12 +1,14 @@
 package ares
 
 import (
+	"context"
 	"sync"
 	"testing"
 
 	"repro/internal/dnn"
 	"repro/internal/envm"
 	"repro/internal/sparse"
+	"repro/internal/stats"
 	"repro/internal/train"
 )
 
@@ -37,6 +39,36 @@ func getMeasured(t *testing.T) *MeasuredEvaluator {
 	return measuredEv
 }
 
+// serialResult aggregates a set of serial measured trials.
+type serialResult struct {
+	// MeanDeltaErr and MaxDeltaErr are the mean and worst trial deltas.
+	MeanDeltaErr, MaxDeltaErr float64
+	// Stats holds each trial's corruption statistics, in trial order.
+	Stats []TrialStats
+}
+
+// evalSerial measures `trials` independent fault maps under cfg through
+// the serial reference. Trial t draws its per-layer seeds from
+// stats.NewSource(seed).Fork(t+1): the fault maps these tests'
+// thresholds were set on.
+func evalSerial(t *testing.T, ev *MeasuredEvaluator, cfg Config, trials int, seed uint64) serialResult {
+	t.Helper()
+	src := stats.NewSource(seed)
+	var res serialResult
+	for i := 0; i < trials; i++ {
+		tr, err := ev.corrupt(context.Background(), cfg, src.Fork(uint64(i)+1), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		delta := ev.measureSerial(tr)
+		res.Stats = append(res.Stats, tr.stats)
+		res.MeanDeltaErr += delta
+		res.MaxDeltaErr = max(res.MaxDeltaErr, delta)
+	}
+	res.MeanDeltaErr /= float64(trials)
+	return res
+}
+
 func TestMeasuredBaselineReasonable(t *testing.T) {
 	ev := getMeasured(t)
 	if ev.BaselineErr > 0.2 {
@@ -65,9 +97,8 @@ func TestMeasuredFig5StructureVulnerability(t *testing.T) {
 	base := Config{Tech: envm.CTT, Encoding: sparse.KindCSR}
 	const trials = 36
 
-	run := func(stream string, p StreamPolicy) MeasuredResult {
-		cfg := IsolateStream(base, stream, p)
-		return ev.EvalConfig(cfg, trials, 99)
+	run := func(stream string, p StreamPolicy) serialResult {
+		return evalSerial(t, ev, IsolateStream(base, stream, p), trials, 99)
 	}
 
 	values3 := run("values", StreamPolicy{BPC: 3})
@@ -91,10 +122,10 @@ func TestMeasuredBitmaskIdxSync(t *testing.T) {
 	ev := getMeasured(t)
 	const trials = 6
 
-	plain := ev.EvalConfig(IsolateStream(
+	plain := evalSerial(t, ev, IsolateStream(
 		Config{Tech: envm.CTT, Encoding: sparse.KindBitMask},
 		"bitmask", StreamPolicy{BPC: 3}), trials, 7).MeanDeltaErr
-	sync := ev.EvalConfig(IsolateStream(
+	sync := evalSerial(t, ev, IsolateStream(
 		Config{Tech: envm.CTT, Encoding: sparse.KindBitMaskIdxSync},
 		"bitmask", StreamPolicy{BPC: 3}), trials, 7).MeanDeltaErr
 
@@ -109,7 +140,7 @@ func TestMeasuredBitmaskIdxSync(t *testing.T) {
 func TestMeasuredSLCIsSafe(t *testing.T) {
 	ev := getMeasured(t)
 	cfg := Config{Tech: envm.SLCRRAM, Encoding: sparse.KindCSR, Default: StreamPolicy{BPC: 1}}
-	res := ev.EvalConfig(cfg, 4, 3)
+	res := evalSerial(t, ev, cfg, 4, 3)
 	if res.MeanDeltaErr > 0.01 {
 		t.Errorf("SLC storage delta=%.4f; should be ~0", res.MeanDeltaErr)
 	}
@@ -128,7 +159,7 @@ func TestSurrogateOrderingMatchesMeasured(t *testing.T) {
 	sens := Sensitivity("TinyCNN")
 	headroom := Headroom(10, ev.BaselineErr)
 	for _, cfg := range configs {
-		measured = append(measured, ev.EvalConfig(cfg, 6, 21).MeanDeltaErr)
+		measured = append(measured, evalSerial(t, ev, cfg, 6, 21).MeanDeltaErr)
 		var lds []LayerDamage
 		for i, cl := range ev.Clustered() {
 			lds = append(lds, EvaluateLayer(cl, cfg, EvalOptions{Seed: uint64(i + 1)}))

@@ -4,43 +4,9 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/campaign"
-	"repro/internal/durable"
 )
-
-// CampaignOptions tunes the resilient campaign-engine variant of the
-// measured experiments (checkpointing, early stopping, deadlines).
-type CampaignOptions struct {
-	// MaxTrials is the per-configuration trial budget (default 12, like
-	// Fig5).
-	MaxTrials int
-	// MinTrials is the floor before early stopping may trigger.
-	MinTrials int
-	// CITarget, when > 0, stops a configuration once the 95% CI
-	// half-width of its error delta shrinks below the target.
-	CITarget float64
-	// Workers bounds trial concurrency (0 = engine default).
-	Workers int
-	// TrialTimeout bounds one trial (0 = no deadline).
-	TrialTimeout time.Duration
-	// Checkpoint is the JSONL checkpoint path ("" = no checkpointing).
-	Checkpoint string
-	// Resume continues from an existing checkpoint at Checkpoint.
-	Resume bool
-	// Fsync is the checkpoint durability policy (zero value =
-	// durable.SyncInterval).
-	Fsync durable.SyncPolicy
-	// LockCheckpoint holds an exclusive lock on the checkpoint so two
-	// campaigns cannot interleave one file.
-	LockCheckpoint bool
-	// Progress, when non-nil, receives a periodic status line (trial
-	// counts, trials/s, ETA, worst CI half-width) every ProgressEvery.
-	Progress io.Writer
-	// ProgressEvery is the reporting interval (engine default when 0).
-	ProgressEvery time.Duration
-}
 
 // Fig5Configs returns the Figure 5 configuration labels in their fold
 // (input) order — the order campaign results aggregate in, and the
@@ -89,38 +55,24 @@ func (e *Env) Fig5Runner() (campaign.RunFunc, error) {
 	}, nil
 }
 
-// Fig5Campaign regenerates Figure 5 through the campaign engine: the
-// same experiment list as Fig5, executed as (config x seed) trials with
-// cancellation, per-trial panic isolation, optional checkpoint/resume,
-// and adaptive early stopping. Trial seeds follow the campaign contract
-// campaign.TrialSeed(e.Seed+99, label, trial), so results are
-// reproducible and resumable bit-for-bit (they draw different fault maps
-// than Fig5's legacy sequential seeding, but estimate the same
-// statistics).
-func (e *Env) Fig5Campaign(ctx context.Context, w io.Writer, opt CampaignOptions) error {
+// Fig5 regenerates Figure 5 with real measured inference on the trained
+// small model: the classification-error delta when each structure is
+// stored alone at SLC/MLC2/MLC3, with and without protection. It runs
+// the (config x seed) trials through the campaign engine, so it gets
+// cancellation, per-trial panic isolation, optional checkpoint/resume
+// and adaptive early stopping from opt. Fig5 sets opt.Seed to e.Seed+99
+// (trial seeds are campaign.TrialSeed(e.Seed+99, label, trial), the
+// seeds a fleet worker draws too) and defaults opt.MaxTrials to 12.
+func (e *Env) Fig5(ctx context.Context, w io.Writer, opt campaign.Options) error {
 	run, err := e.Fig5Runner()
 	if err != nil {
 		return err
 	}
+	opt.Seed = e.Seed + 99
 	if opt.MaxTrials == 0 {
 		opt.MaxTrials = 12
 	}
-	configs := Fig5Configs()
-
-	c, err := campaign.New(configs, run, campaign.Options{
-		Seed:           e.Seed + 99,
-		MaxTrials:      opt.MaxTrials,
-		MinTrials:      opt.MinTrials,
-		CITarget:       opt.CITarget,
-		Workers:        opt.Workers,
-		TrialTimeout:   opt.TrialTimeout,
-		CheckpointPath: opt.Checkpoint,
-		Resume:         opt.Resume,
-		Fsync:          opt.Fsync,
-		LockCheckpoint: opt.LockCheckpoint,
-		Progress:       opt.Progress,
-		ProgressEvery:  opt.ProgressEvery,
-	})
+	c, err := campaign.New(Fig5Configs(), run, opt)
 	if err != nil {
 		return err
 	}

@@ -73,37 +73,23 @@ func SnapshotOf(h *Histogram) HistogramSnapshot {
 	return s
 }
 
-// Snapshot copies every registered metric.
+// Snapshot copies every registered metric, listed through Read.
 func (r *Registry) Snapshot() Snapshot {
-	r.mu.Lock()
-	counters := make(map[string]*Counter, len(r.counters))
-	for k, v := range r.counters {
-		counters[k] = v
-	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for k, v := range r.gauges {
-		gauges[k] = v
-	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for k, v := range r.hists {
-		hists[k] = v
-	}
-	r.mu.Unlock()
-
+	v := r.Read()
 	snap := Snapshot{
 		TakenAt:    time.Now().UTC(),
-		Counters:   make(map[string]int64, len(counters)),
-		Gauges:     make(map[string]float64, len(gauges)),
-		Histograms: make(map[string]HistogramSnapshot, len(hists)),
+		Counters:   make(map[string]int64, len(v.Counters)),
+		Gauges:     make(map[string]float64, len(v.Gauges)),
+		Histograms: make(map[string]HistogramSnapshot, len(v.Histograms)),
 	}
-	for k, c := range counters {
-		snap.Counters[k] = c.Value()
+	for _, c := range v.Counters {
+		snap.Counters[c.Name] = c.Counter.Value()
 	}
-	for k, g := range gauges {
-		snap.Gauges[k] = g.Value()
+	for _, g := range v.Gauges {
+		snap.Gauges[g.Name] = g.Gauge.Value()
 	}
-	for k, h := range hists {
-		snap.Histograms[k] = SnapshotOf(h)
+	for _, h := range v.Histograms {
+		snap.Histograms[h.Name] = SnapshotOf(h.Histogram)
 	}
 	return snap
 }
