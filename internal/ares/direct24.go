@@ -1,7 +1,6 @@
 package ares
 
 import (
-	"bytes"
 	"context"
 	"sync"
 	"time"
@@ -46,7 +45,7 @@ type twofourState struct {
 	// against.
 	orig24 [][]uint8
 	// compVals/compPos hold the pristine canonical compact form; the
-	// fast path is a bytes.Equal against these.
+	// fast path is a row-by-row comparison against these.
 	compVals, compPos [][]uint8
 	// pristine24 holds the shared compute-direct weights for layers a
 	// trial did not corrupt (replicas point at them read-only).
@@ -206,7 +205,8 @@ func (ev *MeasuredEvaluator) corrupt24(ctx context.Context, cfg Config, tsrc *st
 		}
 		lt := &tr.layers[i]
 		lt.st = st
-		if bytes.Equal(vals, tf.compVals[i]) && bytes.Equal(pos, tf.compPos[i]) {
+		ne := 2 * tf.pristine24[i].GroupsPerRow
+		if lt.rows = diffRows(ne, [2][]uint8{vals, tf.compVals[i]}, [2][]uint8{pos, tf.compPos[i]}); lt.rows == nil {
 			lt.s24 = tf.pristine24[i]
 		} else {
 			lt.vals, lt.pos = vals, pos

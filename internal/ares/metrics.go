@@ -32,7 +32,10 @@ package ares
 //	                     reuse skipped, summed over measured trials: a
 //	                     storage-route trial starts its pass at its first
 //	                     corrupted weight layer, fed that layer's cached
-//	                     baseline input (see entry in trial.go)
+//	                     baseline input (see pass in trial.go)
+//	ares.prefix.skipped_rows rows of the first corrupted weight layer a
+//	                     row-patched pass served from the cache, summed
+//	                     over measured trials
 //	ares.replicas.created model replicas materialized (lazy, <= GOMAXPROCS)
 //	ares.replicas.busy   replicas currently checked out (occupancy gauge)
 //
@@ -52,7 +55,7 @@ var met = struct {
 	evalParallel, evalDirect     *telemetry.Timer
 	cacheHits, cacheMisses       *telemetry.Counter
 	fastHits, fastMisses         *telemetry.Counter
-	prefixSkipped                *telemetry.Counter
+	prefixSkipped, prefixRows    *telemetry.Counter
 	replicasCreated              *telemetry.Counter
 	replicasBusy                 *telemetry.Gauge
 	eccCorrected, eccDetected    *telemetry.Counter
@@ -71,6 +74,7 @@ var met = struct {
 	fastHits:        telemetry.Default().Counter("ares.fastpath.hits"),
 	fastMisses:      telemetry.Default().Counter("ares.fastpath.misses"),
 	prefixSkipped:   telemetry.Default().Counter("ares.prefix.skipped_layers"),
+	prefixRows:      telemetry.Default().Counter("ares.prefix.skipped_rows"),
 	replicasCreated: telemetry.Default().Counter("ares.replicas.created"),
 	replicasBusy:    telemetry.Default().Gauge("ares.replicas.busy"),
 	eccCorrected:    telemetry.Default().Counter("ecc.corrected"),

@@ -2,6 +2,7 @@ package ares
 
 import (
 	"runtime"
+	"slices"
 
 	"repro/internal/dnn"
 	"repro/internal/tensor"
@@ -30,12 +31,15 @@ import (
 // arithmetic is independent of worker count and replica identity.
 // Prefix reuse keeps this: a pass starts at the trial's first dirty
 // layer, fed that layer's input cached from the route baseline's pass
-// (see capturePrefix and entry in trial.go). The cache depends only on
+// (see capturePrefix and pass in trial.go). The cache depends only on
 // the route baseline, and the per-element arithmetic does not depend on
 // where a pass is split, so a cached prefix equals what the full pass
-// computes. Replicas only read the cached tensors. measureSerial never
-// reads them and stays the full-pass reference. Which replica serves a
-// trial, and where its pass starts, therefore cannot affect its delta.
+// computes. So does the row patch: a kernel computes each output
+// channel from its own weight row alone (see tensor.Operand), so the
+// clean channels of the first dirty layer are the cached ones. Replicas
+// only read the cached tensors. measureSerial never reads them and
+// stays the full-pass reference. Which replica serves a trial, and
+// where its pass starts, therefore cannot affect its delta.
 
 // replica is one checked-out-able inference engine. The serial
 // reference is a replica too: one over the evaluator's own model,
@@ -48,10 +52,12 @@ type replica struct {
 	// home[i] is weight-layer ordinal i's pristine dense matrix, which
 	// reset repoints the layer back at.
 	home []*tensor.Matrix
-	// priv[i] and priv24[i] are the lazily materialized private dense
-	// and compute-direct 2:4 buffers for weight-layer ordinal i.
-	priv   []*tensor.Matrix
-	priv24 []*tensor.Sparse24
+	// priv[i] and priv24[i] are the private dense and compute-direct
+	// 2:4 buffers for weight-layer ordinal i, grown on first use (see
+	// decode); all lists every row index.
+	priv   []tensor.Matrix
+	priv24 []tensor.Sparse24
+	all    []int
 	// dirty lists the ordinals whose layers currently carry an overlay,
 	// so reset is O(corrupted layers).
 	dirty []int
@@ -63,8 +69,8 @@ func (ev *MeasuredEvaluator) newReplica(m *dnn.Model) *replica {
 	r := &replica{
 		model:  m,
 		home:   make([]*tensor.Matrix, n),
-		priv:   make([]*tensor.Matrix, n),
-		priv24: make([]*tensor.Sparse24, n),
+		priv:   make([]tensor.Matrix, n),
+		priv24: make([]tensor.Sparse24, n),
 		dirty:  make([]int, 0, n),
 	}
 	for i, li := range ev.layerIdx {
@@ -84,31 +90,18 @@ func (ev *MeasuredEvaluator) newPoolReplica() *replica {
 	return r
 }
 
-// overlay installs every layer's operand for one measurement. A layer
-// with no operand keeps the pristine snapshot.
-func (r *replica) overlay(ev *MeasuredEvaluator, layers []layerTrial) {
-	for i, lt := range layers {
+// overlay installs the operand of every layer from ordinal from on (a
+// pass that starts later never reads the layers before). A layer with
+// no operand keeps the pristine snapshot.
+func (r *replica) overlay(ev *MeasuredEvaluator, layers []layerTrial, from int) {
+	for i := from; i < len(layers); i++ {
+		lt := &layers[i]
 		l := r.model.Layers[ev.layerIdx[i]]
-		cl := ev.clustered[i]
 		switch {
 		case lt.idx != nil:
-			if r.priv[i] == nil {
-				r.priv[i] = tensor.NewMatrix(cl.Rows, cl.Cols)
-			}
-			for j, idx := range lt.idx {
-				r.priv[i].Data[j] = cl.Centroids[idx]
-			}
-			l.Weights = r.priv[i]
+			l.Weights = r.decode(ev, i, lt, nil).(*tensor.Matrix)
 		case lt.vals != nil:
-			// No dense matrix is materialized on the 2:4 route.
-			if r.priv24[i] == nil {
-				r.priv24[i] = tensor.NewSparse24(cl.Rows, cl.Cols)
-			}
-			for j, v := range lt.vals {
-				r.priv24[i].Val[j] = cl.Centroids[v]
-			}
-			copy(r.priv24[i].Pos, lt.pos)
-			l.Weights24 = r.priv24[i]
+			l.Weights24 = r.decode(ev, i, lt, nil).(*tensor.Sparse24)
 		case lt.s24 != nil:
 			l.Weights24 = lt.s24
 		case lt.w != nil:
@@ -120,6 +113,42 @@ func (r *replica) overlay(ev *MeasuredEvaluator, layers []layerTrial) {
 		}
 		r.dirty = append(r.dirty, i)
 	}
+}
+
+// decode fills ordinal i's private buffer with the listed rows (all
+// when nil) of the trial's corrupted indices or compact form, in that
+// order, mapped through the centroids, and returns it.
+func (r *replica) decode(ev *MeasuredEvaluator, i int, lt *layerTrial, rows []int) tensor.Operand {
+	cl := ev.clustered[i]
+	for len(r.all) < cl.Rows {
+		r.all = append(r.all, len(r.all))
+	}
+	if rows == nil {
+		rows = r.all[:cl.Rows]
+	}
+	n := len(rows)
+	fill := func(dst []float32, idx []uint8, width int) {
+		for j, row := range rows {
+			for e, v := range idx[row*width:][:width] {
+				dst[j*width+e] = cl.Centroids[v]
+			}
+		}
+	}
+	if lt.idx != nil {
+		w := &r.priv[i]
+		w.Reshape(n, cl.Cols)
+		fill(w.Data, lt.idx, cl.Cols)
+		return w
+	}
+	s, gpr := &r.priv24[i], (cl.Cols+3)/4
+	ne := 2 * gpr
+	*s = tensor.Sparse24{Rows: n, Cols: cl.Cols, GroupsPerRow: gpr,
+		Val: slices.Grow(s.Val[:0], n*ne)[:n*ne], Pos: slices.Grow(s.Pos[:0], n*ne)[:n*ne]}
+	fill(s.Val, lt.vals, ne)
+	for j, row := range rows {
+		copy(s.Pos[j*ne:(j+1)*ne], lt.pos[row*ne:])
+	}
+	return s
 }
 
 // reset repoints every overlaid layer back at its pristine dense

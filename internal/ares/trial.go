@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/dnn"
@@ -27,6 +28,8 @@ import (
 // set; none means the layer runs on the pristine snapshot.
 type layerTrial struct {
 	st TrialStats
+	// rows lists the rows where a dirty layer differs from its baseline.
+	rows []int
 	// idx holds decoded cluster indices (a private dense buffer).
 	idx []uint8
 	// vals/pos hold a corrupted canonical 2:4 compact form (a private
@@ -110,9 +113,9 @@ func (ev *MeasuredEvaluator) corruptDense(ctx context.Context, cfg Config, tsrc 
 // decoded indices (idx): it validates their shapes, marks the trial
 // pristine when every layer equals its reference (refs and baseline
 // come from refFor), and keeps an overlay only where the decoded
-// indices differ from the clustered snapshot — on the Kind24 oracle
-// route a clean layer decodes to the projected indices, which still
-// differ from it.
+// indices differ from the clustered snapshot, listing the rows that
+// differ — on the Kind24 oracle and lifetime routes a clean layer
+// decodes to the projected indices, which still differ from it.
 func (ev *MeasuredEvaluator) decodedTrial(layers []layerTrial, refs [][]uint8, baseline float64) (trial, error) {
 	if len(layers) != len(ev.clustered) {
 		return trial{}, fmt.Errorf("ares: %d decoded layers vs %d clustered", len(layers), len(ev.clustered))
@@ -124,12 +127,26 @@ func (ev *MeasuredEvaluator) decodedTrial(layers []layerTrial, refs [][]uint8, b
 			return trial{}, fmt.Errorf("ares: layer %d: %d decoded indices vs %d weights", i, len(lt.idx), len(cl.Indices))
 		}
 		tr.pristine = tr.pristine && bytes.Equal(lt.idx, refs[i])
-		if bytes.Equal(lt.idx, cl.Indices) {
+		if lt.rows = diffRows(cl.Cols, [2][]uint8{lt.idx, cl.Indices}); lt.rows == nil {
 			lt.idx = nil
 		}
 	}
 	tr.stats = ev.aggregate(layers)
 	return tr, nil
+}
+
+// diffRows returns, ascending, the rows of width entries each on which
+// some pair's two matrices differ, or nil when none does.
+func diffRows(width int, pairs ...[2][]uint8) (rows []int) {
+	for lo := 0; lo < len(pairs[0][0]); lo += width {
+		for _, p := range pairs {
+			if !bytes.Equal(p[0][lo:lo+width], p[1][lo:lo+width]) {
+				rows = append(rows, lo/width)
+				break
+			}
+		}
+	}
+	return rows
 }
 
 // aggregate folds per-layer statistics into the trial's: counts sum,
@@ -155,8 +172,8 @@ func (ev *MeasuredEvaluator) aggregate(layers []layerTrial) TrialStats {
 
 // measure is the replica-pool measurement every hot-path trial ends in:
 // the fast path when the trial is pristine, otherwise check out a
-// replica, overlay the corrupted layers, and run real inference.
-// Concurrent calls proceed in parallel up to the pool size.
+// replica and run real inference on it (see pass). Concurrent calls
+// proceed in parallel up to the pool size.
 func (ev *MeasuredEvaluator) measure(tr trial) float64 {
 	if tr.pristine {
 		met.fastHits.Inc()
@@ -167,9 +184,7 @@ func (ev *MeasuredEvaluator) measure(tr trial) float64 {
 	r := ev.checkout()
 	defer ev.checkin(r)
 	evalStart := time.Now()
-	r.overlay(ev, tr.layers)
-	k, act := ev.entry(tr)
-	delta := train.ErrorFrom(r.fw, k, act, ev.Test) - tr.baseline
+	delta := 1 - train.AccuracyOf(ev.pass(r, tr), ev.Test) - tr.baseline
 	tr.timer.Since(evalStart)
 	met.evalParallel.Since(waitStart)
 	if delta < 0 {
@@ -178,39 +193,45 @@ func (ev *MeasuredEvaluator) measure(tr trial) float64 {
 	return delta
 }
 
-// capturePrefix copies, from fw's just-finished baseline pass over
+// capturePrefix records, from fw's just-finished baseline pass over
 // ev.Test, the input of every weight layer a trial's pass may start at:
-// each one past model layer 0 at a legal cut (dnn.Model.CanCut). Other
-// ordinals stay nil. Only the weight layers' inputs are kept, not every
-// activation of the pass.
+// each one at a legal cut (dnn.Model.CanCut). Other ordinals stay nil.
+// Only the weight layers' inputs are kept, not every activation of the
+// pass; model layer 0's input is the test batch itself.
 func (ev *MeasuredEvaluator) capturePrefix(fw *dnn.Forwarder) []*tensor.Tensor4 {
 	prefix := make([]*tensor.Tensor4, len(ev.layerIdx))
 	for o, li := range ev.layerIdx {
-		if li > 0 && ev.pristine.CanCut(li) {
+		switch {
+		case li == 0:
+			prefix[o] = ev.Test.Images
+		case ev.pristine.CanCut(li):
 			prefix[o] = fw.Input(li).Clone()
 		}
 	}
 	return prefix
 }
 
-// entry returns where a replica pass over tr starts: at the trial's
-// first dirty weight layer, fed its cached baseline input, when the
-// route has that layer's input cached; otherwise at layer 0, fed the
-// test images. Every layer before the first dirty one runs on the
-// route baseline's operand, so its cached input is what a full pass
-// would compute.
-func (ev *MeasuredEvaluator) entry(tr trial) (int, *tensor.Tensor4) {
-	for o, act := range tr.prefix {
-		if !tr.layers[o].dirty() {
-			continue
-		}
-		if act != nil {
-			met.prefixSkipped.Add(int64(o))
-			return ev.layerIdx[o], act
-		}
-		break
+// pass overlays tr on replica r and returns its logits. The layers
+// before the first dirty weight layer o, and o's clean rows, run on the
+// route baseline's operands, so the cached inputs are what a full pass
+// computes: the pass starts at o, or runs only o's dirty rows when o's
+// tail ends at weight layer o+1 (dnn.Forwarder.ForwardRows). A route
+// without o's input cached runs the full pass.
+func (ev *MeasuredEvaluator) pass(r *replica, tr trial) *tensor.Matrix {
+	o := slices.IndexFunc(tr.layers, func(lt layerTrial) bool { return lt.dirty() })
+	if o < 0 || tr.prefix == nil || tr.prefix[o] == nil {
+		r.overlay(ev, tr.layers, 0)
+		return r.fw.Forward(ev.Test.Images)
 	}
-	return 0, ev.Test.Images
+	met.prefixSkipped.Add(int64(o))
+	k, lt := ev.layerIdx[o], &tr.layers[o]
+	if o+1 < len(tr.prefix) && tr.prefix[o+1] != nil && ev.pristine.RowCut(k) == ev.layerIdx[o+1] {
+		met.prefixRows.Add(int64(ev.clustered[o].Rows - len(lt.rows)))
+		r.overlay(ev, tr.layers, o+1)
+		return r.fw.ForwardRows(k, lt.rows, r.decode(ev, o, lt, lt.rows), tr.prefix[o], tr.prefix[o+1])
+	}
+	r.overlay(ev, tr.layers, o)
+	return r.fw.ForwardFrom(k, tr.prefix[o])
 }
 
 // measureSerial is the serialized reference measurement: it overlays
@@ -221,7 +242,7 @@ func (ev *MeasuredEvaluator) measureSerial(tr trial) float64 {
 	ev.mu.Lock()
 	defer ev.mu.Unlock()
 	evalStart := time.Now()
-	ev.serial.overlay(ev, tr.layers)
+	ev.serial.overlay(ev, tr.layers, 0)
 	delta := train.Error(ev.Model, ev.Test) - tr.baseline
 	ev.serial.reset(ev)
 	met.eval.Since(evalStart)

@@ -29,7 +29,8 @@ import (
 // onward and returns the same logits bit for bit. That is how a
 // corrupted trial skips the layers before its first corrupted one,
 // whose outputs are the same for every trial. Input exposes a layer's
-// input after a pass, so a caller can cache it.
+// input after a pass, so a caller can cache it. ForwardRows recomputes
+// only the changed output rows of that layer.
 type Forwarder struct {
 	m *Model
 	// Workers bounds kernel parallelism (convolution image bands and
@@ -40,6 +41,8 @@ type Forwarder struct {
 	Workers int
 
 	acts   []*tensor.Tensor4 // per-layer output buffers, grown on demand
+	patch  *tensor.Tensor4   // ForwardRows' patched input of the next cut
+	bias   []float32         // ForwardRows' gathered bias
 	conv   tensor.ConvWorkspace
 	flat   tensor.Matrix // FC input view into the upstream activation
 	view   tensor.Matrix // FC/GAP output view into acts[i]
@@ -53,10 +56,10 @@ func NewForwarder(m *Model) *Forwarder {
 	return &Forwarder{m: m, acts: make([]*tensor.Tensor4, len(m.Layers))}
 }
 
-// ensure returns the layer-i output buffer with the given shape,
-// reusing (or growing) the existing allocation.
-func (f *Forwarder) ensure(i, n, c, h, w int) *tensor.Tensor4 {
-	t := f.acts[i]
+// ensure returns *slot reshaped to the given shape, reusing (or
+// growing) its allocation.
+func ensure(slot **tensor.Tensor4, n, c, h, w int) *tensor.Tensor4 {
+	t := *slot
 	if t != nil && t.N == n && t.C == c && t.H == h && t.W == w {
 		return t
 	}
@@ -66,7 +69,7 @@ func (f *Forwarder) ensure(i, n, c, h, w int) *tensor.Tensor4 {
 		return t
 	}
 	t = tensor.NewTensor4(n, c, h, w)
-	f.acts[i] = t
+	*slot = t
 	return t
 }
 
@@ -104,43 +107,94 @@ func (f *Forwarder) ForwardFrom(k int, act *tensor.Tensor4) *tensor.Matrix {
 	}
 	for i := k; i < len(f.m.Layers); i++ {
 		l := f.m.Layers[i]
-		x := fetch(i, l.Input)
-		switch l.Kind {
-		case Conv:
-			out := f.ensure(i, x.N, l.Conv.OutC, l.Conv.OutH(), l.Conv.OutW())
-			tensor.Conv2DInto(out, x, l.Operand(), l.Bias, l.Conv, &f.conv)
-		case FC:
-			out := f.ensure(i, x.N, l.OutFeatures, 1, 1)
-			f.flat = tensor.Matrix{Rows: x.N, Cols: x.C * x.H * x.W, Data: x.Data}
-			f.view = tensor.Matrix{Rows: x.N, Cols: l.OutFeatures, Data: out.Data}
-			tensor.MulABtInto(&f.view, &f.flat, l.Operand(), f.Workers)
-			if l.Bias != nil {
-				f.view.AddBiasRows(l.Bias)
-			}
-		case MaxPool:
-			out := f.ensure(i, x.N, x.C, x.H/l.PoolK, x.W/l.PoolK)
-			tensor.MaxPool2DInto(out, x, l.PoolK)
-		case GlobalAvgPool:
-			out := f.ensure(i, x.N, x.C, 1, 1)
-			f.view = tensor.Matrix{Rows: x.N, Cols: x.C, Data: out.Data}
-			tensor.GlobalAvgPool2DInto(&f.view, x)
-		case Add:
-			y := fetch(i, l.Input2)
-			out := f.ensure(i, x.N, x.C, x.H, x.W)
-			copy(out.Data, x.Data)
-			for j, v := range y.Data {
-				out.Data[j] += v
-			}
-		default:
-			panic(fmt.Sprintf("dnn: unknown layer kind %d", l.Kind))
+		var y *tensor.Tensor4
+		if l.Kind == Add {
+			y = fetch(i, l.Input2)
 		}
-		if l.ReLUAfter {
-			f.acts[i].ReLU()
-		}
+		f.run(&f.acts[i], l, fetch(i, l.Input), y, l.Operand(), l.Bias, l.WeightRows())
 	}
 	last := f.acts[len(f.acts)-1]
 	f.logits = tensor.Matrix{Rows: last.N, Cols: last.C * last.H * last.W, Data: last.Data}
 	return &f.logits
+}
+
+// run computes layer l on x (and y, for Add) into *slot, with its ReLU;
+// a weight layer runs on w and bias, producing outC channels.
+func (f *Forwarder) run(slot **tensor.Tensor4, l *Layer, x, y *tensor.Tensor4, w tensor.Operand, bias []float32, outC int) *tensor.Tensor4 {
+	var out *tensor.Tensor4
+	switch l.Kind {
+	case Conv:
+		cs := l.Conv
+		cs.OutC = outC
+		out = ensure(slot, x.N, outC, cs.OutH(), cs.OutW())
+		tensor.Conv2DInto(out, x, w, bias, cs, &f.conv)
+	case FC:
+		out = ensure(slot, x.N, outC, 1, 1)
+		f.flat = tensor.Matrix{Rows: x.N, Cols: x.C * x.H * x.W, Data: x.Data}
+		f.view = tensor.Matrix{Rows: x.N, Cols: outC, Data: out.Data}
+		tensor.MulABtInto(&f.view, &f.flat, w, f.Workers)
+		if bias != nil {
+			f.view.AddBiasRows(bias)
+		}
+	case MaxPool:
+		out = ensure(slot, x.N, x.C, x.H/l.PoolK, x.W/l.PoolK)
+		tensor.MaxPool2DInto(out, x, l.PoolK)
+	case GlobalAvgPool:
+		out = ensure(slot, x.N, x.C, 1, 1)
+		f.view = tensor.Matrix{Rows: x.N, Cols: x.C, Data: out.Data}
+		tensor.GlobalAvgPool2DInto(&f.view, x)
+	case Add:
+		out = ensure(slot, x.N, x.C, x.H, x.W)
+		copy(out.Data, x.Data)
+		for j, v := range y.Data {
+			out.Data[j] += v
+		}
+	default:
+		panic(fmt.Sprintf("dnn: unknown layer kind %d", l.Kind))
+	}
+	if l.ReLUAfter {
+		out.ReLU()
+	}
+	return out
+}
+
+// ForwardRows is ForwardFrom(k, in) when only the listed output rows
+// of weight layer k differ from the weights that produced next, the
+// input of layer n = Model.RowCut(k); w holds just those rows, in that
+// order. It runs k and its channel-local tail on those channels alone,
+// patches them into a copy of next, and continues with ForwardFrom(n).
+// A kernel computes each channel from its own weight row (see
+// tensor.Operand), so the logits are bit-identical. Layer k's operand
+// is never read, in and next are only read, and Output(i) for
+// k <= i < n holds the listed channels only. It panics when n is -1.
+func (f *Forwarder) ForwardRows(k int, rows []int, w tensor.Operand, in, next *tensor.Tensor4) *tensor.Matrix {
+	n := f.m.RowCut(k)
+	if n < 0 {
+		panic(fmt.Sprintf("dnn: model %q cannot row-patch layer %d", f.m.Name, k))
+	}
+	f.conv.Workers = f.Workers
+	bias := f.m.Layers[k].Bias
+	if bias != nil {
+		f.bias = f.bias[:0]
+		for _, r := range rows {
+			f.bias = append(f.bias, bias[r])
+		}
+		bias = f.bias
+	}
+	x := in
+	for i := k; i < n; i++ {
+		x = f.run(&f.acts[i], f.m.Layers[i], x, nil, w, bias, len(rows))
+	}
+	dst := ensure(&f.patch, next.N, next.C, next.H, next.W)
+	copy(dst.Data, next.Data)
+	plane := x.H * x.W
+	for b := 0; b < x.N; b++ {
+		src, img := x.Image(b), dst.Image(b)
+		for j, r := range rows {
+			copy(img[r*plane:(r+1)*plane], src[j*plane:(j+1)*plane])
+		}
+	}
+	return f.ForwardFrom(n, dst)
 }
 
 // Input returns the activation layer k (k >= 1) read as its input in the

@@ -1,6 +1,7 @@
 package dnn
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/tensor"
@@ -80,6 +81,38 @@ func TestForwarderResidualAdd(t *testing.T) {
 			t.Fatalf("residual forwarder differs at %d", i)
 		}
 	}
+	// c2's output meets c1's at the Add, whose skip crosses the cut at
+	// 2: a trial dirty first in c2 takes the ForwardFrom fallback, and
+	// ForwardRows refuses it. c1's output is read only as the next
+	// cut's input (by c2 and by the Add's skip), so c1 may row-patch.
+	if n := m.RowCut(1); n != -1 {
+		t.Errorf("residual RowCut(1) = %d, want -1 (fallback)", n)
+	}
+	if n := m.RowCut(0); n != 1 {
+		t.Errorf("residual RowCut(0) = %d, want 1", n)
+	}
+	next := f.Input(1).Clone()
+	rows := []int{2}
+	w := m.Layers[0].Weights.Clone()
+	for i := range w.Row(2) {
+		w.Row(2)[i] = -w.Row(2)[i]
+	}
+	patched := f.ForwardRows(0, rows, gatherRows(t, w, rows), in, next).Clone()
+	orig := m.Layers[0].Weights
+	m.Layers[0].Weights = w
+	want = f.Forward(in)
+	m.Layers[0].Weights = orig
+	for i := range want.Data {
+		if patched.Data[i] != want.Data[i] {
+			t.Fatalf("residual row patch of c1 differs at %d", i)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("ForwardRows at a layer without a row cut did not panic")
+		}
+	}()
+	f.ForwardRows(1, rows, gatherRows(t, w, rows), f.Input(1), next)
 }
 
 // residualModel is TestForwarderResidualAdd's network: c1, c2, then an
@@ -259,9 +292,35 @@ func assertForwarderAllocFree(t *testing.T, name string, seed uint64, overlay fu
 	if allocs := testing.AllocsPerRun(10, func() { f.ForwardFrom(k, act) }); allocs != 0 {
 		t.Errorf("%s: ForwardFrom(%d) allocates %v per run, want 0", name, k, allocs)
 	}
+	// Row-patched passes at conv2 and fc1 (the storage trials' common
+	// first dirty layers), over a few changed rows.
+	f.Forward(in)
+	inputs := make([]*tensor.Tensor4, len(m.Layers))
+	for k := 1; k < len(m.Layers); k++ {
+		inputs[k] = f.Input(k).Clone()
+	}
+	for _, k := range []int{2, 4} {
+		n, l := m.RowCut(k), m.Layers[k]
+		rows := []int{0, 3, l.WeightRows() - 1}
+		sub := gatherRows(t, perturbRows(t, rowSource(l), rows), rows)
+		in, next := inputs[k], inputs[n]
+		if allocs := testing.AllocsPerRun(10, func() { f.ForwardRows(k, rows, sub, in, next) }); allocs != 0 {
+			t.Errorf("%s: ForwardRows(%d) allocates %v per run, want 0", name, k, allocs)
+		}
+	}
 	if allocs := testing.AllocsPerRun(10, func() { preds = f.Predict(in, preds) }); allocs != 0 {
 		t.Errorf("%s: Predict allocates %v per run, want 0", name, allocs)
 	}
+}
+
+// rowSource returns the operand a row patch of l gathers from: its 2:4
+// weights when set, else its dense ones (crossbar layers never
+// row-patch; a dense sub-operand still exercises the pass).
+func rowSource(l *Layer) tensor.Operand {
+	if l.Weights24 != nil {
+		return l.Weights24
+	}
+	return l.Weights
 }
 
 // TestForwarderSteadyStateAllocFree: the forward pass is allocation-free
@@ -285,4 +344,145 @@ func TestForwarderXbarSteadyStateAllocFree(t *testing.T) {
 		}
 		l.WeightsXbar = x
 	})
+}
+
+// gatherRows returns the listed rows of a dense or 2:4 operand as a
+// compact len(rows) x In operand of the same encoding.
+func gatherRows(t *testing.T, w tensor.Operand, rows []int) tensor.Operand {
+	t.Helper()
+	switch w := w.(type) {
+	case *tensor.Matrix:
+		out := tensor.NewMatrix(len(rows), w.Cols)
+		for j, r := range rows {
+			copy(out.Row(j), w.Row(r))
+		}
+		return out
+	case *tensor.Sparse24:
+		out := tensor.NewSparse24(len(rows), w.Cols)
+		ne := 2 * w.GroupsPerRow
+		for j, r := range rows {
+			copy(out.Val[j*ne:(j+1)*ne], w.Val[r*ne:])
+			copy(out.Pos[j*ne:(j+1)*ne], w.Pos[r*ne:])
+		}
+		return out
+	}
+	t.Fatalf("gatherRows: unsupported operand %T", w)
+	return nil
+}
+
+// perturbRows returns a copy of a dense or 2:4 operand with every
+// stored value of the listed rows changed.
+func perturbRows(t *testing.T, w tensor.Operand, rows []int) tensor.Operand {
+	t.Helper()
+	scale := func(v []float32) {
+		for i := range v {
+			v[i] = v[i]*-1.5 + 0.01
+		}
+	}
+	switch w := w.(type) {
+	case *tensor.Matrix:
+		out := w.Clone()
+		for _, r := range rows {
+			scale(out.Row(r))
+		}
+		return out
+	case *tensor.Sparse24:
+		out := *w
+		out.Val = append([]float32(nil), w.Val...)
+		ne := 2 * w.GroupsPerRow
+		for _, r := range rows {
+			row := out.Val[r*ne : (r+1)*ne]
+			for e, v := range row {
+				if v != 0 { // pads stay pads: the form stays canonical
+					row[e] = v*-1.5 + 0.01
+				}
+			}
+		}
+		return &out
+	}
+	t.Fatalf("perturbRows: unsupported operand %T", w)
+	return nil
+}
+
+// setOperand installs w as layer l's operand in its own encoding.
+func setOperand(l *Layer, w tensor.Operand) {
+	switch w := w.(type) {
+	case *tensor.Matrix:
+		l.Weights = w
+	case *tensor.Sparse24:
+		l.Weights24 = w
+	}
+}
+
+// TestForwardRowsMatchesForwardFrom: for every weight layer k with a
+// row cut, on dense and 2:4 weights and for Workers 1 and 2, a
+// row-patched pass over a subset of k's rows (one row, the first, the
+// last, several, all) returns the logits of ForwardFrom(k) with those
+// rows overlaid, bit for bit, and never writes the activations it was
+// fed. RowCut itself is pinned on TinyCNN.
+func TestForwardRowsMatchesForwardFrom(t *testing.T) {
+	m := TinyCNN()
+	m.InitWeights(53)
+	for k, want := range []int{2, -1, 4, -1, 5, -1} {
+		if got := m.RowCut(k); got != want {
+			t.Errorf("TinyCNN RowCut(%d) = %d, want %d", k, got, want)
+		}
+	}
+	in := forwardTestInput(3)
+	for _, enc := range []string{"dense", "2:4"} {
+		if enc == "2:4" {
+			for _, l := range m.Layers {
+				if l.HasWeights() {
+					l.Weights24 = project24(l.Weights)
+				}
+			}
+		}
+		for _, workers := range []int{1, 2} {
+			base := NewForwarder(m)
+			base.Workers = workers
+			base.Forward(in)
+			f, full := NewForwarder(m), NewForwarder(m)
+			f.Workers, full.Workers = workers, workers
+			for k, l := range m.Layers {
+				n := m.RowCut(k)
+				if n < 0 {
+					continue
+				}
+				act, next := in.Clone(), base.Input(n).Clone()
+				if k > 0 {
+					act = base.Input(k).Clone()
+				}
+				actOrig, nextOrig := act.Clone(), next.Clone()
+				rows := l.WeightRows()
+				all := make([]int, rows)
+				for r := range all {
+					all[r] = r
+				}
+				pristine := l.Operand()
+				for _, sub := range [][]int{{rows / 2}, {0}, {rows - 1}, {0, 3, rows - 2}, all} {
+					name := fmt.Sprintf("%s workers=%d layer %d rows %v", enc, workers, k, sub)
+					patched := perturbRows(t, pristine, sub)
+					setOperand(l, patched)
+					want := full.ForwardFrom(k, act).Clone()
+					setOperand(l, pristine)
+					got := f.ForwardRows(k, sub, gatherRows(t, patched, sub), act, next)
+					for i := range want.Data {
+						if got.Data[i] != want.Data[i] {
+							t.Fatalf("%s: logits differ at %d: %v vs %v", name, i, got.Data[i], want.Data[i])
+						}
+					}
+					for i := range act.Data {
+						if act.Data[i] != actOrig.Data[i] {
+							t.Fatalf("%s: ForwardRows wrote its input", name)
+						}
+					}
+					for i := range next.Data {
+						if next.Data[i] != nextOrig.Data[i] {
+							t.Fatalf("%s: ForwardRows wrote the cached next input", name)
+						}
+					}
+				}
+			}
+		}
+	}
 }

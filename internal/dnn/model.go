@@ -367,6 +367,27 @@ func (m *Model) CanCut(k int) bool {
 	return true
 }
 
+// RowCut returns the layer n at which a row-patched pass over weight
+// layer k resumes (see Forwarder.ForwardRows), or -1. Layers k+1..n-1
+// are k's channel-local tail (MaxPool, GlobalAvgPool), each reading its
+// predecessor, as n does; n is a legal cut (CanCut), which a residual
+// skip across it is not. The last weight layer has no n.
+func (m *Model) RowCut(k int) int {
+	for n := k + 1; k >= 0 && n < len(m.Layers) && m.Layers[k].HasWeights(); n++ {
+		l := m.Layers[n]
+		if m.source(n, l.Input) != n-1 {
+			break
+		}
+		if l.Kind != MaxPool && l.Kind != GlobalAvgPool {
+			if m.CanCut(n) {
+				return n
+			}
+			break
+		}
+	}
+	return -1
+}
+
 // LayerSeed derives the deterministic per-layer weight stream seed from a
 // model seed. It is a pure function, so materializing a single layer in
 // isolation (streaming mode) yields exactly the same weights as

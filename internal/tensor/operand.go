@@ -17,7 +17,12 @@ import (
 //
 // Every kernel accumulates each output element's terms in a fixed order
 // that does not depend on the band split or on the GEMM width, so any
-// worker count produces the same bits.
+// worker count produces the same bits. Nor does an output channel (a
+// conv output plane, an FC output column) depend on which other rows
+// the operand holds: it is computed from its own weight row alone, so
+// an operand of a subset of the rows yields exactly those channels of
+// the full product. The row-patched forward pass
+// (dnn.Forwarder.ForwardRows) rests on this.
 type Operand interface {
 	// dims returns the Out x In shape. It panics on an internally
 	// inconsistent operand.

@@ -33,8 +33,8 @@ func TestErrorWithMatchesError(t *testing.T) {
 	cut := dnn.NewForwarder(m)
 	cut.Workers = 1
 	for k := 1; k < len(m.Layers); k++ {
-		if got := ErrorFrom(cut, k, f.Input(k), ds); got != want {
-			t.Fatalf("ErrorFrom(%d) = %v, want %v", k, got, want)
+		if got := 1 - AccuracyOf(cut.ForwardFrom(k, f.Input(k)), ds); got != want {
+			t.Fatalf("error from layer %d = %v, want %v", k, got, want)
 		}
 	}
 }

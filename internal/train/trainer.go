@@ -252,17 +252,17 @@ func Error(m *dnn.Model, ds *Dataset) float64 { return 1 - Accuracy(m, ds) }
 // a caller-owned reusable Forwarder, so repeated evaluations (the
 // inference tail of fault-injection trials) allocate nothing in steady
 // state.
-func AccuracyWith(f *dnn.Forwarder, ds *Dataset) float64 { return AccuracyFrom(f, 0, ds.Images, ds) }
+func AccuracyWith(f *dnn.Forwarder, ds *Dataset) float64 { return AccuracyOf(f.Forward(ds.Images), ds) }
 
 // ErrorWith returns 1 - AccuracyWith.
-func ErrorWith(f *dnn.Forwarder, ds *Dataset) float64 { return ErrorFrom(f, 0, ds.Images, ds) }
+func ErrorWith(f *dnn.Forwarder, ds *Dataset) float64 { return 1 - AccuracyWith(f, ds) }
 
-// AccuracyFrom is AccuracyWith for a pass that starts at layer k, fed
-// act — layer k's input over ds.Images (see dnn.Forwarder.ForwardFrom).
-// It is the one counting path: every accuracy and error above is this
-// count and this division.
-func AccuracyFrom(f *dnn.Forwarder, k int, act *tensor.Tensor4, ds *Dataset) float64 {
-	logits := f.ForwardFrom(k, act)
+// AccuracyOf returns the fraction of logits' rows, one per sample of
+// ds, whose argmax is the sample's label: the logits of any pass over
+// ds.Images, whether it started at layer 0 or mid-network (see
+// dnn.Forwarder.ForwardFrom and ForwardRows). It is the one counting
+// path: every accuracy and error above is this count and this division.
+func AccuracyOf(logits *tensor.Matrix, ds *Dataset) float64 {
 	correct := 0
 	for r := 0; r < logits.Rows; r++ {
 		if logits.ArgmaxRow(r) == ds.Labels[r] {
@@ -270,9 +270,4 @@ func AccuracyFrom(f *dnn.Forwarder, k int, act *tensor.Tensor4, ds *Dataset) flo
 		}
 	}
 	return float64(correct) / float64(logits.Rows)
-}
-
-// ErrorFrom returns 1 - AccuracyFrom.
-func ErrorFrom(f *dnn.Forwarder, k int, act *tensor.Tensor4, ds *Dataset) float64 {
-	return 1 - AccuracyFrom(f, k, act, ds)
 }
