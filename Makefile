@@ -15,6 +15,8 @@
 #                  shard, proving quarantine + bit-identical recovery
 #   make fuzz    - short fuzz pass over the sparse decode and
 #                  checkpoint-loader targets
+#   make paper-golden - `maxnvm all` (every table and figure, ~2 min)
+#                  diffed byte for byte against its golden file
 #   make bench   - full benchmark harness (regenerates every figure)
 #   make all     - check + race
 
@@ -27,7 +29,7 @@ FUZZTIME ?= 10s
 COVER_FLOOR ?= 70
 COVER_PKGS   = internal/campaign internal/envm internal/sparse internal/ecc internal/telemetry internal/cliutil internal/durable internal/errfs internal/fleet internal/serve internal/supervise internal/chaos internal/ares internal/mitigate internal/tensor internal/crossbar
 
-.PHONY: all check fmt build test race race-fast vet vet-perfbench cover fuzz fleet-crash chaos bench serve-smoke examples-smoke clean
+.PHONY: all check fmt build test race race-fast vet vet-perfbench cover fuzz fleet-crash chaos bench serve-smoke examples-smoke paper-golden clean
 
 all: check race
 
@@ -81,6 +83,21 @@ examples-smoke:
 	@out=$$($(GO) run ./examples/iot-keyword) || exit 1; echo "$$out"; \
 	echo "$$out" | grep -qF 'co-designed configuration is safe; naive MLC3 storage is not.' || \
 		{ echo "examples-smoke: iot-keyword verdict missing"; exit 1; }
+
+# The whole paper: the stdout of `maxnvm all` at its defaults must
+# equal $(PAPER_GOLDEN) byte for byte, so a kernel, codec or sampler
+# change cannot move a table unnoticed. It takes ~2 min, so it stays
+# out of `go test ./...`. When the science is meant to move, regenerate
+# with `make paper-golden UPDATE=1` and review the diff.
+PAPER_GOLDEN = internal/exper/testdata/paper.golden
+
+paper-golden:
+	@out=$$(mktemp); \
+	$(GO) run ./cmd/maxnvm all > $$out || { rm -f $$out; exit 1; }; \
+	if [ -n "$(UPDATE)" ]; then mv $$out $(PAPER_GOLDEN); exit 0; fi; \
+	diff -u $(PAPER_GOLDEN) $$out; rc=$$?; rm -f $$out; \
+	[ $$rc -eq 0 ] || echo "paper-golden: maxnvm all drifted (make paper-golden UPDATE=1 if intended)"; \
+	exit $$rc
 
 # The fleet fault matrix, repeated to shake out schedule-dependent
 # flakes: claim races, expiry steals with zombie fencing, simulated

@@ -140,14 +140,17 @@ func (c Config) String() string {
 	for _, name := range names {
 		s += fmt.Sprintf(",%s:%s", name, c.Overrides[name])
 	}
-	// Non-default mitigation settings are part of the identity; the
-	// suffixes appear only when set so every pre-existing cache key and
-	// checkpoint config ID is unchanged.
+	// Non-default mitigation and retention settings are part of the
+	// identity; the suffixes appear only when set so every pre-existing
+	// cache key and checkpoint config ID is unchanged.
 	if c.ECCBlockBits > 0 {
 		s += fmt.Sprintf(",blk%d", c.ECCBlockBits)
 	}
 	if c.Degrade {
 		s += ",degrade"
+	}
+	if c.RetentionYears != 0 {
+		s += fmt.Sprintf(",ret%gy", c.RetentionYears)
 	}
 	if c.Crossbar != nil {
 		s += ",xbar:" + c.Crossbar.String()
@@ -246,38 +249,47 @@ type TrialStats struct {
 // so a campaign engine can fail one trial (or reject one config) without
 // taking down the run, and a cancelled context aborts between streams.
 func RunTrialChecked(ctx context.Context, enc sparse.Encoding, orig []uint8, centroids []float32, cfg Config, seed uint64) (TrialStats, []uint8, error) {
-	var st TrialStats
 	if err := cfg.Validate(); err != nil {
-		return st, nil, err
+		return TrialStats{}, nil, err
 	}
 	clone, err := sparse.CloneEncoding(enc)
 	if err != nil {
-		return st, nil, err
+		return TrialStats{}, nil, err
 	}
-	if err := injectStreams(ctx, clone, cfg, seed, &st); err != nil {
+	return storageStep(ctx, clone, orig, centroids, cfg, stats.NewSource(seed))
+}
+
+// storageStep is the storage trial step shared by RunTrialChecked and
+// the lifetime epoch loop: it injects faults per cfg into the
+// caller-owned encoding enc (drawing from src), ECC-corrects, decodes,
+// and compares the decoded indices against ref.
+func storageStep(ctx context.Context, enc sparse.Encoding, ref []uint8, centroids []float32, cfg Config, src *stats.Source) (TrialStats, []uint8, error) {
+	var st TrialStats
+	if err := injectStreams(ctx, enc, cfg, src, &st); err != nil {
 		return st, nil, err
 	}
 	decodeStart := time.Now()
-	decoded := clone.Decode()
+	decoded := enc.Decode()
 	met.decode.Since(decodeStart)
-	if len(orig) != len(decoded) {
-		return st, nil, fmt.Errorf("ares: %d original indices vs %d decoded", len(orig), len(decoded))
+	if len(ref) != len(decoded) {
+		return st, nil, fmt.Errorf("ares: %d original indices vs %d decoded", len(ref), len(decoded))
 	}
-	fillCorruption(&st, orig, decoded, centroids)
+	fillCorruption(&st, ref, decoded, centroids)
 	return st, decoded, nil
 }
 
-// injectStreams injects faults per cfg into every stream of the (cloned,
-// caller-owned) encoding, applying ECC correction where configured. It
-// is the one fault-injection loop shared by the decode-to-dense path
-// (RunTrialChecked) and the compute-direct 2:4 path (runTrial24):
-// the per-stream fork order src.Fork(i+1) from stats.NewSource(seed) is
-// the seed contract, so both paths draw identical fault maps for the
-// same (cfg, seed).
-func injectStreams(ctx context.Context, clone sparse.Encoding, cfg Config, seed uint64, st *TrialStats) error {
+// injectStreams injects faults per cfg into every stream of the
+// caller-owned encoding. Each ECC stream is protected over its current
+// bits, injected and corrected, and with cfg.Degrade its uncorrectable
+// blocks are zeroed instead of reaching the decoder. It is the one
+// fault-injection loop: storageStep (write-time and lifetime trials)
+// and runTrial24 share it, and stream i draws from src.Fork(i+1), the
+// seed contract, so every route draws identical fault maps for the same
+// (cfg, seed). Protecting the current bits is also a scrub rewrite: the
+// parity is recomputed over the residual damage.
+func injectStreams(ctx context.Context, enc sparse.Encoding, cfg Config, src *stats.Source, st *TrialStats) error {
 	injectStart := time.Now()
-	src := stats.NewSource(seed)
-	for i, s := range clone.Streams() {
+	for i, s := range enc.Streams() {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -287,37 +299,29 @@ func injectStreams(ctx context.Context, clone sparse.Encoding, cfg Config, seed 
 		}
 		sc := cfg.StoreConfig(p)
 		ssrc := src.Fork(uint64(i) + 1)
-		if p.ECC {
-			prot := ecc.NewBlockCode(cfg.BlockBits()).Protect(s.Bits)
-			injectProtected(prot, sc, cfg.Degrade, ssrc, st)
-		} else {
+		if !p.ECC {
 			st.Faults += envm.InjectArray(s.Bits, sc, ssrc)
+			continue
+		}
+		// Data cells draw from ssrc, parity cells from ssrc.Fork(2).
+		prot := ecc.NewBlockCode(cfg.BlockBits()).Protect(s.Bits)
+		st.Faults += envm.InjectArray(prot.Data, sc, ssrc)
+		st.Faults += envm.InjectArray(prot.Parity.Bits, sc, ssrc.Fork(2))
+		rep := prot.CorrectReport()
+		st.Corrected += rep.Corrected
+		st.Detected += rep.Detected
+		met.eccCorrected.Add(int64(rep.Corrected))
+		met.eccDetected.Add(int64(rep.Detected))
+		if cfg.Degrade && len(rep.Bad) > 0 {
+			for _, b := range rep.Bad {
+				prot.ZeroBlock(b)
+			}
+			st.DegradedBlocks += len(rep.Bad)
+			met.degradedBlocks.Add(int64(len(rep.Bad)))
 		}
 	}
 	met.inject.Since(injectStart)
 	return nil
-}
-
-// injectProtected injects faults into a protected stream's data and
-// parity cells, runs SEC-DED correction, and — when degrade is set —
-// zeroes every uncorrectable block instead of letting its corrupt bits
-// reach the decoder. Shared by the per-trial path and the lifetime
-// epoch loop; the data/parity fork order is the seed contract.
-func injectProtected(prot *ecc.Protected, sc envm.StoreConfig, degrade bool, src *stats.Source, st *TrialStats) {
-	st.Faults += envm.InjectArray(prot.Data, sc, src)
-	st.Faults += envm.InjectArray(prot.Parity.Bits, sc, src.Fork(2))
-	rep := prot.CorrectReport()
-	st.Corrected += rep.Corrected
-	st.Detected += rep.Detected
-	met.eccCorrected.Add(int64(rep.Corrected))
-	met.eccDetected.Add(int64(rep.Detected))
-	if degrade && len(rep.Bad) > 0 {
-		for _, b := range rep.Bad {
-			prot.ZeroBlock(b)
-		}
-		st.DegradedBlocks += len(rep.Bad)
-		met.degradedBlocks.Add(int64(len(rep.Bad)))
-	}
 }
 
 // fillCorruption computes the corruption statistics between original and

@@ -9,7 +9,6 @@ import (
 	"repro/internal/sparse"
 	"repro/internal/stats"
 	"repro/internal/tensor"
-	"repro/internal/train"
 )
 
 // The compute-direct 2:4 trial route.
@@ -38,7 +37,8 @@ import (
 type twofourState struct {
 	once sync.Once
 	err  error
-	// encs holds the pristine per-layer encodings (trials clone).
+	// encs holds the pristine per-layer encodings, from the evaluator's
+	// encoding cache (trials clone).
 	encs []*sparse.E24
 	// orig24 holds the projected dense indices — the reference the
 	// decode-to-dense oracle and the corruption statistics compare
@@ -62,18 +62,19 @@ type twofourState struct {
 func (ev *MeasuredEvaluator) twofour() (*twofourState, error) {
 	tf := &ev.tf
 	tf.once.Do(func() {
+		var encs []sparse.Encoding
+		if encs, tf.err = ev.encodings(sparse.Kind24); tf.err != nil {
+			return
+		}
 		n := len(ev.clustered)
 		tf.encs = make([]*sparse.E24, n)
 		tf.orig24 = make([][]uint8, n)
 		tf.compVals = make([][]uint8, n)
 		tf.compPos = make([][]uint8, n)
 		tf.pristine24 = make([]*tensor.Sparse24, n)
+		base := make([]layerTrial, n)
 		for i, cl := range ev.clustered {
-			enc, err := sparse.Encode24(cl.Indices, cl.Rows, cl.Cols, cl.IndexBits, cl.Centroids)
-			if err != nil {
-				tf.err = err
-				return
-			}
+			enc := encs[i].(*sparse.E24)
 			tf.encs[i] = enc
 			tf.orig24[i] = enc.Decode()
 			ne := sparse.Entries24(cl.Rows, cl.Cols)
@@ -86,17 +87,12 @@ func (ev *MeasuredEvaluator) twofour() (*twofourState, error) {
 			}
 			copy(s24.Pos, tf.compPos[i])
 			tf.pristine24[i] = s24
+			base[i].s24 = s24
 		}
 		// Projected-model baseline, measured through the same kernels the
 		// trials use; the pass doubles as the route's prefix pass.
-		// One-shot forwarder: replicas are not yet involved.
-		m := ev.pristine.CloneShared()
-		for o, li := range ev.layerIdx {
-			m.Layers[li].Weights24 = tf.pristine24[o]
-		}
-		fw := dnn.NewForwarder(m)
-		fw.Workers = 1
-		tf.baselineErr = train.ErrorWith(fw, ev.Test)
+		var fw *dnn.Forwarder
+		tf.baselineErr, fw = ev.baseline(base)
 		tf.prefix = ev.capturePrefix(fw)
 	})
 	return tf, tf.err
@@ -116,7 +112,7 @@ func runTrial24(ctx context.Context, enc *sparse.E24, orig24 []uint8, centroids 
 		return st, nil, nil, err
 	}
 	e := clone.(*sparse.E24)
-	if err := injectStreams(ctx, e, cfg, seed, &st); err != nil {
+	if err := injectStreams(ctx, e, cfg, stats.NewSource(seed), &st); err != nil {
 		return st, nil, nil, err
 	}
 	decodeStart := time.Now()

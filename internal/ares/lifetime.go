@@ -4,10 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"time"
 
-	"repro/internal/ecc"
-	"repro/internal/envm"
 	"repro/internal/sparse"
 	"repro/internal/stats"
 )
@@ -23,9 +20,10 @@ import (
 //   - With scrubbing, the cell state PERSISTS across epochs. Each epoch
 //     injects misreads at the drift age accumulated since the last
 //     rewrite, ECC corrects what it can, uncorrected damage is baked
-//     into the rewritten codeword (ecc.Reprotect), and the next epoch
-//     starts from that state. Unprotected streams accumulate damage
-//     monotonically — exactly the failure mode scrubbing cannot fix.
+//     into the rewritten cells, and the next epoch starts from that
+//     state, its ECC parity recomputed from the rewritten bits.
+//     Unprotected streams accumulate damage monotonically — exactly
+//     the failure mode scrubbing cannot fix.
 //   - Without scrubbing there is no rewrite to latch a misread into the
 //     cell, so each evaluation epoch samples a fresh fault map at the
 //     cumulative age: transient misreads against ever-wider margins.
@@ -137,51 +135,6 @@ type LifetimeStats struct {
 	FirstViolation int
 }
 
-// lifetimeLayer is the persistent cell state of one layer across a
-// scrubbed deployment: the aged encoding plus the ECC state of its
-// protected streams.
-type lifetimeLayer struct {
-	enc  sparse.Encoding
-	prot map[int]*ecc.Protected
-}
-
-// newLifetimeLayer clones the pristine encoding and protects the
-// configured streams once, at write time.
-func newLifetimeLayer(pristine sparse.Encoding, cfg Config) (*lifetimeLayer, error) {
-	clone, err := sparse.CloneEncoding(pristine)
-	if err != nil {
-		return nil, err
-	}
-	ll := &lifetimeLayer{enc: clone, prot: map[int]*ecc.Protected{}}
-	for i, s := range clone.Streams() {
-		p := cfg.PolicyFor(s.Name)
-		if p.BPC != 0 && p.ECC {
-			ll.prot[i] = ecc.NewBlockCode(cfg.BlockBits()).Protect(s.Bits)
-		}
-	}
-	return ll, nil
-}
-
-// age injects one epoch of misreads at drift age ageYears into every
-// stored stream, corrects the protected ones, and (with cfg.Degrade)
-// zeroes uncorrectable blocks.
-func (ll *lifetimeLayer) age(cfg Config, ageYears float64, src *stats.Source, st *TrialStats) {
-	for i, s := range ll.enc.Streams() {
-		p := cfg.PolicyFor(s.Name)
-		if p.BPC == 0 {
-			continue // perfect storage
-		}
-		sc := cfg.StoreConfig(p)
-		sc.RetentionYears = ageYears
-		ssrc := src.Fork(uint64(i) + 1)
-		if prot := ll.prot[i]; prot != nil {
-			injectProtected(prot, sc, cfg.Degrade, ssrc, st)
-		} else {
-			st.Faults += envm.InjectArray(s.Bits, sc, ssrc)
-		}
-	}
-}
-
 // LifetimeTrial simulates one deployment of cfg under lp with the given
 // trial seed and measures the classification error at every epoch. The
 // outcome is a pure function of (cfg, lp, seed); errors are returned
@@ -197,7 +150,7 @@ func (ev *MeasuredEvaluator) LifetimeTrial(ctx context.Context, cfg Config, lp L
 	if cfg.Crossbar != nil {
 		return res, fmt.Errorf("ares: lifetime simulation ages stored bits; crossbar config %s has none", cfg)
 	}
-	encs, err := ev.encodings(cfg)
+	encs, err := ev.encodings(cfg.Encoding)
 	if err != nil {
 		return res, err
 	}
@@ -207,48 +160,30 @@ func (ev *MeasuredEvaluator) LifetimeTrial(ctx context.Context, cfg Config, lp L
 	}
 	scrub := lp.Scrubbed()
 	src := stats.NewSource(seed)
+	// cells holds each layer's stored encoding. With scrubbing it
+	// persists across epochs; without, every epoch reads a fresh clone.
+	cells := make([]sparse.Encoding, len(encs))
 
-	// Persistent cell state across epochs (scrub mode only).
-	var layers []*lifetimeLayer
-	if scrub {
-		layers = make([]*lifetimeLayer, len(ev.clustered))
-		for i := range ev.clustered {
-			if layers[i], err = newLifetimeLayer(encs[i], cfg); err != nil {
-				return res, err
-			}
-		}
-	}
-
-	prevAge := 0.0
 	ages := lp.epochAges()
 	for e, age := range ages {
-		driftAge := age
-		if scrub {
-			driftAge = age - prevAge
+		// The drift age: since the last rewrite when scrubbing.
+		ecfg := cfg
+		ecfg.RetentionYears = age
+		if scrub && e > 0 {
+			ecfg.RetentionYears -= ages[e-1]
 		}
 		esrc := src.Fork(uint64(e) + 1)
-		lts := make([]layerTrial, len(ev.clustered))
+		lts := make([]layerTrial, len(encs))
 		for li, cl := range ev.clustered {
-			if err := ctx.Err(); err != nil {
+			if !scrub || cells[li] == nil {
+				if cells[li], err = sparse.CloneEncoding(encs[li]); err != nil {
+					return res, err
+				}
+			}
+			st, dec, err := storageStep(ctx, cells[li], refs[li], cl.Centroids, ecfg, esrc.Fork(uint64(li)+1))
+			if err != nil {
 				return res, err
 			}
-			var ll *lifetimeLayer
-			if scrub {
-				ll = layers[li]
-			} else if ll, err = newLifetimeLayer(encs[li], cfg); err != nil {
-				return res, err
-			}
-			injectStart := time.Now()
-			var st TrialStats
-			ll.age(cfg, driftAge, esrc.Fork(uint64(li)+1), &st)
-			met.inject.Since(injectStart)
-			decodeStart := time.Now()
-			dec := ll.enc.Decode()
-			met.decode.Since(decodeStart)
-			if len(dec) != len(cl.Indices) {
-				return res, fmt.Errorf("ares: layer %d: %d decoded vs %d original indices", li, len(dec), len(cl.Indices))
-			}
-			fillCorruption(&st, refs[li], dec, cl.Centroids)
 			lts[li] = layerTrial{st: st, idx: dec}
 		}
 		tr, err := ev.decodedTrial(lts, refs, baseline)
@@ -259,7 +194,7 @@ func (ev *MeasuredEvaluator) LifetimeTrial(ctx context.Context, cfg Config, lp L
 		es := EpochStats{
 			Epoch:           e,
 			AgeYears:        age,
-			SinceScrubYears: driftAge,
+			SinceScrubYears: ecfg.RetentionYears,
 			Stats:           tr.stats,
 			DeltaErr:        delta,
 		}
@@ -277,20 +212,15 @@ func (ev *MeasuredEvaluator) LifetimeTrial(ctx context.Context, cfg Config, lp L
 		res.FinalDelta = delta
 		met.scrubEpochs.Inc()
 
-		// Scrub rewrite: reprogram every cell from the corrected state.
-		// Residual (uncorrected or degraded-to-zero) damage is baked in;
+		// Scrub rewrite: reprogram every cell from the corrected state,
+		// residual (uncorrected or degraded-to-zero) damage baked in; the
+		// next epoch's storageStep protects the rewritten bits afresh and
 		// the drift clock restarts. The final epoch ends the deployment,
 		// so no rewrite follows it.
 		if scrub && e < len(ages)-1 {
-			for _, ll := range layers {
-				for _, prot := range ll.prot {
-					prot.Reprotect()
-				}
-			}
 			res.Rewrites++
 			met.scrubRewrites.Inc()
 		}
-		prevAge = age
 	}
 	return res, nil
 }

@@ -58,20 +58,21 @@ func TestLifetimePolicyValidate(t *testing.T) {
 	}
 }
 
-// The mitigation fields must not perturb existing cache keys or
-// checkpoint config IDs: the suffixes appear only when set.
+// The mitigation and retention fields must not perturb existing cache
+// keys or checkpoint config IDs: the suffixes appear only when set.
 func TestConfigStringMitigationSuffixes(t *testing.T) {
 	base := Config{Tech: envm.CTT, Encoding: sparse.KindCSR, Default: StreamPolicy{BPC: 3}}
 	plain := base.String()
-	for _, bad := range []string{"degrade", "blk"} {
+	for _, bad := range []string{"degrade", "blk", "ret"} {
 		if contains(plain, bad) {
 			t.Fatalf("default config string %q mentions %q", plain, bad)
 		}
 	}
 	base.Degrade = true
 	base.ECCBlockBits = 256
+	base.RetentionYears = 2.5
 	s := base.String()
-	if !contains(s, ",blk256") || !contains(s, ",degrade") {
+	if !contains(s, ",blk256") || !contains(s, ",degrade") || !contains(s, ",ret2.5y") {
 		t.Fatalf("mitigation config string %q missing suffixes", s)
 	}
 }

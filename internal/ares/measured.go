@@ -52,9 +52,10 @@ type MeasuredEvaluator struct {
 	// replica creation to the pool capacity (see initReplicaPool).
 	replicas   chan *replica
 	replicaSem chan struct{}
-	// encMu guards encCache (pristine per-config encodings; trials clone).
+	// encMu guards encCache: the pristine per-layer encodings of each
+	// format, which depend on nothing else in a config (trials clone).
 	encMu    sync.Mutex
-	encCache map[string][]sparse.Encoding
+	encCache map[sparse.Kind][]sparse.Encoding
 	// xbarMu guards xbarCache (pristine crossbar mappings and their
 	// mapped baselines, one per tech + mapping design point; see xbar.go).
 	xbarMu    sync.Mutex
@@ -86,13 +87,12 @@ func NewMeasuredEvaluator(m *dnn.Model, test *train.Dataset, seed uint64) (*Meas
 		ev.pristine.Layers[li].Weights = w
 	}
 	// The baseline pass doubles as the decode-to-dense route's prefix
-	// pass. One-shot forwarder: replicas are not yet involved.
-	fw := dnn.NewForwarder(ev.pristine)
-	fw.Workers = 1
-	ev.BaselineErr = train.ErrorWith(fw, test)
+	// pass.
+	var fw *dnn.Forwarder
+	ev.BaselineErr, fw = ev.baseline(nil)
 	ev.prefix = ev.capturePrefix(fw)
 	ev.serial = ev.newReplica(m)
-	ev.encCache = make(map[string][]sparse.Encoding)
+	ev.encCache = make(map[sparse.Kind][]sparse.Encoding)
 	ev.xbarCache = make(map[string]*xbarState)
 	ev.initReplicaPool()
 	return ev, nil
@@ -119,14 +119,13 @@ func (ev *MeasuredEvaluator) refFor(cfg Config) ([][]uint8, float64, error) {
 	return ev.origIdx, ev.BaselineErr, nil
 }
 
-// encodings returns the pristine per-layer encodings for cfg, encoding
-// each distinct configuration once and caching the result (trials clone
+// encodings returns the pristine per-layer encodings in format kind,
+// encoding each format once and caching the result (trials clone
 // before mutating, so sharing the pristine encodings is safe).
-func (ev *MeasuredEvaluator) encodings(cfg Config) ([]sparse.Encoding, error) {
-	key := cfg.String()
+func (ev *MeasuredEvaluator) encodings(kind sparse.Kind) ([]sparse.Encoding, error) {
 	ev.encMu.Lock()
 	defer ev.encMu.Unlock()
-	if encs, ok := ev.encCache[key]; ok {
+	if encs, ok := ev.encCache[kind]; ok {
 		met.cacheHits.Inc()
 		return encs, nil
 	}
@@ -134,15 +133,40 @@ func (ev *MeasuredEvaluator) encodings(cfg Config) ([]sparse.Encoding, error) {
 	start := time.Now()
 	encs := make([]sparse.Encoding, len(ev.clustered))
 	for i, cl := range ev.clustered {
-		enc, err := EncodeLayer(cl, cfg)
+		enc, err := EncodeLayer(cl, Config{Encoding: kind})
 		if err != nil {
 			return nil, err
 		}
 		encs[i] = enc
 	}
 	met.encode.Since(start)
-	ev.encCache[key] = encs
+	ev.encCache[kind] = encs
 	return encs, nil
+}
+
+// Bill returns the storage bill of cfg for each clustered layer, in
+// weight-layer order: Cost of the layer's cached pristine encoding.
+func (ev *MeasuredEvaluator) Bill(cfg Config) ([][]StreamCost, error) {
+	encs, err := ev.encodings(cfg.Encoding)
+	if err != nil {
+		return nil, err
+	}
+	bill := make([][]StreamCost, len(encs))
+	for i, enc := range encs {
+		bill[i] = Cost(enc, cfg)
+	}
+	return bill, nil
+}
+
+// baseline measures a route's fault-free error over Test on a one-shot
+// replica, outside the pool, overlaid with the route's pristine
+// operands (none on the decode-to-dense route). It returns the
+// replica's Forwarder too, from whose pass the caller may capture the
+// route's prefix.
+func (ev *MeasuredEvaluator) baseline(layers []layerTrial) (float64, *dnn.Forwarder) {
+	r := ev.newPoolReplica()
+	r.overlay(ev, layers, 0)
+	return train.ErrorWith(r.fw, ev.Test), r.fw
 }
 
 // CorruptTrial runs only the corrupt step of one trial — no inference —

@@ -180,3 +180,46 @@ func TestSurrogateOrderingMatchesMeasured(t *testing.T) {
 		t.Errorf("surrogate raw MLC3 delta %.4f unexpectedly benign", surrogate[2])
 	}
 }
+
+// TestEncodingCacheOnePerKind: an encoding depends only on the format,
+// so configs that share a kind but differ in policies, ECC block size,
+// degrade or retention cost exactly one encode among them, whichever
+// route (write-time trial, compute-direct 2:4, decode-to-dense oracle,
+// lifetime epoch, storage bill) asks first.
+func TestEncodingCacheOnePerKind(t *testing.T) {
+	m := dnn.TinyCNN()
+	m.InitWeights(7)
+	ev, err := NewMeasuredEvaluator(m, train.Synthesize(train.SynthConfig{N: 20, Seed: 3, ProtoSeed: 77}), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, kind := range append([]sparse.Kind{sparse.Kind24}, sparse.Kinds...) {
+		cfgs := []Config{
+			{Tech: envm.CTT, Encoding: kind, Default: StreamPolicy{BPC: 3}},
+			{Tech: envm.CTT, Encoding: kind, Default: StreamPolicy{BPC: 2, ECC: true}, ECCBlockBits: 64},
+			{Tech: envm.MLCRRAM, Encoding: kind, Default: StreamPolicy{BPC: 3, ECC: true}, Degrade: true, RetentionYears: 4},
+		}
+		misses := met.cacheMisses.Value()
+		for i, cfg := range cfgs {
+			if _, err := ev.CorruptTrial(ctx, cfg, uint64(i)); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := ev.EvalTrialSerial(ctx, cfg, uint64(i)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ev.LifetimeTrial(ctx, cfg, LifetimePolicy{Years: 2, ScrubIntervalYears: 1}, uint64(i)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ev.Bill(cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := met.cacheMisses.Value() - misses; got != 1 {
+			t.Errorf("%v: %d encodes for %d configs of one kind, want 1", kind, got, len(cfgs))
+		}
+	}
+	if len(ev.encCache) != 1+len(sparse.Kinds) {
+		t.Errorf("encoding cache holds %d entries, want one per kind (%d)", len(ev.encCache), 1+len(sparse.Kinds))
+	}
+}

@@ -2,7 +2,9 @@ package ares
 
 // Pipeline telemetry: per-phase timers over the trial pipeline
 // (encode -> inject -> decode -> eval, see trial.go) and the
-// encoding-cache hit/miss counters, recorded into telemetry.Default().
+// encoding-cache hit/miss counters (the cache holds one encoding per
+// format, so misses count encodes per kind), recorded into
+// telemetry.Default().
 // The handles are resolved once at package init; recording on the
 // trial hot path is allocation-free (see internal/telemetry).
 //
@@ -16,7 +18,9 @@ package ares
 //	ares.phase.eval      time in overlay + inference on the decode-to-dense
 //	                     and crossbar routes, and in the serial reference (ns)
 //	ares.enccache.hits   encoding-cache hits
-//	ares.enccache.misses encoding-cache misses (encodes performed)
+//	ares.enccache.misses encoding-cache misses: pristine encodes
+//	                     performed, at most one per encoding format
+//	                     (and one per crossbar mapping design point)
 //
 // Replica-pool measurement (measure, the parallel inference tail of
 // every route):

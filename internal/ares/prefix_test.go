@@ -82,7 +82,7 @@ func layerRows(t *testing.T, ev *MeasuredEvaluator, cfg Config, seed uint64, o i
 		ne := 2 * tf.pristine24[o].GroupsPerRow
 		return diffRows(ne, [2][]uint8{vals, tf.compVals[o]}, [2][]uint8{pos, tf.compPos[o]})
 	}
-	encs, err := ev.encodings(cfg)
+	encs, err := ev.encodings(cfg.Encoding)
 	if err != nil {
 		t.Fatal(err)
 	}

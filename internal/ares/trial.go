@@ -87,7 +87,7 @@ func (ev *MeasuredEvaluator) corrupt(ctx context.Context, cfg Config, tsrc *stat
 // corruptDense runs the encode -> inject -> decode stages of the
 // decode-to-dense route: every layer's decoded cluster indices.
 func (ev *MeasuredEvaluator) corruptDense(ctx context.Context, cfg Config, tsrc *stats.Source) (trial, error) {
-	encs, err := ev.encodings(cfg)
+	encs, err := ev.encodings(cfg.Encoding)
 	if err != nil {
 		return trial{}, err
 	}

@@ -6,9 +6,7 @@ import (
 	"time"
 
 	"repro/internal/crossbar"
-	"repro/internal/dnn"
 	"repro/internal/stats"
-	"repro/internal/train"
 )
 
 var errNoCrossbar = errors.New("ares: config has no crossbar design point")
@@ -79,17 +77,13 @@ func (ev *MeasuredEvaluator) xbar(cfg Config) (*xbarState, error) {
 	if xc.BPC == 0 && xc.ADCBits == 0 {
 		xs.baselineErr = ev.BaselineErr
 	} else {
-		m := ev.pristine.CloneShared()
-		for o, li := range ev.layerIdx {
-			if x := xs.layers[o].PristineXbar(); x != nil {
-				m.Layers[li].WeightsXbar = x
-			} else {
-				m.Layers[li].Weights = xs.layers[o].Pristine()
+		base := make([]layerTrial, len(xs.layers))
+		for o, ly := range xs.layers {
+			if base[o].x = ly.PristineXbar(); base[o].x == nil {
+				base[o].w = ly.Pristine()
 			}
 		}
-		fw := dnn.NewForwarder(m)
-		fw.Workers = 1
-		xs.baselineErr = train.ErrorWith(fw, ev.Test)
+		xs.baselineErr, _ = ev.baseline(base)
 	}
 	met.encode.Since(start)
 	ev.xbarCache[key] = xs

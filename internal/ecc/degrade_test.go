@@ -91,10 +91,10 @@ func TestZeroBlockTruncatedFinalBlock(t *testing.T) {
 	}
 }
 
-// Reprotect models the scrub rewrite: parity is recomputed from the
-// current data, so residual (uncorrected) bit damage is baked into a
-// clean codeword and the next scan reports nothing.
-func TestReprotectBakesInResidualDamage(t *testing.T) {
+// A scrub rewrite protects the damaged data afresh: parity is
+// recomputed from the current bits, so residual (uncorrected) damage is
+// baked into a clean codeword and the next scan reports nothing.
+func TestRewriteBakesInResidualDamage(t *testing.T) {
 	data := randomData(256, 9)
 	orig := data.Clone()
 	p := NewBlockCode(64).Protect(data)
@@ -103,12 +103,12 @@ func TestReprotectBakesInResidualDamage(t *testing.T) {
 	if rep := p.CorrectReport(); rep.Detected != 1 {
 		t.Fatalf("setup: want 1 detected, got %+v", rep.CorrectionStats)
 	}
-	p.Reprotect()
+	p = p.Code.Protect(data)
 	if st := p.Correct(); st.Corrected != 0 || st.Detected != 0 {
 		t.Fatalf("post-rewrite scan not clean: %+v", st)
 	}
 	if data.Equal(orig) {
-		t.Fatal("residual damage disappeared: Reprotect must not repair data")
+		t.Fatal("residual damage disappeared: a rewrite must not repair data")
 	}
 	// But a fresh single-bit error on the rewritten codeword corrects fine.
 	data.FlipBit(20)

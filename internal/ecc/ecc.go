@@ -243,16 +243,6 @@ func (p *Protected) ZeroBlock(b int) {
 	p.writeParity(b)
 }
 
-// Reprotect recomputes the parity of every block from the current data.
-// It is the rewrite step of a scrub cycle: after correction the (possibly
-// still imperfect) data is reprogrammed and the code is made consistent
-// with it, so the next retention period starts from clean codewords.
-func (p *Protected) Reprotect() {
-	for b, n := 0, p.Code.Blocks(p.Data.Len()); b < n; b++ {
-		p.writeParity(b)
-	}
-}
-
 // correctPosition flips the codeword bit at 1-based position pos of block
 // b (a parity position if pos is a power of two, else a data bit).
 func (p *Protected) correctPosition(b int, pos uint64) {

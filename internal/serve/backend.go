@@ -28,7 +28,7 @@ type Backend interface {
 }
 
 // AresBackend serves requests from a shared MeasuredEvaluator: one
-// pristine clustered snapshot, per-config encodings cached inside the
+// pristine clustered snapshot, per-format encodings cached inside the
 // evaluator, copy-on-corrupt model clones from the replica pool per
 // in-flight trial.
 type AresBackend struct {
@@ -38,22 +38,21 @@ type AresBackend struct {
 // NewAresBackend wraps a measured evaluator.
 func NewAresBackend(ev *ares.MeasuredEvaluator) *AresBackend { return &AresBackend{Ev: ev} }
 
-// Encode encodes every clustered layer under cfg and sums the
-// per-stream storage bill across layers (stream order is the encoding's
-// stream order, stable per format).
+// Encode sums the per-stream storage bill of cfg across the model's
+// layers, priced over the evaluator's cached encodings (stream order is
+// the encoding's stream order, stable per format).
 func (b *AresBackend) Encode(ctx context.Context, cfg ares.Config) (*EncodeResponse, error) {
-	resp := &EncodeResponse{Config: cfg.String()}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	bill, err := b.Ev.Bill(cfg)
+	if err != nil {
+		return nil, err
+	}
+	resp := &EncodeResponse{Config: cfg.String(), Layers: len(bill)}
 	byName := map[string]int{}
-	for _, cl := range b.Ev.Clustered() {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		enc, err := ares.EncodeLayer(cl, cfg)
-		if err != nil {
-			return nil, err
-		}
-		resp.Layers++
-		for _, sc := range ares.Cost(enc, cfg) {
+	for _, layer := range bill {
+		for _, sc := range layer {
 			i, ok := byName[sc.Name]
 			if !ok {
 				i = len(resp.Streams)
