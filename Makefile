@@ -13,8 +13,8 @@
 #   make chaos   - the supervision soak: real subprocess workers under a
 #                  seed-pinned SIGKILL/SIGSTOP schedule plus a poison
 #                  shard, proving quarantine + bit-identical recovery
-#   make fuzz    - short fuzz pass over the sparse decode and
-#                  checkpoint-loader targets
+#   make fuzz    - short pass over every fuzz target (sparse, ECC,
+#                  checkpoint, serve, fleet and crossbar decoders)
 #   make paper-golden - `maxnvm all` (every table and figure, ~2 min)
 #                  diffed byte for byte against its golden file
 #   make bench   - full benchmark harness (regenerates every figure)

@@ -43,7 +43,6 @@ import (
 	"repro/internal/ares"
 	"repro/internal/campaign"
 	"repro/internal/cliutil"
-	"repro/internal/core"
 	"repro/internal/crossbar"
 	"repro/internal/dnn"
 	"repro/internal/envm"
@@ -54,7 +53,7 @@ import (
 
 func main() {
 	techName := flag.String("tech", "MLC-CTT", "technology (MLC-CTT, MLC-RRAM, Opt MLC-RRAM, SLC-RRAM)")
-	encName := flag.String("encoding", "csr", "encoding: "+strings.Join(cliutil.EncodingNames(), "|"))
+	encName := flag.String("encoding", "csr", "encoding: "+strings.Join(sparse.KindNames(), "|"))
 	bpc := flag.Int("bpc", 3, "default bits per cell")
 	eccList := flag.String("ecc", "", "comma-separated streams to ECC-protect")
 	slcList := flag.String("slc", "", "comma-separated streams forced to SLC")
@@ -84,7 +83,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	kind, err := cliutil.ParseEncoding(*encName)
+	kind, err := sparse.ParseKind(*encName)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "faultsim: %v\n", err)
 		os.Exit(2)
@@ -96,15 +95,19 @@ func main() {
 		Default:   ares.StreamPolicy{BPC: *bpc},
 		Overrides: map[string]ares.StreamPolicy{},
 	}
-	for _, s := range mustStreams(kind, "-ecc", *eccList) {
+	for _, s := range splitList(*eccList) {
 		cfg.Overrides[s] = ares.StreamPolicy{BPC: *bpc, ECC: true}
 	}
-	for _, s := range mustStreams(kind, "-slc", *slcList) {
+	for _, s := range splitList(*slcList) {
 		cfg.Overrides[s] = ares.StreamPolicy{BPC: 1}
 	}
 	cfg.Degrade = *degrade
+	// Validate rejects a stream the encoding does not store, so a typo
+	// like "-ecc rowcnt" fails here, before training, naming the valid
+	// streams instead of silently protecting nothing.
 	if err := cfg.Validate(); err != nil {
-		log.Fatal(err)
+		fmt.Fprintf(os.Stderr, "faultsim: %v\n", err)
+		os.Exit(2)
 	}
 	if *resume && *checkpoint == "" {
 		log.Fatal("faultsim: -resume requires -checkpoint")
@@ -518,26 +521,6 @@ func printRecovery(c *campaign.Campaign) {
 		line += fmt.Sprintf(", skipped %d corrupt lines", rec.TornLines)
 	}
 	fmt.Println(line)
-}
-
-// mustStreams splits a comma-separated stream list and validates every
-// name against the streams the chosen encoding actually emits, so a typo
-// like "-ecc rowcnt" fails loudly instead of silently protecting nothing.
-func mustStreams(kind sparse.Kind, flagName, list string) []string {
-	names := splitList(list)
-	valid := core.StreamNames(kind)
-	ok := make(map[string]bool, len(valid))
-	for _, v := range valid {
-		ok[v] = true
-	}
-	for _, n := range names {
-		if !ok[n] {
-			fmt.Fprintf(os.Stderr, "faultsim: %s: unknown stream %q for encoding %v (valid: %s)\n",
-				flagName, n, kind, strings.Join(valid, ", "))
-			os.Exit(2)
-		}
-	}
-	return names
 }
 
 func splitList(s string) []string {

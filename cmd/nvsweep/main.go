@@ -43,7 +43,7 @@ func main() {
 	capMB := flag.Float64("mb", 4, "capacity in decimal MB")
 	bpc := flag.Int("bpc", 1, "bits per cell")
 	targetName := flag.String("target", "edp", "optimization target: edp|area|latency|energy|leakage")
-	encName := flag.String("encoding", "", "size the array for an encoded model: scale -mb by the encoding's density over a synthetic clustered proxy ("+strings.Join(cliutil.EncodingNames(), "|")+"; empty = raw capacity)")
+	encName := flag.String("encoding", "", "size the array for an encoded model: scale -mb by the encoding's density over a synthetic clustered proxy ("+strings.Join(sparse.KindNames(), "|")+"; empty = raw capacity)")
 	proxySparsity := flag.Float64("sparsity", 0.9, "synthetic proxy sparsity for the -encoding density estimate")
 	pareto := flag.Bool("pareto", false, "print the area/latency/energy Pareto frontier")
 	full := flag.Bool("full", false, "print every organization")
@@ -104,7 +104,7 @@ func main() {
 		Target:       target,
 	}
 	if *encName != "" {
-		kind, err := cliutil.ParseEncoding(*encName)
+		kind, err := sparse.ParseKind(*encName)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "nvsweep: %v\n", err)
 			os.Exit(2)

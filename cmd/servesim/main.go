@@ -115,8 +115,8 @@ func main() {
 }
 
 // runSmoke exercises the full surface end to end on a loopback
-// listener: every trial endpoint answers 200, /metrics scrapes, the
-// drain completes.
+// listener: every trial endpoint answers 200 (evaluate also on the 2:4
+// format), /metrics scrapes, the drain completes.
 func runSmoke(srv *serve.Server) error {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -132,6 +132,7 @@ func runSmoke(srv *serve.Server) error {
 		{"/v1/inject", `{"tenant":"smoke","seed":7,` + cfg + `}`},
 		{"/v1/evaluate", `{"tenant":"smoke","seed":7,` + cfg + `}`},
 		{"/v1/lifetime", `{"tenant":"smoke","seed":7,` + cfg + `,"lifetime":{"years":8,"scrub_interval_years":4}}`},
+		{"/v1/evaluate", `{"tenant":"smoke","seed":7,"config":{"tech":"MLC-CTT","encoding":"2:4","default":{"bpc":3},"overrides":{"meta24":{"bpc":1}}}}`},
 	}
 	for _, r := range reqs {
 		resp, err := http.Post(base+r.path, "application/json", strings.NewReader(r.body))

@@ -19,7 +19,9 @@ package ares
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/crossbar"
@@ -49,8 +51,8 @@ type Config struct {
 	Encoding sparse.Kind
 	// Default applies to streams without an override.
 	Default StreamPolicy
-	// Overrides maps stream names ("values", "colidx", "rowcount",
-	// "bitmask", "idxsync") to specific policies.
+	// Overrides maps stream names to specific policies. A name must be
+	// one of Encoding.StreamNames() (the format table in internal/sparse).
 	Overrides map[string]StreamPolicy
 	// RetentionYears evaluates the configuration after the given storage
 	// age (drift-widened fault rates; 0 = freshly programmed).
@@ -95,7 +97,9 @@ func (c Config) StoreConfig(p StreamPolicy) envm.StoreConfig {
 	return envm.StoreConfig{Tech: c.Tech, BPC: p.BPC, Gray: p.ECC, RetentionYears: c.RetentionYears}
 }
 
-// Validate checks that every referenced policy is feasible on the tech.
+// Validate checks that every override names a stream the encoding
+// stores and that every referenced policy is feasible on the tech. It
+// runs per trial and per layer, so the accepting path does not allocate.
 func (c Config) Validate() error {
 	check := func(p StreamPolicy) error {
 		if p.BPC == 0 { // perfect-storage sentinel
@@ -107,6 +111,10 @@ func (c Config) Validate() error {
 		return err
 	}
 	for name, p := range c.Overrides {
+		if !slices.Contains(c.Encoding.StreamNames(), name) {
+			return fmt.Errorf("ares: override stream %q: %v stores only %s",
+				name, c.Encoding, strings.Join(c.Encoding.StreamNames(), ", "))
+		}
 		if err := check(p); err != nil {
 			return fmt.Errorf("ares: stream %q: %w", name, err)
 		}
@@ -125,11 +133,11 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// String renders the configuration compactly, e.g.
-// "CSR@MLC-CTT[values:3,colidx:3+ECC,rowcount:3+ECC]".
-// String renders the config deterministically (overrides in sorted
-// order): it doubles as a cache key and as the campaign config ID, so
-// it must be stable across processes for checkpoint resume to match.
+// String renders the configuration compactly and deterministically
+// (overrides in sorted order), e.g.
+// "CSR@MLC-CTT[default:3,colidx:3+ECC,rowcount:3+ECC]". It doubles as a
+// cache key and as the campaign config ID, so it must be stable across
+// processes for checkpoint resume to match.
 func (c Config) String() string {
 	s := fmt.Sprintf("%v@%s[default:%s", c.Encoding, c.Tech.Name, c.Default)
 	names := make([]string, 0, len(c.Overrides))

@@ -2,6 +2,7 @@ package ares
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"repro/internal/envm"
@@ -60,6 +61,36 @@ func TestValidateRejectsInfeasibleBPC(t *testing.T) {
 	perfect := Config{Tech: envm.SLCRRAM, Encoding: sparse.KindDense, Default: StreamPolicy{BPC: 0}}
 	if err := perfect.Validate(); err != nil {
 		t.Errorf("perfect-storage sentinel rejected: %v", err)
+	}
+}
+
+func TestValidateRejectsMisTargetedOverride(t *testing.T) {
+	// colidx is a CSR structure: on a bitmask config the override would
+	// be dead config, and meta24 likewise on CSR.
+	for _, cfg := range []Config{
+		{Tech: envm.CTT, Encoding: sparse.KindBitMask, Default: StreamPolicy{BPC: 3},
+			Overrides: map[string]StreamPolicy{"colidx": {BPC: 1}}},
+		{Tech: envm.CTT, Encoding: sparse.KindCSR, Default: StreamPolicy{BPC: 3},
+			Overrides: map[string]StreamPolicy{"meta24": {BPC: 1}}},
+	} {
+		err := cfg.Validate()
+		if err == nil {
+			t.Fatalf("%s accepted", cfg)
+		}
+		for _, want := range append([]string{"override stream"}, cfg.Encoding.StreamNames()...) {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not mention %q", err, want)
+			}
+		}
+	}
+	ok := Config{Tech: envm.CTT, Encoding: sparse.Kind24, Default: StreamPolicy{BPC: 3},
+		Overrides: map[string]StreamPolicy{"meta24": {BPC: 1}, "values": {BPC: 2, ECC: true}}}
+	if allocs := testing.AllocsPerRun(10, func() {
+		if err := ok.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Validate allocates %.0f times per call", allocs)
 	}
 }
 

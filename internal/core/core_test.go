@@ -79,15 +79,6 @@ func TestPrepareSubsampling(t *testing.T) {
 	}
 }
 
-func TestStreamNames(t *testing.T) {
-	if n := StreamNames(sparse.KindCSR); len(n) != 3 || n[2] != "rowcount" {
-		t.Errorf("CSR names %v", n)
-	}
-	if n := StreamNames(sparse.KindBitMaskIdxSync); len(n) != 3 || n[2] != "idxsync" {
-		t.Errorf("BitM+IdxSync names %v", n)
-	}
-}
-
 func TestPolicyChoices(t *testing.T) {
 	c := PolicyChoices(3)
 	if len(c) != 6 {
@@ -192,7 +183,7 @@ func TestUnprotectedMLC3CSRRejected(t *testing.T) {
 func TestSLCAlwaysAccepted(t *testing.T) {
 	_, ex := getLeNetExplorer(t)
 	for _, kind := range sparse.Kinds {
-		names := StreamNames(kind)
+		names := kind.StreamNames()
 		policies := map[string]ares.StreamPolicy{}
 		for _, n := range names {
 			policies[n] = ares.StreamPolicy{BPC: 1}

@@ -51,7 +51,7 @@ func label(kind sparse.Kind, policies map[string]ares.StreamPolicy) string {
 
 // PolicyString renders the per-stream policies deterministically.
 func (c Candidate) PolicyString() string {
-	names := StreamNames(c.Kind)
+	names := c.Kind.StreamNames()
 	parts := make([]string, 0, len(names))
 	for _, n := range names {
 		parts = append(parts, fmt.Sprintf("%s:%s", n, c.Policies[n]))
@@ -206,7 +206,7 @@ func (e *Explorer) judge(lds []ares.LayerDamage) verdict {
 // kind in the search space of tech, each as a fresh policy map. It is
 // the one enumeration behind both the uniform and the per-layer search.
 func forEachSelection(tech envm.Tech, kind sparse.Kind, fn func(map[string]ares.StreamPolicy)) {
-	names := StreamNames(kind)
+	names := kind.StreamNames()
 	choices := searchChoices(tech)
 	assign := make([]ares.StreamPolicy, len(names))
 	var walk func(i int)

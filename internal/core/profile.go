@@ -118,21 +118,3 @@ func b2u(b bool) uint64 {
 	}
 	return 0
 }
-
-// StreamNames returns the canonical structure names of an encoding kind,
-// in stream order.
-func StreamNames(kind sparse.Kind) []string {
-	switch kind {
-	case sparse.KindDense:
-		return []string{"values"}
-	case sparse.KindCSR:
-		return []string{"values", "colidx", "rowcount"}
-	case sparse.KindBitMask:
-		return []string{"bitmask", "values"}
-	case sparse.KindBitMaskIdxSync:
-		return []string{"bitmask", "values", "idxsync"}
-	case sparse.Kind24:
-		return []string{"values", "meta24"}
-	}
-	panic("core: unknown encoding kind")
-}

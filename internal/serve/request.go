@@ -6,17 +6,16 @@ package serve
 // bits-per-cell policy per stream, encoding, protection plan — plus the
 // trial seed and an optional per-request deadline. The decoder is
 // strict the way envm.LoadTech is strict: unknown fields, NaN or
-// negative magnitudes, unknown technologies/encodings, and infeasible
-// policies are rejected with a descriptive error instead of being
-// silently defaulted, and no input may panic (pinned by
-// FuzzDecodeRequest).
+// negative magnitudes, unknown technologies/encodings, overrides of
+// streams the encoding does not store, and infeasible policies are
+// rejected with a descriptive error instead of being silently defaulted,
+// and no input may panic (pinned by FuzzDecodeRequest).
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"strings"
 
 	"repro/internal/ares"
 	"repro/internal/envm"
@@ -34,13 +33,15 @@ type ConfigSpec struct {
 	// Tech is the technology name (envm.ByName: "MLC-CTT", "MLC-RRAM",
 	// "Opt MLC-RRAM", "SLC-RRAM", or a surveyed chip label).
 	Tech string `json:"tech"`
-	// Encoding selects the storage format: dense|csr|bitmask|idxsync.
+	// Encoding selects the storage format by any name sparse.ParseKind
+	// accepts (sparse.KindNames: "csr", "bitmask", "2:4", the paper
+	// labels, ...).
 	Encoding string `json:"encoding"`
 	// Default applies to streams without an override; bpc 0 is the
 	// perfect-storage sentinel.
 	Default Policy `json:"default"`
-	// Overrides maps stream names ("values", "colidx", "rowcount",
-	// "bitmask", "idxsync") to specific policies.
+	// Overrides maps stream names to specific policies; a name must be a
+	// stream the encoding stores (sparse.Kind.StreamNames).
 	Overrides map[string]Policy `json:"overrides,omitempty"`
 	// RetentionYears evaluates the configuration at the given storage age.
 	RetentionYears float64 `json:"retention_years,omitempty"`
@@ -153,31 +154,6 @@ type ErrorResponse struct {
 	Error string `json:"error"`
 }
 
-// parseKind maps the wire encoding names onto sparse kinds. The paper
-// labels ("P+C", "CSR", "BitMask", "BitM+IdxSync") are accepted too so
-// a config string can be pasted back in.
-func parseKind(s string) (sparse.Kind, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "dense", "p+c":
-		return sparse.KindDense, nil
-	case "csr":
-		return sparse.KindCSR, nil
-	case "bitmask":
-		return sparse.KindBitMask, nil
-	case "idxsync", "bitmask+idxsync", "bitm+idxsync":
-		return sparse.KindBitMaskIdxSync, nil
-	}
-	return 0, fmt.Errorf("serve: unknown encoding %q (want dense|csr|bitmask|idxsync)", s)
-}
-
-// knownStreams are the stream names an override may target. An override
-// aimed at a stream no encoding produces would be silently dead config;
-// the decoder rejects it instead.
-var knownStreams = map[string]bool{
-	"values": true, "colidx": true, "rowcount": true,
-	"bitmask": true, "idxsync": true,
-}
-
 // validTenant enforces the label-safe tenant charset.
 func validTenant(s string) bool {
 	if len(s) > 64 {
@@ -241,9 +217,9 @@ func DecodeRequest(r io.Reader, wantLifetime bool) (*Request, ares.Config, ares.
 	if err != nil {
 		return nil, cfg, lp, fmt.Errorf("serve: %w", err)
 	}
-	kind, err := parseKind(spec.Encoding)
+	kind, err := sparse.ParseKind(spec.Encoding)
 	if err != nil {
-		return nil, cfg, lp, err
+		return nil, cfg, lp, fmt.Errorf("serve: %w", err)
 	}
 	if err := checkFinite("retention_years", spec.RetentionYears); err != nil {
 		return nil, cfg, lp, err
@@ -271,9 +247,6 @@ func DecodeRequest(r io.Reader, wantLifetime bool) (*Request, ares.Config, ares.
 	if len(spec.Overrides) > 0 {
 		cfg.Overrides = make(map[string]ares.StreamPolicy, len(spec.Overrides))
 		for name, p := range spec.Overrides {
-			if !knownStreams[name] {
-				return nil, cfg, lp, fmt.Errorf("serve: unknown override stream %q (want values|colidx|rowcount|bitmask|idxsync)", name)
-			}
 			if err := checkPolicy("override "+name, p); err != nil {
 				return nil, cfg, lp, err
 			}

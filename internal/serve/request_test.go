@@ -43,6 +43,21 @@ func TestDecodeRequestValid(t *testing.T) {
 	}
 }
 
+func TestDecodeRequestEncodingNames(t *testing.T) {
+	for name, want := range map[string]sparse.Kind{
+		"2:4": sparse.Kind24, "24": sparse.Kind24, "P+C": sparse.KindDense,
+		" bitm+idxsync ": sparse.KindBitMaskIdxSync,
+	} {
+		_, cfg, _, err := DecodeRequest(strings.NewReader(
+			`{"config":{"tech":"MLC-CTT","encoding":"`+name+`","default":{"bpc":3}}}`), false)
+		if err != nil {
+			t.Errorf("encoding %q: %v", name, err)
+		} else if cfg.Encoding != want {
+			t.Errorf("encoding %q decoded as %v, want %v", name, cfg.Encoding, want)
+		}
+	}
+}
+
 func TestDecodeRequestDefaultsTenant(t *testing.T) {
 	req, _, _, err := DecodeRequest(strings.NewReader(
 		`{"config":{"tech":"MLC-CTT","encoding":"csr","default":{"bpc":3}}}`), false)
@@ -78,6 +93,9 @@ func TestDecodeRequestRejects(t *testing.T) {
 		{"nan retention", `{"config":{"tech":"MLC-CTT","encoding":"csr","default":{"bpc":3},"retention_years":1e999}}`, false, "parsing"},
 		{"negative override", `{"config":{"tech":"MLC-CTT","encoding":"csr","default":{"bpc":3},"overrides":{"values":{"bpc":-2}}}}`, false, "must not be negative"},
 		{"unknown override stream", `{"config":{"tech":"MLC-CTT","encoding":"csr","default":{"bpc":3},"overrides":{"wavelets":{"bpc":1}}}}`, false, "wavelets"},
+		{"bitmask colidx override", `{"config":{"tech":"MLC-CTT","encoding":"bitmask","default":{"bpc":3},"overrides":{"colidx":{"bpc":1}}}}`, false, "colidx"},
+		{"csr meta24 override", `{"config":{"tech":"MLC-CTT","encoding":"csr","default":{"bpc":3},"overrides":{"meta24":{"bpc":1}}}}`, false, "meta24"},
+		{"unknown encoding", `{"config":{"tech":"MLC-CTT","encoding":"coo","default":{"bpc":3}}}`, false, "2:4"},
 		{"empty body", ``, false, "parsing"},
 		{"tenant too long", `{"tenant":"` + strings.Repeat("a", 65) + `","config":{"tech":"MLC-CTT","encoding":"csr","default":{"bpc":3}}}`, false, "tenant"},
 		{"scrub interval negative", `{"config":{"tech":"MLC-CTT","encoding":"csr","default":{"bpc":3}},"lifetime":{"years":5,"scrub_interval_years":-1}}`, true, "must not be negative"},
@@ -109,6 +127,8 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add([]byte(`{"timeout_ms":-1}`), false)
 	f.Add([]byte(`{"config":{"tech":"","encoding":""}}`), true)
 	f.Add([]byte(`null`), false)
+	f.Add([]byte(`{"config":{"tech":"MLC-CTT","encoding":"2:4","default":{"bpc":3},"overrides":{"meta24":{"bpc":1}}}}`), false)
+	f.Add([]byte(`{"config":{"tech":"MLC-CTT","encoding":"bitmask","default":{"bpc":3},"overrides":{"colidx":{"bpc":1}}}}`), false)
 	f.Fuzz(func(t *testing.T, data []byte, lifetime bool) {
 		req, cfg, lp, err := DecodeRequest(strings.NewReader(string(data)), lifetime)
 		if err != nil {

@@ -199,6 +199,7 @@ func TestBadRequests(t *testing.T) {
 		{"unknown field", "/v1/evaluate", `{"config":{"tech":"MLC-CTT","encoding":"csr","default":{"bpc":3}},"bogus":1}`},
 		{"unknown tech", "/v1/evaluate", `{"config":{"tech":"FlashMagic","encoding":"csr","default":{"bpc":3}}}`},
 		{"unknown encoding", "/v1/evaluate", `{"config":{"tech":"MLC-CTT","encoding":"coo","default":{"bpc":3}}}`},
+		{"override stream not stored", "/v1/evaluate", `{"config":{"tech":"MLC-CTT","encoding":"bitmask","default":{"bpc":3},"overrides":{"colidx":{"bpc":1}}}}`},
 		{"negative bpc", "/v1/evaluate", `{"config":{"tech":"MLC-CTT","encoding":"csr","default":{"bpc":-1}}}`},
 		{"infeasible bpc", "/v1/evaluate", `{"config":{"tech":"MLC-CTT","encoding":"csr","default":{"bpc":9}}}`},
 		{"negative retention", "/v1/evaluate", `{"config":{"tech":"MLC-CTT","encoding":"csr","default":{"bpc":3},"retention_years":-2}}`},

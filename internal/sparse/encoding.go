@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/bitstream"
 )
@@ -42,21 +43,70 @@ const (
 	Kind24
 )
 
+// format is one row of the encoding-format table.
+type format struct {
+	// label is the paper's name for the format, printed by Kind.String.
+	label string
+	// names are the accepted spellings, lower case; the label is one.
+	names []string
+	// streams are the stored structures, in Streams() order: each takes
+	// its own cell policy (ares.Config.Overrides keys).
+	streams []string
+}
+
+// formats is the one encoding-format table, indexed by Kind: which
+// formats exist, what they are called and which structures they store.
+// Every CLI -encoding flag, the server's request decoder and the
+// design-space explorer resolve names and streams through it.
+var formats = [...]format{
+	KindDense:          {"P+C", []string{"dense", "p+c"}, []string{"values"}},
+	KindCSR:            {"CSR", []string{"csr"}, []string{"values", "colidx", "rowcount"}},
+	KindBitMask:        {"BitMask", []string{"bitmask"}, []string{"bitmask", "values"}},
+	KindBitMaskIdxSync: {"BitM+IdxSync", []string{"idxsync", "bitmask+idxsync", "bitm+idxsync"}, []string{"bitmask", "values", "idxsync"}},
+	Kind24:             {"2:4", []string{"24", "2:4"}, []string{"values", "meta24"}},
+}
+
 // String implements fmt.Stringer, matching the paper's labels.
 func (k Kind) String() string {
-	switch k {
-	case KindDense:
-		return "P+C"
-	case KindCSR:
-		return "CSR"
-	case KindBitMask:
-		return "BitMask"
-	case KindBitMaskIdxSync:
-		return "BitM+IdxSync"
-	case Kind24:
-		return "2:4"
+	if k >= 0 && int(k) < len(formats) {
+		return formats[k].label
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
+}
+
+// StreamNames returns the names of the structures an encoding of kind k
+// stores, in stream order (nil for an unknown kind). The slice is the
+// table's own: callers must not modify it.
+func (k Kind) StreamNames() []string {
+	if k >= 0 && int(k) < len(formats) {
+		return formats[k].streams
+	}
+	return nil
+}
+
+// KindNames returns every accepted encoding name, in table order, for
+// flag help text and error messages.
+func KindNames() []string {
+	var names []string
+	for _, f := range formats {
+		names = append(names, f.names...)
+	}
+	return names
+}
+
+// ParseKind resolves an encoding name (case-insensitive, surrounding
+// space ignored). An unknown name returns an error that lists every
+// accepted one.
+func ParseKind(name string) (Kind, error) {
+	want := strings.ToLower(strings.TrimSpace(name))
+	for k, f := range formats {
+		for _, n := range f.names {
+			if n == want {
+				return Kind(k), nil
+			}
+		}
+	}
+	return 0, fmt.Errorf("sparse: unknown encoding %q (valid: %s)", name, strings.Join(KindNames(), ", "))
 }
 
 // Kinds lists the lossless encodings in Table 2 / Figure 6 order.

@@ -1,6 +1,8 @@
 package sparse
 
 import (
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -355,6 +357,56 @@ func TestKindString(t *testing.T) {
 		if k.String() != s {
 			t.Errorf("%d.String() = %q", int(k), k.String())
 		}
+	}
+}
+
+// allKinds is every row of the format table, Kind24 included.
+var allKinds = append(append([]Kind{}, Kinds...), Kind24)
+
+func TestParseKind(t *testing.T) {
+	for _, k := range allKinds {
+		if got, err := ParseKind(k.String()); err != nil || got != k {
+			t.Errorf("ParseKind(%q) = %v, %v; want %v", k.String(), got, err, k)
+		}
+	}
+	// Every spelling the CLI flag parser and the server decoder accepted
+	// before they shared this table.
+	spellings := map[string]Kind{
+		"dense": KindDense, "p+c": KindDense, "csr": KindCSR, "bitmask": KindBitMask,
+		"idxsync": KindBitMaskIdxSync, "bitmask+idxsync": KindBitMaskIdxSync,
+		"bitm+idxsync": KindBitMaskIdxSync, "24": Kind24, "2:4": Kind24,
+	}
+	for name, want := range spellings {
+		for _, in := range []string{name, strings.ToUpper(name), " " + name + "\t"} {
+			if got, err := ParseKind(in); err != nil || got != want {
+				t.Errorf("ParseKind(%q) = %v, %v; want %v", in, got, err, want)
+			}
+		}
+	}
+	_, err := ParseKind("wavelets")
+	if err == nil {
+		t.Fatal("ParseKind accepted an unknown name")
+	}
+	for _, name := range KindNames() {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not list %q", err, name)
+		}
+	}
+}
+
+func TestStreamNames(t *testing.T) {
+	idx := randomIndices(8, 32, 0.6, 4, 3)
+	for _, k := range allKinds {
+		var got []string
+		for _, s := range Must(Encode(k, idx, 8, 32, 4)).Streams() {
+			got = append(got, s.Name)
+		}
+		if !slices.Equal(got, k.StreamNames()) {
+			t.Errorf("%v: encoded streams %v, table %v", k, got, k.StreamNames())
+		}
+	}
+	if n := Kind(99).StreamNames(); n != nil {
+		t.Errorf("unknown kind streams %v", n)
 	}
 }
 
