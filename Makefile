@@ -1,10 +1,11 @@
 # Verify tiers for the MaxNVM reproduction.
 #
-#   make check   - tier 1: gofmt gate + build + full test suite + vet
-#                  (including the perfbench module, which `go build
-#                  ./...` skips) + race pass on the concurrency-heavy
-#                  packages (the seed contract) + the servesim
-#                  end-to-end smoke + the iot-keyword example's verdict
+#   make check   - tier 1: fmt, build, test, vet, vet-perfbench (the
+#                  perfbench module, which `go build ./...` skips),
+#                  race-fast (the concurrency-heavy packages and the
+#                  seed contract), serve-smoke, examples-smoke and
+#                  chaos. CI (.github/workflows/ci.yml) runs the same
+#                  minus chaos, plus paper-golden.
 #   make race    - tier 2: go vet + race detector on a fast test pass
 #   make cover   - per-package coverage floors on the core packages
 #   make fleet-crash - the fleet fault matrix: lease races, zombie

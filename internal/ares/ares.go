@@ -264,17 +264,22 @@ func RunTrialChecked(ctx context.Context, enc sparse.Encoding, orig []uint8, cen
 	if err != nil {
 		return TrialStats{}, nil, err
 	}
-	return storageStep(ctx, clone, orig, centroids, cfg, stats.NewSource(seed))
+	return storageStep(ctx, clone, nil, orig, centroids, cfg, stats.NewSource(seed))
 }
 
-// storageStep is the storage trial step shared by RunTrialChecked and
-// the lifetime epoch loop: it injects faults per cfg into the
-// caller-owned encoding enc (drawing from src), ECC-corrects, decodes,
-// and compares the decoded indices against ref.
-func storageStep(ctx context.Context, enc sparse.Encoding, ref []uint8, centroids []float32, cfg Config, src *stats.Source) (TrialStats, []uint8, error) {
+// storageStep is the storage trial step shared by RunTrialChecked, the
+// decode-to-dense corrupt step and the lifetime epoch loop: it injects
+// faults per cfg into the caller-owned encoding enc (drawing from src),
+// ECC-corrects, decodes, and compares the decoded indices against ref.
+// A layer whose bits come out equal to its pristine pr decodes to ref,
+// so it returns ref (read-only) and zero fractions without a decode.
+func storageStep(ctx context.Context, enc sparse.Encoding, pr *pristineLayer, ref []uint8, centroids []float32, cfg Config, src *stats.Source) (TrialStats, []uint8, error) {
 	var st TrialStats
-	if err := injectStreams(ctx, enc, cfg, src, &st); err != nil {
+	if err := injectStreams(ctx, enc, pr, cfg, src, &st); err != nil {
 		return st, nil, err
+	}
+	if pr.clean(enc) {
+		return st, ref, nil
 	}
 	decodeStart := time.Now()
 	decoded := enc.Decode()
@@ -294,8 +299,10 @@ func storageStep(ctx context.Context, enc sparse.Encoding, ref []uint8, centroid
 // and runTrial24 share it, and stream i draws from src.Fork(i+1), the
 // seed contract, so every route draws identical fault maps for the same
 // (cfg, seed). Protecting the current bits is also a scrub rewrite: the
-// parity is recomputed over the residual damage.
-func injectStreams(ctx context.Context, enc sparse.Encoding, cfg Config, src *stats.Source, st *TrialStats) error {
+// parity is recomputed over the residual damage. Given pr, a stream
+// equal to its pristine copies the cached parity instead, and one that
+// drew no fault skips Correct (a consistent codeword: zero syndromes).
+func injectStreams(ctx context.Context, enc sparse.Encoding, pr *pristineLayer, cfg Config, src *stats.Source, st *TrialStats) error {
 	injectStart := time.Now()
 	for i, s := range enc.Streams() {
 		if err := ctx.Err(); err != nil {
@@ -311,10 +318,13 @@ func injectStreams(ctx context.Context, enc sparse.Encoding, cfg Config, src *st
 			st.Faults += envm.InjectArray(s.Bits, sc, ssrc)
 			continue
 		}
+		prot := pr.protect(cfg.Encoding, i, s.Bits, ecc.NewBlockCode(cfg.BlockBits()))
 		// Data cells draw from ssrc, parity cells from ssrc.Fork(2).
-		prot := ecc.NewBlockCode(cfg.BlockBits()).Protect(s.Bits)
-		st.Faults += envm.InjectArray(prot.Data, sc, ssrc)
-		st.Faults += envm.InjectArray(prot.Parity.Bits, sc, ssrc.Fork(2))
+		n := envm.InjectArray(prot.Data, sc, ssrc) + envm.InjectArray(prot.Parity.Bits, sc, ssrc.Fork(2))
+		st.Faults += n
+		if pr != nil && n == 0 {
+			continue
+		}
 		rep := prot.CorrectReport()
 		st.Corrected += rep.Corrected
 		st.Detected += rep.Detected

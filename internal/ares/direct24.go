@@ -98,22 +98,27 @@ func (ev *MeasuredEvaluator) twofour() (*twofourState, error) {
 	return tf, tf.err
 }
 
-// runTrial24 runs the inject -> canonicalize stages of one layer's 2:4
+// runTrial24 runs the inject -> canonicalize stages of layer i's 2:4
 // trial: clone the pristine encoding, inject faults with the shared
 // injectStreams loop (identical fault maps to the decode-to-dense
 // oracle), and extract the corrupted canonical compact form. No dense
 // matrix is built; the corruption statistics walk the compact groups in
 // dense index order, so they are bit-identical to fillCorruption over
-// the decoded matrix.
-func runTrial24(ctx context.Context, enc *sparse.E24, orig24 []uint8, centroids []float32, cfg Config, seed uint64) (TrialStats, []uint8, []uint8, error) {
+// the decoded matrix. Given pr, a layer whose bits come out equal to
+// its pristine returns the pristine compact form (read-only) and zero
+// fractions, as storageStep does; nil pr is the full path.
+func (ev *MeasuredEvaluator) runTrial24(ctx context.Context, tf *twofourState, i int, pr *pristineLayer, cfg Config, seed uint64) (TrialStats, []uint8, []uint8, error) {
 	var st TrialStats
-	clone, err := sparse.CloneEncoding(enc)
+	clone, err := sparse.CloneEncoding(tf.encs[i])
 	if err != nil {
 		return st, nil, nil, err
 	}
 	e := clone.(*sparse.E24)
-	if err := injectStreams(ctx, e, cfg, stats.NewSource(seed), &st); err != nil {
+	if err := injectStreams(ctx, e, pr, cfg, stats.NewSource(seed), &st); err != nil {
 		return st, nil, nil, err
+	}
+	if pr.clean(e) {
+		return st, tf.compVals[i], tf.compPos[i], nil
 	}
 	decodeStart := time.Now()
 	ne := sparse.Entries24(e.RowsN, e.ColsN)
@@ -121,7 +126,7 @@ func runTrial24(ctx context.Context, enc *sparse.E24, orig24 []uint8, centroids 
 	pos := make([]uint8, ne)
 	e.CompactInto(vals, pos)
 	met.decode.Since(decodeStart)
-	fillCorruption24(&st, orig24, vals, pos, centroids, e.RowsN, e.ColsN)
+	fillCorruption24(&st, tf.orig24[i], vals, pos, ev.clustered[i].Centroids, e.RowsN, e.ColsN)
 	return st, vals, pos, nil
 }
 
@@ -194,8 +199,8 @@ func (ev *MeasuredEvaluator) corrupt24(ctx context.Context, cfg Config, tsrc *st
 	}
 	tr := trial{layers: make([]layerTrial, len(ev.clustered)), pristine: true, baseline: tf.baselineErr,
 		prefix: tf.prefix, timer: met.evalDirect}
-	for i, cl := range ev.clustered {
-		st, vals, pos, err := runTrial24(ctx, tf.encs[i], tf.orig24[i], cl.Centroids, cfg, tsrc.Uint64())
+	for i := range ev.clustered {
+		st, vals, pos, err := ev.runTrial24(ctx, tf, i, &pristineLayer{ev, i, tf.encs[i]}, cfg, tsrc.Uint64())
 		if err != nil {
 			return trial{}, err
 		}

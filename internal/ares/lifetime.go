@@ -180,7 +180,7 @@ func (ev *MeasuredEvaluator) LifetimeTrial(ctx context.Context, cfg Config, lp L
 					return res, err
 				}
 			}
-			st, dec, err := storageStep(ctx, cells[li], refs[li], cl.Centroids, ecfg, esrc.Fork(uint64(li)+1))
+			st, dec, err := storageStep(ctx, cells[li], &pristineLayer{ev, li, encs[li]}, refs[li], cl.Centroids, ecfg, esrc.Fork(uint64(li)+1))
 			if err != nil {
 				return res, err
 			}
@@ -214,9 +214,10 @@ func (ev *MeasuredEvaluator) LifetimeTrial(ctx context.Context, cfg Config, lp L
 
 		// Scrub rewrite: reprogram every cell from the corrected state,
 		// residual (uncorrected or degraded-to-zero) damage baked in; the
-		// next epoch's storageStep protects the rewritten bits afresh and
-		// the drift clock restarts. The final epoch ends the deployment,
-		// so no rewrite follows it.
+		// next epoch's storageStep protects the rewritten bits afresh (or
+		// copies a clean stream's cached parity) and the drift clock
+		// restarts. The final epoch ends the deployment, so no rewrite
+		// follows it.
 		if scrub && e < len(ages)-1 {
 			res.Rewrites++
 			met.scrubRewrites.Inc()

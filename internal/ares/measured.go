@@ -3,10 +3,13 @@ package ares
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
+	"repro/internal/bitstream"
 	"repro/internal/dnn"
+	"repro/internal/ecc"
 	"repro/internal/quant"
 	"repro/internal/sparse"
 	"repro/internal/stats"
@@ -52,10 +55,11 @@ type MeasuredEvaluator struct {
 	// replica creation to the pool capacity (see initReplicaPool).
 	replicas   chan *replica
 	replicaSem chan struct{}
-	// encMu guards encCache: the pristine per-layer encodings of each
-	// format, which depend on nothing else in a config (trials clone).
+	// encMu guards encCache, each format's pristine per-layer encodings
+	// (trials clone), and parCache, their parity (pristineLayer.protect).
 	encMu    sync.Mutex
 	encCache map[sparse.Kind][]sparse.Encoding
+	parCache map[parityKey]*bitstream.Stream
 	// xbarMu guards xbarCache (pristine crossbar mappings and their
 	// mapped baselines, one per tech + mapping design point; see xbar.go).
 	xbarMu    sync.Mutex
@@ -93,6 +97,7 @@ func NewMeasuredEvaluator(m *dnn.Model, test *train.Dataset, seed uint64) (*Meas
 	ev.prefix = ev.capturePrefix(fw)
 	ev.serial = ev.newReplica(m)
 	ev.encCache = make(map[sparse.Kind][]sparse.Encoding)
+	ev.parCache = make(map[parityKey]*bitstream.Stream)
 	ev.xbarCache = make(map[string]*xbarState)
 	ev.initReplicaPool()
 	return ev, nil
@@ -142,6 +147,49 @@ func (ev *MeasuredEvaluator) encodings(kind sparse.Kind) ([]sparse.Encoding, err
 	met.encode.Since(start)
 	ev.encCache[kind] = encs
 	return encs, nil
+}
+
+// pristineLayer is layer i of ev's cached pristine encodings in one
+// format, which a trial cloned. A storage step handed one skips the work
+// a stream equal to its pristine makes redundant; nil is the full path.
+type pristineLayer struct {
+	ev  *MeasuredEvaluator
+	i   int
+	enc sparse.Encoding
+}
+
+// parityKey is (format, layer, stream, ECC data bits per block).
+type parityKey [4]int
+
+// protect protects data, a clone's stream s, under code: data equal to
+// the pristine stream copies its parity, cached per (kind, layer, s, code).
+func (pr *pristineLayer) protect(kind sparse.Kind, s int, data *bitstream.Array, code ecc.BlockCode) *ecc.Protected {
+	if pr == nil || !data.Equal(pr.enc.Streams()[s].Bits) {
+		return code.Protect(data)
+	}
+	key := parityKey{int(kind), pr.i, s, code.DataBits}
+	pr.ev.encMu.Lock()
+	par, ok := pr.ev.parCache[key]
+	if !ok {
+		par = code.Protect(data).Parity
+		pr.ev.parCache[key] = par
+	}
+	pr.ev.encMu.Unlock()
+	return &ecc.Protected{Code: code, Data: data, Parity: par.Clone()}
+}
+
+// clean reports whether every stream of enc holds the pristine bits, so
+// the layer decodes to its reference. The check counts as decode time.
+func (pr *pristineLayer) clean(enc sparse.Encoding) bool {
+	if pr == nil {
+		return false
+	}
+	defer met.decode.Since(time.Now())
+	eq := slices.EqualFunc(enc.Streams(), pr.enc.Streams(), func(a, b *bitstream.Stream) bool { return a.Bits.Equal(b.Bits) })
+	if eq {
+		met.decodeSkipped.Inc()
+	}
+	return eq
 }
 
 // Bill returns the storage bill of cfg for each clustered layer, in

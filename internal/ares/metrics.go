@@ -12,9 +12,10 @@ package ares
 //
 //	ares.phase.encode    time spent building pristine encodings and
 //	                     crossbar mappings (ns)
-//	ares.phase.inject    time in clone+inject+ECC (storage routes) or
-//	                     program+online loop (crossbar route) per trial (ns)
-//	ares.phase.decode    time decoding corrupted structures (ns)
+//	ares.phase.inject    time in inject+ECC incl. the cached-parity copy
+//	                     (storage routes) or program+online loop (crossbar) (ns)
+//	ares.phase.decode    time in the clean-layer check plus the decodes run (ns)
+//	ares.decode.skipped  layer-trials served their reference without a decode
 //	ares.phase.eval      time in overlay + inference on the decode-to-dense
 //	                     and crossbar routes, and in the serial reference (ns)
 //	ares.enccache.hits   encoding-cache hits
@@ -60,6 +61,7 @@ var met = struct {
 	cacheHits, cacheMisses       *telemetry.Counter
 	fastHits, fastMisses         *telemetry.Counter
 	prefixSkipped, prefixRows    *telemetry.Counter
+	decodeSkipped                *telemetry.Counter
 	replicasCreated              *telemetry.Counter
 	replicasBusy                 *telemetry.Gauge
 	eccCorrected, eccDetected    *telemetry.Counter
@@ -79,6 +81,7 @@ var met = struct {
 	fastMisses:      telemetry.Default().Counter("ares.fastpath.misses"),
 	prefixSkipped:   telemetry.Default().Counter("ares.prefix.skipped_layers"),
 	prefixRows:      telemetry.Default().Counter("ares.prefix.skipped_rows"),
+	decodeSkipped:   telemetry.Default().Counter("ares.decode.skipped"),
 	replicasCreated: telemetry.Default().Counter("ares.replicas.created"),
 	replicasBusy:    telemetry.Default().Gauge("ares.replicas.busy"),
 	eccCorrected:    telemetry.Default().Counter("ecc.corrected"),

@@ -30,7 +30,7 @@ type layerTrial struct {
 	st TrialStats
 	// rows lists the rows where a dirty layer differs from its baseline.
 	rows []int
-	// idx holds decoded cluster indices (a private dense buffer).
+	// idx holds decoded cluster indices (private, or a clean layer's ref).
 	idx []uint8
 	// vals/pos hold a corrupted canonical 2:4 compact form (a private
 	// compute-direct buffer).
@@ -67,26 +67,25 @@ type trial struct {
 }
 
 // corrupt validates cfg and runs the corrupt step of the route it
-// selects, drawing per-layer seeds from tsrc in layer order. direct
-// picks the compute-direct route for Kind24; the serial reference
-// passes false to decode Kind24 to dense instead (its bit-parity
-// oracle).
-func (ev *MeasuredEvaluator) corrupt(ctx context.Context, cfg Config, tsrc *stats.Source, direct bool) (trial, error) {
+// selects, drawing per-layer seeds from tsrc in layer order. hot picks
+// the hot route (compute-direct Kind24, storageStep's skips); the serial
+// reference passes false for the full path, its bit-parity oracle.
+func (ev *MeasuredEvaluator) corrupt(ctx context.Context, cfg Config, tsrc *stats.Source, hot bool) (trial, error) {
 	if err := cfg.Validate(); err != nil {
 		return trial{}, err
 	}
 	switch {
 	case cfg.Crossbar != nil:
 		return ev.corruptXbar(ctx, cfg, tsrc)
-	case direct && cfg.Encoding == sparse.Kind24:
+	case hot && cfg.Encoding == sparse.Kind24:
 		return ev.corrupt24(ctx, cfg, tsrc)
 	}
-	return ev.corruptDense(ctx, cfg, tsrc)
+	return ev.corruptDense(ctx, cfg, tsrc, hot)
 }
 
 // corruptDense runs the encode -> inject -> decode stages of the
 // decode-to-dense route: every layer's decoded cluster indices.
-func (ev *MeasuredEvaluator) corruptDense(ctx context.Context, cfg Config, tsrc *stats.Source) (trial, error) {
+func (ev *MeasuredEvaluator) corruptDense(ctx context.Context, cfg Config, tsrc *stats.Source, hot bool) (trial, error) {
 	encs, err := ev.encodings(cfg.Encoding)
 	if err != nil {
 		return trial{}, err
@@ -97,7 +96,15 @@ func (ev *MeasuredEvaluator) corruptDense(ctx context.Context, cfg Config, tsrc 
 	}
 	layers := make([]layerTrial, len(ev.clustered))
 	for i, cl := range ev.clustered {
-		st, decoded, err := RunTrialChecked(ctx, encs[i], refs[i], cl.Centroids, cfg, tsrc.Uint64())
+		clone, err := sparse.CloneEncoding(encs[i])
+		if err != nil {
+			return trial{}, err
+		}
+		var pr *pristineLayer
+		if hot {
+			pr = &pristineLayer{ev, i, encs[i]}
+		}
+		st, decoded, err := storageStep(ctx, clone, pr, refs[i], cl.Centroids, cfg, stats.NewSource(tsrc.Uint64()))
 		if err != nil {
 			return trial{}, err
 		}

@@ -6,7 +6,11 @@
 // bits-per-cell-wide symbols, and fault injection mutates them in place.
 package bitstream
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+	"slices"
+)
 
 // Array is a fixed-length bit array packed into 64-bit words
 // (little-endian bit order within each word).
@@ -35,15 +39,7 @@ func (a *Array) Clone() *Array {
 
 // Equal reports whether two arrays have identical length and contents.
 func (a *Array) Equal(b *Array) bool {
-	if a.nbits != b.nbits {
-		return false
-	}
-	for i := range a.words {
-		if a.words[i] != b.words[i] {
-			return false
-		}
-	}
-	return true
+	return a.nbits == b.nbits && slices.Equal(a.words, b.words)
 }
 
 // Bit returns bit i (0 or 1).
@@ -121,13 +117,12 @@ func (a *Array) Bytes() []byte {
 	return out
 }
 
-// PopCount returns the number of set bits.
+// PopCount returns the number of set bits. The padding bits past Len
+// are always zero, so whole words can be counted.
 func (a *Array) PopCount() int {
 	n := 0
-	for i := 0; i < a.nbits; i++ {
-		if a.Bit(i) == 1 {
-			n++
-		}
+	for _, w := range a.words {
+		n += bits.OnesCount64(w)
 	}
 	return n
 }
@@ -140,16 +135,7 @@ func (a *Array) DiffBits(b *Array) int {
 	}
 	n := 0
 	for i := range a.words {
-		n += popcount64(a.words[i] ^ b.words[i])
-	}
-	return n
-}
-
-func popcount64(x uint64) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
+		n += bits.OnesCount64(a.words[i] ^ b.words[i])
 	}
 	return n
 }
