@@ -16,7 +16,7 @@
 #                  shard, proving quarantine + bit-identical recovery
 #   make fuzz    - short pass over every fuzz target (sparse, ECC,
 #                  checkpoint, serve, fleet and crossbar decoders)
-#   make paper-golden - `maxnvm all` (every table and figure, ~2 min)
+#   make paper-golden - `maxnvm all` (every table and figure, ~55 s)
 #                  diffed byte for byte against its golden file
 #   make bench   - full benchmark harness (regenerates every figure)
 #   make all     - check + race
@@ -87,7 +87,7 @@ examples-smoke:
 
 # The whole paper: the stdout of `maxnvm all` at its defaults must
 # equal $(PAPER_GOLDEN) byte for byte, so a kernel, codec or sampler
-# change cannot move a table unnoticed. It takes ~2 min, so it stays
+# change cannot move a table unnoticed. It takes ~55 s, so it stays
 # out of `go test ./...`. When the science is meant to move, regenerate
 # with `make paper-golden UPDATE=1` and review the diff.
 PAPER_GOLDEN = internal/exper/testdata/paper.golden

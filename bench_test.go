@@ -335,6 +335,54 @@ func BenchmarkDecodeBitMask(b *testing.B) {
 	}
 }
 
+func BenchmarkDecodeCSR(b *testing.B) {
+	cl := benchClustered(256, 1024, 0.8, 4, 4)
+	enc := sparse.Must(sparse.Encode(sparse.KindCSR, cl.Indices, cl.Rows, cl.Cols, cl.IndexBits))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		enc.Decode()
+	}
+}
+
+func BenchmarkDecodeDense(b *testing.B) {
+	cl := benchClustered(256, 1024, 0.8, 4, 4)
+	enc := sparse.Must(sparse.Encode(sparse.KindDense, cl.Indices, cl.Rows, cl.Cols, cl.IndexBits))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		enc.Decode()
+	}
+}
+
+// BenchmarkCompact24 measures the 2:4 compute-direct read of a storage
+// trial: the canonical compact form, without a dense decode.
+func BenchmarkCompact24(b *testing.B) {
+	cl := benchClustered(256, 1024, 0.8, 4, 4)
+	enc := sparse.Must(sparse.Encode24(cl.Indices, cl.Rows, cl.Cols, cl.IndexBits, cl.Centroids))
+	n := sparse.Entries24(cl.Rows, cl.Cols)
+	vals, pos := make([]uint8, n), make([]uint8, n)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		enc.CompactInto(vals, pos)
+	}
+}
+
+// BenchmarkProbeStreamDamage measures the exploration's damage probe: for
+// every stream of a bitmask+IdxSync layer, forced faults under MLC3 with
+// and without ECC, each trial a clone, protect, correct and full decode.
+func BenchmarkProbeStreamDamage(b *testing.B) {
+	cl := benchClustered(256, 1024, 0.8, 4, 4)
+	enc := sparse.Must(sparse.Encode(sparse.KindBitMaskIdxSync, cl.Indices, cl.Rows, cl.Cols, cl.IndexBits))
+	policies := []ares.StreamPolicy{{BPC: 3}, {BPC: 3, ECC: true}}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for s := range enc.Streams() {
+			for _, p := range policies {
+				ares.ProbeStreamDamage(enc, s, cl, p, 4, uint64(i))
+			}
+		}
+	}
+}
+
 func BenchmarkECCProtectCorrect(b *testing.B) {
 	data := bitstream.New(1 << 16)
 	src := stats.NewSource(5)

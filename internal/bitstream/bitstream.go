@@ -76,15 +76,17 @@ func (a *Array) GetBits(off, n int) uint64 {
 	if off < 0 {
 		panic("bitstream: negative offset")
 	}
-	var out uint64
-	for k := 0; k < n; k++ {
-		i := off + k
-		if i >= a.nbits {
-			break // zero-filled tail
-		}
-		out |= ((a.words[i>>6] >> (uint(i) & 63)) & 1) << uint(k)
+	if off >= a.nbits {
+		return 0
 	}
-	return out
+	// One or two word reads; the padding past Len is zero, so the tail
+	// comes zero-filled.
+	w, sh := off>>6, uint(off)&63
+	v := a.words[w] >> sh
+	if sh+uint(n) > 64 && w+1 < len(a.words) {
+		v |= a.words[w+1] << (64 - sh)
+	}
+	return v & (^uint64(0) >> (64 - uint(n)))
 }
 
 // SetBits writes the low n bits of v starting at bit offset off. Writes
@@ -96,12 +98,15 @@ func (a *Array) SetBits(off, n int, v uint64) {
 	if off < 0 {
 		panic("bitstream: negative offset")
 	}
-	for k := 0; k < n; k++ {
-		i := off + k
-		if i >= a.nbits {
-			break
-		}
-		a.SetBit(i, (v>>uint(k))&1)
+	n = min(n, a.nbits-off)
+	if n <= 0 {
+		return
+	}
+	m := ^uint64(0) >> (64 - uint(n))
+	w, sh := off>>6, uint(off)&63
+	a.words[w] = a.words[w]&^(m<<sh) | (v&m)<<sh
+	if sh+uint(n) > 64 {
+		a.words[w+1] = a.words[w+1]&^(m>>(64-sh)) | (v&m)>>(64-sh)
 	}
 }
 
@@ -173,12 +178,16 @@ func NewStream(name string, elemBits, n int) *Stream {
 	return &Stream{Name: name, ElemBits: elemBits, N: n, Bits: New(elemBits * n)}
 }
 
-// FromValues builds a stream from a value slice. Values must fit in
-// elemBits; out-of-range values panic.
-func FromValues(name string, elemBits int, values []uint32) *Stream {
+// FromValues builds a stream from a value slice (uint8 for the
+// cluster-index matrix representation), written front to back. Values
+// must fit in elemBits; out-of-range values panic.
+func FromValues[T uint8 | uint32](name string, elemBits int, values []T) *Stream {
 	s := NewStream(name, elemBits, len(values))
 	for i, v := range values {
-		s.Set(i, uint64(v))
+		if uint64(v) >= 1<<uint(elemBits) {
+			s.Set(i, uint64(v)) // panics with Set's message
+		}
+		s.Bits.SetBits(i*elemBits, elemBits, uint64(v))
 	}
 	return s
 }
@@ -202,36 +211,75 @@ func (s *Stream) Set(i int, v uint64) {
 	s.Bits.SetBits(i*s.ElemBits, s.ElemBits, v)
 }
 
-// FromValues8 builds a stream from a byte-valued slice (the cluster-index
-// matrix representation). Values must fit in elemBits.
-func FromValues8(name string, elemBits int, values []uint8) *Stream {
-	s := NewStream(name, elemBits, len(values))
-	for i, v := range values {
-		s.Set(i, uint64(v))
-	}
-	return s
-}
-
 // Values8 extracts all elements into a byte slice; elements must fit in
 // 8 bits.
 func (s *Stream) Values8() []uint8 {
 	if s.ElemBits > 8 {
 		panic(fmt.Sprintf("bitstream: Values8 on %d-bit stream %q", s.ElemBits, s.Name))
 	}
-	out := make([]uint8, s.N)
+	return unpack[uint8](s)
+}
+
+// Values extracts all elements into a fresh slice.
+func (s *Stream) Values() []uint32 { return unpack[uint32](s) }
+
+// unpack returns every element with one word load per 64 bits; buf holds
+// the avail unread bits of the current word.
+func unpack[T uint8 | uint32](s *Stream) []T {
+	out := make([]T, s.N)
+	width, mask := uint(s.ElemBits), uint64(1)<<uint(s.ElemBits)-1
+	var buf uint64
+	avail, next := uint(0), 0
 	for i := range out {
-		out[i] = uint8(s.Get(i))
+		if avail < width { // the element continues into the next word
+			w := s.Bits.words[next]
+			out[i], next = T((buf|w<<avail)&mask), next+1
+			buf, avail = w>>(width-avail), 64-(width-avail)
+			continue
+		}
+		out[i], buf, avail = T(buf&mask), buf>>width, avail-width
 	}
 	return out
 }
 
-// Values extracts all elements into a fresh slice.
-func (s *Stream) Values() []uint32 {
-	out := make([]uint32, s.N)
-	for i := range out {
-		out[i] = uint32(s.Get(i))
+// Reader reads a stream's elements front to back. It buffers unread bits
+// and refills them 32 at a time, so an element (at most 32 bits) takes at
+// most one refill. Elements past N read as zero.
+type Reader struct {
+	words        []uint64
+	half         int    // next 32-bit half-word to load
+	buf          uint64 // unread bits, low first
+	avail, width uint
+}
+
+// Reader returns a cursor at element i >= 0.
+func (s *Stream) Reader(i int) Reader {
+	off := i * s.ElemBits
+	r := Reader{words: s.Bits.words, half: off >> 5, width: uint(s.ElemBits)}
+	r.buf, r.avail = r.load()>>(uint(off)&31), 32-uint(off)&31
+	return r
+}
+
+// Next returns the element under the cursor and advances past it.
+func (r *Reader) Next() uint64 {
+	if r.avail < r.width {
+		r.buf |= r.load() << r.avail
+		r.avail += 32
 	}
-	return out
+	v := r.buf & (1<<r.width - 1)
+	r.buf >>= r.width
+	r.avail -= r.width
+	return v
+}
+
+// load returns the next 32-bit half-word, zero past the last word.
+func (r *Reader) load() uint64 {
+	h := r.half
+	r.half++
+	if h>>1 >= len(r.words) {
+		return 0
+	}
+	return r.words[h>>1] >> (uint(h&1) * 32) & 0xffffffff
 }
 
 // SizeBits returns the raw storage size in bits.

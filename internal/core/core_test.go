@@ -351,3 +351,49 @@ func TestWithRetentionSharesProfilesAndDegrades(t *testing.T) {
 		t.Error("WithRetention mutated the original explorer")
 	}
 }
+
+// TestIdxSyncContainsBitmaskCascade pins the paper's bitmask ordering
+// (Section 4.2) on the measured probes: one unprotected mask fault
+// cascades without IdxSync, IdxSync never does worse, and on every layer
+// whose mask spans more than one IdxSync block the counters contain the
+// cascade. A decoder change that breaks containment fails here by name.
+func TestIdxSyncContainsBitmaskCascade(t *testing.T) {
+	_, ex := getLeNetExplorer(t)
+	maskProbe := func(lp LayerProfile, p ares.StreamPolicy) DamageProbe {
+		t.Helper()
+		for _, sp := range lp.Streams {
+			if sp.Name == "bitmask" {
+				return sp.Probes[p]
+			}
+		}
+		t.Fatalf("%s/%v: no bitmask stream", lp.LayerName, lp.Kind)
+		return DamageProbe{}
+	}
+	plain, synced := ex.Profiles[sparse.KindBitMask], ex.Profiles[sparse.KindBitMaskIdxSync]
+	multiBlock := 0
+	for l, lp := range plain {
+		sl := synced[l]
+		for _, p := range PolicyChoices(searchMaxBPC) {
+			if p.ECC {
+				continue
+			}
+			bm, is := maskProbe(lp, p), maskProbe(sl, p)
+			if !bm.Catastrophic() {
+				t.Errorf("%s %v: bitmask probe DMismatch %.4g is not catastrophic", lp.LayerName, p, bm.DMismatch)
+			}
+			if is.DMismatch > bm.DMismatch {
+				t.Errorf("%s %v: IdxSync DMismatch %.4g above plain bitmask %.4g", lp.LayerName, p, is.DMismatch, bm.DMismatch)
+			}
+			if sl.SubWeights > sparse.BlockBytes*8 && is.Catastrophic() {
+				t.Errorf("%s %v: IdxSync bitmask probe DMismatch %.4g still cascades over %d mask bits",
+					lp.LayerName, p, is.DMismatch, sl.SubWeights)
+			}
+		}
+		if sl.SubWeights > sparse.BlockBytes*8 {
+			multiBlock++
+		}
+	}
+	if multiBlock != 3 {
+		t.Errorf("%d layers span more than one IdxSync block, want 3 (conv2, fc1, fc2)", multiBlock)
+	}
+}

@@ -7,6 +7,7 @@ package ecc
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/bitstream"
 )
@@ -112,62 +113,39 @@ func (p *Protected) blockRange(b int) (lo, hi int) {
 	return lo, hi
 }
 
-// dataPosition maps the k-th data bit of a block (0-based) to its Hamming
-// codeword position (1-based, skipping power-of-two parity positions).
-func dataPosition(k int) int {
-	// Position p is a parity slot iff p is a power of two. The k-th
-	// non-power-of-two position can be found incrementally; to keep the
-	// codec O(n) we compute it by walking powers.
-	pos := k + 1
-	// Each power of two <= pos shifts the data positions up by one.
-	for pow := 1; pow <= pos; pow <<= 1 {
-		pos++
-		if pow > 1<<40 {
-			panic("ecc: block too large")
-		}
-	}
-	return pos
-}
-
 // syndromeOf computes the Hamming syndrome and overall parity of block b
-// from the current data and given parity bits.
+// from the current data and given parity bits. It reads the data 64 bits
+// at a time and walks the set bits: data bit k of a block sits at
+// codeword position m + bits.Len(m + bits.Len(m)) for m = k+1, the k-th
+// position that is not a power of two (those hold the parity bits).
 func (p *Protected) syndromeOf(b int) (syndrome uint64, overall uint64) {
 	lo, hi := p.blockRange(b)
-	for i := lo; i < hi; i++ {
-		if p.Data.Bit(i) == 1 {
-			syndrome ^= uint64(dataPosition(i - lo))
-			overall ^= 1
+	ones := 0
+	for i := lo; i < hi; i += 64 {
+		w := p.Data.GetBits(i, min(64, hi-i))
+		ones += bits.OnesCount64(w)
+		for ; w != 0; w &= w - 1 {
+			m := uint(i - lo + bits.TrailingZeros64(w) + 1)
+			syndrome ^= uint64(m + uint(bits.Len(m+uint(bits.Len(m)))))
 		}
 	}
-	base := b * p.Code.ParityBitsPerBlock()
-	for j := 0; j < p.Code.hammingBits; j++ {
-		bit := p.Parity.Get(base + j)
-		if bit == 1 {
-			syndrome ^= uint64(1) << uint(j) // parity j sits at position 2^j
-			overall ^= 1
-		}
-	}
-	overall ^= p.Parity.Get(base + p.Code.hammingBits)
+	// Hamming parity bit j sits at position 2^j, so the stored parity
+	// bits XOR into the syndrome as one word; the overall bit sits above.
+	r := p.Code.hammingBits
+	par := p.Parity.Bits.GetBits(b*(r+1), r+1)
+	syndrome ^= par &^ (1 << r)
+	overall = uint64(ones+bits.OnesCount64(par)) & 1
 	return syndrome, overall
 }
 
 // writeParity recomputes and stores the parity of block b so that the
 // syndrome and overall parity are zero.
 func (p *Protected) writeParity(b int) {
-	base := b * p.Code.ParityBitsPerBlock()
-	// Zero parity first, then read the data-only syndrome.
-	for j := 0; j < p.Code.ParityBitsPerBlock(); j++ {
-		p.Parity.Set(base+j, 0)
-	}
+	r := p.Code.hammingBits
+	p.Parity.Bits.SetBits(b*(r+1), r+1, 0)
 	syndrome, overall := p.syndromeOf(b)
-	for j := 0; j < p.Code.hammingBits; j++ {
-		bit := (syndrome >> uint(j)) & 1
-		p.Parity.Set(base+j, bit)
-		if bit == 1 {
-			overall ^= 1
-		}
-	}
-	p.Parity.Set(base+p.Code.hammingBits, overall)
+	overall ^= uint64(bits.OnesCount64(syndrome)) & 1
+	p.Parity.Bits.SetBits(b*(r+1), r+1, syndrome|overall<<r)
 }
 
 // CorrectionStats summarizes a Correct pass.
@@ -212,9 +190,7 @@ func (p *Protected) CorrectReport() CorrectOutcome {
 			if syndrome != 0 {
 				p.correctPosition(b, syndrome)
 			} else {
-				base := b * p.Code.ParityBitsPerBlock()
-				i := base + p.Code.hammingBits
-				p.Parity.Set(i, p.Parity.Get(i)^1)
+				p.Parity.Bits.FlipBit(b*p.Code.ParityBitsPerBlock() + p.Code.hammingBits)
 			}
 			out.Corrected++
 		default:
@@ -248,22 +224,12 @@ func (p *Protected) ZeroBlock(b int) {
 func (p *Protected) correctPosition(b int, pos uint64) {
 	if pos&(pos-1) == 0 {
 		// Parity bit 2^j.
-		j := 0
-		for (uint64(1) << uint(j)) != pos {
-			j++
-		}
-		base := b * p.Code.ParityBitsPerBlock()
-		p.Parity.Set(base+j, p.Parity.Get(base+j)^1)
+		p.Parity.Bits.FlipBit(b*p.Code.ParityBitsPerBlock() + bits.TrailingZeros64(pos))
 		return
 	}
-	// Data bit: invert dataPosition.
-	k := int(pos) - 1
-	for pow := uint64(1); pow <= pos; pow <<= 1 {
-		k--
-	}
+	// Data bit: pos is preceded by bits.Len(pos) parity positions.
 	lo, hi := p.blockRange(b)
-	i := lo + k
-	if i >= lo && i < hi {
+	if i := lo + int(pos) - 1 - bits.Len64(pos); i < hi {
 		p.Data.FlipBit(i)
 	}
 	// Out-of-range positions (syndrome corrupted by multi-bit faults that

@@ -2,6 +2,8 @@ package sparse
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"repro/internal/bitstream"
 )
@@ -79,11 +81,11 @@ func EncodeBitMask(indices []uint8, rows, cols, valueBits int, opt BitMaskOption
 			if hi > n {
 				hi = n
 			}
-			count := uint64(0)
-			for i := lo; i < hi; i++ {
-				count += mask.Get(i)
+			count := 0
+			for i := lo; i < hi; i += 64 {
+				count += bits.OnesCount64(mask.Bits.GetBits(i, min(64, hi-i)))
 			}
-			counters.Set(b, count)
+			counters.Set(b, uint64(count))
 		}
 		e.Counters = counters
 	}
@@ -98,22 +100,31 @@ func EncodeBitMask(indices []uint8, rows, cols, valueBits int, opt BitMaskOption
 // value (Section 4.2's catastrophic case). With IdxSync, at each mask
 // block boundary the value cursor is reset to the prefix sum of the
 // stored counters, so corruption is confined to the faulty block
-// (Figure 4). Reads past the end of Values yield zero.
+// (Figure 4). Reads past the end of Values yield zero. The mask is walked
+// a word at a time; a set bit first applies every boundary before it.
 func (e *BitMask) Decode() []uint8 {
 	n := e.RowsN * e.ColsN
 	out := make([]uint8, n)
-	cursor := 0
+	vals := e.Values.Reader(0)
+	cursor, block, next := 0, 0, math.MaxInt // next: the first unapplied IdxSync boundary
+	if e.Counters != nil {
+		next = e.MaskBlockBits
+	}
 	var prefix uint64 // sum of counters over completed blocks
 	overruns := int64(0)
-	for i := 0; i < n; i++ {
-		if e.Counters != nil && i%e.MaskBlockBits == 0 && i > 0 {
-			block := i / e.MaskBlockBits
-			prefix += e.Counters.Get(block - 1)
-			cursor = int(prefix)
-		}
-		if e.Mask.Get(i) == 1 {
+	for base := 0; base < n; base += 64 {
+		for w := e.Mask.Bits.GetBits(base, 64); w != 0; w &= w - 1 {
+			i := base + bits.TrailingZeros64(w)
+			if i >= next {
+				for blk := i / e.MaskBlockBits; block < blk; block++ {
+					prefix += e.Counters.Get(block)
+				}
+				next = (block + 1) * e.MaskBlockBits
+				cursor = int(prefix)
+				vals = e.Values.Reader(cursor)
+			}
 			if cursor < e.Values.N {
-				out[i] = uint8(e.Values.Get(cursor))
+				out[i] = uint8(vals.Next())
 			} else {
 				overruns++
 			}

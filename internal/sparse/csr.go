@@ -107,15 +107,15 @@ func (e *CSR) Decode() []uint8 {
 	out := make([]uint8, e.RowsN*e.ColsN)
 	pos := 0 // global entry cursor into Values/ColIndex
 	total := e.Values.N
+	counts, vals, gaps := e.RowCount.Reader(0), e.Values.Reader(0), e.ColIndex.Reader(0)
 	overruns := int64(0)
 	for r := 0; r < e.RowsN; r++ {
-		n := int(e.RowCount.Get(r))
+		n := int(counts.Next())
 		prev := -1
 		for k := 0; k < n; k++ {
-			var v, gap uint32
+			var v, gap uint64
 			if pos < total {
-				v = uint32(e.Values.Get(pos))
-				gap = uint32(e.ColIndex.Get(pos))
+				v, gap = vals.Next(), gaps.Next()
 			} else {
 				overruns++
 			}
@@ -148,20 +148,34 @@ func (e *CSR) Entries() int { return e.Values.N }
 
 // BestIndexBits returns the relative-index width in [2, bitsFor(cols-1)]
 // minimizing total CSR size for the given matrix (narrow indices shrink
-// ColIndex but add padding entries; wide ones waste index bits).
+// ColIndex but add padding entries; wide ones waste index bits). Ties go
+// to the narrowest width. One pass prices every width: a column gap g
+// costs g>>bits padding entries at a given width.
 func BestIndexBits(indices []uint8, rows, cols, valueBits int) (int, error) {
-	bestBits, bestSize := 0, int64(-1)
-	maxBits := bitstream.BitsFor(cols - 1)
-	if maxBits < 2 {
-		maxBits = 2
+	if len(indices) != rows*cols {
+		return 0, fmt.Errorf("sparse: BestIndexBits: %d indices != %d x %d", len(indices), rows, cols)
 	}
-	for bits := 2; bits <= maxBits; bits++ {
-		enc, err := EncodeCSR(indices, rows, cols, valueBits, bits)
-		if err != nil {
-			return 0, err
+	maxBits := max(2, bitstream.BitsFor(max(cols-1, 0)))
+	pads := make([]int64, maxBits+1) // pads[b]: padding entries at width b
+	nnz := int64(0)
+	for r := 0; r < rows; r++ {
+		prev := -1
+		for c, v := range indices[r*cols : (r+1)*cols] {
+			if v == 0 {
+				continue
+			}
+			for b, g := 2, c-prev-1; g>>b != 0; b++ {
+				pads[b] += int64(g >> b)
+			}
+			nnz++
+			prev = c
 		}
-		if sz := enc.SizeBits(); bestSize < 0 || sz < bestSize {
-			bestBits, bestSize = bits, sz
+	}
+	bestBits, bestSize := 0, int64(-1)
+	for b := 2; b <= maxBits; b++ {
+		// RowCount's size does not depend on the width.
+		if sz := (nnz + pads[b]) * int64(valueBits+b); bestSize < 0 || sz < bestSize {
+			bestBits, bestSize = b, sz
 		}
 	}
 	return bestBits, nil

@@ -169,7 +169,7 @@ func EncodeDense(indices []uint8, rows, cols, valueBits int) (*Dense, error) {
 	}
 	return &Dense{
 		RowsN: rows, ColsN: cols, ValueBits: valueBits,
-		Values: bitstream.FromValues8("values", valueBits, indices),
+		Values: bitstream.FromValues("values", valueBits, indices),
 	}, nil
 }
 

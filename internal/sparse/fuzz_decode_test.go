@@ -43,38 +43,50 @@ func checkDecode(t *testing.T, e Encoding, rows, cols, valueBits int) {
 	}
 }
 
+// FuzzCSRDecode is differential: Decode and its overrun count must
+// match the bit-serial reference on whatever bits the fuzzer stores. The
+// seed's high byte picks the relative index width (1..4 bits).
 func FuzzCSRDecode(f *testing.F) {
 	f.Add(uint16(1), []byte{0x00})
 	f.Add(uint16(7), []byte{0xff, 0xff, 0xff, 0xff})
 	f.Add(uint16(42), []byte{0xa5, 0x0f, 0x3c, 0x81, 0x7e})
 	f.Add(uint16(99), []byte{0x01, 0x80, 0x40, 0x02, 0x20, 0x04})
+	f.Add(uint16(0x0305), []byte{0x10, 0x00, 0x00, 0x80})
 	f.Fuzz(func(t *testing.T, seed uint16, data []byte) {
 		const rows, cols, valueBits = 9, 33, 4
 		idx := randomIndices(rows, cols, 0.7, valueBits, uint64(seed))
-		enc, err := EncodeCSR(idx, rows, cols, valueBits, 3)
+		enc, err := EncodeCSR(idx, rows, cols, valueBits, 1+int(seed>>8)%4)
 		if err != nil {
 			t.Fatal(err)
 		}
 		stuffBits(enc, data)
 		checkDecode(t, enc, rows, cols, valueBits)
+		checkCSRMatchesRef(t, enc)
 	})
 }
 
+// FuzzBitMaskDecode is differential like FuzzCSRDecode. The fuzzer also
+// picks the IdxSync block size, 1..300 mask bits, so block boundaries
+// fall inside mask words as well as on them.
 func FuzzBitMaskDecode(f *testing.F) {
-	f.Add(uint16(1), true, []byte{0x00})
-	f.Add(uint16(7), false, []byte{0xff, 0xff, 0xff, 0xff})
-	f.Add(uint16(42), true, []byte{0xa5, 0x0f, 0x3c, 0x81, 0x7e})
-	f.Add(uint16(99), false, []byte{0x01, 0x80, 0x40, 0x02, 0x20, 0x04})
-	f.Fuzz(func(t *testing.T, seed uint16, idxSync bool, data []byte) {
+	f.Add(uint16(1), true, uint16(63), []byte{0x00})
+	f.Add(uint16(7), false, uint16(63), []byte{0xff, 0xff, 0xff, 0xff})
+	f.Add(uint16(42), true, uint16(63), []byte{0xa5, 0x0f, 0x3c, 0x81, 0x7e})
+	f.Add(uint16(99), false, uint16(63), []byte{0x01, 0x80, 0x40, 0x02, 0x20, 0x04})
+	f.Add(uint16(5), true, uint16(0), []byte{0x5a, 0xc3})
+	f.Add(uint16(11), true, uint16(99), []byte{0xfe, 0x01, 0x77})
+	f.Add(uint16(13), true, uint16(299), []byte{0x00, 0xff})
+	f.Fuzz(func(t *testing.T, seed uint16, idxSync bool, blockBits uint16, data []byte) {
 		const rows, cols, valueBits = 7, 41, 4
 		idx := randomIndices(rows, cols, 0.6, valueBits, uint64(seed))
 		enc, err := EncodeBitMask(idx, rows, cols, valueBits,
-			BitMaskOptions{IdxSync: idxSync, MaskBlockBits: 64})
+			BitMaskOptions{IdxSync: idxSync, MaskBlockBits: 1 + int(blockBits)%300})
 		if err != nil {
 			t.Fatal(err)
 		}
 		stuffBits(enc, data)
 		checkDecode(t, enc, rows, cols, valueBits)
+		checkBitMaskMatchesRef(t, enc)
 	})
 }
 

@@ -112,8 +112,8 @@ func Encode24(indices []uint8, rows, cols, valueBits int, centroids []float32) (
 	}
 	return &E24{
 		RowsN: rows, ColsN: cols, ValueBits: valueBits,
-		Values: bitstream.FromValues8("values", valueBits, vals),
-		Meta:   bitstream.FromValues8("meta24", 2, meta),
+		Values: bitstream.FromValues("values", valueBits, vals),
+		Meta:   bitstream.FromValues("meta24", 2, meta),
 	}, nil
 }
 
@@ -132,6 +132,7 @@ func (e *E24) Decode() []uint8 {
 	gpr := groupsPerRow(e.ColsN)
 	overruns := 0
 	ent := 0
+	vals, meta := e.Values.Reader(0), e.Meta.Reader(0)
 	for r := 0; r < e.RowsN; r++ {
 		for g := 0; g < gpr; g++ {
 			for s := 0; s < 2; s++ {
@@ -140,8 +141,7 @@ func (e *E24) Decode() []uint8 {
 					ent++
 					continue
 				}
-				v := uint8(e.Values.Get(ent))
-				p := int(e.Meta.Get(ent))
+				v, p := uint8(vals.Next()), int(meta.Next())
 				ent++
 				if v == 0 {
 					continue
@@ -174,6 +174,7 @@ func (e *E24) CompactInto(vals, pos []uint8) {
 	gpr := groupsPerRow(e.ColsN)
 	overruns := 0
 	ent := 0
+	vals8, meta := e.Values.Reader(0), e.Meta.Reader(0)
 	for r := 0; r < e.RowsN; r++ {
 		for g := 0; g < gpr; g++ {
 			// Reconstruct the group's 4-slot window with Decode's rules.
@@ -184,8 +185,7 @@ func (e *E24) CompactInto(vals, pos []uint8) {
 					ent++
 					continue
 				}
-				v := uint8(e.Values.Get(ent))
-				p := int(e.Meta.Get(ent))
+				v, p := uint8(vals8.Next()), int(meta.Next())
 				ent++
 				if v == 0 {
 					continue

@@ -249,12 +249,17 @@ func Test24ErrorPaths(t *testing.T) {
 	enc.CompactInto(make([]uint8, 1), make([]uint8, 1))
 }
 
+// FuzzDecode24 is differential: Decode, CompactInto and their overrun
+// counts must match the bit-serial reference. cut%3 truncates nothing,
+// the values or the metadata, to the entry count cut/3 at most.
 func FuzzDecode24(f *testing.F) {
-	f.Add(uint16(1), []byte{0x00})
-	f.Add(uint16(7), []byte{0xff, 0xff, 0xff, 0xff})
-	f.Add(uint16(42), []byte{0xa5, 0x0f, 0x3c, 0x81, 0x7e})
-	f.Add(uint16(99), []byte{0x01, 0x80, 0x40, 0x02, 0x20, 0x04})
-	f.Fuzz(func(t *testing.T, seed uint16, data []byte) {
+	f.Add(uint16(1), uint8(0), []byte{0x00})
+	f.Add(uint16(7), uint8(0), []byte{0xff, 0xff, 0xff, 0xff})
+	f.Add(uint16(42), uint8(0), []byte{0xa5, 0x0f, 0x3c, 0x81, 0x7e})
+	f.Add(uint16(99), uint8(0), []byte{0x01, 0x80, 0x40, 0x02, 0x20, 0x04})
+	f.Add(uint16(3), uint8(31), []byte{0x6d, 0x12})
+	f.Add(uint16(4), uint8(92), []byte{0x6d, 0x12, 0xf0})
+	f.Fuzz(func(t *testing.T, seed uint16, cut uint8, data []byte) {
 		const rows, cols, valueBits = 9, 33, 4
 		idx := randomIndices(rows, cols, 0.7, valueBits, uint64(seed))
 		enc, err := Encode24(idx, rows, cols, valueBits, nil)
@@ -262,6 +267,12 @@ func FuzzDecode24(f *testing.F) {
 			t.Fatal(err)
 		}
 		stuffBits(enc, data)
+		switch n := int(cut) / 3; cut % 3 {
+		case 1:
+			enc.Values = truncated(enc.Values, n)
+		case 2:
+			enc.Meta = truncated(enc.Meta, n)
+		}
 		checkDecode(t, enc, rows, cols, valueBits)
 		// The compact form must stay in range and canonical too.
 		n := Entries24(rows, cols)
@@ -272,5 +283,15 @@ func FuzzDecode24(f *testing.F) {
 				t.Fatalf("compact entry %d out of range: (%d, %d)", i, vals[i], pos[i])
 			}
 		}
+		check24MatchesRef(t, enc)
 	})
+}
+
+// truncated copies the first min(n, s.N) elements of s, bit by bit.
+func truncated(s *bitstream.Stream, n int) *bitstream.Stream {
+	out := bitstream.NewStream(s.Name, s.ElemBits, min(n, s.N))
+	for i := 0; i < out.Bits.Len(); i++ {
+		out.Bits.SetBit(i, s.Bits.Bit(i))
+	}
+	return out
 }
