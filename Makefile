@@ -2,8 +2,9 @@
 #
 #   make check   - tier 1: fmt, build, test, vet, vet-perfbench (the
 #                  perfbench module, which `go build ./...` skips),
-#                  race-fast (the concurrency-heavy packages and the
-#                  seed contract), serve-smoke, examples-smoke and
+#                  race-fast (the concurrency-heavy packages, the
+#                  explorer's per-layer probers and the seed contract),
+#                  serve-smoke, examples-smoke and
 #                  chaos. CI (.github/workflows/ci.yml) runs the same
 #                  minus chaos, plus paper-golden.
 #   make race    - tier 2: go vet + race detector on a fast test pass
@@ -16,7 +17,7 @@
 #                  shard, proving quarantine + bit-identical recovery
 #   make fuzz    - short pass over every fuzz target (sparse, ECC,
 #                  checkpoint, serve, fleet and crossbar decoders)
-#   make paper-golden - `maxnvm all` (every table and figure, ~55 s)
+#   make paper-golden - `maxnvm all` (every table and figure, ~45-50 s)
 #                  diffed byte for byte against its golden file
 #   make bench   - full benchmark harness (regenerates every figure)
 #   make all     - check + race
@@ -28,7 +29,7 @@ FUZZTIME ?= 10s
 # package rather than aggregate so an untested package cannot hide
 # behind a well-tested one.
 COVER_FLOOR ?= 70
-COVER_PKGS   = internal/campaign internal/envm internal/sparse internal/ecc internal/telemetry internal/cliutil internal/durable internal/errfs internal/fleet internal/serve internal/supervise internal/chaos internal/ares internal/mitigate internal/tensor internal/crossbar
+COVER_PKGS   = internal/campaign internal/envm internal/sparse internal/ecc internal/telemetry internal/cliutil internal/durable internal/errfs internal/fleet internal/serve internal/supervise internal/chaos internal/ares internal/mitigate internal/tensor internal/crossbar internal/core internal/bitstream internal/quant internal/stats
 
 .PHONY: all check fmt build test race race-fast vet vet-perfbench cover fuzz fleet-crash chaos bench serve-smoke examples-smoke paper-golden clean
 
@@ -65,12 +66,13 @@ race: vet
 
 # The telemetry registry, the instrumented campaign engine, the replica
 # pool and the Forwarder (replicas read shared cached activations), the
-# fleet lease protocol, and the parallel tensor kernels are the most
-# concurrency-sensitive pieces; they get a dedicated race pass
-# in tier 1 so a data race cannot land even when the full race tier is
-# skipped.
+# explorer (it profiles layers on concurrent goroutines, each owning an
+# ares.Prober over shared pristine encodings), the fleet lease protocol,
+# and the parallel tensor kernels are the most concurrency-sensitive
+# pieces; they get a dedicated race pass in tier 1 so a data race cannot
+# land even when the full race tier is skipped.
 race-fast:
-	$(GO) test -race ./internal/campaign/... ./internal/telemetry/... ./internal/ares/... ./internal/dnn/... ./internal/sparse/... ./internal/tensor/... ./internal/crossbar/... ./internal/fleet/... ./internal/serve/... ./internal/supervise/... ./internal/chaos/...
+	$(GO) test -race ./internal/campaign/... ./internal/telemetry/... ./internal/ares/... ./internal/core/... ./internal/dnn/... ./internal/sparse/... ./internal/tensor/... ./internal/crossbar/... ./internal/fleet/... ./internal/serve/... ./internal/supervise/... ./internal/chaos/...
 
 # The server's own end-to-end smoke: train, serve every endpoint on an
 # ephemeral port, scrape /metrics, drain.
@@ -87,7 +89,7 @@ examples-smoke:
 
 # The whole paper: the stdout of `maxnvm all` at its defaults must
 # equal $(PAPER_GOLDEN) byte for byte, so a kernel, codec or sampler
-# change cannot move a table unnoticed. It takes ~55 s, so it stays
+# change cannot move a table unnoticed. It takes ~45-50 s, so it stays
 # out of `go test ./...`. When the science is meant to move, regenerate
 # with `make paper-golden UPDATE=1` and review the diff.
 PAPER_GOLDEN = internal/exper/testdata/paper.golden

@@ -366,18 +366,20 @@ func BenchmarkCompact24(b *testing.B) {
 	}
 }
 
-// BenchmarkProbeStreamDamage measures the exploration's damage probe: for
-// every stream of a bitmask+IdxSync layer, forced faults under MLC3 with
-// and without ECC, each trial a clone, protect, correct and full decode.
+// BenchmarkProbeStreamDamage measures the exploration's damage probe:
+// one ares.Prober per op over a bitmask+IdxSync layer, probing every
+// stream under MLC3 with and without ECC. Each trial forces its faults,
+// corrects the touched ECC blocks, decodes in full and restores.
 func BenchmarkProbeStreamDamage(b *testing.B) {
 	cl := benchClustered(256, 1024, 0.8, 4, 4)
 	enc := sparse.Must(sparse.Encode(sparse.KindBitMaskIdxSync, cl.Indices, cl.Rows, cl.Cols, cl.IndexBits))
 	policies := []ares.StreamPolicy{{BPC: 3}, {BPC: 3, ECC: true}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		pb := ares.NewProber(enc, cl)
 		for s := range enc.Streams() {
 			for _, p := range policies {
-				ares.ProbeStreamDamage(enc, s, cl, p, 4, uint64(i))
+				pb.Probe(s, p, 4, stats.NewSource(uint64(i)))
 			}
 		}
 	}

@@ -17,6 +17,7 @@
 package ares
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"slices"
@@ -287,7 +288,7 @@ func storageStep(ctx context.Context, enc sparse.Encoding, pr *pristineLayer, re
 	if len(ref) != len(decoded) {
 		return st, nil, fmt.Errorf("ares: %d original indices vs %d decoded", len(ref), len(decoded))
 	}
-	fillCorruption(&st, ref, decoded, centroids)
+	fillCorruption(&st, ref, decoded, centroids, pr.signal(ref, centroids))
 	return st, decoded, nil
 }
 
@@ -343,8 +344,10 @@ func injectStreams(ctx context.Context, enc sparse.Encoding, pr *pristineLayer, 
 }
 
 // fillCorruption computes the corruption statistics between original and
-// decoded index matrices.
-func fillCorruption(st *TrialStats, orig, decoded []uint8, centroids []float32) {
+// decoded index matrices, given sig = signalSS(orig, centroids).
+// Equal elements add nothing, so runs that compare equal are skipped
+// whole; the rest accumulate in index order.
+func fillCorruption(st *TrialStats, orig, decoded []uint8, centroids []float32, sig float64) {
 	if len(orig) != len(decoded) {
 		panic("ares: index length mismatch")
 	}
@@ -352,29 +355,54 @@ func fillCorruption(st *TrialStats, orig, decoded []uint8, centroids []float32) 
 	if n == 0 {
 		return
 	}
+	const run = 256
 	var mismatch, structN int
-	var deltaSS, signalSS float64
-	for i := range orig {
-		o, d := orig[i], decoded[i]
-		wo := float64(centroids[o])
-		signalSS += wo * wo
-		if o == d {
+	var deltaSS float64
+	for lo := 0; lo < n; lo += run {
+		hi := min(lo+run, n)
+		if bytes.Equal(orig[lo:hi], decoded[lo:hi]) {
 			continue
 		}
-		mismatch++
-		if (o == 0) != (d == 0) {
-			structN++
+		for i := lo; i < hi; i++ {
+			o, d := orig[i], decoded[i]
+			if o == d {
+				continue
+			}
+			mismatch++
+			if (o == 0) != (d == 0) {
+				structN++
+			}
+			wo, wd := float64(centroids[o]), float64(centroids[d])
+			deltaSS += (wd - wo) * (wd - wo)
 		}
-		wd := float64(centroids[d])
-		deltaSS += (wd - wo) * (wd - wo)
 	}
 	st.Mismatch = float64(mismatch) / float64(n)
 	st.StructFrac = float64(structN) / float64(n)
-	if signalSS > 0 {
-		st.ValueNSR = deltaSS / signalSS
-	} else if deltaSS > 0 {
-		st.ValueNSR = 1
+	st.ValueNSR = valueNSR(deltaSS, sig)
+}
+
+// valueNSR is the value noise-to-signal ratio of a corrupted layer with
+// squared weight error deltaSS and signal sum sig.
+func valueNSR(deltaSS, sig float64) float64 {
+	switch {
+	case sig > 0:
+		return deltaSS / sig
+	case deltaSS > 0:
+		return 1
 	}
+	return 0
+}
+
+// signalSS is the sum of squared weights of the reference ref, in
+// index order: the denominator of a layer's value NSR. It depends only
+// on the reference, so callers compute it once per layer.
+func signalSS(ref []uint8, centroids []float32) float64 {
+	var ss float64
+	for _, o := range ref {
+		w := float64(centroids[o])
+		ss += w * w
+	}
+	return ss
 }
 
 // EncodeLayer encodes a clustered layer under the config's format. An

@@ -42,8 +42,9 @@ type twofourState struct {
 	encs []*sparse.E24
 	// orig24 holds the projected dense indices — the reference the
 	// decode-to-dense oracle and the corruption statistics compare
-	// against.
+	// against — and sig24 their signal sums.
 	orig24 [][]uint8
+	sig24  []float64
 	// compVals/compPos hold the pristine canonical compact form; the
 	// fast path is a row-by-row comparison against these.
 	compVals, compPos [][]uint8
@@ -69,6 +70,7 @@ func (ev *MeasuredEvaluator) twofour() (*twofourState, error) {
 		n := len(ev.clustered)
 		tf.encs = make([]*sparse.E24, n)
 		tf.orig24 = make([][]uint8, n)
+		tf.sig24 = make([]float64, n)
 		tf.compVals = make([][]uint8, n)
 		tf.compPos = make([][]uint8, n)
 		tf.pristine24 = make([]*tensor.Sparse24, n)
@@ -77,6 +79,7 @@ func (ev *MeasuredEvaluator) twofour() (*twofourState, error) {
 			enc := encs[i].(*sparse.E24)
 			tf.encs[i] = enc
 			tf.orig24[i] = enc.Decode()
+			tf.sig24[i] = signalSS(tf.orig24[i], cl.Centroids)
 			ne := sparse.Entries24(cl.Rows, cl.Cols)
 			tf.compVals[i] = make([]uint8, ne)
 			tf.compPos[i] = make([]uint8, ne)
@@ -126,7 +129,8 @@ func (ev *MeasuredEvaluator) runTrial24(ctx context.Context, tf *twofourState, i
 	pos := make([]uint8, ne)
 	e.CompactInto(vals, pos)
 	met.decode.Since(decodeStart)
-	fillCorruption24(&st, tf.orig24[i], vals, pos, ev.clustered[i].Centroids, e.RowsN, e.ColsN)
+	cents := ev.clustered[i].Centroids
+	fillCorruption24(&st, tf.orig24[i], vals, pos, cents, pr.signal(tf.orig24[i], cents), e.RowsN, e.ColsN)
 	return st, vals, pos, nil
 }
 
@@ -136,15 +140,16 @@ func (ev *MeasuredEvaluator) runTrial24(ctx context.Context, tf *twofourState, i
 // materializing the decoded matrix. The walk visits dense positions in
 // exactly fillCorruption's order with the same accumulation statements,
 // so the resulting statistics are bit-identical to running
-// fillCorruption over Decode()'s output.
-func fillCorruption24(st *TrialStats, orig, vals, pos []uint8, centroids []float32, rows, cols int) {
+// fillCorruption over Decode()'s output. sig is signalSS(orig,
+// centroids).
+func fillCorruption24(st *TrialStats, orig, vals, pos []uint8, centroids []float32, sig float64, rows, cols int) {
 	n := len(orig)
 	if n == 0 {
 		return
 	}
 	gpr := (cols + 3) / 4
 	var mismatch, structN int
-	var deltaSS, signalSS float64
+	var deltaSS float64
 	for r := 0; r < rows; r++ {
 		for g := 0; g < gpr; g++ {
 			var win [4]uint8
@@ -161,8 +166,6 @@ func fillCorruption24(st *TrialStats, orig, vals, pos []uint8, centroids []float
 			}
 			for p := 0; p < lim; p++ {
 				o, d := orig[r*cols+g*4+p], win[p]
-				wo := float64(centroids[o])
-				signalSS += wo * wo
 				if o == d {
 					continue
 				}
@@ -170,18 +173,14 @@ func fillCorruption24(st *TrialStats, orig, vals, pos []uint8, centroids []float
 				if (o == 0) != (d == 0) {
 					structN++
 				}
-				wd := float64(centroids[d])
+				wo, wd := float64(centroids[o]), float64(centroids[d])
 				deltaSS += (wd - wo) * (wd - wo)
 			}
 		}
 	}
 	st.Mismatch = float64(mismatch) / float64(n)
 	st.StructFrac = float64(structN) / float64(n)
-	if signalSS > 0 {
-		st.ValueNSR = deltaSS / signalSS
-	} else if deltaSS > 0 {
-		st.ValueNSR = 1
-	}
+	st.ValueNSR = valueNSR(deltaSS, sig)
 }
 
 // corrupt24 is the compute-direct route's corrupt step: the same
@@ -200,7 +199,7 @@ func (ev *MeasuredEvaluator) corrupt24(ctx context.Context, cfg Config, tsrc *st
 	tr := trial{layers: make([]layerTrial, len(ev.clustered)), pristine: true, baseline: tf.baselineErr,
 		prefix: tf.prefix, timer: met.evalDirect}
 	for i := range ev.clustered {
-		st, vals, pos, err := ev.runTrial24(ctx, tf, i, &pristineLayer{ev, i, tf.encs[i]}, cfg, tsrc.Uint64())
+		st, vals, pos, err := ev.runTrial24(ctx, tf, i, &pristineLayer{ev, i, tf.encs[i], tf.sig24[i]}, cfg, tsrc.Uint64())
 		if err != nil {
 			return trial{}, err
 		}

@@ -32,8 +32,10 @@ type MeasuredEvaluator struct {
 	// clustered holds the pruned+clustered form of each weight layer.
 	clustered []*quant.Clustered
 	// origIdx aliases each clustered layer's pristine indices (the
-	// reference matrix for lossless encodings; see refFor).
+	// reference matrix for lossless encodings; see refFor), and origSig
+	// holds their signal sums.
 	origIdx [][]uint8
+	origSig []float64
 	// tf is the lazily-built compute-direct 2:4 state (see direct24.go).
 	tf twofourState
 	// prefix caches the clustered baseline's input to each weight layer
@@ -85,6 +87,7 @@ func NewMeasuredEvaluator(m *dnn.Model, test *train.Dataset, seed uint64) (*Meas
 		ev.layerIdx = append(ev.layerIdx, i)
 		ev.clustered = append(ev.clustered, cl)
 		ev.origIdx = append(ev.origIdx, cl.Indices)
+		ev.origSig = append(ev.origSig, signalSS(cl.Indices, cl.Centroids))
 	}
 	ev.pristine = m.CloneShared()
 	for li, w := range m.CloneWeights() {
@@ -106,22 +109,23 @@ func NewMeasuredEvaluator(m *dnn.Model, test *train.Dataset, seed uint64) (*Meas
 // Clustered returns the pruned+clustered layers (weight-layer order).
 func (ev *MeasuredEvaluator) Clustered() []*quant.Clustered { return ev.clustered }
 
-// refFor returns the per-layer reference indices and the fault-free
-// baseline error that trials under cfg measure against. Lossless
-// encodings decode pristinely back to the clustered indices, so the
-// references are the clustered layers and the clustered baseline.
+// refFor returns the per-layer reference indices, their signal sums
+// and the fault-free baseline error that trials under cfg measure
+// against. Lossless encodings decode pristinely back to the clustered
+// indices, so the references are the clustered layers and the clustered
+// baseline.
 // Kind24's 2-of-4 projection is lossy: its references are the projected
 // indices and the projected-model baseline, so a trial's delta reports
 // only fault damage, never the static projection loss.
-func (ev *MeasuredEvaluator) refFor(cfg Config) ([][]uint8, float64, error) {
+func (ev *MeasuredEvaluator) refFor(cfg Config) ([][]uint8, []float64, float64, error) {
 	if cfg.Encoding == sparse.Kind24 {
 		tf, err := ev.twofour()
 		if err != nil {
-			return nil, 0, err
+			return nil, nil, 0, err
 		}
-		return tf.orig24, tf.baselineErr, nil
+		return tf.orig24, tf.sig24, tf.baselineErr, nil
 	}
-	return ev.origIdx, ev.BaselineErr, nil
+	return ev.origIdx, ev.origSig, ev.BaselineErr, nil
 }
 
 // encodings returns the pristine per-layer encodings in format kind,
@@ -150,12 +154,14 @@ func (ev *MeasuredEvaluator) encodings(kind sparse.Kind) ([]sparse.Encoding, err
 }
 
 // pristineLayer is layer i of ev's cached pristine encodings in one
-// format, which a trial cloned. A storage step handed one skips the work
-// a stream equal to its pristine makes redundant; nil is the full path.
+// format, which a trial cloned, and sig, the signal sum of the layer's
+// reference (from refFor). A storage step handed one skips the work a
+// stream equal to its pristine makes redundant; nil is the full path.
 type pristineLayer struct {
 	ev  *MeasuredEvaluator
 	i   int
 	enc sparse.Encoding
+	sig float64
 }
 
 // parityKey is (format, layer, stream, ECC data bits per block).
@@ -176,6 +182,15 @@ func (pr *pristineLayer) protect(kind sparse.Kind, s int, data *bitstream.Array,
 	}
 	pr.ev.encMu.Unlock()
 	return &ecc.Protected{Code: code, Data: data, Parity: par.Clone()}
+}
+
+// signal returns the signal sum of ref, the layer's reference: cached
+// on pr, computed in place on the full path.
+func (pr *pristineLayer) signal(ref []uint8, centroids []float32) float64 {
+	if pr == nil {
+		return signalSS(ref, centroids)
+	}
+	return pr.sig
 }
 
 // clean reports whether every stream of enc holds the pristine bits, so

@@ -75,7 +75,7 @@ func layerRows(t *testing.T, ev *MeasuredEvaluator, cfg Config, seed uint64, o i
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, vals, pos, err := ev.runTrial24(ctx, tf, o, &pristineLayer{ev, o, tf.encs[o]}, cfg, tsrc.Uint64())
+		_, vals, pos, err := ev.runTrial24(ctx, tf, o, &pristineLayer{ev, o, tf.encs[o], tf.sig24[o]}, cfg, tsrc.Uint64())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -55,7 +55,7 @@ func hotLayer(t *testing.T, ev *MeasuredEvaluator, cfg Config, i int, seed uint6
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, vals, pos, err = ev.runTrial24(ctx, tf, i, &pristineLayer{ev, i, tf.encs[i]}, cfg, seed)
+		st, vals, pos, err = ev.runTrial24(ctx, tf, i, &pristineLayer{ev, i, tf.encs[i], tf.sig24[i]}, cfg, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +65,7 @@ func hotLayer(t *testing.T, ev *MeasuredEvaluator, cfg Config, i int, seed uint6
 	if err != nil {
 		t.Fatal(err)
 	}
-	refs, _, err := ev.refFor(cfg)
+	refs, sigs, _, err := ev.refFor(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func hotLayer(t *testing.T, ev *MeasuredEvaluator, cfg Config, i int, seed uint6
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, idx, err = storageStep(ctx, clone, &pristineLayer{ev, i, encs[i]}, refs[i], ev.clustered[i].Centroids, cfg, stats.NewSource(seed))
+	st, idx, err = storageStep(ctx, clone, &pristineLayer{ev, i, encs[i], sigs[i]}, refs[i], ev.clustered[i].Centroids, cfg, stats.NewSource(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestCleanLayerSkipMatchesFullDecode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		refs, _, err := ev.refFor(cfg)
+		refs, _, _, err := ev.refFor(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +170,7 @@ func TestParityCache(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, enc := range encs {
-			pr := &pristineLayer{ev, i, enc}
+			pr := &pristineLayer{ev: ev, i: i, enc: enc}
 			for s, st := range enc.Streams() {
 				for _, b := range []int{ECCDataBits, 64, 4096} {
 					code := ecc.NewBlockCode(b)
@@ -256,7 +256,7 @@ func TestScrubbedResidualDamageReprotects(t *testing.T) {
 	reprotected := 0
 	for seed := uint64(1); seed <= 40; seed++ {
 		for li, cl := range ev.clustered {
-			pr := &pristineLayer{ev, li, encs[li]}
+			pr := &pristineLayer{ev, li, encs[li], ev.origSig[li]}
 			hot := sparse.Must(sparse.CloneEncoding(encs[li]))
 			full := sparse.Must(sparse.CloneEncoding(encs[li]))
 			damaged := false

@@ -149,14 +149,12 @@ func EvaluateLayer(cl *quant.Clustered, cfg Config, opt EvalOptions) LayerDamage
 	// quant.Cluster, so an encode failure here is a programmer error.
 	enc := sparse.Must(EncodeLayer(cl, cfg))
 	ld := LayerDamage{
-		Costs:   Cost(enc, cfg),
-		Weights: len(cl.Indices),
-	}
-	for _, idx := range cl.Indices {
-		w := float64(cl.Centroids[idx])
-		ld.SignalSS += w * w
+		Costs:    Cost(enc, cfg),
+		Weights:  len(cl.Indices),
+		SignalSS: signalSS(cl.Indices, cl.Centroids),
 	}
 	src := stats.NewSource(opt.Seed)
+	pb := NewProber(enc, cl)
 	for i, s := range enc.Streams() {
 		p := cfg.PolicyFor(s.Name)
 		sd := StreamDamage{Name: s.Name}
@@ -166,7 +164,7 @@ func EvaluateLayer(cl *quant.Clustered, cfg Config, opt EvalOptions) LayerDamage
 		}
 		sc := cfg.StoreConfig(p)
 		sd.LambdaEff = LambdaEff(s.SizeBits(), sc, p.ECC)
-		sd.DStruct, sd.DNSR, sd.DMismatch = probeDamage(enc, i, cl, p, opt.DamageTrials, src.Fork(uint64(i)+1))
+		sd.DStruct, sd.DNSR, sd.DMismatch = pb.Probe(i, p, opt.DamageTrials, src.Fork(uint64(i)+1))
 		sd.Catastrophic = Cascades(sd.DMismatch)
 		ld.Streams = append(ld.Streams, sd)
 	}
@@ -206,66 +204,125 @@ func LambdaEffWithBlock(bits int64, sc envm.StoreConfig, eccOn bool, blockBits i
 	return blocks * p2
 }
 
-// ProbeStreamDamage measures the per-event corruption of one stream of an
-// encoded layer under the given policy by forcing fault events and
-// decoding (see probeDamage). Damage is tech-independent: it depends only
-// on the encoding, the bits-per-cell grouping, and the level mapping.
-func ProbeStreamDamage(enc sparse.Encoding, streamIdx int, cl *quant.Clustered, p StreamPolicy, trials int, seed uint64) (dStruct, dNSR, dMismatch float64) {
-	return probeDamage(enc, streamIdx, cl, p, trials, stats.NewSource(seed))
+// Prober measures the per-event corruption of the streams of one
+// encoded layer by forcing fault events and decoding. Damage is
+// tech-independent: it depends only on the encoding, the bits-per-cell
+// grouping, and the level mapping. A Prober holds the pristine
+// reference decode and its signal sum, one working copy of the
+// encoding, and each stream's SEC-DED parity from its first ECC probe.
+// A trial forces its faults into the working copy, corrects only the
+// ECC blocks that hold the forced cells, decodes, measures, and then
+// restores the bits it may have changed from the pristine encoding. A
+// Prober is owned by one goroutine.
+type Prober struct {
+	pristine, work []*bitstream.Stream
+	clone          sparse.Encoding
+	centroids      []float32
+	// ref is the pristine decode: identical to the clustered indices for
+	// the lossless kinds, the projected indices for 2:4 — so a probe
+	// measures fault damage only, never static projection loss.
+	ref []uint8
+	sig float64
+	// par holds each stream's pristine parity and prot its working
+	// codeword over the working stream; both are nil until the stream's
+	// first ECC probe.
+	par  []*bitstream.Array
+	prot []*ecc.Protected
 }
 
-// probeDamage forces fault events into clones of the encoding and
-// measures the resulting corruption, averaged over trials. For
-// ECC-protected streams the event is two faults in one block (the
-// uncorrectable case); otherwise a single cell fault.
-func probeDamage(enc sparse.Encoding, streamIdx int, cl *quant.Clustered, p StreamPolicy, trials int, src *stats.Source) (dStruct, dNSR, dMismatch float64) {
-	// Reference = the pristine decode: identical to cl.Indices for the
-	// lossless kinds, the projected indices for 2:4 — so the probe
-	// measures fault damage only, never static projection loss.
+// NewProber prepares the probes of enc, an encoding of cl.
+func NewProber(enc sparse.Encoding, cl *quant.Clustered) *Prober {
+	// Exploration encodes known kinds over layers produced by
+	// quant.Cluster, so a clone failure is a programmer error.
+	clone := sparse.Must(sparse.CloneEncoding(enc))
 	ref := enc.Decode()
+	n := len(enc.Streams())
+	return &Prober{
+		pristine: enc.Streams(), work: clone.Streams(), clone: clone,
+		centroids: cl.Centroids, ref: ref, sig: signalSS(ref, cl.Centroids),
+		par: make([]*bitstream.Array, n), prot: make([]*ecc.Protected, n),
+	}
+}
+
+// Probe forces trials fault events into stream streamIdx under policy p
+// and returns the mean corruption per event. For ECC-protected streams
+// the event is two faults in one block (the uncorrectable case);
+// otherwise a single cell fault. src supplies the event placement.
+func (pb *Prober) Probe(streamIdx int, p StreamPolicy, trials int, src *stats.Source) (dStruct, dNSR, dMismatch float64) {
+	s := pb.work[streamIdx]
+	nbits := s.Bits.Len()
+	cells := int(envm.CellsFor(s.SizeBits(), p.BPC))
+	if cells == 0 {
+		return 0, 0, 0
+	}
+	code := ecc.NewBlockCode(ECCDataBits)
 	for t := 0; t < trials; t++ {
-		clone := sparse.Must(sparse.CloneEncoding(enc))
-		s := clone.Streams()[streamIdx]
-		cells := int(envm.CellsFor(s.SizeBits(), p.BPC))
-		if cells == 0 {
-			return 0, 0, 0
-		}
+		// The trial may change data bits [lo, hi) and, with ECC, parity
+		// bits [pLo, pHi).
+		var lo, hi, pLo, pHi int
 		if p.ECC {
-			code := ecc.NewBlockCode(ECCDataBits)
-			prot := code.Protect(s.Bits)
 			// Two faults in one block: pick a block, then two distinct
-			// cells inside it.
-			blocks := code.Blocks(s.Bits.Len())
-			b := src.Intn(blocks)
+			// cells inside it. At BPC 3 a block's cells do not align
+			// with the ECC blocks, so they can straddle two; Correct
+			// reads, and may rewrite, only the blocks that hold them.
+			b := src.Intn(code.Blocks(nbits))
 			cellsPerBlock := ECCDataBits / p.BPC
-			lo := b * cellsPerBlock
-			hi := lo + cellsPerBlock
-			if hi > cells {
-				hi = cells
-			}
-			if hi-lo < 2 {
+			cLo := b * cellsPerBlock
+			cHi := min(cLo+cellsPerBlock, cells)
+			if cHi-cLo < 2 {
 				continue
 			}
-			c1 := lo + src.Intn(hi-lo)
-			c2 := lo + src.Intn(hi-lo)
+			c1 := cLo + src.Intn(cHi-cLo)
+			c2 := cLo + src.Intn(cHi-cLo)
 			for c2 == c1 {
-				c2 = lo + src.Intn(hi-lo)
+				c2 = cLo + src.Intn(cHi-cLo)
 			}
 			forceFault(s, c1, p, src)
 			forceFault(s, c2, p, src)
-			prot.Correct()
+			bLo := min(c1, c2) * p.BPC / ECCDataBits
+			bHi := (min(max(c1, c2)*p.BPC+p.BPC, nbits)-1)/ECCDataBits + 1
+			pb.protect(streamIdx, code).CorrectBlocks(bLo, bHi)
+			r := code.ParityBitsPerBlock()
+			lo, hi, pLo, pHi = bLo*ECCDataBits, bHi*ECCDataBits, bLo*r, bHi*r
 		} else {
-			forceFault(s, src.Intn(cells), p, src)
+			c := src.Intn(cells)
+			forceFault(s, c, p, src)
+			lo, hi = c*p.BPC, (c+1)*p.BPC
 		}
-		decoded := clone.Decode()
 		var st TrialStats
-		fillCorruption(&st, ref, decoded, cl.Centroids)
+		fillCorruption(&st, pb.ref, pb.clone.Decode(), pb.centroids, pb.sig)
 		dStruct += st.StructFrac
 		dNSR += st.ValueNSR
 		dMismatch += st.Mismatch
+		restore(s.Bits, pb.pristine[streamIdx].Bits, lo, hi)
+		if p.ECC {
+			restore(pb.prot[streamIdx].Parity.Bits, pb.par[streamIdx], pLo, pHi)
+		}
 	}
 	n := float64(trials)
 	return dStruct / n, dNSR / n, dMismatch / n
+}
+
+// protect returns the working codeword of stream i, computing the
+// pristine parity on the stream's first ECC probe. Parity depends on
+// the data bits only, not on the bits per cell, so every policy shares
+// it.
+func (pb *Prober) protect(i int, code ecc.BlockCode) *ecc.Protected {
+	if pb.prot[i] == nil {
+		par := code.Protect(pb.pristine[i].Bits).Parity
+		pb.par[i] = par.Bits
+		pb.prot[i] = &ecc.Protected{Code: code, Data: pb.work[i].Bits, Parity: par.Clone()}
+	}
+	return pb.prot[i]
+}
+
+// restore copies bits [lo, hi) of src into dst; bits past the end of
+// the arrays are ignored.
+func restore(dst, src *bitstream.Array, lo, hi int) {
+	for i := lo; i < hi; i += 64 {
+		n := min(64, hi-i)
+		dst.SetBits(i, n, src.GetBits(i, n))
+	}
 }
 
 // forceFault moves one cell's stored level to an adjacent level,

@@ -90,7 +90,7 @@ func (ev *MeasuredEvaluator) corruptDense(ctx context.Context, cfg Config, tsrc 
 	if err != nil {
 		return trial{}, err
 	}
-	refs, baseline, err := ev.refFor(cfg)
+	refs, sigs, baseline, err := ev.refFor(cfg)
 	if err != nil {
 		return trial{}, err
 	}
@@ -102,7 +102,7 @@ func (ev *MeasuredEvaluator) corruptDense(ctx context.Context, cfg Config, tsrc 
 		}
 		var pr *pristineLayer
 		if hot {
-			pr = &pristineLayer{ev, i, encs[i]}
+			pr = &pristineLayer{ev, i, encs[i], sigs[i]}
 		}
 		st, decoded, err := storageStep(ctx, clone, pr, refs[i], cl.Centroids, cfg, stats.NewSource(tsrc.Uint64()))
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"repro/internal/ares"
 	"repro/internal/envm"
 	"repro/internal/sparse"
+	"repro/internal/stats"
 )
 
 // searchMaxBPC is the densest bits-per-cell in the design space (the
@@ -95,6 +96,7 @@ func ProfileLayer(pl PreparedLayer, kind sparse.Kind, opt ProfileOptions) LayerP
 		w := float64(cl.Centroids[idx])
 		lp.SubSignalSS += w * w
 	}
+	pb := ares.NewProber(enc, cl)
 	for i, s := range enc.Streams() {
 		sp := StreamProfile{
 			Name:         s.Name,
@@ -103,8 +105,8 @@ func ProfileLayer(pl PreparedLayer, kind sparse.Kind, opt ProfileOptions) LayerP
 			Probes:       make(map[ares.StreamPolicy]DamageProbe),
 		}
 		for _, key := range PolicyChoices(searchMaxBPC) {
-			dS, dN, dM := ares.ProbeStreamDamage(enc, i, cl, key,
-				opt.DamageTrials, opt.Seed+uint64(i)*131+uint64(key.BPC)*7+b2u(key.ECC))
+			dS, dN, dM := pb.Probe(i, key, opt.DamageTrials,
+				stats.NewSource(opt.Seed+uint64(i)*131+uint64(key.BPC)*7+b2u(key.ECC)))
 			sp.Probes[key] = DamageProbe{DStruct: dS, DNSR: dN, DMismatch: dM}
 		}
 		lp.Streams = append(lp.Streams, sp)

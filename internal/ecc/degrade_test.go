@@ -1,6 +1,7 @@
 package ecc
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/bitstream"
@@ -32,6 +33,43 @@ func TestCorrectReportMatchesCorrect(t *testing.T) {
 	}
 	if len(rep.Bad) != 1 || rep.Bad[0] != 2 {
 		t.Fatalf("Bad = %v, want [2]", rep.Bad)
+	}
+}
+
+// TestCorrectBlocksRange: CorrectBlocks over every block is
+// CorrectReport, and a range that leaves out a dirty block leaves that
+// block's data and parity untouched.
+func TestCorrectBlocksRange(t *testing.T) {
+	code := NewBlockCode(64)
+	dirty := func() *Protected {
+		data := randomData(300, 5) // truncated final block
+		p := code.Protect(data)
+		// Block 1: a single error; block 3: a double error; block 4: a
+		// single parity error.
+		data.FlipBit(70)
+		data.FlipBit(3*64 + 9)
+		data.FlipBit(3*64 + 50)
+		p.Parity.Bits.FlipBit(4*code.ParityBitsPerBlock() + 2)
+		return p
+	}
+	all, full := dirty(), dirty()
+	if got, want := all.CorrectBlocks(0, code.Blocks(300)), full.CorrectReport(); got.CorrectionStats != want.CorrectionStats || !slices.Equal(got.Bad, want.Bad) {
+		t.Fatalf("CorrectBlocks(0, n) = %+v, CorrectReport = %+v", got, want)
+	}
+	if !all.Data.Equal(full.Data) || !all.Parity.Bits.Equal(full.Parity.Bits) {
+		t.Fatal("CorrectBlocks(0, n) and CorrectReport corrected differently")
+	}
+
+	p, before := dirty(), dirty()
+	rep := p.CorrectBlocks(2, 4) // block 3 only is dirty in range
+	if rep.Corrected != 0 || rep.Detected != 1 || !slices.Equal(rep.Bad, []int{3}) {
+		t.Fatalf("CorrectBlocks(2, 4) = %+v, want one detected block 3", rep)
+	}
+	if !p.Data.Equal(before.Data) || !p.Parity.Bits.Equal(before.Parity.Bits) {
+		t.Fatal("CorrectBlocks(2, 4) touched blocks 1 or 4 outside its range")
+	}
+	if rep := p.CorrectBlocks(1, 2); rep.Corrected != 1 || p.Data.Bit(70) != full.Data.Bit(70) {
+		t.Fatalf("CorrectBlocks(1, 2) = %+v, want block 1 repaired", rep)
 	}
 }
 

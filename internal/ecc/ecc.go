@@ -177,9 +177,16 @@ type CorrectOutcome struct {
 
 // CorrectReport is Correct plus the list of uncorrectable blocks.
 func (p *Protected) CorrectReport() CorrectOutcome {
+	return p.CorrectBlocks(0, p.Code.Blocks(p.Data.Len()))
+}
+
+// CorrectBlocks is CorrectReport over blocks [lo, hi) only: blocks
+// outside the range are neither read nor repaired. A caller that knows
+// which blocks can hold errors corrects just those; a clean block has a
+// zero syndrome, so leaving it out changes no bit.
+func (p *Protected) CorrectBlocks(lo, hi int) CorrectOutcome {
 	var out CorrectOutcome
-	nBlocks := p.Code.Blocks(p.Data.Len())
-	for b := 0; b < nBlocks; b++ {
+	for b := lo; b < hi; b++ {
 		syndrome, overall := p.syndromeOf(b)
 		switch {
 		case syndrome == 0 && overall == 0:

@@ -8,13 +8,14 @@ import (
 	"repro/internal/stats"
 )
 
-// FuzzECCCorrect drives Protect, CorrectReport and ZeroBlock over random
+// FuzzECCCorrect drives Protect, CorrectReport, CorrectBlocks and ZeroBlock over random
 // codewords, block sizes, and flip patterns (data and parity bits alike).
 // It is differential against the bit-serial reference (reference_test.go)
 // and also checks invariants:
 //
 //   - Protect's parity, CorrectReport's outcome and the corrected data
-//     and parity equal the reference's, whatever the flip pattern;
+//     and parity equal the reference's, whatever the flip pattern, and
+//     so do CorrectBlocks' over a random sub-range of the blocks;
 //   - len(Bad) == Detected, indices in range and ascending;
 //   - when every block holds <= 2 flips the counts are exact: one flip is
 //     corrected (and the data restored), two flips are detected;
@@ -76,6 +77,22 @@ func checkCodec(t *testing.T, raw []byte, nbits, db int, nflips, seed uint64) {
 			refPar[p] ^= 1
 			perBlock[p/ppb]++
 		}
+	}
+
+	// A sub-range correction, on copies, repairs exactly the blocks in
+	// its range as the reference does and leaves the rest as flipped.
+	rsrc := stats.NewSource(seed).Fork(1)
+	lo := rsrc.Intn(nBlocks + 1)
+	hi := lo + rsrc.Intn(nBlocks-lo+1)
+	sub := &Protected{Code: code, Data: data.Clone(), Parity: prot.Parity.Clone()}
+	subRefData, subRefPar := refData.Clone(), slices.Clone(refPar)
+	subRep := sub.CorrectBlocks(lo, hi)
+	subWant := refCorrectBlocks(code, subRefData, subRefPar, lo, hi)
+	if subRep.CorrectionStats != subWant.CorrectionStats || !slices.Equal(subRep.Bad, subWant.Bad) {
+		t.Fatalf("CorrectBlocks(%d, %d) %+v, reference %+v", lo, hi, subRep, subWant)
+	}
+	if !sub.Data.Equal(subRefData) || !slices.Equal(parityBits(sub.Parity), subRefPar) {
+		t.Fatalf("CorrectBlocks(%d, %d): data or parity differs from the reference", lo, hi)
 	}
 
 	rep := prot.CorrectReport()

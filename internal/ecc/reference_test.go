@@ -58,9 +58,14 @@ func refProtect(c BlockCode, data *bitstream.Array) []uint64 {
 
 // refCorrect corrects data and par in place, block by block.
 func refCorrect(c BlockCode, data *bitstream.Array, par []uint64) CorrectOutcome {
+	return refCorrectBlocks(c, data, par, 0, c.Blocks(data.Len()))
+}
+
+// refCorrectBlocks is refCorrect over blocks [lo, hi) only.
+func refCorrectBlocks(c BlockCode, data *bitstream.Array, par []uint64, lo, hi int) CorrectOutcome {
 	var out CorrectOutcome
 	ppb := c.ParityBitsPerBlock()
-	for b := 0; b < c.Blocks(data.Len()); b++ {
+	for b := lo; b < hi; b++ {
 		blk := par[b*ppb : (b+1)*ppb]
 		syndrome, overall := refSyndrome(c, data, blk, b)
 		switch {

@@ -31,6 +31,7 @@ import (
 	"repro/internal/ares"
 	"repro/internal/envm"
 	"repro/internal/quant"
+	"repro/internal/stats"
 )
 
 // StreamRank scores one stream name's criticality across all layers of
@@ -99,6 +100,7 @@ func RankModel(layers []*quant.Clustered, cfg ares.Config, rc RankConfig) ([]Str
 			return nil, err
 		}
 		layerW := float64(len(cl.Indices)) / totalW
+		pb := ares.NewProber(enc, cl)
 		for si, s := range enc.Streams() {
 			p := cfg.PolicyFor(s.Name)
 			if p.BPC == 0 {
@@ -110,9 +112,8 @@ func RankModel(layers []*quant.Clustered, cfg ares.Config, rc RankConfig) ([]Str
 				byName[s.Name] = r
 				order = append(order, s.Name)
 			}
-			dStruct, dNSR, dMismatch := ares.ProbeStreamDamage(
-				enc, si, cl, ares.StreamPolicy{BPC: p.BPC},
-				rc.Trials, rc.Seed+uint64(li)*131+uint64(si)*17+1)
+			dStruct, dNSR, dMismatch := pb.Probe(si, ares.StreamPolicy{BPC: p.BPC},
+				rc.Trials, stats.NewSource(rc.Seed+uint64(li)*131+uint64(si)*17+1))
 			damage := (dNSR + ares.StructWeight*dStruct) * layerW
 			cells := envm.CellsFor(s.SizeBits(), p.BPC)
 			r.DataBits += s.SizeBits()
