@@ -16,8 +16,9 @@
 #                  seed-pinned SIGKILL/SIGSTOP schedule plus a poison
 #                  shard, proving quarantine + bit-identical recovery
 #   make fuzz    - short pass over every fuzz target (sparse, ECC,
-#                  checkpoint, serve, fleet and crossbar decoders)
-#   make paper-golden - `maxnvm all` (every table and figure, ~45-50 s)
+#                  checkpoint, serve, fleet and crossbar decoders, and
+#                  k-means against its reference)
+#   make paper-golden - `maxnvm all` (every table and figure, ~25-45 s)
 #                  diffed byte for byte against its golden file
 #   make bench   - full benchmark harness (regenerates every figure)
 #   make all     - check + race
@@ -89,9 +90,10 @@ examples-smoke:
 
 # The whole paper: the stdout of `maxnvm all` at its defaults must
 # equal $(PAPER_GOLDEN) byte for byte, so a kernel, codec or sampler
-# change cannot move a table unnoticed. It takes ~45-50 s, so it stays
-# out of `go test ./...`. When the science is meant to move, regenerate
-# with `make paper-golden UPDATE=1` and review the diff.
+# change cannot move a table unnoticed. It takes ~25-45 s on 2 cores,
+# so it stays out of `go test ./...`. When the science is meant to
+# move, regenerate with `make paper-golden UPDATE=1` and review the
+# diff.
 PAPER_GOLDEN = internal/exper/testdata/paper.golden
 
 paper-golden:
@@ -143,6 +145,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseLease -fuzztime=$(FUZZTIME) ./internal/fleet/
 	$(GO) test -fuzz=FuzzParseHeartbeat -fuzztime=$(FUZZTIME) ./internal/fleet/
 	$(GO) test -fuzz=FuzzCrossbarConfig -fuzztime=$(FUZZTIME) ./internal/crossbar/
+	$(GO) test -fuzz=FuzzKMeans1D -fuzztime=$(FUZZTIME) ./internal/stats/
 
 bench:
 	$(GO) test -bench=. -benchmem .

@@ -20,6 +20,7 @@ import (
 	"repro/internal/ares"
 	"repro/internal/bitstream"
 	"repro/internal/campaign"
+	"repro/internal/core"
 	"repro/internal/dnn"
 	"repro/internal/ecc"
 	"repro/internal/envm"
@@ -410,6 +411,31 @@ func BenchmarkKMeansCluster(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		quant.Cluster(m, 4, quant.ClusterOptions{Seed: 1})
+	}
+}
+
+// BenchmarkPrepareLeNet5 runs core.Prepare at the explore workload's
+// options: LeNet5 with every layer capped at 2^18 weights, cycling over
+// four seeds.
+func BenchmarkPrepareLeNet5(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		core.Prepare(dnn.ByName("LeNet5"), core.PrepareOptions{Seed: uint64(1 + i%4), MaxLayerWeights: 1 << 18})
+	}
+}
+
+// BenchmarkPrune prunes a 2^21-weight layer to 90% sparsity, the largest
+// layer whose threshold Prune computes exactly.
+func BenchmarkPrune(b *testing.B) {
+	src := stats.NewSource(8)
+	orig := tensor.NewMatrix(1024, 2048)
+	for i := range orig.Data {
+		orig.Data[i] = float32(src.Gaussian(0, 0.1))
+	}
+	w := orig.Clone()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(w.Data, orig.Data)
+		quant.Prune(w, 0.9, 1)
 	}
 }
 

@@ -209,11 +209,11 @@ func LambdaEffWithBlock(bits int64, sc envm.StoreConfig, eccOn bool, blockBits i
 // tech-independent: it depends only on the encoding, the bits-per-cell
 // grouping, and the level mapping. A Prober holds the pristine
 // reference decode and its signal sum, one working copy of the
-// encoding, and each stream's SEC-DED parity from its first ECC probe.
-// A trial forces its faults into the working copy, corrects only the
-// ECC blocks that hold the forced cells, decodes, measures, and then
-// restores the bits it may have changed from the pristine encoding. A
-// Prober is owned by one goroutine.
+// encoding, a decode buffer, and each stream's SEC-DED parity from its
+// first ECC probe. A trial forces its faults into the working copy,
+// corrects only the ECC blocks that hold the forced cells, decodes into
+// the buffer, measures, and then restores the bits it may have changed
+// from the pristine encoding. A Prober is owned by one goroutine.
 type Prober struct {
 	pristine, work []*bitstream.Stream
 	clone          sparse.Encoding
@@ -223,6 +223,8 @@ type Prober struct {
 	// measures fault damage only, never static projection loss.
 	ref []uint8
 	sig float64
+	// dec receives each trial's decode.
+	dec []uint8
 	// par holds each stream's pristine parity and prot its working
 	// codeword over the working stream; both are nil until the stream's
 	// first ECC probe.
@@ -239,7 +241,7 @@ func NewProber(enc sparse.Encoding, cl *quant.Clustered) *Prober {
 	n := len(enc.Streams())
 	return &Prober{
 		pristine: enc.Streams(), work: clone.Streams(), clone: clone,
-		centroids: cl.Centroids, ref: ref, sig: signalSS(ref, cl.Centroids),
+		centroids: cl.Centroids, ref: ref, sig: signalSS(ref, cl.Centroids), dec: make([]uint8, len(ref)),
 		par: make([]*bitstream.Array, n), prot: make([]*ecc.Protected, n),
 	}
 }
@@ -290,7 +292,8 @@ func (pb *Prober) Probe(streamIdx int, p StreamPolicy, trials int, src *stats.So
 			lo, hi = c*p.BPC, (c+1)*p.BPC
 		}
 		var st TrialStats
-		fillCorruption(&st, pb.ref, pb.clone.Decode(), pb.centroids, pb.sig)
+		pb.clone.DecodeInto(pb.dec)
+		fillCorruption(&st, pb.ref, pb.dec, pb.centroids, pb.sig)
 		dStruct += st.StructFrac
 		dNSR += st.ValueNSR
 		dMismatch += st.Mismatch

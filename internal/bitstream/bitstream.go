@@ -214,19 +214,32 @@ func (s *Stream) Set(i int, v uint64) {
 // Values8 extracts all elements into a byte slice; elements must fit in
 // 8 bits.
 func (s *Stream) Values8() []uint8 {
+	out := make([]uint8, s.N)
+	s.Values8Into(out)
+	return out
+}
+
+// Values8Into is Values8 into out, which must hold exactly N elements.
+func (s *Stream) Values8Into(out []uint8) {
 	if s.ElemBits > 8 {
 		panic(fmt.Sprintf("bitstream: Values8 on %d-bit stream %q", s.ElemBits, s.Name))
 	}
-	return unpack[uint8](s)
+	if len(out) != s.N {
+		panic(fmt.Sprintf("bitstream: Values8Into %d elements into %d", s.N, len(out)))
+	}
+	unpack(s, out)
 }
 
 // Values extracts all elements into a fresh slice.
-func (s *Stream) Values() []uint32 { return unpack[uint32](s) }
+func (s *Stream) Values() []uint32 {
+	out := make([]uint32, s.N)
+	unpack(s, out)
+	return out
+}
 
-// unpack returns every element with one word load per 64 bits; buf holds
-// the avail unread bits of the current word.
-func unpack[T uint8 | uint32](s *Stream) []T {
-	out := make([]T, s.N)
+// unpack fills out, N long, with every element, with one word load per
+// 64 bits; buf holds the avail unread bits of the current word.
+func unpack[T uint8 | uint32](s *Stream, out []T) {
 	width, mask := uint(s.ElemBits), uint64(1)<<uint(s.ElemBits)-1
 	var buf uint64
 	avail, next := uint(0), 0
@@ -239,7 +252,6 @@ func unpack[T uint8 | uint32](s *Stream) []T {
 		}
 		out[i], buf, avail = T(buf&mask), buf>>width, avail-width
 	}
-	return out
 }
 
 // Reader reads a stream's elements front to back. It buffers unread bits

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 
@@ -280,11 +279,6 @@ func (e *Explorer) EncodedLayerBits(c Candidate) []int64 {
 		}
 	}
 	return out
-}
-
-// SortCandidates orders candidates by total cells ascending.
-func SortCandidates(cs []Candidate) {
-	sort.Slice(cs, func(a, b int) bool { return cs[a].TotalCells < cs[b].TotalCells })
 }
 
 // AreaBenefit returns the cell-count ratio of the naive baseline — a

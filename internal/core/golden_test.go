@@ -2,8 +2,11 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"flag"
 	"fmt"
+	"hash/fnv"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -12,6 +15,8 @@ import (
 	"repro/internal/dnn"
 	"repro/internal/envm"
 	"repro/internal/sparse"
+	"repro/internal/stats"
+	"repro/internal/tensor"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files with the current output")
@@ -72,5 +77,47 @@ func TestExplorerGolden(t *testing.T) {
 	if !bytes.Equal(b.Bytes(), want) {
 		t.Errorf("explorer output drifted from golden file (run with -update if intended)\n--- got ---\n%s--- want ---\n%s",
 			b.Bytes(), want)
+	}
+}
+
+// TestPrepareLayerGolden pins prepareLayer on a synthetic Gaussian
+// layer of just over 2^21 weights, the size at which every sampled path
+// runs: Prune estimates its threshold from a sample, k-means clusters a
+// sample of the nonzeros, and at the capped size only strided rows are
+// kept. The hashes cover the shape, the scale, every centroid's bits and
+// every index; they were recorded before the sorted-sweep k-means,
+// selected prune threshold and row-restricted assignment went in.
+func TestPrepareLayerGolden(t *testing.T) {
+	src := stats.NewSource(11)
+	orig := tensor.NewMatrix(1025, 2048)
+	for i := range orig.Data {
+		orig.Data[i] = float32(src.Gaussian(0, 0.05))
+	}
+	for _, c := range []struct {
+		maxWeights int
+		rows, nnz  int
+		hash       uint64
+	}{
+		{0, 1025, 211461, 0x5d710e5a34d34209},
+		{1 << 18, 128, 26518, 0x2180a6b9fc6a0996},
+	} {
+		pl := prepareLayer("big", orig.Clone(), 0.9, 5, 7, c.maxWeights)
+		h := fnv.New64a()
+		var buf [8]byte
+		put := func(v uint64) { binary.LittleEndian.PutUint64(buf[:], v); h.Write(buf[:]) }
+		put(uint64(pl.CL.Rows))
+		put(uint64(pl.CL.Cols))
+		put(math.Float64bits(pl.Scale))
+		for _, x := range pl.CL.Centroids {
+			put(uint64(math.Float32bits(x)))
+		}
+		h.Write(pl.CL.Indices)
+		if pl.CL.Rows != c.rows || pl.CL.NNZ() != c.nnz || h.Sum64() != c.hash {
+			t.Errorf("cap %d: rows %d nnz %d hash %#016x, want rows %d nnz %d hash %#016x",
+				c.maxWeights, pl.CL.Rows, pl.CL.NNZ(), h.Sum64(), c.rows, c.nnz, c.hash)
+		}
+		if pl.FullRows != 1025 || pl.FullCols != 2048 {
+			t.Errorf("cap %d: full shape %dx%d, want 1025x2048", c.maxWeights, pl.FullRows, pl.FullCols)
+		}
 	}
 }

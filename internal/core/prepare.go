@@ -9,8 +9,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/dnn"
 	"repro/internal/quant"
 	"repro/internal/tensor"
@@ -71,58 +69,29 @@ func Prepare(m *dnn.Model, opt PrepareOptions) *PreparedModel {
 			continue
 		}
 		m.MaterializeLayer(i, opt.Seed)
-		quant.Prune(l.Weights, m.Meta.TargetSparsity, opt.Seed+uint64(i))
-		cl := quant.Cluster(l.Weights, m.Meta.ClusterIndexBits,
-			quant.ClusterOptions{Seed: opt.Seed + uint64(i)})
+		pl := prepareLayer(l.Name, l.Weights, m.Meta.TargetSparsity, m.Meta.ClusterIndexBits,
+			opt.Seed+uint64(i), opt.MaxLayerWeights)
 		l.Release() // drop the float weights immediately
-
-		pl := PreparedLayer{
-			Name:     l.Name,
-			FullRows: cl.Rows, FullCols: cl.Cols,
-			CL: cl, Scale: 1,
-		}
-		if opt.MaxLayerWeights > 0 && len(cl.Indices) > opt.MaxLayerWeights {
-			pl.CL = subsampleRows(cl, opt.MaxLayerWeights)
-			pl.Scale = float64(pl.FullRows) / float64(pl.CL.Rows)
-		}
 		pm.Layers = append(pm.Layers, pl)
 	}
 	return pm
 }
 
-// subsampleRows keeps an evenly strided subset of rows so the subsample
-// preserves per-row sparsity structure (what the CSR and bitmask cascade
-// behaviour depends on).
-func subsampleRows(cl *quant.Clustered, maxWeights int) *quant.Clustered {
-	rowsWanted := maxWeights / cl.Cols
-	if rowsWanted < 1 {
-		rowsWanted = 1
+// prepareLayer prunes w in place and clusters it. A layer of more than
+// maxWeights weights (when maxWeights > 0) is represented by evenly
+// strided rows: only those rows are assigned cluster indices, while the
+// centroids still come from the whole pruned layer.
+func prepareLayer(name string, w *tensor.Matrix, sparsity float64, bits int, seed uint64, maxWeights int) PreparedLayer {
+	quant.Prune(w, sparsity, seed)
+	rows := quant.StridedRows(w.Rows, w.Cols, maxWeights)
+	pl := PreparedLayer{
+		Name:     name,
+		FullRows: w.Rows, FullCols: w.Cols,
+		CL:    quant.ClusterRows(w, bits, quant.ClusterOptions{Seed: seed}, rows),
+		Scale: 1,
 	}
-	if rowsWanted >= cl.Rows {
-		return cl
+	if rows != nil {
+		pl.Scale = float64(pl.FullRows) / float64(pl.CL.Rows)
 	}
-	stride := float64(cl.Rows) / float64(rowsWanted)
-	out := &quant.Clustered{
-		Rows: rowsWanted, Cols: cl.Cols, IndexBits: cl.IndexBits,
-		Centroids: cl.Centroids,
-		Indices:   make([]uint8, rowsWanted*cl.Cols),
-	}
-	for r := 0; r < rowsWanted; r++ {
-		srcRow := int(float64(r) * stride)
-		if srcRow >= cl.Rows {
-			srcRow = cl.Rows - 1
-		}
-		copy(out.Indices[r*cl.Cols:(r+1)*cl.Cols],
-			cl.Indices[srcRow*cl.Cols:(srcRow+1)*cl.Cols])
-	}
-	return out
-}
-
-// ApplyToMatrix reconstructs a prepared layer's weights into a matrix
-// (full fidelity layers only).
-func (pl PreparedLayer) ApplyToMatrix() (*tensor.Matrix, error) {
-	if pl.Scale != 1 {
-		return nil, fmt.Errorf("core: layer %s is subsampled; cannot reconstruct full weights", pl.Name)
-	}
-	return pl.CL.Decode(), nil
+	return pl
 }

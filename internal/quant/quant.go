@@ -11,7 +11,8 @@ package quant
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"repro/internal/stats"
 	"repro/internal/tensor"
@@ -34,13 +35,8 @@ func Prune(w *tensor.Matrix, sparsity float64, seed uint64) {
 	if n == 0 {
 		return
 	}
-	const exactLimit = 1 << 21 // 2M values: full sort is still fast
+	const exactLimit = 1 << 21 // 2M values
 	if n <= exactLimit {
-		mags := make([]float64, n)
-		for i, v := range w.Data {
-			mags[i] = math.Abs(float64(v))
-		}
-		sort.Float64s(mags)
 		k := int(sparsity * float64(n))
 		if k <= 0 {
 			return
@@ -48,24 +44,70 @@ func Prune(w *tensor.Matrix, sparsity float64, seed uint64) {
 		if k >= n {
 			k = n - 1
 		}
-		thr := mags[k]
-		zeroBelow(w.Data, thr, k)
+		mags := make([]float32, n)
+		for i, v := range w.Data {
+			mags[i] = abs32(v)
+		}
+		zeroBelow(w.Data, float64(kthSmallest(mags, k)), k)
 		return
 	}
 	// Sampled threshold for very large layers.
 	src := stats.NewSource(seed)
 	const sample = 1 << 18
-	mags := make([]float64, sample)
+	mags := make([]float32, sample)
 	for i := range mags {
-		mags[i] = math.Abs(float64(w.Data[src.Intn(n)]))
+		mags[i] = abs32(w.Data[src.Intn(n)])
 	}
-	sort.Float64s(mags)
-	thr := mags[int(sparsity*float64(sample))]
+	thr := float64(kthSmallest(mags, int(sparsity*float64(sample))))
 	for i, v := range w.Data {
 		if math.Abs(float64(v)) < thr {
 			w.Data[i] = 0
 		}
 	}
+}
+
+// abs32 is |v|. Widening it to float64 gives math.Abs(float64(v))
+// exactly, so thresholds selected in float32 compare the same.
+func abs32(v float32) float32 { return float32(math.Abs(float64(v))) }
+
+// kthSmallest returns the k-th smallest (0-based) value of xs: the value
+// a sort would leave at xs[k]. It reorders xs. It is quickselect with a
+// median-of-three pivot, and it sorts what is left of the range once it
+// has partitioned 2*log2(n) times.
+func kthSmallest(xs []float32, k int) float32 {
+	lo, hi := 0, len(xs)-1
+	for depth := 2 * bits.Len(uint(len(xs))); lo < hi; depth-- {
+		if depth == 0 {
+			slices.Sort(xs[lo : hi+1])
+			break
+		}
+		a, b, c := xs[lo], xs[lo+(hi-lo)/2], xs[hi]
+		p := max(min(a, b), min(max(a, b), c)) // median of the three
+		i, j := lo, hi
+		for i <= j {
+			for xs[i] < p {
+				i++
+			}
+			for p < xs[j] {
+				j--
+			}
+			if i <= j {
+				xs[i], xs[j] = xs[j], xs[i]
+				i++
+				j--
+			}
+		}
+		// Now xs[lo..j] <= p <= xs[i..hi], and anything between is p.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return xs[k]
+		}
+	}
+	return xs[k]
 }
 
 // zeroBelow zeroes values with |v| < thr, and then, to hit the exact
@@ -108,7 +150,7 @@ type Clustered struct {
 // ClusterOptions tunes Cluster.
 type ClusterOptions struct {
 	// SampleLimit bounds the number of non-zero weights fed to k-means;
-	// above it, a deterministic subsample is clustered and all weights are
+	// above it, a deterministic subsample is clustered and the weights are
 	// assigned to the resulting centroids. Zero means 1<<17.
 	SampleLimit int
 	// MaxIter bounds Lloyd iterations (default 40).
@@ -119,10 +161,18 @@ type ClusterOptions struct {
 
 // Cluster quantizes a weight matrix to 1<<bits shared values: centroid 0
 // is pinned to zero, the remaining (1<<bits)-1 centroids come from k-means
-// over the non-zero weights.
+// over the non-zero weights. bits is at most 8, the width of an index.
 func Cluster(w *tensor.Matrix, bits int, opt ClusterOptions) *Clustered {
-	if bits < 1 || bits > 16 {
-		panic(fmt.Sprintf("quant: Cluster bits %d out of range [1,16]", bits))
+	return ClusterRows(w, bits, opt, nil)
+}
+
+// ClusterRows is Cluster for the listed rows of w: the centroids come
+// from the non-zero weights of the whole matrix, as in Cluster, but only
+// the listed rows are assigned indices, in the order given. nil lists
+// every row.
+func ClusterRows(w *tensor.Matrix, bits int, opt ClusterOptions, rows []int) *Clustered {
+	if bits < 1 || bits > 8 {
+		panic(fmt.Sprintf("quant: Cluster bits %d out of range [1,8]", bits))
 	}
 	if opt.SampleLimit == 0 {
 		opt.SampleLimit = 1 << 17
@@ -131,10 +181,14 @@ func Cluster(w *tensor.Matrix, bits int, opt ClusterOptions) *Clustered {
 		opt.MaxIter = 40
 	}
 	k := (1 << bits) - 1 // non-zero clusters
+	nRows := w.Rows
+	if rows != nil {
+		nRows = len(rows)
+	}
 	c := &Clustered{
-		Rows: w.Rows, Cols: w.Cols, IndexBits: bits,
+		Rows: nRows, Cols: w.Cols, IndexBits: bits,
 		Centroids: make([]float32, 1<<bits),
-		Indices:   make([]uint8, len(w.Data)),
+		Indices:   make([]uint8, nRows*w.Cols),
 	}
 
 	// Collect non-zero weights (sampled if huge).
@@ -170,15 +224,41 @@ func Cluster(w *tensor.Matrix, bits int, opt ClusterOptions) *Clustered {
 	for i := 0; i < k; i++ {
 		c.Centroids[i+1] = float32(km.Centroids[i])
 	}
-	// Assign every weight: zeros to index 0, others to nearest centroid.
-	for i, v := range w.Data {
-		if v == 0 {
-			c.Indices[i] = 0
-			continue
+	// Assign every kept weight: zeros to index 0, others to the nearest
+	// centroid.
+	for r := 0; r < nRows; r++ {
+		from := r
+		if rows != nil {
+			from = rows[r]
 		}
-		c.Indices[i] = uint8(stats.NearestIndex(km.Centroids, float64(v))) + 1
+		dst := c.Indices[r*w.Cols : (r+1)*w.Cols]
+		for i, v := range w.Data[from*w.Cols : (from+1)*w.Cols] {
+			if v != 0 {
+				dst[i] = uint8(stats.NearestIndex(km.Centroids, float64(v))) + 1
+			}
+		}
 	}
 	return c
+}
+
+// StridedRows returns the evenly strided rows that stand for a rows x
+// cols layer within maxWeights weights, or nil when the layer fits (or
+// maxWeights is 0). The subsample keeps whole rows, so it preserves the
+// per-row sparsity structure the CSR and bitmask cascades depend on.
+func StridedRows(rows, cols, maxWeights int) []int {
+	if maxWeights <= 0 || rows*cols <= maxWeights {
+		return nil
+	}
+	rowsWanted := max(maxWeights/cols, 1)
+	if rowsWanted >= rows {
+		return nil
+	}
+	stride := float64(rows) / float64(rowsWanted)
+	out := make([]int, rowsWanted)
+	for r := range out {
+		out[r] = min(int(float64(r)*stride), rows-1)
+	}
+	return out
 }
 
 // NNZ returns the number of non-zero (index != 0) weights.

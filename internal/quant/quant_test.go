@@ -239,3 +239,17 @@ func TestPrunePropertySparsityMonotone(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestClusterRejectsWideIndices(t *testing.T) {
+	m := gaussianMatrix(8, 8, 1)
+	for _, bits := range []int{0, 9, 16} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Cluster with bits %d did not panic", bits)
+				}
+			}()
+			Cluster(m, bits, ClusterOptions{})
+		}()
+	}
+}

@@ -103,8 +103,20 @@ func EncodeBitMask(indices []uint8, rows, cols, valueBits int, opt BitMaskOption
 // (Figure 4). Reads past the end of Values yield zero. The mask is walked
 // a word at a time; a set bit first applies every boundary before it.
 func (e *BitMask) Decode() []uint8 {
+	out := make([]uint8, e.RowsN*e.ColsN)
+	e.decode(out)
+	return out
+}
+
+// DecodeInto is Decode into out.
+func (e *BitMask) DecodeInto(out []uint8) {
+	clearOut("BitMask", out, e.RowsN*e.ColsN)
+	e.decode(out)
+}
+
+// decode is Decode into out, which holds rows x cols zeros.
+func (e *BitMask) decode(out []uint8) {
 	n := e.RowsN * e.ColsN
-	out := make([]uint8, n)
 	vals := e.Values.Reader(0)
 	cursor, block, next := 0, 0, math.MaxInt // next: the first unapplied IdxSync boundary
 	if e.Counters != nil {
@@ -133,7 +145,6 @@ func (e *BitMask) Decode() []uint8 {
 	}
 	met.bitmaskDecodes.Inc()
 	met.bitmaskOverruns.Add(overruns)
-	return out
 }
 
 // Streams returns the fault-injection targets: mask, values, and (when

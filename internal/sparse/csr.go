@@ -105,6 +105,18 @@ func EncodeCSR(indices []uint8, rows, cols, valueBits, indexBits int) (*CSR, err
 //     row end are dropped.
 func (e *CSR) Decode() []uint8 {
 	out := make([]uint8, e.RowsN*e.ColsN)
+	e.decode(out)
+	return out
+}
+
+// DecodeInto is Decode into out.
+func (e *CSR) DecodeInto(out []uint8) {
+	clearOut("CSR", out, e.RowsN*e.ColsN)
+	e.decode(out)
+}
+
+// decode is Decode into out, which holds rows x cols zeros.
+func (e *CSR) decode(out []uint8) {
 	pos := 0 // global entry cursor into Values/ColIndex
 	total := e.Values.N
 	counts, vals, gaps := e.RowCount.Reader(0), e.Values.Reader(0), e.ColIndex.Reader(0)
@@ -129,7 +141,6 @@ func (e *CSR) Decode() []uint8 {
 	}
 	met.csrDecodes.Inc()
 	met.csrOverruns.Add(overruns)
-	return out
 }
 
 // Streams returns the fault-injection targets in canonical order:

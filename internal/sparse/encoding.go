@@ -14,11 +14,23 @@ type Encoding interface {
 	// Decode reconstructs the row-major cluster-index matrix, tolerating
 	// corrupted structures (misalignment is reproduced, never panics).
 	Decode() []uint8
+	// DecodeInto is Decode into out, which must hold exactly rows x cols
+	// indices; it overwrites every one of them.
+	DecodeInto(out []uint8)
 	// Streams returns the stored data structures, each independently
 	// assignable to an eNVM bits-per-cell configuration.
 	Streams() []*bitstream.Stream
 	// SizeBits returns total stored bits including format overheads.
 	SizeBits() int64
+}
+
+// clearOut zeroes out, a DecodeInto buffer, after checking that it holds
+// exactly n indices.
+func clearOut(format string, out []uint8, n int) {
+	if len(out) != n {
+		panic(fmt.Sprintf("sparse: %s DecodeInto buffer of %d indices, want %d", format, len(out), n))
+	}
+	clear(out)
 }
 
 // Kind selects a weight storage format.
@@ -175,6 +187,9 @@ func EncodeDense(indices []uint8, rows, cols, valueBits int) (*Dense, error) {
 
 // Decode returns the stored indices.
 func (e *Dense) Decode() []uint8 { return e.Values.Values8() }
+
+// DecodeInto copies the stored indices into out.
+func (e *Dense) DecodeInto(out []uint8) { e.Values.Values8Into(out) }
 
 // Streams returns the single dense stream.
 func (e *Dense) Streams() []*bitstream.Stream { return []*bitstream.Stream{e.Values} }

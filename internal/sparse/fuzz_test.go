@@ -49,6 +49,38 @@ func TestDecodersSurviveRandomCorruption(t *testing.T) {
 	}
 }
 
+// DecodeInto must equal Decode whatever the buffer held before: one
+// buffer is reused, dirty, across every kind and corruption.
+func TestDecodeIntoMatchesDecode(t *testing.T) {
+	src := stats.NewSource(5)
+	buf := make([]uint8, 12*40)
+	for trial := 0; trial < 40; trial++ {
+		idx := randomIndices(12, 40, float64(trial%10)/10, 4, uint64(trial))
+		for _, kind := range Kinds {
+			enc := Must(Encode(kind, idx, 12, 40, 4))
+			corruptRandomly(enc, src, trial%8)
+			for i := range buf {
+				buf[i] = uint8(src.Intn(256))
+			}
+			enc.DecodeInto(buf)
+			if want := enc.Decode(); string(buf) != string(want) {
+				t.Fatalf("trial %d, %v: DecodeInto differs from Decode", trial, kind)
+			}
+		}
+	}
+	for _, kind := range Kinds {
+		enc := Must(Encode(kind, make([]uint8, 12*40), 12, 40, 4))
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%v: DecodeInto accepted a buffer of the wrong length", kind)
+				}
+			}()
+			enc.DecodeInto(make([]uint8, 12*40-1))
+		}()
+	}
+}
+
 func TestDecodersSurviveTotalGarbage(t *testing.T) {
 	// Saturate every structure with all-ones: the worst possible stored
 	// state.

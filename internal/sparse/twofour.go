@@ -127,8 +127,20 @@ func Encode24(indices []uint8, rows, cols, valueBits int, centroids []float32) (
 // streams even if their lengths are inconsistent (overruns are counted
 // in sparse.e24.overrun_reads).
 func (e *E24) Decode() []uint8 {
-	met.e24Decodes.Inc()
 	out := make([]uint8, e.RowsN*e.ColsN)
+	e.decode(out)
+	return out
+}
+
+// DecodeInto is Decode into out.
+func (e *E24) DecodeInto(out []uint8) {
+	clearOut("E24", out, e.RowsN*e.ColsN)
+	e.decode(out)
+}
+
+// decode is Decode into out, which holds rows x cols zeros.
+func (e *E24) decode(out []uint8) {
+	met.e24Decodes.Inc()
 	gpr := groupsPerRow(e.ColsN)
 	overruns := 0
 	ent := 0
@@ -155,7 +167,6 @@ func (e *E24) Decode() []uint8 {
 	if overruns > 0 {
 		met.e24Overruns.Add(int64(overruns))
 	}
-	return out
 }
 
 // CompactInto extracts the *canonical* compact form of the (possibly

@@ -58,59 +58,6 @@ func (s Summary) String() string {
 		s.N, s.Mean, s.Std, s.Min, s.Median, s.Max)
 }
 
-// Histogram is a fixed-width binned histogram over [Lo, Hi). Values
-// outside the range are clamped into the boundary bins, mirroring how a
-// sense amplifier clamps out-of-range currents to the extreme levels.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	total  int
-}
-
-// NewHistogram creates a histogram with bins bins over [lo, hi). bins must
-// be >= 1 and hi > lo.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins < 1 {
-		panic("stats: NewHistogram requires bins >= 1")
-	}
-	if !(hi > lo) {
-		panic("stats: NewHistogram requires hi > lo")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	b := int(float64(len(h.Counts)) * (x - h.Lo) / (h.Hi - h.Lo))
-	if b < 0 {
-		b = 0
-	}
-	if b >= len(h.Counts) {
-		b = len(h.Counts) - 1
-	}
-	h.Counts[b]++
-	h.total++
-}
-
-// Total returns the number of observations recorded.
-func (h *Histogram) Total() int { return h.total }
-
-// BinCenter returns the center value of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*w
-}
-
-// Density returns the normalized density of bin i (fraction of total mass
-// per unit x).
-func (h *Histogram) Density(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return float64(h.Counts[i]) / (float64(h.total) * w)
-}
-
 // GeoMean returns the geometric mean of xs; all values must be positive.
 func GeoMean(xs []float64) float64 {
 	if len(xs) == 0 {

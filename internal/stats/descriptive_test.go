@@ -40,56 +40,6 @@ func TestSummarizeDoesNotMutate(t *testing.T) {
 	}
 }
 
-func TestHistogramBinning(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	for i, c := range h.Counts {
-		if c != 1 {
-			t.Errorf("bin %d count %d, want 1", i, c)
-		}
-	}
-	if h.Total() != 10 {
-		t.Errorf("total = %d", h.Total())
-	}
-}
-
-func TestHistogramClamping(t *testing.T) {
-	h := NewHistogram(0, 1, 4)
-	h.Add(-5)
-	h.Add(99)
-	if h.Counts[0] != 1 || h.Counts[3] != 1 {
-		t.Errorf("clamping failed: %v", h.Counts)
-	}
-}
-
-func TestHistogramDensityNormalized(t *testing.T) {
-	h := NewHistogram(0, 2, 8)
-	src := NewSource(31)
-	for i := 0; i < 10000; i++ {
-		h.Add(src.Float64() * 2)
-	}
-	var integral float64
-	w := 2.0 / 8.0
-	for i := range h.Counts {
-		integral += h.Density(i) * w
-	}
-	if math.Abs(integral-1) > 1e-9 {
-		t.Errorf("density integral = %v", integral)
-	}
-}
-
-func TestHistogramBinCenter(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	if c := h.BinCenter(0); c != 1 {
-		t.Errorf("BinCenter(0) = %v, want 1", c)
-	}
-	if c := h.BinCenter(4); c != 9 {
-		t.Errorf("BinCenter(4) = %v, want 9", c)
-	}
-}
-
 func TestGeoMean(t *testing.T) {
 	if g := GeoMean([]float64{1, 100}); math.Abs(g-10) > 1e-9 {
 		t.Errorf("GeoMean = %v, want 10", g)

@@ -11,29 +11,6 @@ type Gaussian struct {
 	Sigma float64
 }
 
-// PDF returns the probability density at x.
-func (g Gaussian) PDF(x float64) float64 {
-	if g.Sigma <= 0 {
-		if x == g.Mean {
-			return math.Inf(1)
-		}
-		return 0
-	}
-	z := (x - g.Mean) / g.Sigma
-	return math.Exp(-0.5*z*z) / (g.Sigma * math.Sqrt(2*math.Pi))
-}
-
-// CDF returns P(X <= x).
-func (g Gaussian) CDF(x float64) float64 {
-	if g.Sigma <= 0 {
-		if x < g.Mean {
-			return 0
-		}
-		return 1
-	}
-	return 0.5 * (1 + math.Erf((x-g.Mean)/(g.Sigma*math.Sqrt2)))
-}
-
 // TailAbove returns P(X > x).
 func (g Gaussian) TailAbove(x float64) float64 {
 	if g.Sigma <= 0 {

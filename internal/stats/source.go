@@ -1,8 +1,8 @@
 // Package stats provides the deterministic math substrate shared by every
 // MaxNVM subsystem: seeded random streams, Gaussian distribution math
 // (including the level-overlap integrals that drive the eNVM fault model),
-// one-dimensional k-means clustering for weight quantization, histograms,
-// and descriptive statistics.
+// one-dimensional k-means clustering for weight quantization, and
+// descriptive statistics.
 //
 // Everything in this package is deterministic given an explicit seed so
 // that experiments are reproducible bit-for-bit.
