@@ -16,7 +16,7 @@
 #                  seed-pinned SIGKILL/SIGSTOP schedule plus a poison
 #                  shard, proving quarantine + bit-identical recovery
 #   make fuzz    - short pass over every fuzz target (sparse, ECC,
-#                  checkpoint, serve, fleet and crossbar decoders, and
+#                  checkpoint, serve and fleet decoders, and
 #                  k-means against its reference)
 #   make paper-golden - `maxnvm all` (every table and figure, ~25-45 s)
 #                  diffed byte for byte against its golden file
@@ -144,7 +144,6 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecodeRequest -fuzztime=$(FUZZTIME) ./internal/serve/
 	$(GO) test -fuzz=FuzzParseLease -fuzztime=$(FUZZTIME) ./internal/fleet/
 	$(GO) test -fuzz=FuzzParseHeartbeat -fuzztime=$(FUZZTIME) ./internal/fleet/
-	$(GO) test -fuzz=FuzzCrossbarConfig -fuzztime=$(FUZZTIME) ./internal/crossbar/
 	$(GO) test -fuzz=FuzzKMeans1D -fuzztime=$(FUZZTIME) ./internal/stats/
 
 bench:

@@ -472,7 +472,7 @@ func BenchmarkMeasuredInference(b *testing.B) {
 	m.InitWeights(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dnn.NewForwarder(m).Predict(ds.Images, nil)
+		dnn.NewForwarder(m).Forward(ds.Images)
 	}
 }
 

@@ -151,7 +151,7 @@ func main() {
 	// predicts over, so it is computed whenever either consumer needs it.
 	var ranks []mitigate.StreamRank
 	if *protect > 0 || (*lifetimeYears > 0 && *scrubInterval == 0) {
-		ranks, err = mitigate.RankModel(ev.Clustered(), cfg, mitigate.RankConfig{Seed: *seed + 7})
+		ranks, err = mitigate.RankModel(ev.Clustered(), cfg, *seed+7)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -23,6 +23,32 @@ func testLayer(rows, cols int, sparsity float64, bits int, seed uint64) *quant.C
 	return quant.Cluster(m, bits, quant.ClusterOptions{Seed: seed})
 }
 
+// evaluateLayer measures the fault exposure of one clustered layer under
+// one explicit cfg, the way core.ProfileLayer does for the explorer:
+// exact storage costs, per-stream expected fault events, and per-event
+// damage from trials forced-fault probes per stream, placed by seed.
+func evaluateLayer(cl *quant.Clustered, cfg Config, seed uint64, trials int) LayerDamage {
+	enc := sparse.Must(EncodeLayer(cl, cfg))
+	ld := LayerDamage{
+		Costs:    Cost(enc, cfg),
+		Weights:  len(cl.Indices),
+		SignalSS: signalSS(cl.Indices, cl.Centroids),
+	}
+	src := stats.NewSource(seed)
+	pb := NewProber(enc, cl)
+	for i, s := range enc.Streams() {
+		p := cfg.PolicyFor(s.Name)
+		sd := StreamDamage{Name: s.Name}
+		if p.BPC != 0 {
+			sd.LambdaEff = LambdaEff(s.SizeBits(), cfg.StoreConfig(p), p.ECC)
+			sd.DStruct, sd.DNSR, sd.DMismatch = pb.Probe(i, p, trials, src.Fork(uint64(i)+1))
+			sd.Catastrophic = Cascades(sd.DMismatch)
+		}
+		ld.Streams = append(ld.Streams, sd)
+	}
+	return ld
+}
+
 // runTrial is RunTrialChecked for inputs the test knows are valid.
 func runTrial(t *testing.T, enc sparse.Encoding, orig []uint8, centroids []float32, cfg Config, seed uint64) TrialStats {
 	t.Helper()
@@ -259,7 +285,7 @@ func TestSensitivityOrdering(t *testing.T) {
 func TestEvaluateLayerShape(t *testing.T) {
 	cl := testLayer(64, 128, 0.7, 4, 8)
 	cfg := Config{Tech: envm.CTT, Encoding: sparse.KindBitMask, Default: StreamPolicy{BPC: 3}}
-	ld := EvaluateLayer(cl, cfg, EvalOptions{Seed: 1})
+	ld := evaluateLayer(cl, cfg, 1, DefaultDamageTrials)
 	if len(ld.Streams) != 2 || len(ld.Costs) != 2 {
 		t.Fatalf("bitmask should yield 2 streams, got %d", len(ld.Streams))
 	}
@@ -290,7 +316,7 @@ func TestEvaluateLayerIdxSyncReducesDamage(t *testing.T) {
 	cl := testLayer(128, 256, 0.6, 4, 9)
 	mk := func(kind sparse.Kind) float64 {
 		cfg := Config{Tech: envm.CTT, Encoding: kind, Default: StreamPolicy{BPC: 3}}
-		ld := EvaluateLayer(cl, cfg, EvalOptions{Seed: 2, DamageTrials: 10})
+		ld := evaluateLayer(cl, cfg, 2, 10)
 		for _, sd := range ld.Streams {
 			if sd.Name == "bitmask" {
 				return sd.DMismatch
@@ -326,7 +352,7 @@ func TestAggregateAndExpectedDelta(t *testing.T) {
 		cfg := Config{Tech: envm.CTT, Encoding: sparse.KindBitMaskIdxSync, Default: StreamPolicy{BPC: bpc}}
 		var lds []LayerDamage
 		for i, cl := range []*quant.Clustered{cl1, cl2} {
-			lds = append(lds, EvaluateLayer(cl, cfg, EvalOptions{Seed: uint64(i + 1)}))
+			lds = append(lds, evaluateLayer(cl, cfg, uint64(i+1), DefaultDamageTrials))
 		}
 		md := Aggregate(lds)
 		return md.ExpectedDeltaError(1.0, 0.8)
@@ -344,11 +370,11 @@ func TestAggregateAndExpectedDelta(t *testing.T) {
 func TestAcceptCriterion(t *testing.T) {
 	md := ModelDamage{LinearNSR: 0.0001}
 	md.TotalWeights = 100
-	if !md.Accept(1, 0.8, 0.001) {
+	if md.ExpectedDeltaError(1, 0.8) > 0.001 {
 		t.Error("tiny corruption should be accepted")
 	}
 	bad := ModelDamage{LinearStruct: 0.5, TotalWeights: 100}
-	if bad.Accept(1, 0.8, 0.001) {
+	if bad.ExpectedDeltaError(1, 0.8) <= 0.001 {
 		t.Error("huge corruption accepted")
 	}
 }

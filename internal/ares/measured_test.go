@@ -162,7 +162,7 @@ func TestSurrogateOrderingMatchesMeasured(t *testing.T) {
 		measured = append(measured, evalSerial(t, ev, cfg, 6, 21).MeanDeltaErr)
 		var lds []LayerDamage
 		for i, cl := range ev.Clustered() {
-			lds = append(lds, EvaluateLayer(cl, cfg, EvalOptions{Seed: uint64(i + 1)}))
+			lds = append(lds, evaluateLayer(cl, cfg, uint64(i+1), DefaultDamageTrials))
 		}
 		surrogate = append(surrogate, Aggregate(lds).ExpectedDeltaError(sens, headroom))
 	}

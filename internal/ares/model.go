@@ -79,10 +79,3 @@ func (md ModelDamage) ExpectedDeltaError(sens, headroom float64) float64 {
 	cat := DeltaError(sens, headroom, md.LinearNSR+md.CatNSR, md.LinearStruct+md.CatStruct)
 	return (1-pCat)*linear + pCat*cat
 }
-
-// Accept reports whether the configuration stays within the
-// iso-training-noise bound (the paper's acceptance criterion: no loss of
-// accuracy beyond training noise).
-func (md ModelDamage) Accept(sens, headroom, bound float64) bool {
-	return md.ExpectedDeltaError(sens, headroom) <= bound
-}

@@ -108,9 +108,9 @@ const catastrophicThreshold = 0.02
 
 // Cascades reports whether a single fault event that changes dMismatch
 // of a layer's decoded weight indices is a cascade. It is the one
-// cascade rule: EvaluateLayer, the explorer's damage probes
-// (internal/core) and the criticality ranker (internal/mitigate) all
-// classify through it.
+// cascade rule: the explorer's damage probes (core.ProfileLayer, which
+// the Explorer runs per layer) and the criticality ranker
+// (internal/mitigate) both classify through it.
 func Cascades(dMismatch float64) bool { return dMismatch >= catastrophicThreshold }
 
 // LayerDamage is the full surrogate input for one layer.
@@ -123,53 +123,10 @@ type LayerDamage struct {
 	SignalSS float64
 }
 
-// EvalOptions tunes the damage estimator.
-type EvalOptions struct {
-	// DamageTrials is the number of forced-fault probes per stream
-	// (default 6).
-	DamageTrials int
-	// Seed drives probe placement.
-	Seed uint64
-}
-
-func (o EvalOptions) withDefaults() EvalOptions {
-	if o.DamageTrials == 0 {
-		o.DamageTrials = 6
-	}
-	return o
-}
-
-// EvaluateLayer measures the fault exposure of one clustered layer under
-// cfg: exact storage costs, per-stream expected fault events, and
-// per-event damage measured by forcing faults into cloned streams and
-// decoding.
-func EvaluateLayer(cl *quant.Clustered, cfg Config, opt EvalOptions) LayerDamage {
-	opt = opt.withDefaults()
-	// Exploration configs enumerate known kinds over layers produced by
-	// quant.Cluster, so an encode failure here is a programmer error.
-	enc := sparse.Must(EncodeLayer(cl, cfg))
-	ld := LayerDamage{
-		Costs:    Cost(enc, cfg),
-		Weights:  len(cl.Indices),
-		SignalSS: signalSS(cl.Indices, cl.Centroids),
-	}
-	src := stats.NewSource(opt.Seed)
-	pb := NewProber(enc, cl)
-	for i, s := range enc.Streams() {
-		p := cfg.PolicyFor(s.Name)
-		sd := StreamDamage{Name: s.Name}
-		if p.BPC == 0 {
-			ld.Streams = append(ld.Streams, sd)
-			continue
-		}
-		sc := cfg.StoreConfig(p)
-		sd.LambdaEff = LambdaEff(s.SizeBits(), sc, p.ECC)
-		sd.DStruct, sd.DNSR, sd.DMismatch = pb.Probe(i, p, opt.DamageTrials, src.Fork(uint64(i)+1))
-		sd.Catastrophic = Cascades(sd.DMismatch)
-		ld.Streams = append(ld.Streams, sd)
-	}
-	return ld
-}
+// DefaultDamageTrials is the number of forced-fault probes per stream
+// that the explorer's damage profile and the criticality ranker take
+// when not told otherwise.
+const DefaultDamageTrials = 6
 
 // LambdaEff returns the expected number of uncorrectable fault events
 // for a structure of the given size. Without ECC every cell fault is an

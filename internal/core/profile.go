@@ -64,7 +64,7 @@ type LayerProfile struct {
 
 // ProfileOptions tunes profiling.
 type ProfileOptions struct {
-	// DamageTrials per probe (default 6).
+	// DamageTrials per probe (default ares.DefaultDamageTrials).
 	DamageTrials int
 	Seed         uint64
 	// RetentionYears ages the device fault model during evaluation
@@ -74,7 +74,7 @@ type ProfileOptions struct {
 
 func (o ProfileOptions) withDefaults() ProfileOptions {
 	if o.DamageTrials == 0 {
-		o.DamageTrials = 6
+		o.DamageTrials = ares.DefaultDamageTrials
 	}
 	return o
 }

@@ -20,9 +20,7 @@
 package crossbar
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 
 	"repro/internal/envm"
@@ -220,26 +218,4 @@ func (c Config) dacGrid(t envm.Tech) ([]float64, error) {
 		grid[i] = g.Mean
 	}
 	return grid, nil
-}
-
-// LoadConfig reads one crossbar/ADC definition from JSON and validates
-// it strictly: unknown fields, non-finite numbers, non-positive tile
-// dimensions, and a zero-bit ADC are all rejected. A JSON definition
-// describes physical hardware, so the programmatic "ideal" sentinels
-// (ADCBits 0) are not accepted here — an ADC with no bits is a broken
-// sketch, not a request for the ideal readout.
-func LoadConfig(r io.Reader) (Config, error) {
-	var c Config
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&c); err != nil {
-		return Config{}, fmt.Errorf("crossbar: parsing config: %w", err)
-	}
-	if err := c.Validate(); err != nil {
-		return Config{}, err
-	}
-	if c.ADCBits < 1 {
-		return Config{}, fmt.Errorf("crossbar: ADC bits %d must be at least 1 in a hardware definition", c.ADCBits)
-	}
-	return c, nil
 }

@@ -76,31 +76,6 @@ func TestConfigMapKey(t *testing.T) {
 	}
 }
 
-func TestLoadConfigStrict(t *testing.T) {
-	c, err := LoadConfig(strings.NewReader(`{"Rows":64,"Cols":32,"ADCBits":6,"VarSigma":0.03}`))
-	if err != nil {
-		t.Fatalf("valid config rejected: %v", err)
-	}
-	if c.Rows != 64 || c.Cols != 32 || c.ADCBits != 6 {
-		t.Fatalf("decoded %+v", c)
-	}
-	bad := []string{
-		`{"Rows":64,"Cols":32,"ADCBits":6,"Bogus":1}`,      // unknown field
-		`{"Rows":0,"Cols":32,"ADCBits":6}`,                 // zero tile dim
-		`{"Rows":-4,"Cols":32,"ADCBits":6}`,                // negative tile dim
-		`{"Rows":64,"Cols":32}`,                            // zero-bit ADC
-		`{"Rows":64,"Cols":32,"ADCBits":0}`,                // explicit zero-bit ADC
-		`{"Rows":64,"Cols":32,"ADCBits":6,"VarSigma":"x"}`, // wrong type
-		`{"Rows":64,"Cols":32,"ADCBits":6,"StuckRate":2}`,  // rate > 1
-		`not json`,
-	}
-	for i, s := range bad {
-		if _, err := LoadConfig(strings.NewReader(s)); err == nil {
-			t.Errorf("case %d: invalid config %s accepted", i, s)
-		}
-	}
-}
-
 func TestDeriveSigma(t *testing.T) {
 	sig, err := DeriveSigma(envm.CTT)
 	if err != nil {

@@ -208,14 +208,3 @@ func (f *Forwarder) Input(k int) *tensor.Tensor4 {
 // that ran it: Forwarder-owned storage, valid until the next pass. It
 // is what training's backward pass reads as the forward's activations.
 func (f *Forwarder) Output(k int) *tensor.Tensor4 { return f.acts[k] }
-
-// Predict returns the argmax class per batch sample, appending into dst
-// (pass a recycled slice to avoid the allocation).
-func (f *Forwarder) Predict(in *tensor.Tensor4, dst []int) []int {
-	logits := f.Forward(in)
-	dst = dst[:0]
-	for r := 0; r < logits.Rows; r++ {
-		dst = append(dst, logits.ArgmaxRow(r))
-	}
-	return dst
-}

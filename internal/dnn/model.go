@@ -219,17 +219,6 @@ type Model struct {
 	Meta    Meta
 }
 
-// WeightLayers returns the layers that carry weights, in order.
-func (m *Model) WeightLayers() []*Layer {
-	var out []*Layer
-	for _, l := range m.Layers {
-		if l.HasWeights() {
-			out = append(out, l)
-		}
-	}
-	return out
-}
-
 // ParamCount returns the total number of parameters.
 func (m *Model) ParamCount() int {
 	total := 0
@@ -246,26 +235,6 @@ func (m *Model) WeightCount() int {
 		total += l.WeightCount()
 	}
 	return total
-}
-
-// Sparsity returns the overall fraction of zero-valued weights.
-func (m *Model) Sparsity() float64 {
-	zeros, total := 0, 0
-	for _, l := range m.Layers {
-		if l.Weights == nil {
-			continue
-		}
-		total += len(l.Weights.Data)
-		for _, w := range l.Weights.Data {
-			if w == 0 {
-				zeros++
-			}
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(zeros) / float64(total)
 }
 
 // Validate checks DAG consistency: input references must point backwards,
@@ -430,13 +399,6 @@ func (m *Model) CloneWeights() map[int]*tensor.Matrix {
 		}
 	}
 	return out
-}
-
-// RestoreWeights copies the snapshot back into the model.
-func (m *Model) RestoreWeights(snap map[int]*tensor.Matrix) {
-	for i, w := range snap {
-		copy(m.Layers[i].Weights.Data, w.Data)
-	}
 }
 
 // CloneShared returns a model whose Layer structs are copies but whose

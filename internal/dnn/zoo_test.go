@@ -27,7 +27,12 @@ func TestZooWeightLayerCounts(t *testing.T) {
 	}
 	for name, n := range want {
 		m := ByName(name)
-		got := len(m.WeightLayers())
+		got := 0
+		for _, l := range m.Layers {
+			if l.HasWeights() {
+				got++
+			}
+		}
 		if got != n {
 			t.Errorf("%s weight layers = %d, want %d", name, got, n)
 		}
@@ -65,7 +70,12 @@ func TestZooUnmaterializedByDefault(t *testing.T) {
 
 func TestLeNet5Shapes(t *testing.T) {
 	m := LeNet5()
-	wl := m.WeightLayers()
+	var wl []*Layer
+	for _, l := range m.Layers {
+		if l.HasWeights() {
+			wl = append(wl, l)
+		}
+	}
 	// conv1: 20 x (1*5*5); conv2: 50 x (20*5*5); fc1: 500 x 800; fc2: 10 x 500.
 	wantRows := []int{20, 50, 500, 10}
 	wantCols := []int{25, 500, 800, 500}

@@ -257,7 +257,6 @@ type WAL struct {
 	opt      Options
 	lastSync time.Time
 	scratch  []byte
-	syncs    int64
 	closed   bool
 }
 
@@ -385,15 +384,7 @@ func (w *WAL) syncLocked() error {
 	if err := w.f.Sync(); err != nil {
 		return fmt.Errorf("durable: fsync %s: %w", w.path, err)
 	}
-	w.syncs++
 	return nil
-}
-
-// Syncs returns the number of successful fsyncs issued so far.
-func (w *WAL) Syncs() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.syncs
 }
 
 // Close syncs (unless the policy is SyncNever), releases the lock, and
@@ -407,14 +398,12 @@ func (w *WAL) Close() error {
 	w.closed = true
 	var firstErr error
 	if w.opt.Sync != SyncNever {
-		if err := w.f.Sync(); err != nil {
-			firstErr = fmt.Errorf("durable: fsync %s: %w", w.path, err)
-		}
+		firstErr = w.syncLocked()
 	}
 	if w.opt.Lock {
 		w.f.Unlock() // best effort; Close releases flock anyway
 	}
-	if err := w.f.Close(); err != nil && firstErr == nil {
+	if err := w.f.Close(); firstErr == nil {
 		firstErr = err
 	}
 	return firstErr

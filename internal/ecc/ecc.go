@@ -26,12 +26,6 @@ func GrayInv(g uint64) uint64 {
 	return x
 }
 
-// DefaultBlockDataBits is the paper's ECC granularity: one codeword per
-// 4 KB of data (32768 bits), protected by 16 Hamming parity bits plus one
-// overall parity bit (SEC-DED). The paper budgets 24 parity bits per 4 KB;
-// 17 are needed, so the configuration is strictly within that overhead.
-const DefaultBlockDataBits = 32768
-
 // BlockCode describes a Hamming SEC-DED code applied independently to
 // fixed-size blocks of a data bit array.
 type BlockCode struct {
@@ -69,14 +63,6 @@ func (c BlockCode) Blocks(dataBits int) int {
 // ParityBits returns the total parity storage for dataBits data bits.
 func (c BlockCode) ParityBits(dataBits int) int64 {
 	return int64(c.Blocks(dataBits)) * int64(c.ParityBitsPerBlock())
-}
-
-// Overhead returns parity bits as a fraction of data bits.
-func (c BlockCode) Overhead(dataBits int) float64 {
-	if dataBits == 0 {
-		return 0
-	}
-	return float64(c.ParityBits(dataBits)) / float64(dataBits)
 }
 
 // Protected couples a data bit array with its parity storage. The parity

@@ -40,10 +40,14 @@ func TestGrayBijectiveSmall(t *testing.T) {
 	}
 }
 
+// paperBlockBits is the paper's ECC granularity: one codeword per 4 KB
+// of data (32768 bits), for which it budgets 24 parity bits.
+const paperBlockBits = 32768
+
 func TestBlockCodeSizing(t *testing.T) {
 	// 4KB block: r=16 Hamming bits + 1 overall = 17 <= the paper's
 	// budget of 24 parity bits per 4KB.
-	c := NewBlockCode(DefaultBlockDataBits)
+	c := NewBlockCode(paperBlockBits)
 	if c.ParityBitsPerBlock() != 17 {
 		t.Errorf("parity bits = %d, want 17", c.ParityBitsPerBlock())
 	}
@@ -51,7 +55,7 @@ func TestBlockCodeSizing(t *testing.T) {
 		t.Error("exceeds the paper's 24-bit budget")
 	}
 	// Overhead is well under 1%.
-	if ov := c.Overhead(DefaultBlockDataBits); ov >= 0.01 {
+	if ov := float64(c.ParityBits(paperBlockBits)) / paperBlockBits; ov >= 0.01 {
 		t.Errorf("overhead %v >= 1%%", ov)
 	}
 }
@@ -201,8 +205,8 @@ func TestCorrectRandomSingleErrorsProperty(t *testing.T) {
 
 func TestOverheadScalesInversely(t *testing.T) {
 	small := NewBlockCode(512)
-	large := NewBlockCode(DefaultBlockDataBits)
-	if small.Overhead(1<<20) <= large.Overhead(1<<20) {
+	large := NewBlockCode(paperBlockBits)
+	if small.ParityBits(1<<20) <= large.ParityBits(1<<20) {
 		t.Error("smaller blocks should cost more overhead")
 	}
 }

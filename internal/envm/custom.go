@@ -49,26 +49,6 @@ func LoadTech(r io.Reader) (Tech, error) {
 	return t, nil
 }
 
-// LoadTechs reads a JSON array of technology definitions.
-func LoadTechs(r io.Reader) ([]Tech, error) {
-	var ts []Tech
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&ts); err != nil {
-		return nil, fmt.Errorf("envm: parsing tech definitions: %w", err)
-	}
-	for i := range ts {
-		if err := checkTechSketch(ts[i]); err != nil {
-			return nil, fmt.Errorf("envm: definition %d: %w", i, err)
-		}
-		applyTechDefaults(&ts[i])
-		if err := ts[i].Validate(); err != nil {
-			return nil, fmt.Errorf("envm: definition %d: %w", i, err)
-		}
-	}
-	return ts, nil
-}
-
 // checkTechSketch rejects nonsense in the optional fields BEFORE the
 // defaults fill them in. Zero still means "use the default", but a NaN
 // or negative EnduranceCycles, RetentionFloorBase, sigma factor, fault
@@ -115,11 +95,4 @@ func applyTechDefaults(t *Tech) {
 	if t.EnduranceCycles == 0 {
 		t.EnduranceCycles = 1e6
 	}
-}
-
-// SaveTech writes a technology definition as indented JSON.
-func SaveTech(w io.Writer, t Tech) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(t)
 }

@@ -2,6 +2,7 @@ package envm
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"strings"
@@ -76,10 +77,6 @@ func TestLoadTechRejectsNegativeOptionalFields(t *testing.T) {
 		if _, err := LoadTech(strings.NewReader(def)); err == nil {
 			t.Errorf("negative optional field accepted: %s", field)
 		}
-		arr := "[" + fmt.Sprintf(base, field) + "]"
-		if _, err := LoadTechs(strings.NewReader(arr)); err == nil {
-			t.Errorf("LoadTechs accepted negative optional field: %s", field)
-		}
 	}
 	// The same fields at zero still take the documented defaults.
 	ok, err := LoadTech(strings.NewReader(fmt.Sprintf(base, `"EnduranceCycles":0`)))
@@ -108,23 +105,12 @@ func TestCheckTechSketchRejectsNaN(t *testing.T) {
 	}
 }
 
-func TestLoadTechs(t *testing.T) {
-	arr := "[" + sampleTechJSON + "," + sampleTechJSON + "]"
-	ts, err := LoadTechs(strings.NewReader(arr))
+func TestSaveLoadRoundTrip(t *testing.T) {
+	def, err := json.MarshalIndent(CTT, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ts) != 2 {
-		t.Fatalf("parsed %d techs", len(ts))
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	if err := SaveTech(&buf, CTT); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadTech(&buf)
+	back, err := LoadTech(bytes.NewReader(def))
 	if err != nil {
 		t.Fatal(err)
 	}

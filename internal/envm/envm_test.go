@@ -160,6 +160,19 @@ func TestSenseAmpAlterationWithinBudget(t *testing.T) {
 	}
 }
 
+// widthForBudget returns the smallest width scale (in 0.5 steps up to
+// maxScale) whose fault-rate alteration stays under the budget; 0 if none
+// does.
+func widthForBudget(lm LevelModel, offsetAtMin, budget, maxScale float64) float64 {
+	for w := 0.5; w <= maxScale; w += 0.5 {
+		sa := SenseAmp{OffsetSigmaAtMinWidth: offsetAtMin, WidthScale: w}
+		if sa.FaultAlteration(lm) < budget {
+			return w
+		}
+	}
+	return 0
+}
+
 func TestSenseAmpWidthTradeoff(t *testing.T) {
 	lm := mustLevels(CTT.Levels(3))
 	narrow := SenseAmp{OffsetSigmaAtMinWidth: 0.02, WidthScale: 1}
@@ -167,13 +180,13 @@ func TestSenseAmpWidthTradeoff(t *testing.T) {
 	if narrow.FaultAlteration(lm) <= wide.FaultAlteration(lm) {
 		t.Error("wider SA should alter fault rates less")
 	}
-	w := WidthForBudget(lm, 0.02, 2.0, 32)
+	w := widthForBudget(lm, 0.02, 2.0, 32)
 	if w <= 0 {
 		t.Fatal("no width satisfies the 2x budget")
 	}
 	sa := SenseAmp{OffsetSigmaAtMinWidth: 0.02, WidthScale: w}
 	if sa.FaultAlteration(lm) >= 2 {
-		t.Error("WidthForBudget returned a width violating the budget")
+		t.Error("widthForBudget returned a width violating the budget")
 	}
 }
 
@@ -302,11 +315,11 @@ func TestInjectSLCEffectivelyFaultFree(t *testing.T) {
 
 func TestExpectedFaults(t *testing.T) {
 	cfg := StoreConfig{Tech: CTT, BPC: 3}
-	e := ExpectedFaults(3*1e6, cfg)
+	e := expectedFaults(3*1e6, cfg)
 	if e <= 0 {
 		t.Error("expected positive fault count")
 	}
-	e2 := ExpectedFaults(3*1e6, StoreConfig{Tech: CTT, BPC: 2})
+	e2 := expectedFaults(3*1e6, StoreConfig{Tech: CTT, BPC: 2})
 	if e2 >= e/100 {
 		t.Error("MLC2 expectation should be orders of magnitude lower")
 	}
@@ -319,11 +332,11 @@ func TestGrayRecodeRoundTrip(t *testing.T) {
 		a.SetBits(i*3, 3, uint64(ds.Intn(8)))
 	}
 	ref := a.Clone()
-	GrayRecode(a, 3, true)
+	grayRecode(a, 3, true)
 	if a.Equal(ref) {
 		t.Error("recode was identity")
 	}
-	GrayRecode(a, 3, false)
+	grayRecode(a, 3, false)
 	if !a.Equal(ref) {
 		t.Error("gray recode round trip failed")
 	}

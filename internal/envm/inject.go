@@ -193,35 +193,3 @@ func InjectArray(a *bitstream.Array, cfg StoreConfig, src *stats.Source) int {
 	met.injectFaults.Add(int64(faults))
 	return faults
 }
-
-// InjectStream applies InjectArray to the stream's backing bits.
-func InjectStream(s *bitstream.Stream, cfg StoreConfig, src *stats.Source) int {
-	return InjectArray(s.Bits, cfg, src)
-}
-
-// GrayRecode converts an array written under one level mapping to the
-// other in place: with toGray=true each BPC-bit symbol v becomes Gray(v)
-// (i.e. the bits that will be programmed as level GrayInv(...) = v). It
-// is used when preparing ECC-protected data for MLC storage.
-func GrayRecode(a *bitstream.Array, bpc int, toGray bool) {
-	nCells := int(CellsFor(int64(a.Len()), bpc))
-	for i := 0; i < nCells; i++ {
-		v := a.GetBits(i*bpc, bpc)
-		var out uint64
-		if toGray {
-			out = ecc.Gray(v)
-		} else {
-			out = ecc.GrayInv(v)
-		}
-		a.SetBits(i*bpc, bpc, out)
-	}
-}
-
-// ExpectedFaults returns the expected number of faulted cells when a
-// stream of the given bit length is stored under cfg, assuming levels are
-// uniformly distributed (a good approximation for clustered weight
-// indices and mask data).
-func ExpectedFaults(bits int64, cfg StoreConfig) float64 {
-	fm := cfg.FaultMap()
-	return float64(CellsFor(bits, cfg.BPC)) * fm.TotalRate()
-}

@@ -2,11 +2,11 @@ package envm
 
 // Statistical acceptance tests for the fault injector: on large arrays
 // the observed fault count must land inside the 4-sigma binomial
-// interval around ExpectedFaults, every fault must move a level to an
+// interval around expectedFaults, every fault must move a level to an
 // adjacent one, and the up/down transition split must match the fault
 // map's conditional direction probabilities. The seeds are pinned, so a
 // run is deterministic: a failure means the injector's sampling (or the
-// ExpectedFaults contract) changed, not that the dice came up wrong.
+// expectedFaults contract) changed, not that the dice came up wrong.
 
 import (
 	"math"
@@ -16,6 +16,30 @@ import (
 	"repro/internal/ecc"
 	"repro/internal/stats"
 )
+
+// expectedFaults returns the expected number of faulted cells when a
+// stream of the given bit length is stored under cfg, assuming levels are
+// uniformly distributed (a good approximation for clustered weight
+// indices and mask data).
+func expectedFaults(bits int64, cfg StoreConfig) float64 {
+	return float64(CellsFor(bits, cfg.BPC)) * cfg.FaultMap().TotalRate()
+}
+
+// grayRecode converts an array written under one level mapping to the
+// other in place: with toGray=true each BPC-bit symbol v becomes Gray(v)
+// (i.e. the bits that will be programmed as level GrayInv(...) = v).
+func grayRecode(a *bitstream.Array, bpc int, toGray bool) {
+	nCells := int(CellsFor(int64(a.Len()), bpc))
+	for i := 0; i < nCells; i++ {
+		v := a.GetBits(i*bpc, bpc)
+		if toGray {
+			v = ecc.Gray(v)
+		} else {
+			v = ecc.GrayInv(v)
+		}
+		a.SetBits(i*bpc, bpc, v)
+	}
+}
 
 // fillUniformLevels programs every cell with a uniformly distributed
 // level, encoded under the config's level mapping, and returns the
@@ -64,15 +88,15 @@ func injectStatCase(t *testing.T, cfg StoreConfig, nCells int, seed uint64) {
 
 	faults := InjectArray(a, cfg, src.Fork(2))
 
-	// 1. Fault count within 4 sigma of the ExpectedFaults contract.
+	// 1. Fault count within 4 sigma of the expectedFaults contract.
 	// Levels are uniform by construction, which is exactly the
-	// assumption ExpectedFaults documents, so the per-cell fault
+	// assumption expectedFaults documents, so the per-cell fault
 	// probability is the fault map's TotalRate.
 	fm := cfg.FaultMap()
 	p := fm.TotalRate()
-	want := ExpectedFaults(int64(nCells*cfg.BPC), cfg)
+	want := expectedFaults(int64(nCells*cfg.BPC), cfg)
 	if math.Abs(want-float64(nCells)*p) > 1e-9*want {
-		t.Fatalf("ExpectedFaults %.3f != nCells*TotalRate %.3f", want, float64(nCells)*p)
+		t.Fatalf("expectedFaults %.3f != nCells*TotalRate %.3f", want, float64(nCells)*p)
 	}
 	if want < 100 {
 		t.Fatalf("test config too weak: only %.1f expected faults", want)
@@ -145,7 +169,7 @@ func TestInjectArrayStatisticsMLC2Gray(t *testing.T) {
 func TestInjectArrayStatisticsRetention(t *testing.T) {
 	// A 5-year-old MLC-RRAM array: drift widens the level distributions,
 	// so the aged rate must exceed the fresh one, and the aged injection
-	// must still match its own ExpectedFaults.
+	// must still match its own expectedFaults.
 	fresh := StoreConfig{Tech: MLCRRAM, BPC: 3}
 	aged := StoreConfig{Tech: MLCRRAM, BPC: 3, RetentionYears: 5}
 	if aged.FaultMap().TotalRate() <= fresh.FaultMap().TotalRate() {
@@ -155,7 +179,7 @@ func TestInjectArrayStatisticsRetention(t *testing.T) {
 	injectStatCase(t, aged, 2<<20, 0xC0FFEE05)
 }
 
-// TestGrayRecodeRoundTripAllWidths checks GrayRecode is an involution
+// TestGrayRecodeRoundTripAllWidths checks grayRecode is an involution
 // pair for every supported cell width: a random array recoded to Gray
 // and back is bit-identical (the bpc=3 case is also covered by the
 // older TestGrayRecodeRoundTrip in envm_test.go).
@@ -168,11 +192,11 @@ func TestGrayRecodeRoundTripAllWidths(t *testing.T) {
 			a.SetBits(i*bpc, bpc, src.Uint64()&((1<<uint(bpc))-1))
 		}
 		orig := a.Clone()
-		GrayRecode(a, bpc, true)
+		grayRecode(a, bpc, true)
 		if bpc > 1 && a.Equal(orig) {
 			t.Errorf("bpc=%d: Gray recode left the array unchanged", bpc)
 		}
-		GrayRecode(a, bpc, false)
+		grayRecode(a, bpc, false)
 		if !a.Equal(orig) {
 			t.Errorf("bpc=%d: Gray round trip is not the identity (%d bits differ)",
 				bpc, a.DiffBits(orig))

@@ -232,16 +232,3 @@ func (sa SenseAmp) FaultAlteration(lm LevelModel) float64 {
 	}
 	return after / before
 }
-
-// WidthForBudget returns the smallest width scale (in 0.5 steps up to
-// maxScale) whose fault-rate alteration stays under the budget; 0 if none
-// does.
-func WidthForBudget(lm LevelModel, offsetAtMin, budget, maxScale float64) float64 {
-	for w := 0.5; w <= maxScale; w += 0.5 {
-		sa := SenseAmp{OffsetSigmaAtMinWidth: offsetAtMin, WidthScale: w}
-		if sa.FaultAlteration(lm) < budget {
-			return w
-		}
-	}
-	return 0
-}

@@ -56,7 +56,7 @@ func TestLifetimeMitigationHoldsITNBound(t *testing.T) {
 		worstMean, bound, violated, trials)
 
 	// --- Mitigated: criticality-aware protection + scheduled scrubbing. ---
-	ranks, err := mitigate.RankModel(ev.Clustered(), cfg, mitigate.RankConfig{Seed: 5})
+	ranks, err := mitigate.RankModel(ev.Clustered(), cfg, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,28 +63,12 @@ type StreamRank struct {
 	Score float64
 }
 
-// RankConfig tunes the probing behind RankModel.
-type RankConfig struct {
-	// Trials is the number of forced-fault probes per stream per layer
-	// (default 6).
-	Trials int
-	// Seed drives probe placement; ranks are a pure function of
-	// (layers, cfg, RankConfig).
-	Seed uint64
-}
-
-func (rc RankConfig) withDefaults() RankConfig {
-	if rc.Trials == 0 {
-		rc.Trials = 6
-	}
-	return rc
-}
-
 // RankModel probes every stream of every clustered layer under cfg's
 // encoding and aggregates per stream name, most critical first. Streams
 // stored perfectly (BPC 0) are skipped — there is nothing to protect.
-func RankModel(layers []*quant.Clustered, cfg ares.Config, rc RankConfig) ([]StreamRank, error) {
-	rc = rc.withDefaults()
+// Each stream takes ares.DefaultDamageTrials probes; seed drives their
+// placement, so ranks are a pure function of (layers, cfg, seed).
+func RankModel(layers []*quant.Clustered, cfg ares.Config, seed uint64) ([]StreamRank, error) {
 	if len(layers) == 0 {
 		return nil, fmt.Errorf("mitigate: no layers to rank")
 	}
@@ -113,7 +97,7 @@ func RankModel(layers []*quant.Clustered, cfg ares.Config, rc RankConfig) ([]Str
 				order = append(order, s.Name)
 			}
 			dStruct, dNSR, dMismatch := pb.Probe(si, ares.StreamPolicy{BPC: p.BPC},
-				rc.Trials, stats.NewSource(rc.Seed+uint64(li)*131+uint64(si)*17+1))
+				ares.DefaultDamageTrials, stats.NewSource(seed+uint64(li)*131+uint64(si)*17+1))
 			damage := (dNSR + ares.StructWeight*dStruct) * layerW
 			cells := envm.CellsFor(s.SizeBits(), p.BPC)
 			r.DataBits += s.SizeBits()

@@ -51,7 +51,7 @@ func baseConfig() ares.Config {
 func getRanks(t *testing.T) []mitigate.StreamRank {
 	t.Helper()
 	ev, _ := getFixture(t)
-	ranks, err := mitigate.RankModel(ev.Clustered(), baseConfig(), mitigate.RankConfig{Seed: 5})
+	ranks, err := mitigate.RankModel(ev.Clustered(), baseConfig(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}

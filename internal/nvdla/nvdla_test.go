@@ -50,7 +50,14 @@ func TestWorkloadShapes(t *testing.T) {
 		t.Errorf("fc1 MACs = %d, want 400000", work[2].MACs)
 	}
 	// Dense 16-bit weight default.
-	if work[0].WeightBits != int64(m.WeightLayers()[0].WeightCount())*16 {
+	var first *dnn.Layer
+	for _, l := range m.Layers {
+		if l.HasWeights() {
+			first = l
+			break
+		}
+	}
+	if work[0].WeightBits != int64(first.WeightCount())*16 {
 		t.Error("default weight bits wrong")
 	}
 }

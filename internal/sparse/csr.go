@@ -154,9 +154,6 @@ func (e *CSR) SizeBits() int64 {
 	return e.Values.SizeBits() + e.ColIndex.SizeBits() + e.RowCount.SizeBits()
 }
 
-// Entries returns the number of stored entries (non-zeros + padding).
-func (e *CSR) Entries() int { return e.Values.N }
-
 // BestIndexBits returns the relative-index width in [2, bitsFor(cols-1)]
 // minimizing total CSR size for the given matrix (narrow indices shrink
 // ColIndex but add padding entries; wide ones waste index bits). Ties go

@@ -50,7 +50,7 @@ func TestCSRRoundTripPaddingHeavy(t *testing.T) {
 	if !equalU8(enc.Decode(), idx) {
 		t.Fatal("padded CSR round trip failed")
 	}
-	if enc.Entries() <= countNZ(idx) {
+	if enc.Values.N <= countNZ(idx) {
 		t.Error("expected padding entries beyond nnz")
 	}
 }
@@ -85,16 +85,16 @@ func TestCSRDenseMatrix(t *testing.T) {
 	if !equalU8(enc.Decode(), idx) {
 		t.Fatal("dense CSR round trip failed")
 	}
-	if enc.Entries() != 25 {
-		t.Errorf("entries = %d, want 25", enc.Entries())
+	if enc.Values.N != 25 {
+		t.Errorf("entries = %d, want 25", enc.Values.N)
 	}
 }
 
 func TestCSREmptyMatrix(t *testing.T) {
 	idx := make([]uint8, 30)
 	enc := Must(EncodeCSR(idx, 5, 6, 4, 4))
-	if enc.Entries() != 0 {
-		t.Errorf("entries = %d, want 0", enc.Entries())
+	if enc.Values.N != 0 {
+		t.Errorf("entries = %d, want 0", enc.Values.N)
 	}
 	if !equalU8(enc.Decode(), idx) {
 		t.Fatal("all-zero decode failed")

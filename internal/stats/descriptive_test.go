@@ -39,24 +39,3 @@ func TestSummarizeDoesNotMutate(t *testing.T) {
 		t.Error("input mutated")
 	}
 }
-
-func TestGeoMean(t *testing.T) {
-	if g := GeoMean([]float64{1, 100}); math.Abs(g-10) > 1e-9 {
-		t.Errorf("GeoMean = %v, want 10", g)
-	}
-	if g := GeoMean([]float64{2, 2, 2}); math.Abs(g-2) > 1e-12 {
-		t.Errorf("GeoMean = %v, want 2", g)
-	}
-	if g := GeoMean(nil); g != 0 {
-		t.Errorf("GeoMean(nil) = %v", g)
-	}
-}
-
-func TestGeoMeanPanicsOnNonPositive(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	GeoMean([]float64{1, 0})
-}

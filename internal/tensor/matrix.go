@@ -313,12 +313,3 @@ func (m *Matrix) ArgmaxRow(r int) int {
 	}
 	return best
 }
-
-// Frobenius returns the Frobenius norm of the matrix.
-func (m *Matrix) Frobenius() float64 {
-	var s float64
-	for _, v := range m.Data {
-		s += float64(v) * float64(v)
-	}
-	return math.Sqrt(s)
-}

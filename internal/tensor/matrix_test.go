@@ -158,13 +158,6 @@ func TestAddBiasRows(t *testing.T) {
 	}
 }
 
-func TestFrobenius(t *testing.T) {
-	a := FromSlice(1, 2, []float32{3, 4})
-	if f := a.Frobenius(); math.Abs(f-5) > 1e-9 {
-		t.Errorf("frobenius = %v", f)
-	}
-}
-
 func TestCloneIndependent(t *testing.T) {
 	a := FromSlice(1, 2, []float32{1, 2})
 	b := a.Clone()
