@@ -81,12 +81,11 @@ func main() {
 
 	tech, err := envm.ByName(*techName)
 	if err != nil {
-		log.Fatal(err)
+		cliutil.Usagef("faultsim: %v", err)
 	}
 	kind, err := sparse.ParseKind(*encName)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "faultsim: %v\n", err)
-		os.Exit(2)
+		cliutil.Usagef("faultsim: %v", err)
 	}
 
 	cfg := ares.Config{
@@ -106,22 +105,25 @@ func main() {
 	// like "-ecc rowcnt" fails here, before training, naming the valid
 	// streams instead of silently protecting nothing.
 	if err := cfg.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "faultsim: %v\n", err)
-		os.Exit(2)
+		cliutil.Usagef("faultsim: %v", err)
 	}
-	if *resume && *checkpoint == "" {
-		log.Fatal("faultsim: -resume requires -checkpoint")
+	cliutil.CheckResume("faultsim", *resume, *checkpoint)
+	// Flag conflicts and crossbar tile parsing fail here, before the
+	// training phase, like every other flag validation.
+	if *compare && (*eccList != "" || *slcList != "" || *protect > 0 || *lifetimeYears > 0 || *fleetN > 0) {
+		cliutil.Usagef("faultsim: -compare-encodings runs bare per-encoding configs; drop -ecc/-slc/-protect/-lifetime-years/-fleet")
 	}
-	// Crossbar-mode flag conflicts and tile parsing fail here, before
-	// the training phase, like every other flag validation.
+	if *fleetN > 0 && *lifetimeYears > 0 {
+		cliutil.Usagef("faultsim: -fleet does not support -lifetime-years (one lifetime trial spans every epoch config; run it single-process)")
+	}
 	var xcfgs []crossbar.Config
 	if *xbar.Enabled {
 		if *eccList != "" || *slcList != "" || *protect > 0 || *lifetimeYears > 0 || *fleetN > 0 || *compare {
-			log.Fatal("faultsim: -crossbar models faults in the compute arrays, not stored bits; drop -ecc/-slc/-protect/-lifetime-years/-fleet/-compare-encodings")
+			cliutil.Usagef("faultsim: -crossbar models faults in the compute arrays, not stored bits; drop -ecc/-slc/-protect/-lifetime-years/-fleet/-compare-encodings")
 		}
 		var xerr error
 		if xcfgs, xerr = xbar.Configs(tech); xerr != nil {
-			log.Fatal(xerr)
+			cliutil.Usagef("faultsim: %v", xerr)
 		}
 	}
 
@@ -191,28 +193,20 @@ func main() {
 	}
 
 	if *compare {
-		if *eccList != "" || *slcList != "" || *protect > 0 || *lifetimeYears > 0 || *fleetN > 0 {
-			log.Fatal("faultsim: -compare-encodings runs bare per-encoding configs; drop -ecc/-slc/-protect/-lifetime-years/-fleet")
-		}
 		runCompare(ctx, ev, tech, *bpc, *degrade, opt)
 		return
 	}
 
 	if *lifetimeYears > 0 {
-		if *fleetN > 0 {
-			log.Fatal("faultsim: -fleet does not support -lifetime-years (one lifetime trial spans every epoch config; run it single-process)")
-		}
-		code := runLifetime(ctx, ev, m, cfg, opt, lifetimeArgs{
-			years:      *lifetimeYears,
-			interval:   *scrubInterval,
-			ranks:      ranks,
-			plan:       plan,
-			planned:    planned,
-			checkpoint: *checkpoint,
+		interrupted := runLifetime(ctx, ev, m, cfg, opt, lifetimeArgs{
+			years:    *lifetimeYears,
+			interval: *scrubInterval,
+			ranks:    ranks,
+			plan:     plan,
+			planned:  planned,
 		})
-		if code != 0 {
-			tel.Dump() // os.Exit skips the deferred dump
-			os.Exit(code)
+		if interrupted {
+			tel.ExitInterrupted("aggregates", "runs", *checkpoint)
 		}
 		return
 	}
@@ -277,13 +271,7 @@ func main() {
 	fmt.Printf("  ITN bound:         %.4f -> %s\n", m.Meta.ErrorBound,
 		verdict(cr.Mean <= m.Meta.ErrorBound))
 	if res.Interrupted {
-		if *checkpoint != "" {
-			fmt.Printf("interrupted: partial aggregates above; rerun with -resume -checkpoint %s to finish\n", *checkpoint)
-		} else {
-			fmt.Println("interrupted: partial aggregates above (set -checkpoint to make runs resumable)")
-		}
-		tel.Dump() // os.Exit skips the deferred dump
-		os.Exit(130)
+		tel.ExitInterrupted("aggregates", "runs", *checkpoint)
 	}
 }
 
@@ -371,16 +359,15 @@ type lifetimeArgs struct {
 	ranks           []mitigate.StreamRank
 	plan            mitigate.Plan
 	planned         bool
-	checkpoint      string
 }
 
 // runLifetime simulates la.years of deployment: every campaign trial is
 // one full deployment (age -> inject -> correct -> rewrite per epoch),
 // and every epoch is its own campaign config with its own checkpoint
-// rows and aggregates. Returns the process exit code (0 on a clean,
-// bound-holding run).
+// rows and aggregates. It reports whether the campaign was interrupted,
+// in which case the table it printed is partial.
 func runLifetime(ctx context.Context, ev *ares.MeasuredEvaluator, m *dnn.Model,
-	cfg ares.Config, opt campaign.Options, la lifetimeArgs) int {
+	cfg ares.Config, opt campaign.Options, la lifetimeArgs) (interrupted bool) {
 	bound := m.Meta.ErrorBound
 	lp := ares.LifetimePolicy{Years: la.years, FloorDelta: bound}
 	switch {
@@ -497,15 +484,7 @@ func runLifetime(ctx context.Context, ev *ares.MeasuredEvaluator, m *dnn.Model,
 	}
 	fmt.Printf("  ITN bound %.4f over the whole deployment -> %s (worst epoch mean +%.4f)\n",
 		bound, verdict(worst <= bound), worst)
-	if res.Interrupted {
-		if la.checkpoint != "" {
-			fmt.Printf("interrupted: partial aggregates above; rerun with -resume -checkpoint %s to finish\n", la.checkpoint)
-		} else {
-			fmt.Println("interrupted: partial aggregates above (set -checkpoint to make runs resumable)")
-		}
-		return 130
-	}
-	return 0
+	return res.Interrupted
 }
 
 // printRecovery summarizes what a resumed campaign salvaged from its

@@ -61,10 +61,7 @@ func main() {
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
-	if *resume && *checkpoint == "" {
-		fmt.Fprintln(os.Stderr, "maxnvm: -resume requires -checkpoint")
-		os.Exit(2)
-	}
+	cliutil.CheckResume("maxnvm", *resume, *checkpoint)
 
 	ctx, stop := cliutil.NotifyContext(context.Background())
 	defer stop()
@@ -159,8 +156,7 @@ func main() {
 				fmt.Fprintln(w)
 			}
 		default:
-			fmt.Fprintf(os.Stderr, "maxnvm: unknown experiment %q\n", name)
-			os.Exit(2)
+			cliutil.Usagef("maxnvm: unknown experiment %q", name)
 		}
 	}
 	for _, name := range flag.Args() {

@@ -68,7 +68,7 @@ func main() {
 	if *techFile != "" {
 		f, ferr := os.Open(*techFile)
 		if ferr != nil {
-			log.Fatal(ferr)
+			cliutil.Usagef("nvsweep: %v", ferr)
 		}
 		tech, err = envm.LoadTech(f)
 		f.Close()
@@ -76,7 +76,7 @@ func main() {
 		tech, err = envm.ByName(*techName)
 	}
 	if err != nil {
-		log.Fatal(err)
+		cliutil.Usagef("nvsweep: %v", err)
 	}
 	var target nvsim.Target
 	switch strings.ToLower(*targetName) {
@@ -91,12 +91,9 @@ func main() {
 	case "leakage":
 		target = nvsim.OptLeakage
 	default:
-		fmt.Fprintf(os.Stderr, "nvsweep: unknown target %q\n", *targetName)
-		os.Exit(2)
+		cliutil.Usagef("nvsweep: unknown target %q", *targetName)
 	}
-	if *resume && *checkpoint == "" {
-		log.Fatal("nvsweep: -resume requires -checkpoint")
-	}
+	cliutil.CheckResume("nvsweep", *resume, *checkpoint)
 
 	cfg := nvsim.Config{
 		Tech: tech, BPC: *bpc,
@@ -106,8 +103,7 @@ func main() {
 	if *encName != "" {
 		kind, err := sparse.ParseKind(*encName)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "nvsweep: %v\n", err)
-			os.Exit(2)
+			cliutil.Usagef("nvsweep: %v", err)
 		}
 		density, err := encodedDensity(kind, *proxySparsity)
 		if err != nil {
@@ -125,11 +121,11 @@ func main() {
 		// clustered proxy (4-bit indices, same as encodedDensity) is the
 		// reference the -mb capacity was stated in.
 		if *encName != "" {
-			log.Fatal("nvsweep: -crossbar stores weights as conductances, not encoded bits; drop -encoding")
+			cliutil.Usagef("nvsweep: -crossbar stores weights as conductances, not encoded bits; drop -encoding")
 		}
 		xcfgs, err := xbar.Configs(tech)
 		if err != nil {
-			log.Fatal(err)
+			cliutil.Usagef("nvsweep: %v", err)
 		}
 		xc := xcfgs[0]
 		const proxyIdxBits = 4
@@ -151,7 +147,7 @@ func main() {
 	// One campaign config per organization point; the characterization is
 	// a pure function of the organization, so the campaign gives the sweep
 	// parallelism, cancellation, and checkpoint/resume for free.
-	orgs := nvsim.Organizations(cfg)
+	orgs := nvsim.Organizations()
 	labels := make([]string, len(orgs))
 	byLabel := make(map[string]nvsim.Organization, len(orgs))
 	for i, o := range orgs {
@@ -278,13 +274,7 @@ func main() {
 		fmt.Printf("write time (full array): %.4g s; leakage %.3f mW\n", best.WriteTimeSec, best.LeakageMW)
 	}
 	if res.Interrupted {
-		if *checkpoint != "" {
-			fmt.Printf("interrupted: partial sweep above; rerun with -resume -checkpoint %s to finish\n", *checkpoint)
-		} else {
-			fmt.Println("interrupted: partial sweep above (set -checkpoint to make sweeps resumable)")
-		}
-		tel.Dump() // os.Exit skips the deferred dump
-		os.Exit(130)
+		tel.ExitInterrupted("sweep", "sweeps", *checkpoint)
 	}
 }
 

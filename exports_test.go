@@ -51,33 +51,10 @@ func TestNoTestOnlyExports(t *testing.T) {
 	type decl struct{ key, dir, pos string }
 	var decls []decl
 	used := map[string]bool{}
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		declared := map[*ast.Ident]bool{}
-		dir := filepath.ToSlash(filepath.Dir(path))
+	walkModule(t, func(fset *token.FileSet, dir string, f *ast.File, declared map[*ast.Ident]bool) {
 		for _, d := range f.Decls {
 			fn, ok := d.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			declared[fn.Name] = true
-			if !fn.Name.IsExported() || !strings.HasPrefix(dir, "internal/") {
+			if !ok || !fn.Name.IsExported() || !strings.HasPrefix(dir, "internal/") {
 				continue
 			}
 			key := filepath.Base(dir) + "."
@@ -92,11 +69,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 			}
 			return true
 		})
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var unused []string
 	exempted := map[string]bool{}
 	for _, d := range decls {
@@ -134,4 +107,157 @@ func recvName(e ast.Expr) string {
 		return id.Name
 	}
 	return "?"
+}
+
+// walkModule parses every non-test .go file of the module (cmd/,
+// examples/, perfbench/, internal/ and the root; not testdata or hidden
+// directories) and calls visit with the file's slash-separated directory
+// and the identifiers that name the file's own function declarations.
+func walkModule(t *testing.T, visit func(fset *token.FileSet, dir string, f *ast.File, declared map[*ast.Ident]bool)) {
+	t.Helper()
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		declared := map[*ast.Ident]bool{}
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok {
+				declared[fn.Name] = true
+			}
+		}
+		visit(fset, filepath.ToSlash(filepath.Dir(path)), f, declared)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// unsetOptionAllowed lists the option fields that no non-test code
+// outside their own package sets but that stay settable, each with its
+// reason. A key is "pkg.Type.Field", or "pkg.Type" for every field of the
+// type. An entry that exempts nothing fails the test.
+var unsetOptionAllowed = map[string]string{
+	"quant.ClusterOptions.SampleLimit": "the reference tests reach sampled k-means at 2000 weights",
+	"quant.ClusterOptions.MaxIter":     "the reference tests reach sampled k-means at 2000 weights",
+	"sparse.BitMaskOptions.IdxSync": "sparse.Encode sets both values from the format table (BitM and BitM+IdxSync); " +
+		"callers outside the package choose a format, not the field",
+	"sparse.BitMaskOptions.MaskBlockBits": "the IdxSync fuzz and reference tests sweep block sizes; " +
+		"production uses the default",
+	"crossbar.Config.ADCHeadroom":  "TestXbarGolden pins an ADC clipping case at headroom 0.25",
+	"train.Config.BatchSize":       "TestGradientCheckFC takes one plain SGD step",
+	"train.Config.LearningRate":    "TestGradientCheckFC takes one plain SGD step",
+	"train.Config.Momentum":        "TestGradientCheckFC takes one plain SGD step",
+	"supervise.Options.NamePrefix": "the tests' in-process supervisors name their workers apart",
+	"supervise.Options.OnSpawn":    "the tests' in-process supervisors and the chaos hooks observe spawns",
+	"supervise.Options.OnExit":     "the tests' in-process supervisors and the chaos hooks observe exits",
+	"chaos.ScheduleOptions":        "test-support package: the chaos and supervision soak tests draw their fault schedules with it",
+	"nvdla.Config": "the Table 3 hardware presets NVDLA64 and NVDLA1024 describe the accelerators; " +
+		"their fields are set once there and are not options",
+}
+
+// TestNoUnsetOptions fails when an exported, untagged field of an
+// exported Options or Config struct under internal/ is named by no
+// non-test file outside its own package: no production caller sets it,
+// so its default is the only value in use and belongs in a constant.
+// Tagged fields are left out, since decoding sets them. The scan is by
+// name, so it cannot flag a field that shares its name with a live one
+// elsewhere: train.SynthConfig.H and W, which only tests set, escape it
+// that way, as nvsim.Config.DataWidth (beside nvsim.Result.DataWidth)
+// and SynthConfig.Classes (beside train.Dataset.Classes) did.
+func TestNoUnsetOptions(t *testing.T) {
+	type field struct{ key, typ, dir, pos string }
+	var fields []field
+	usedIn := map[string]map[string]bool{} // name -> directories naming it
+	walkModule(t, func(fset *token.FileSet, dir string, f *ast.File, declared map[*ast.Ident]bool) {
+		ast.Inspect(f, func(n ast.Node) bool {
+			st, ok := n.(*ast.StructType)
+			if !ok {
+				return true
+			}
+			for _, fl := range st.Fields.List {
+				for _, id := range fl.Names {
+					declared[id] = true
+				}
+			}
+			return true
+		})
+		for _, d := range f.Decls {
+			gd, ok := d.(*ast.GenDecl)
+			if !ok || gd.Tok != token.TYPE || !strings.HasPrefix(dir, "internal/") {
+				continue
+			}
+			for _, sp := range gd.Specs {
+				ts := sp.(*ast.TypeSpec)
+				st, ok := ts.Type.(*ast.StructType)
+				name := ts.Name.Name
+				if !ok || !ts.Name.IsExported() || !(strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Config")) {
+					continue
+				}
+				typ := filepath.Base(dir) + "." + name
+				for _, fl := range st.Fields.List {
+					if fl.Tag != nil {
+						continue
+					}
+					for _, id := range fl.Names {
+						if id.IsExported() {
+							fields = append(fields, field{typ + "." + id.Name, typ, dir, fset.Position(id.Pos()).String()})
+						}
+					}
+				}
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && !declared[id] {
+				if usedIn[id.Name] == nil {
+					usedIn[id.Name] = map[string]bool{}
+				}
+				usedIn[id.Name][dir] = true
+			}
+			return true
+		})
+	})
+	var unset []string
+	exempted := map[string]bool{}
+	for _, fd := range fields {
+		name := fd.key[strings.LastIndex(fd.key, ".")+1:]
+		setOutside := false
+		for dir := range usedIn[name] {
+			if dir != fd.dir {
+				setOutside = true
+			}
+		}
+		switch {
+		case setOutside:
+		case unsetOptionAllowed[fd.key] != "":
+			exempted[fd.key] = true
+		case unsetOptionAllowed[fd.typ] != "":
+			exempted[fd.typ] = true
+		default:
+			unset = append(unset, fd.key+" ("+fd.pos+")")
+		}
+	}
+	sort.Strings(unset)
+	for _, u := range unset {
+		t.Errorf("option %s is set by no non-test code outside its package: fold it into the constant its default applies, or allow-list it with a reason", u)
+	}
+	for key := range unsetOptionAllowed {
+		if !exempted[key] {
+			t.Errorf("allow-list entry %s exempts nothing: remove it", key)
+		}
+	}
 }

@@ -158,7 +158,7 @@ func TestEvalTrial24ParityLeNet5(t *testing.T) {
 	}
 	m := dnn.LeNet5()
 	m.InitWeights(29)
-	test := train.Synthesize(train.SynthConfig{N: 48, H: 28, W: 28, Classes: 10, Seed: 13, ProtoSeed: 77})
+	test := train.Synthesize(train.SynthConfig{N: 48, H: 28, W: 28, Seed: 13, ProtoSeed: 77})
 	ev, err := NewMeasuredEvaluator(m, test, 5)
 	if err != nil {
 		t.Fatal(err)

@@ -32,7 +32,7 @@ func getLeNet5(t *testing.T) *MeasuredEvaluator {
 	lenet5Once.Do(func() {
 		m := dnn.LeNet5()
 		m.InitWeights(29)
-		test := train.Synthesize(train.SynthConfig{N: 48, H: 28, W: 28, Classes: 10, Seed: 13, ProtoSeed: 77})
+		test := train.Synthesize(train.SynthConfig{N: 48, H: 28, W: 28, Seed: 13, ProtoSeed: 77})
 		lenet5Ev, lenet5Err = NewMeasuredEvaluator(m, test, 5)
 	})
 	if lenet5Err != nil {

@@ -112,7 +112,8 @@ func IsTransient(err error) bool {
 	return errors.As(err, &t) && t.Transient()
 }
 
-// Options tunes a campaign.
+// Options tunes a campaign. A zero field means the default its comment
+// names, or the mechanism off.
 type Options struct {
 	// Seed is the campaign base seed; every trial seed derives from it
 	// (TrialSeed). A resumed campaign must use the same base seed — the
@@ -121,7 +122,7 @@ type Options struct {
 	// MaxTrials is the per-config trial budget (required, > 0).
 	MaxTrials int
 	// MinTrials is the minimum trials folded before early stopping may
-	// trigger (default 4; only meaningful with CITarget > 0).
+	// trigger (default 4, at least 2; only meaningful with CITarget > 0).
 	MinTrials int
 	// CITarget enables adaptive early stopping: once a config's
 	// confidence-interval half-width on the primary metric is <= CITarget
@@ -134,12 +135,6 @@ type Options struct {
 	Workers int
 	// TrialTimeout is the per-trial deadline (0 = none).
 	TrialTimeout time.Duration
-	// Retries is the retry budget for transient failures per trial
-	// (default 2; the first attempt is not a retry).
-	Retries int
-	// Backoff is the base retry backoff, doubled per attempt (default
-	// 10ms). Backoff sleeps are cancellable.
-	Backoff time.Duration
 	// CheckpointPath appends every completed trial to a JSONL file ("" =
 	// no checkpointing).
 	CheckpointPath string
@@ -148,11 +143,8 @@ type Options struct {
 	// repaired (truncated) before the first new append.
 	Resume bool
 	// Fsync is the checkpoint durability policy (the zero value is
-	// durable.SyncInterval: fsync at most once per FsyncInterval).
+	// durable.SyncInterval: fsync at most once a second).
 	Fsync durable.SyncPolicy
-	// FsyncInterval is the amortization window for durable.SyncInterval
-	// (default 1s).
-	FsyncInterval time.Duration
 	// LockCheckpoint takes an exclusive advisory lock on the checkpoint
 	// for the campaign's lifetime, so two campaigns cannot interleave
 	// one file; the second one fails with durable.ErrLocked.
@@ -206,6 +198,14 @@ type Options struct {
 	OnTrialStart func(Trial)
 }
 
+// A trial that fails transiently is retried trialRetries times (the
+// first attempt is not a retry), after cancellable sleeps drawn by
+// retryBackoff from retryBase, which doubles per attempt.
+const (
+	trialRetries = 2
+	retryBase    = 10 * time.Millisecond
+)
+
 // Span is a per-config trial sub-range [Lo, Hi). See Options.Spans.
 type Span struct {
 	Config string
@@ -227,14 +227,6 @@ func (o Options) withDefaults() Options {
 		if o.Workers > 8 {
 			o.Workers = 8
 		}
-	}
-	if o.Retries < 0 {
-		o.Retries = 0
-	} else if o.Retries == 0 {
-		o.Retries = 2
-	}
-	if o.Backoff <= 0 {
-		o.Backoff = 10 * time.Millisecond
 	}
 	return o
 }
@@ -650,7 +642,7 @@ func (c *Campaign) worker(ctx context.Context, specs <-chan Trial, results chan<
 	}
 }
 
-// attempt runs one trial with up to 1+Retries attempts. A nil return
+// attempt runs one trial with up to 1+trialRetries attempts. A nil return
 // means the campaign context was cancelled and the trial is unfinished.
 // The returned record (success or terminal failure) is folded into the
 // engine metrics together with the trial's wall time including retries;
@@ -668,7 +660,7 @@ func (c *Campaign) attempt(ctx context.Context, spec Trial) (rec *Record) {
 	}()
 	var lastErr error
 	attempts := 0
-	for attempts <= c.opt.Retries {
+	for attempts <= trialRetries {
 		attempts++
 		if attempts > 1 {
 			c.met.retried.Inc()
@@ -694,7 +686,7 @@ func (c *Campaign) attempt(ctx context.Context, spec Trial) (rec *Record) {
 		// fleet workers that trip over one shared fault (a slow shared
 		// disk, a saturated lease directory) from retrying in lockstep;
 		// deriving it from the trial seed keeps replays deterministic.
-		backoff := retryBackoff(c.opt.Backoff, spec.Seed, attempts)
+		backoff := retryBackoff(retryBase, spec.Seed, attempts)
 		timer := time.NewTimer(backoff)
 		select {
 		case <-timer.C:

@@ -204,7 +204,7 @@ func TestTransientRetrySucceeds(t *testing.T) {
 		return detRun(ctx, tr)
 	}
 	res := mustRun(t, []string{"cfg"}, run, Options{
-		Seed: 1, MaxTrials: 3, Workers: 1, Retries: 3, Backoff: time.Millisecond,
+		Seed: 1, MaxTrials: 3, Workers: 1,
 	})
 	cr := res.Config("cfg")
 	if cr.N != 3 || len(cr.Errors) != 0 {
@@ -217,7 +217,7 @@ func TestTransientRetryExhausts(t *testing.T) {
 		return Sample{}, Transient(fmt.Errorf("always down"))
 	}
 	res := mustRun(t, []string{"cfg"}, run, Options{
-		Seed: 1, MaxTrials: 2, Workers: 1, Retries: 2, Backoff: time.Millisecond,
+		Seed: 1, MaxTrials: 2, Workers: 1,
 	})
 	cr := res.Config("cfg")
 	if cr.N != 0 || len(cr.Errors) != 2 {
@@ -235,7 +235,7 @@ func TestNonTransientErrorIsTerminal(t *testing.T) {
 		return Sample{}, fmt.Errorf("hard failure")
 	}
 	res := mustRun(t, []string{"cfg"}, run, Options{
-		Seed: 1, MaxTrials: 1, Workers: 1, Retries: 3, Backoff: time.Millisecond,
+		Seed: 1, MaxTrials: 1, Workers: 1,
 	})
 	if got := calls.Load(); got != 1 {
 		t.Errorf("non-transient error retried: %d calls", got)

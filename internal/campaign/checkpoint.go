@@ -81,10 +81,9 @@ type checkpointWriter struct {
 // gets a v2 header.
 func openCheckpoint(opt Options, met *engineMetrics) (*checkpointWriter, durable.RepairInfo, error) {
 	wopt := durable.Options{
-		FS:           opt.FS,
-		Sync:         opt.Fsync,
-		SyncInterval: opt.FsyncInterval,
-		Lock:         opt.LockCheckpoint,
+		FS:   opt.FS,
+		Sync: opt.Fsync,
+		Lock: opt.LockCheckpoint,
 	}
 	var rep durable.RepairInfo
 	if opt.Resume {

@@ -18,7 +18,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/durable"
 	"repro/internal/errfs"
@@ -62,7 +61,6 @@ func TestCrashMatrixRecovery(t *testing.T) {
 				copt.CheckpointPath = path
 				copt.FS = fs
 				copt.Fsync = pol
-				copt.FsyncInterval = time.Millisecond
 				copt.LockCheckpoint = true
 				copt.Metrics = telemetry.NewRegistry()
 

@@ -40,7 +40,7 @@ func TestEngineMetrics(t *testing.T) {
 		return run(ctx, tr)
 	}
 	c, err := New([]string{"good", "bad"}, wrapped, Options{
-		Seed: 7, MaxTrials: 4, Workers: 1, Retries: 2, Backoff: time.Millisecond,
+		Seed: 7, MaxTrials: 4, Workers: 1,
 		CheckpointPath: ckpt, Metrics: reg,
 	})
 	if err != nil {

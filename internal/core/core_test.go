@@ -100,14 +100,15 @@ func TestSearchedPoliciesAreProbed(t *testing.T) {
 		for _, kind := range sparse.Kinds {
 			t.Run(tech.Name+"/"+kind.String(), func(t *testing.T) {
 				forEachSelection(tech, kind, func(policies map[string]ares.StreamPolicy) {
-					for _, lp := range ex.Profiles[kind] {
+					for l, lp := range ex.Profiles[kind] {
+						name := ex.PM.Layers[l].Name
 						for _, sp := range lp.Streams {
 							p, ok := policies[sp.Name]
 							if !ok {
-								t.Fatalf("%s: no policy for stream %q", lp.LayerName, sp.Name)
+								t.Fatalf("%s: no policy for stream %q", name, sp.Name)
 							}
 							if _, ok := sp.Probes[p]; !ok {
-								t.Fatalf("%s/%s: searched policy %s has no probe", lp.LayerName, sp.Name, p)
+								t.Fatalf("%s/%s: searched policy %s has no probe", name, sp.Name, p)
 							}
 						}
 					}
@@ -366,30 +367,31 @@ func TestIdxSyncContainsBitmaskCascade(t *testing.T) {
 				return sp.Probes[p]
 			}
 		}
-		t.Fatalf("%s/%v: no bitmask stream", lp.LayerName, lp.Kind)
+		t.Fatal("no bitmask stream")
 		return DamageProbe{}
 	}
 	plain, synced := ex.Profiles[sparse.KindBitMask], ex.Profiles[sparse.KindBitMaskIdxSync]
 	multiBlock := 0
 	for l, lp := range plain {
 		sl := synced[l]
+		name, weights := ex.PM.Layers[l].Name, len(ex.PM.Layers[l].CL.Indices)
 		for _, p := range PolicyChoices(searchMaxBPC) {
 			if p.ECC {
 				continue
 			}
 			bm, is := maskProbe(lp, p), maskProbe(sl, p)
 			if !bm.Catastrophic() {
-				t.Errorf("%s %v: bitmask probe DMismatch %.4g is not catastrophic", lp.LayerName, p, bm.DMismatch)
+				t.Errorf("%s %v: bitmask probe DMismatch %.4g is not catastrophic", name, p, bm.DMismatch)
 			}
 			if is.DMismatch > bm.DMismatch {
-				t.Errorf("%s %v: IdxSync DMismatch %.4g above plain bitmask %.4g", lp.LayerName, p, is.DMismatch, bm.DMismatch)
+				t.Errorf("%s %v: IdxSync DMismatch %.4g above plain bitmask %.4g", name, p, is.DMismatch, bm.DMismatch)
 			}
-			if sl.SubWeights > sparse.BlockBytes*8 && is.Catastrophic() {
+			if weights > sparse.BlockBytes*8 && is.Catastrophic() {
 				t.Errorf("%s %v: IdxSync bitmask probe DMismatch %.4g still cascades over %d mask bits",
-					lp.LayerName, p, is.DMismatch, sl.SubWeights)
+					name, p, is.DMismatch, weights)
 			}
 		}
-		if sl.SubWeights > sparse.BlockBytes*8 {
+		if weights > sparse.BlockBytes*8 {
 			multiBlock++
 		}
 	}

@@ -41,9 +41,8 @@ func (d DamageProbe) Catastrophic() bool { return ares.Cascades(d.DMismatch) }
 // StreamProfile is one stored structure's probe table.
 type StreamProfile struct {
 	Name string
-	// SubDataBits is the encoded size of the subsampled representation;
-	// FullDataBits extrapolates to the real layer.
-	SubDataBits  int64
+	// FullDataBits is the encoded size of the profiled (possibly
+	// subsampled) representation, extrapolated to the real layer.
 	FullDataBits int64
 	Probes       map[ares.StreamPolicy]DamageProbe
 }
@@ -52,11 +51,8 @@ type StreamProfile struct {
 // one encoding kind. Damage probes are technology-independent; fault
 // intensities are attached later per technology.
 type LayerProfile struct {
-	LayerName string
-	Kind      sparse.Kind
-	Scale     float64
-	// SubWeights / SubSignalSS describe the profiled representation.
-	SubWeights  int
+	Scale float64
+	// SubSignalSS is the signal energy of the profiled representation.
 	SubSignalSS float64
 	FullWeights int64
 	Streams     []StreamProfile
@@ -85,13 +81,7 @@ func ProfileLayer(pl PreparedLayer, kind sparse.Kind, opt ProfileOptions) LayerP
 	opt = opt.withDefaults()
 	cl := pl.CL
 	enc := sparse.Must(ares.EncodeLayer(cl, ares.Config{Encoding: kind}))
-	lp := LayerProfile{
-		LayerName:   pl.Name,
-		Kind:        kind,
-		Scale:       pl.Scale,
-		SubWeights:  len(cl.Indices),
-		FullWeights: pl.FullWeights(),
-	}
+	lp := LayerProfile{Scale: pl.Scale, FullWeights: pl.FullWeights()}
 	for _, idx := range cl.Indices {
 		w := float64(cl.Centroids[idx])
 		lp.SubSignalSS += w * w
@@ -100,7 +90,6 @@ func ProfileLayer(pl PreparedLayer, kind sparse.Kind, opt ProfileOptions) LayerP
 	for i, s := range enc.Streams() {
 		sp := StreamProfile{
 			Name:         s.Name,
-			SubDataBits:  s.SizeBits(),
 			FullDataBits: int64(float64(s.SizeBits()) * pl.Scale),
 			Probes:       make(map[ares.StreamPolicy]DamageProbe),
 		}

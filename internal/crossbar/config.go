@@ -27,10 +27,11 @@ import (
 )
 
 // Config describes one crossbar design point plus its fault environment
-// and online-tolerance policy. The zero value of each knob keeps the
-// corresponding mechanism off (no variation, no faults, ideal ADC, no
-// detection), so Config{Rows: 64, Cols: 64} is an ideal crossbar whose
-// trials reproduce the dense digital forward pass bit for bit.
+// and online-tolerance policy. The zero value of each knob but
+// ADCHeadroom keeps the corresponding mechanism off (no variation, no
+// faults, ideal ADC, no detection), so Config{Rows: 64, Cols: 64} is an
+// ideal crossbar whose trials reproduce the dense digital forward pass
+// bit for bit; a zero ADCHeadroom means the default full scale.
 type Config struct {
 	// Rows and Cols are the tile dimensions: Rows wordlines (inputs)
 	// by Cols differential column pairs (outputs) per tile. A layer's
@@ -46,18 +47,15 @@ type Config struct {
 	// DeriveSigma to take the technology's calibrated level sigma.
 	VarSigma float64
 	// StuckRate is the per-device stuck-at probability (each weight is
-	// two devices). A stuck device's conductance pins to G_on or G_off
-	// regardless of the programmed target.
+	// two devices). A stuck device's conductance pins to G_on (with
+	// probability stuckOnFrac) or G_off, regardless of the programmed
+	// target.
 	StuckRate float64
 	// StuckColRate is the per-column stuck-driver probability: the
 	// whole positive or negative line of one (row-tile, output) column
 	// pins to G_on or G_off. This is the column-granular fault class
 	// the online detector is built to catch.
 	StuckColRate float64
-	// StuckOnFrac is the fraction of stuck faults pinned at G_on (the
-	// damaging direction); the rest pin at G_off. 0 means the default
-	// 0.5.
-	StuckOnFrac float64
 	// ADCBits is the per-column ADC resolution; 0 disables ADC
 	// quantization entirely (ideal readout — the parity configuration).
 	ADCBits int
@@ -78,12 +76,13 @@ type Config struct {
 	MaxRemaps int
 }
 
+// stuckOnFrac is the fraction of stuck devices and stuck column drivers
+// pinned at G_on (the damaging direction); the rest pin at G_off.
+const stuckOnFrac = 0.5
+
 // withDefaults resolves the zero-value knobs that mean "default"
 // rather than "off".
 func (c Config) withDefaults() Config {
-	if c.StuckOnFrac == 0 {
-		c.StuckOnFrac = 0.5
-	}
 	if c.ADCHeadroom == 0 {
 		c.ADCHeadroom = 1
 	}
@@ -110,17 +109,15 @@ func (c Config) Validate() error {
 		return fmt.Errorf("crossbar: negative remap budget %d", c.MaxRemaps)
 	}
 	for _, f := range []struct {
-		name     string
-		v        float64
-		isRate   bool
-		nonZeroP bool
+		name   string
+		v      float64
+		isRate bool
 	}{
-		{"VarSigma", c.VarSigma, false, false},
-		{"StuckRate", c.StuckRate, true, false},
-		{"StuckColRate", c.StuckColRate, true, false},
-		{"StuckOnFrac", c.StuckOnFrac, true, false},
-		{"ADCHeadroom", c.ADCHeadroom, false, false},
-		{"DetectSigma", c.DetectSigma, false, false},
+		{"VarSigma", c.VarSigma, false},
+		{"StuckRate", c.StuckRate, true},
+		{"StuckColRate", c.StuckColRate, true},
+		{"ADCHeadroom", c.ADCHeadroom, false},
+		{"DetectSigma", c.DetectSigma, false},
 	} {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
 			return fmt.Errorf("crossbar: %s %v must be finite", f.name, f.v)
@@ -152,9 +149,6 @@ func (c Config) String() string {
 	}
 	if c.StuckColRate > 0 {
 		s += fmt.Sprintf(",cf%.4g", c.StuckColRate)
-	}
-	if c.StuckOnFrac != 0 && c.StuckOnFrac != 0.5 {
-		s += fmt.Sprintf(",on%.4g", c.StuckOnFrac)
 	}
 	if c.ADCBits > 0 {
 		s += fmt.Sprintf(",adc%d", c.ADCBits)

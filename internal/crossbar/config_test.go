@@ -29,7 +29,6 @@ func TestConfigValidate(t *testing.T) {
 		{Rows: 64, Cols: 64, StuckRate: 1.5},
 		{Rows: 64, Cols: 64, StuckRate: math.NaN()},
 		{Rows: 64, Cols: 64, StuckColRate: -1},
-		{Rows: 64, Cols: 64, StuckOnFrac: 2},
 		{Rows: 64, Cols: 64, ADCHeadroom: math.NaN()},
 		{Rows: 64, Cols: 64, DetectSigma: -3},
 	}

@@ -236,7 +236,7 @@ func (t *Trial) Program(src *stats.Source) {
 		csrc := src.Fork(2)
 		forEachHit(2*len(t.dPos), cfg.StuckRate, csrc, func(d int, u *stats.Source) {
 			g := 0.0
-			if u.Float64() < cfg.StuckOnFrac {
+			if u.Float64() < stuckOnFrac {
 				g = 1.0
 			}
 			w := d >> 1
@@ -253,7 +253,7 @@ func (t *Trial) Program(src *stats.Source) {
 		forEachHit(ly.Segments(), cfg.StuckColRate, ksrc, func(s int, u *stats.Source) {
 			pos := u.Float64() < 0.5
 			g := 0.0
-			if u.Float64() < cfg.StuckOnFrac {
+			if u.Float64() < stuckOnFrac {
 				g = 1.0
 			}
 			rt, j := s/ly.out, s%ly.out

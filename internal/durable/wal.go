@@ -55,7 +55,7 @@ const MaxLineBytes = 16 << 20
 type SyncPolicy int
 
 const (
-	// SyncInterval fsyncs at most once per Options.SyncInterval, amortized
+	// SyncInterval fsyncs at most once per syncWindow (1s), amortized
 	// over appends (and once more on Close).
 	SyncInterval SyncPolicy = iota
 	// SyncNever leaves flushing entirely to the OS.
@@ -90,15 +90,15 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	return SyncInterval, fmt.Errorf("durable: unknown fsync policy %q (want never|interval|always)", s)
 }
 
+// syncWindow is the amortization window of the SyncInterval policy.
+const syncWindow = time.Second
+
 // Options tunes a WAL.
 type Options struct {
 	// FS is the filesystem to operate on (nil = the real one).
 	FS FS
 	// Sync is the fsync policy (zero value = SyncInterval).
 	Sync SyncPolicy
-	// SyncInterval is the amortization window for SyncInterval
-	// (default 1s).
-	SyncInterval time.Duration
 	// Lock takes a non-blocking exclusive lock on the file for the
 	// WAL's lifetime; opening a locked file fails with ErrLocked.
 	Lock bool
@@ -110,9 +110,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.FS == nil {
 		o.FS = OS()
-	}
-	if o.SyncInterval <= 0 {
-		o.SyncInterval = time.Second
 	}
 	return o
 }
@@ -362,7 +359,7 @@ func (w *WAL) Append(payload []byte) error {
 	case SyncAlways:
 		return w.syncLocked()
 	case SyncInterval:
-		if time.Since(w.lastSync) >= w.opt.SyncInterval {
+		if time.Since(w.lastSync) >= syncWindow {
 			return w.syncLocked()
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/durable"
 	"repro/internal/errfs"
@@ -221,7 +222,8 @@ func TestSyncPolicies(t *testing.T) {
 	cases := []struct {
 		policy durable.SyncPolicy
 		// syncs per N appends: always = N (+1 close), never = 0,
-		// interval with a huge window = 0 (+1 close).
+		// interval = 0 (+1 close), since N appends take far less than
+		// the 1s window.
 		wantAppendSyncs func(n int) int
 		closeSyncs      int
 	}{
@@ -233,7 +235,7 @@ func TestSyncPolicies(t *testing.T) {
 		t.Run(c.policy.String(), func(t *testing.T) {
 			fs := errfs.New(nil, errfs.Plan{})
 			path := filepath.Join(t.TempDir(), "w.wal")
-			opt := durable.Options{FS: fs, Sync: c.policy, SyncInterval: 1 << 30}
+			opt := durable.Options{FS: fs, Sync: c.policy}
 			w, err := durable.Create(path, opt)
 			if err != nil {
 				t.Fatal(err)
@@ -260,12 +262,13 @@ func TestSyncPolicies(t *testing.T) {
 func TestSyncIntervalElapsedTriggersSync(t *testing.T) {
 	fs := errfs.New(nil, errfs.Plan{})
 	path := filepath.Join(t.TempDir(), "w.wal")
-	w, err := durable.Create(path, durable.Options{FS: fs, Sync: durable.SyncInterval, SyncInterval: 1})
+	w, err := durable.Create(path, durable.Options{FS: fs, Sync: durable.SyncInterval})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	// 1ns interval: every append is past the window.
+	// Past the 1s window, the next append syncs.
+	time.Sleep(1100 * time.Millisecond)
 	if err := w.Append([]byte("a")); err != nil {
 		t.Fatal(err)
 	}

@@ -13,16 +13,14 @@ import (
 // StoreConfig says how a bit stream is held in eNVM cells: which
 // technology, how many bits per cell, whether the level mapping is
 // Gray-coded (required for ECC so an adjacent-level fault is a single bit
-// flip), and the sense-amp design point.
+// flip), and how long the cells have aged. Reads go through the paper's
+// sense-amp design point, DefaultSenseAmp.
 type StoreConfig struct {
 	Tech Tech
 	// BPC is bits per cell (1..Tech.MaxBitsPerCell).
 	BPC int
 	// Gray selects Gray-coded level mapping.
 	Gray bool
-	// SenseAmp is the sensing design point; the zero value means
-	// DefaultSenseAmp.
-	SenseAmp SenseAmp
 	// RetentionYears ages the stored levels with drift before deriving
 	// fault rates (0 = freshly programmed). Lets the explorer require a
 	// configuration to stay within the accuracy bound over a deployment
@@ -42,13 +40,6 @@ func (c StoreConfig) Validate() error {
 	return nil
 }
 
-func (c StoreConfig) senseAmp() SenseAmp {
-	if c.SenseAmp == (SenseAmp{}) {
-		return DefaultSenseAmp
-	}
-	return c.SenseAmp
-}
-
 // faultMapCache memoizes derived fault maps: deriving one runs the
 // iterative sigma calibration, and design-space enumeration calls
 // FaultMap millions of times with a handful of distinct configurations.
@@ -60,11 +51,10 @@ type faultMapKey struct {
 	tech  Tech
 	bpc   int
 	years float64
-	sa    SenseAmp
 }
 
 // FaultMap returns the effective per-level misread probabilities for
-// this configuration: Gaussian level overlap widened by the sense amp,
+// this configuration: Gaussian level overlap widened by DefaultSenseAmp,
 // clamped from below by the technology's retention/defect floor on every
 // physically possible transition. The result is memoized per
 // configuration and must be treated as read-only.
@@ -73,7 +63,7 @@ type faultMapKey struct {
 // Validate before reaching here, so a failure is a programmer error,
 // not a recoverable input condition.
 func (c StoreConfig) FaultMap() FaultMap {
-	key := faultMapKey{tech: c.Tech, bpc: c.BPC, years: c.RetentionYears, sa: c.senseAmp()}
+	key := faultMapKey{tech: c.Tech, bpc: c.BPC, years: c.RetentionYears}
 	if v, ok := faultMapCache.Load(key); ok {
 		return v.(FaultMap)
 	}
@@ -81,7 +71,7 @@ func (c StoreConfig) FaultMap() FaultMap {
 	if err != nil {
 		panic(err)
 	}
-	lm := c.senseAmp().Apply(raw)
+	lm := DefaultSenseAmp.Apply(raw)
 	fm := lm.FaultMap()
 	floor := c.Tech.RetentionFloor(c.BPC)
 	n := fm.NumLevels()

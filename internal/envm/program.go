@@ -35,8 +35,6 @@ type ProgramStats struct {
 	// AchievedSigma is the standard deviation of the final stored values
 	// around their mean (the device-level sigma the fault model consumes).
 	AchievedSigma float64
-	// Overshoot is the mean final value minus the target.
-	Overshoot float64
 }
 
 // SimulateProgramming programs `cells` virtual cells from 0 to target
@@ -74,7 +72,6 @@ func (pm ProgramModel) SimulateProgramming(target float64, cells int, src *stats
 	return ProgramStats{
 		MeanPulses:    pulseSum / float64(cells),
 		AchievedSigma: s.Std,
-		Overshoot:     s.Mean - target,
 	}
 }
 

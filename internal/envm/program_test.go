@@ -1,6 +1,7 @@
 package envm
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/stats"
@@ -18,8 +19,14 @@ func TestSimulateProgrammingBasics(t *testing.T) {
 		t.Errorf("mean pulses %.1f, expected ~%.1f", st.MeanPulses, want)
 	}
 	// One-sided stop rule: overshoot is positive and bounded by ~a pulse.
-	if st.Overshoot < 0 || st.Overshoot > 3*DefaultProgram.PulseMean {
-		t.Errorf("overshoot %.4f out of range", st.Overshoot)
+	finals, pulses := programFinals(DefaultProgram, 0.5, 2000, stats.NewSource(1))
+	ref := stats.Summarize(finals)
+	if pulses != st.MeanPulses || ref.Std != st.AchievedSigma {
+		t.Errorf("reference loop: pulses %v sigma %v, SimulateProgramming: %v %v",
+			pulses, ref.Std, st.MeanPulses, st.AchievedSigma)
+	}
+	if over := ref.Mean - 0.5; over < 0 || over > 3*DefaultProgram.PulseMean {
+		t.Errorf("overshoot %.4f out of range", over)
 	}
 	// Programmed distribution is tighter than the raw pulse spread would
 	// suggest thanks to the verify loop.
@@ -85,4 +92,22 @@ func TestLevelsAfterZeroYearsIdentity(t *testing.T) {
 			t.Fatal("zero-year drift changed levels")
 		}
 	}
+}
+
+// programFinals is the program-and-verify loop of SimulateProgramming,
+// returning every cell's final level and the mean pulse count, so tests
+// can check the distribution's mean, which ProgramStats does not report.
+func programFinals(pm ProgramModel, target float64, cells int, src *stats.Source) ([]float64, float64) {
+	finals := make([]float64, cells)
+	var pulseSum float64
+	for c := range finals {
+		level, pulses := 0.0, 0
+		for pulses <= 10000 && level+src.Gaussian(0, pm.VerifyNoise) < target {
+			level += math.Max(src.Gaussian(pm.PulseMean, pm.PulseSigma), 0)
+			pulses++
+		}
+		finals[c] = level
+		pulseSum += float64(pulses)
+	}
+	return finals, pulseSum / float64(cells)
 }

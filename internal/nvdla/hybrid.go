@@ -14,7 +14,6 @@ import (
 // and DRAM hold mutually exclusive weight sets.
 type HybridPlan struct {
 	AreaBudgetMM2 float64
-	ENVMFrac      float64
 
 	ENVMArray   nvsim.Result
 	ENVMCapBits int64
@@ -30,7 +29,7 @@ type HybridPlan struct {
 // greedily places the most DRAM-bottlenecked layers' weights on-chip
 // first (the paper's placement heuristic).
 func PlanHybrid(cfg Config, work []LayerWork, tech envm.Tech, bpc int, budgetMM2, fracENVM float64) HybridPlan {
-	plan := HybridPlan{AreaBudgetMM2: budgetMM2, ENVMFrac: fracENVM}
+	plan := HybridPlan{AreaBudgetMM2: budgetMM2}
 	sram := nvsim.DefaultSRAM
 	plan.SRAMAreaMM2 = budgetMM2 * (1 - fracENVM)
 	plan.SRAMBytes = sram.CapacityBytes(plan.SRAMAreaMM2)

@@ -23,7 +23,6 @@ import (
 type Config struct {
 	Name            string
 	MACs            int
-	ConvBufKB       int
 	SRAMBytes       int64
 	FreqGHz         float64
 	DatapathAreaMM2 float64
@@ -38,12 +37,12 @@ type Config struct {
 // The two evaluated configurations (Table 3).
 var (
 	NVDLA64 = Config{
-		Name: "NVDLA-64", MACs: 64, ConvBufKB: 128, SRAMBytes: 512 << 10,
+		Name: "NVDLA-64", MACs: 64, SRAMBytes: 512 << 10,
 		FreqGHz: 1.0, DatapathAreaMM2: 0.55, DatapathPowerMW: 45,
 		SRAMBandwidthGBs: 6, DRAM: nvsim.DefaultDRAM64,
 	}
 	NVDLA1024 = Config{
-		Name: "NVDLA-1024", MACs: 1024, ConvBufKB: 256, SRAMBytes: 2 << 20,
+		Name: "NVDLA-1024", MACs: 1024, SRAMBytes: 2 << 20,
 		FreqGHz: 1.0, DatapathAreaMM2: 2.4, DatapathPowerMW: 320,
 		SRAMBandwidthGBs: 25, DRAM: nvsim.DefaultDRAM1024,
 	}

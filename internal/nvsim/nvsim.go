@@ -66,11 +66,6 @@ type Config struct {
 	CapacityBits int64
 	// Target picks the organization from the sweep.
 	Target Target
-	// DataWidth fixes the access width in bits; 0 sweeps {8..128}.
-	DataWidth int
-	// MuxFactor is the column multiplexing degree for sense amps
-	// (Section 2.3); 0 means 8.
-	MuxFactor int
 }
 
 // Result is one characterized organization.
@@ -107,6 +102,10 @@ var bankChoices = []int{1, 2, 4, 8, 16, 32, 64}
 var matChoices = []int{1, 2, 4, 8, 16}
 var widthChoices = []int{8, 16, 32, 64, 128}
 
+// muxFactor is the column multiplexing degree for sense amps (Section
+// 2.3): one sensing stage serves 8 columns.
+const muxFactor = 8
+
 // Organization is one point of the sweep search space.
 type Organization struct {
 	Banks     int
@@ -114,17 +113,13 @@ type Organization struct {
 	DataWidth int // bits per access
 }
 
-// Organizations enumerates the sweep search space for cfg (banks x mats
-// x data width; a fixed cfg.DataWidth collapses the width axis).
-func Organizations(cfg Config) []Organization {
-	widths := widthChoices
-	if cfg.DataWidth != 0 {
-		widths = []int{cfg.DataWidth}
-	}
-	out := make([]Organization, 0, len(bankChoices)*len(matChoices)*len(widths))
+// Organizations enumerates the sweep search space: banks x mats x data
+// width, the same for every configuration.
+func Organizations() []Organization {
+	out := make([]Organization, 0, len(bankChoices)*len(matChoices)*len(widthChoices))
 	for _, banks := range bankChoices {
 		for _, mats := range matChoices {
-			for _, dw := range widths {
+			for _, dw := range widthChoices {
 				out = append(out, Organization{Banks: banks, Mats: mats, DataWidth: dw})
 			}
 		}
@@ -163,7 +158,7 @@ func SweepCtx(ctx context.Context, cfg Config) ([]Result, error) {
 		return nil, err
 	}
 	var out []Result
-	for _, org := range Organizations(cfg) {
+	for _, org := range Organizations() {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -238,10 +233,6 @@ const (
 )
 
 func characterizeOrg(cfg Config, banks, mats, dataWidth int) (Result, bool) {
-	mux := cfg.MuxFactor
-	if mux == 0 {
-		mux = 8
-	}
 	cells := envm.CellsFor(cfg.CapacityBits, cfg.BPC)
 	totalMats := int64(banks * mats)
 	cellsPerMat := (cells + totalMats - 1) / totalMats
@@ -251,7 +242,7 @@ func characterizeOrg(cfg Config, banks, mats, dataWidth int) (Result, bool) {
 	}
 	rows, cols := side, side
 	// A mat must deliver the access width from its multiplexed columns.
-	if cols/mux < dataWidth/cfg.BPC/banks && cols < dataWidth {
+	if cols/muxFactor < dataWidth/cfg.BPC/banks && cols < dataWidth {
 		// Tiny arrays can't sustain wide access; widen cols.
 		cols = dataWidth
 	}
@@ -259,7 +250,7 @@ func characterizeOrg(cfg Config, banks, mats, dataWidth int) (Result, bool) {
 
 	// --- Area ---
 	rawCellArea := cfg.Tech.F2ToMM2(int64(rows) * int64(cols) * totalMats)
-	saPerMat := float64(cols) / float64(mux) * float64(levels-1)
+	saPerMat := float64(cols) / float64(muxFactor) * float64(levels-1)
 	saFrac := saCellEquiv * saPerMat / float64(rows*cols)
 	matOverhead := periphDecoderFrac + saFrac
 	area := rawCellArea * (1 + matOverhead)

@@ -63,9 +63,6 @@ type DRAM struct {
 	PowerMW float64
 	// EnergyPJPerBit is the end-to-end access energy.
 	EnergyPJPerBit float64
-	// WakeLatencyMs is the time to power up and reload state when the
-	// system wakes per-inference (Section 5.3).
-	WakeLatencyMs float64
 	// WakeEnergyPJPerBit is the energy to reload one bit of weights from
 	// main storage into DRAM on wake-up.
 	WakeEnergyPJPerBit float64
@@ -73,6 +70,6 @@ type DRAM struct {
 
 // DefaultDRAM64 and DefaultDRAM1024 match the Table 3 baselines.
 var (
-	DefaultDRAM64   = DRAM{ReadBandwidthGBs: 25, PowerMW: 100, EnergyPJPerBit: 15, WakeLatencyMs: 2, WakeEnergyPJPerBit: 30}
-	DefaultDRAM1024 = DRAM{ReadBandwidthGBs: 25, PowerMW: 200, EnergyPJPerBit: 15, WakeLatencyMs: 2, WakeEnergyPJPerBit: 30}
+	DefaultDRAM64   = DRAM{ReadBandwidthGBs: 25, PowerMW: 100, EnergyPJPerBit: 15, WakeEnergyPJPerBit: 30}
+	DefaultDRAM1024 = DRAM{ReadBandwidthGBs: 25, PowerMW: 200, EnergyPJPerBit: 15, WakeEnergyPJPerBit: 30}
 )

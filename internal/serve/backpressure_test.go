@@ -32,7 +32,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 func TestShed429(t *testing.T) {
 	bk := &stubBackend{entered: make(chan struct{}, 1), block: make(chan struct{})}
 	_, hs, reg := newTestServer(t, Options{
-		Backend: bk, Workers: 1, QueueDepth: 2, RetryAfter: 7 * time.Second,
+		Backend: bk, Workers: 1, QueueDepth: 2,
 	})
 	depth := reg.Gauge("serve.queue.depth")
 	shed := reg.Counter("serve.shed")
@@ -60,11 +60,12 @@ func TestShed429(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("overflow request: %d: %s", resp.StatusCode, data)
 	}
-	// Retry-After is the configured 7s jittered ±25% from the request
-	// seed: inside [5, 9], and bit-stable for the same seed.
-	if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || ra < 5 || ra > 9 {
-		t.Errorf("Retry-After = %q, want within [5, 9]", resp.Header.Get("Retry-After"))
-	} else if want := retryAfterSeconds(7*time.Second, 4); strconv.Itoa(ra) != want {
+	// Retry-After is the 1s hint jittered ±25% from the request seed
+	// and rounded stochastically: 1 or 2, and bit-stable for the same
+	// seed.
+	if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || ra < 1 || ra > 2 {
+		t.Errorf("Retry-After = %q, want 1 or 2", resp.Header.Get("Retry-After"))
+	} else if want := retryAfterSeconds(retryAfter, 4); strconv.Itoa(ra) != want {
 		t.Errorf("Retry-After = %d not deterministic for seed 4 (want %s)", ra, want)
 	}
 	if shed.Value() != 1 {
@@ -206,8 +207,8 @@ func TestDrainDeadlineCancelsStuckTrial(t *testing.T) {
 }
 
 // TestRetryAfterJitterEnvelope: the hint is deterministic per seed,
-// stays within ±25% of the configured duration, floors at 1s, and
-// actually spreads across seeds (the anti-stampede point).
+// stays within ±25% of its base, floors at 1s, and actually spreads
+// across seeds (the anti-stampede point).
 func TestRetryAfterJitterEnvelope(t *testing.T) {
 	distinct := map[string]bool{}
 	for seed := uint64(0); seed < 64; seed++ {

@@ -160,10 +160,10 @@ func (s *Server) plan(ep string, req *Request, cfg ares.Config, lp ares.Lifetime
 func (s *Server) writeSubmitError(w http.ResponseWriter, seed uint64, err error) {
 	switch {
 	case errors.Is(err, ErrOverloaded):
-		w.Header().Set("Retry-After", retryAfterSeconds(s.opt.RetryAfter, seed))
+		w.Header().Set("Retry-After", retryAfterSeconds(retryAfter, seed))
 		s.writeError(w, http.StatusTooManyRequests, err)
 	case errors.Is(err, ErrDraining):
-		w.Header().Set("Retry-After", retryAfterSeconds(s.opt.RetryAfter, seed))
+		w.Header().Set("Retry-After", retryAfterSeconds(retryAfter, seed))
 		s.writeError(w, http.StatusServiceUnavailable, err)
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		s.writeError(w, http.StatusGatewayTimeout, err)

@@ -43,7 +43,12 @@ var (
 	ErrDraining = errors.New("serve: draining")
 )
 
-// Options configures a Server.
+// retryAfter is the Retry-After hint returned with 429/503, before the
+// ±25% per-request-seed jitter that decorrelates fleet retries.
+const retryAfter = time.Second
+
+// Options configures a Server. A zero or negative numeric field means
+// its default.
 type Options struct {
 	// Backend evaluates admitted requests. Required.
 	Backend Backend
@@ -58,10 +63,6 @@ type Options struct {
 	DefaultTimeout time.Duration
 	// MaxTimeout caps any requested deadline (default 60s).
 	MaxTimeout time.Duration
-	// RetryAfter is the hint returned with 429/503, before the ±25%
-	// per-request-seed jitter that decorrelates fleet retries
-	// (default 1s).
-	RetryAfter time.Duration
 	// Registry receives server telemetry (default telemetry.Default()).
 	Registry *telemetry.Registry
 }
@@ -78,9 +79,6 @@ func (o *Options) fill() {
 	}
 	if o.MaxTimeout <= 0 {
 		o.MaxTimeout = 60 * time.Second
-	}
-	if o.RetryAfter <= 0 {
-		o.RetryAfter = time.Second
 	}
 	if o.Registry == nil {
 		o.Registry = telemetry.Default()

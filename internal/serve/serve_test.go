@@ -79,9 +79,6 @@ func newTestServer(t *testing.T, opt Options) (*Server, *httptest.Server, *telem
 	t.Helper()
 	reg := telemetry.NewRegistry()
 	opt.Registry = reg
-	if opt.RetryAfter == 0 {
-		opt.RetryAfter = 2 * time.Second
-	}
 	s := New(opt)
 	hs := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {

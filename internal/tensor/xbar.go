@@ -3,7 +3,6 @@ package tensor
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 )
 
 // Xbar routes a layer through the crossbar compute-in-memory kernels:
@@ -36,12 +35,9 @@ type Xbar struct {
 	// that column (an all-zero pristine column segment has no
 	// meaningful range; its partial passes through unquantized).
 	FS []float32
-	// Clips counts quantizer saturation events (shared handles are
-	// updated atomically, once per kernel band).
-	Clips atomic.Int64
-	// ClipCounter, when non-nil, additionally receives every clip
-	// increment (internal/crossbar points it at the
-	// crossbar.adc.clips telemetry counter).
+	// ClipCounter, when non-nil, receives the count of quantizer
+	// saturation events, once per kernel band (internal/crossbar points
+	// it at the crossbar.adc.clips telemetry counter).
 	ClipCounter interface{ Add(n int64) }
 }
 
@@ -60,11 +56,7 @@ func (x *Xbar) check() {
 
 // addClips publishes a kernel band's locally accumulated clip count.
 func (x *Xbar) addClips(n int64) {
-	if n == 0 {
-		return
-	}
-	x.Clips.Add(n)
-	if x.ClipCounter != nil {
+	if n != 0 && x.ClipCounter != nil {
 		x.ClipCounter.Add(n)
 	}
 }
@@ -125,7 +117,7 @@ func (x *Xbar) dims() (rows, cols int) {
 // mulABtBand computes rows [lo, hi) of dst = a * Weffᵀ through the
 // crossbar dataflow: dst[i][j] sums the ADC-quantized per-tile partial
 // dot products of a's row i and Weff's row j (see mulABtTiled). Clips
-// are summed per band and published with one atomic add.
+// are summed per band and published once.
 func (x *Xbar) mulABtBand(dst, a *Matrix, lo, hi int) {
 	x.addClips(mulABtTiled(dst, a, x.W, x, lo, hi))
 }
@@ -141,7 +133,7 @@ const xbarChunk = 256
 // running analog partial of the current row tile in a stack array, so
 // bands need no shared scratch. Per element the terms and conversions
 // happen in the same order at any chunk, band or GEMM width. Clips are
-// summed per band and published with one atomic add.
+// summed per band and published once.
 func (x *Xbar) mulBand(dst []float32, b *Matrix, lo, hi int) {
 	k, n := b.Rows, b.Cols
 	var part [xbarChunk]float32

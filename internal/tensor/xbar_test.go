@@ -18,6 +18,13 @@ func xbarFor(w *Matrix, tileRows, bits int, fs float32) *Xbar {
 	return x
 }
 
+// countClips points x's ClipCounter at a fresh counter and returns it.
+func countClips(x *Xbar) *atomic.Int64 {
+	n := new(atomic.Int64)
+	x.ClipCounter = counterFunc{n}
+	return n
+}
+
 func denseRand(rows, cols int, seed uint64) *Matrix {
 	m := NewMatrix(rows, cols)
 	s := seed
@@ -106,10 +113,10 @@ func TestMulABtXbarBandQuantizes(t *testing.T) {
 	}
 }
 
-// TestXbarClipCounting: saturating columns must count clips on both the
-// handle atomic and the pluggable counter, and on FC and conv inputs
-// alike the parallel bands (Workers 0 and 2) must report the serial
-// totals: each band sums its clips and publishes them once.
+// TestXbarClipCounting: saturating columns must count clips on the
+// ClipCounter, and on FC and conv inputs alike the parallel bands
+// (Workers 0 and 2) must report the serial totals: each band sums its
+// clips and publishes them once.
 func TestXbarClipCounting(t *testing.T) {
 	a := NewMatrix(1, 4)
 	w := NewMatrix(2, 4)
@@ -119,26 +126,21 @@ func TestXbarClipCounting(t *testing.T) {
 	for i := range w.Data {
 		w.Data[i] = 1
 	}
-	var ext atomic.Int64
 	x := xbarFor(w, 4, 2, 0.5) // partial sum 4 vs full scale 0.5: clips
-	x.ClipCounter = counterFunc{&ext}
+	clips := countClips(x)
 	dst := NewMatrix(1, 2)
 	MulABtInto(dst, a, x, 1)
-	if x.Clips.Load() != 2 {
-		t.Fatalf("Clips = %d, want 2 (one per saturated column)", x.Clips.Load())
-	}
-	if ext.Load() != 2 {
-		t.Fatalf("ClipCounter = %d, want 2", ext.Load())
+	if clips.Load() != 2 {
+		t.Fatalf("ClipCounter = %d, want 2 (one per saturated column)", clips.Load())
 	}
 
 	// clipsOf runs one kernel call on a fresh handle over the same
-	// weights and returns what the atomic and the counter saw.
-	clipsOf := func(w *Matrix, call func(x *Xbar)) (int64, int64) {
-		var ext atomic.Int64
+	// weights and returns what its counter saw.
+	clipsOf := func(w *Matrix, call func(x *Xbar)) int64 {
 		x := xbarFor(w, 16, 3, 0.75)
-		x.ClipCounter = counterFunc{&ext}
+		clips := countClips(x)
 		call(x)
-		return x.Clips.Load(), ext.Load()
+		return clips.Load()
 	}
 	// FC: 64x64 activations against 32 outputs, above the serial
 	// threshold, so Workers 0 and 2 split the batch rows.
@@ -166,15 +168,14 @@ func TestXbarClipCounting(t *testing.T) {
 		{"conv-batch", cw, func(workers int) func(*Xbar) { return conv(8, workers) }},
 		{"conv-single", cw, func(workers int) func(*Xbar) { return conv(1, workers) }},
 	} {
-		want, _ := clipsOf(c.w, c.run(1))
+		want := clipsOf(c.w, c.run(1))
 		if want == 0 {
 			t.Fatalf("%s: serial run clipped nothing; the input does not saturate", c.name)
 		}
 		for _, workers := range []int{0, 2} {
-			clips, ext := clipsOf(c.w, c.run(workers))
-			if clips != want || ext != want {
-				t.Errorf("%s workers=%d: Clips=%d ClipCounter=%d, want serial total %d",
-					c.name, workers, clips, ext, want)
+			if clips := clipsOf(c.w, c.run(workers)); clips != want {
+				t.Errorf("%s workers=%d: ClipCounter=%d, want serial total %d",
+					c.name, workers, clips, want)
 			}
 		}
 	}
@@ -370,20 +371,23 @@ func TestXbarKernelsMatchReference(t *testing.T) {
 					return fmt.Sprintf("%s tile=%d bits=%d workers=%d", route, tileRows, bits, workers)
 				}
 				x := xbarOf(fw, tileRows, bits)
+				clips := countClips(x)
 				got := NewMatrix(fa.Rows, fw.Rows)
 				MulABtInto(got, fa, x, workers)
-				check(name("fc"), got.Data, x.Clips.Load(), fcWant.Data, fcClips)
+				check(name("fc"), got.Data, clips.Load(), fcWant.Data, fcClips)
 
 				x = xbarOf(cw, tileRows, bits)
+				clips = countClips(x)
 				out := NewTensor4(in.N, cs.OutC, oh, ow)
 				Conv2DInto(out, in, x, nil, cs, &ConvWorkspace{Workers: workers})
-				check(name("conv"), out.Data, x.Clips.Load(), convWant.Data, convClips)
+				check(name("conv"), out.Data, clips.Load(), convWant.Data, convClips)
 				// A single image takes the GEMM row bands instead.
 				x = xbarOf(cw, tileRows, bits)
+				clips = countClips(x)
 				one := NewTensor4(1, cs.OutC, oh, ow)
 				Conv2DInto(one, &Tensor4{N: 1, C: in.C, H: in.H, W: in.W, Data: in.Image(0)}, x, nil, cs,
 					&ConvWorkspace{Workers: workers})
-				check(name("conv-single"), one.Data, x.Clips.Load(), convWant.Image(0), firstClips)
+				check(name("conv-single"), one.Data, clips.Load(), convWant.Image(0), firstClips)
 			}
 		}
 	}

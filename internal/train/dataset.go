@@ -29,24 +29,26 @@ type Dataset struct {
 // N returns the number of samples.
 func (d *Dataset) N() int { return d.Images.N }
 
+// The synthetic task: 10 classes, samples translated by up to one pixel
+// and noised with standard deviation 0.15.
+const (
+	synthClasses = 10
+	synthJitter  = 1
+	synthNoise   = 0.15
+)
+
 // SynthConfig parameterizes synthetic dataset generation.
 type SynthConfig struct {
 	// N is the number of samples to generate.
 	N int
 	// H, W are the image dimensions (single channel).
 	H, W int
-	// Classes is the number of classes (prototypes).
-	Classes int
-	// Jitter is the maximum absolute translation (pixels) applied per
-	// sample.
-	Jitter int
-	// Noise is the standard deviation of additive pixel noise.
-	Noise float64
-	// Seed drives all randomness. The class prototypes depend only on
-	// Seed, H, W and Classes, so train and test splits built with
-	// different seeds share prototypes when given the same ProtoSeed.
+	// Seed drives the per-sample jitter, amplitude and noise.
 	Seed uint64
-	// ProtoSeed seeds prototype generation; defaults to Seed when zero.
+	// ProtoSeed seeds the class prototypes, which depend only on
+	// ProtoSeed, H and W: train and test splits built with different
+	// Seeds share prototypes when given the same ProtoSeed. Zero means
+	// Seed ^ 0xabcdef.
 	ProtoSeed uint64
 }
 
@@ -56,15 +58,6 @@ func (c SynthConfig) withDefaults() SynthConfig {
 	}
 	if c.W == 0 {
 		c.W = 12
-	}
-	if c.Classes == 0 {
-		c.Classes = 10
-	}
-	if c.Jitter == 0 {
-		c.Jitter = 1
-	}
-	if c.Noise == 0 {
-		c.Noise = 0.15
 	}
 	if c.ProtoSeed == 0 {
 		c.ProtoSeed = c.Seed ^ 0xabcdef
@@ -82,14 +75,14 @@ func Synthesize(cfg SynthConfig) *Dataset {
 	ds := &Dataset{
 		Images:  tensor.NewTensor4(cfg.N, 1, cfg.H, cfg.W),
 		Labels:  make([]int, cfg.N),
-		Classes: cfg.Classes,
+		Classes: synthClasses,
 	}
 	for i := 0; i < cfg.N; i++ {
-		class := i % cfg.Classes // balanced classes
+		class := i % synthClasses // balanced classes
 		ds.Labels[i] = class
 		img := ds.Images.Image(i)
-		dy := src.Intn(2*cfg.Jitter+1) - cfg.Jitter
-		dx := src.Intn(2*cfg.Jitter+1) - cfg.Jitter
+		dy := src.Intn(2*synthJitter+1) - synthJitter
+		dx := src.Intn(2*synthJitter+1) - synthJitter
 		amp := float32(0.8 + 0.4*src.Float64())
 		proto := protos[class]
 		for y := 0; y < cfg.H; y++ {
@@ -100,7 +93,7 @@ func Synthesize(cfg SynthConfig) *Dataset {
 				if sy >= 0 && sy < cfg.H && sx >= 0 && sx < cfg.W {
 					v = proto[sy*cfg.W+sx]
 				}
-				v = amp*v + float32(src.Gaussian(0, cfg.Noise))
+				v = amp*v + float32(src.Gaussian(0, synthNoise))
 				img[y*cfg.W+x] = v
 			}
 		}
@@ -112,7 +105,7 @@ func Synthesize(cfg SynthConfig) *Dataset {
 // ProtoSeed.
 func prototypes(cfg SynthConfig) [][]float32 {
 	src := stats.NewSource(cfg.ProtoSeed)
-	out := make([][]float32, cfg.Classes)
+	out := make([][]float32, synthClasses)
 	for c := range out {
 		cs := src.Fork(uint64(c) + 1)
 		img := make([]float32, cfg.H*cfg.W)

@@ -15,7 +15,6 @@ type Config struct {
 	BatchSize    int
 	LearningRate float64
 	Momentum     float64
-	WeightDecay  float64
 	Seed         uint64
 }
 
@@ -141,13 +140,11 @@ func step(m *dnn.Model, fw *dnn.Forwarder, x *tensor.Tensor4, labels []int, vel 
 	return loss
 }
 
-func applyUpdate(w, grad, vel []float32, lr, momentum, decay float64) {
+func applyUpdate(w, grad, vel []float32, lr, momentum float64) {
 	lrf := float32(lr)
 	mf := float32(momentum)
-	df := float32(decay)
 	for i := range w {
-		g := grad[i] + df*w[i]
-		vel[i] = mf*vel[i] - lrf*g
+		vel[i] = mf*vel[i] - lrf*grad[i]
 		w[i] += vel[i]
 	}
 }
@@ -165,8 +162,8 @@ func fcBackward(l *dnn.Layer, in, dOut *tensor.Tensor4, vel *velocity, li int, c
 		}
 	}
 	dx := tensor.Mul(dy, l.Weights) // n x In
-	applyUpdate(l.Weights.Data, dW.Data, vel.w[li], cfg.LearningRate, cfg.Momentum, cfg.WeightDecay)
-	applyUpdate(l.Bias, db, vel.b[li], cfg.LearningRate, cfg.Momentum, 0)
+	applyUpdate(l.Weights.Data, dW.Data, vel.w[li], cfg.LearningRate, cfg.Momentum)
+	applyUpdate(l.Bias, db, vel.b[li], cfg.LearningRate, cfg.Momentum)
 	return &tensor.Tensor4{N: n, C: in.C, H: in.H, W: in.W, Data: dx.Data}
 }
 
@@ -196,8 +193,8 @@ func convBackward(l *dnn.Layer, in, dOut *tensor.Tensor4, vel *velocity, li int,
 		tensor.MulInto(dPatch, wT, dy)
 		tensor.Col2im(dPatch, cs, dIn.Image(s))
 	}
-	applyUpdate(l.Weights.Data, dW.Data, vel.w[li], cfg.LearningRate, cfg.Momentum, cfg.WeightDecay)
-	applyUpdate(l.Bias, db, vel.b[li], cfg.LearningRate, cfg.Momentum, 0)
+	applyUpdate(l.Weights.Data, dW.Data, vel.w[li], cfg.LearningRate, cfg.Momentum)
+	applyUpdate(l.Bias, db, vel.b[li], cfg.LearningRate, cfg.Momentum)
 	return dIn
 }
 
