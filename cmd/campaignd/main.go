@@ -47,6 +47,7 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/chaos"
 	"repro/internal/cliutil"
+	"repro/internal/durable"
 	"repro/internal/exper"
 	"repro/internal/fleet"
 	"repro/internal/stats"
@@ -226,6 +227,7 @@ func cmdWork(args []string) {
 	progress := fs.Duration("progress", 5*time.Second, "progress-line interval on stderr (0 = silent)")
 	poison := fs.String("poison", "", "chaos: comma-separated config:trial cells that kill this process (testing only)")
 	tel := cliutil.AddFlagsTo(fs)
+	tel.AddFsyncTo(fs)
 	fs.Parse(args)
 	if *dir == "" {
 		log.Fatal("work: -dir is required")
@@ -294,6 +296,7 @@ func cmdSupervise(args []string) {
 	workers := fs.Int("workers", 0, "concurrent trial workers per shard in each subprocess (0 = auto)")
 	poison := fs.String("poison", "", "chaos: config:trial cells passed to every worker (testing only)")
 	tel := cliutil.AddFlagsTo(fs)
+	tel.AddFsyncTo(fs)
 	fs.Parse(args)
 	if *dir == "" {
 		log.Fatal("supervise: -dir is required")
@@ -311,14 +314,7 @@ func cmdSupervise(args []string) {
 	rep, err := supervise.Run(ctx, supervise.Options{
 		Dir: *dir, Workers: *n,
 		Command: func(slot int, name string) (*exec.Cmd, error) {
-			argv := []string{"work",
-				"-dir", *dir, "-name", name,
-				"-ttl", ttl.String(), "-heartbeat", heartbeat.String(),
-				"-workers", fmt.Sprint(*workers), "-wait",
-			}
-			if *poison != "" {
-				argv = append(argv, "-poison", *poison)
-			}
+			argv := workerArgv(*dir, name, *ttl, *heartbeat, *workers, *poison, tel.SyncPolicy())
 			cmd := exec.Command(self, argv...)
 			cmd.Stdout = os.Stderr // worker chatter must not pollute the report
 			cmd.Stderr = os.Stderr
@@ -348,6 +344,22 @@ func cmdSupervise(args []string) {
 	if rep.Converged {
 		fmt.Printf("fleet converged: campaignd merge -dir %s\n", *dir)
 	}
+}
+
+// workerArgv is the "campaignd work" command line supervise starts the
+// worker called name with: its own lease settings, poison cells and
+// -fsync policy passed through.
+func workerArgv(dir, name string, ttl, heartbeat time.Duration, workers int, poison string, fsync durable.SyncPolicy) []string {
+	argv := []string{"work",
+		"-dir", dir, "-name", name,
+		"-ttl", ttl.String(), "-heartbeat", heartbeat.String(),
+		"-workers", fmt.Sprint(workers), "-wait",
+		"-fsync", fsync.String(),
+	}
+	if poison != "" {
+		argv = append(argv, "-poison", poison)
+	}
+	return argv
 }
 
 func cmdMerge(args []string) {

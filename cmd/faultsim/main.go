@@ -75,6 +75,7 @@ func main() {
 	fleetDir := flag.String("fleet-dir", "", "fleet directory for -fleet (default: a temporary directory; an existing fleet dir is resumed)")
 	xbar := cliutil.AddXbarFlags()
 	tel := cliutil.AddFlags()
+	tel.AddCheckpointFlagsTo(flag.CommandLine)
 	flag.Parse()
 	tel.Start()
 	defer tel.Dump()
@@ -206,7 +207,7 @@ func main() {
 			planned:  planned,
 		})
 		if interrupted {
-			tel.ExitInterrupted("aggregates", "runs", *checkpoint)
+			tel.ExitInterrupted(*checkpoint)
 		}
 		return
 	}
@@ -237,7 +238,7 @@ func main() {
 		// by N in-process workers. Completed trials live in shard WALs, so
 		// a killed run resumes from -fleet-dir; the merge is bit-identical
 		// to the single-campaign path.
-		res, runErr = cliutil.FleetRun(ctx, *fleetN, *fleetDir, []string{label}, run, opt)
+		res, runErr = fleetRun(ctx, *fleetN, *fleetDir, []string{label}, run, opt)
 		if runErr != nil {
 			log.Fatal(runErr)
 		}
@@ -271,7 +272,7 @@ func main() {
 	fmt.Printf("  ITN bound:         %.4f -> %s\n", m.Meta.ErrorBound,
 		verdict(cr.Mean <= m.Meta.ErrorBound))
 	if res.Interrupted {
-		tel.ExitInterrupted("aggregates", "runs", *checkpoint)
+		tel.ExitInterrupted(*checkpoint)
 	}
 }
 

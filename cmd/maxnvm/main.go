@@ -52,6 +52,7 @@ func main() {
 	resume := flag.Bool("resume", false, "resume the fig5 campaign from -checkpoint")
 	progress := flag.Duration("progress", 0, "fig5 campaign progress-line interval on stderr (0 = silent)")
 	tel := cliutil.AddFlags()
+	tel.AddCheckpointFlagsTo(flag.CommandLine)
 	flag.Parse()
 	tel.Start()
 	defer tel.Dump()

@@ -10,8 +10,8 @@ import (
 	"repro/internal/envm"
 )
 
-// XbarFlags is the shared crossbar compute-in-memory flag group
-// (faultsim -crossbar, nvsweep -crossbar). The -tile flag takes a
+// XbarFlags is faultsim's crossbar compute-in-memory flag group
+// (-crossbar and its tile, ADC and fault knobs). The -tile flag takes a
 // comma-separated list of ROWSxCOLS tile sizes; each size becomes its
 // own design point (one campaign config per size).
 type XbarFlags struct {

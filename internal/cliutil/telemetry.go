@@ -1,9 +1,9 @@
-// Package cliutil holds the flag plumbing shared by the repro CLIs:
-// the -metrics JSON telemetry dump, the -prom live Prometheus /metrics
-// endpoint, the -pprof profiling endpoint, and the -fsync/-lock
-// checkpoint durability knobs. It exists so the commands (faultsim,
-// maxnvm, nvsweep, campaignd, servesim) expose identical observability
-// and durability surfaces without triplicating the wiring.
+// Package cliutil holds the flag plumbing shared by the repro CLIs: the
+// -metrics JSON telemetry dump, the -prom live Prometheus /metrics
+// endpoint and the -pprof profiling endpoint (faultsim, maxnvm,
+// campaignd, servesim); the -fsync/-lock checkpoint durability knobs
+// (faultsim and maxnvm take both, campaignd work and supervise -fsync
+// alone); and usage errors and crossbar tile parsing (also nvsweep).
 package cliutil
 
 import (
@@ -36,8 +36,8 @@ type Telemetry struct {
 	reg         *telemetry.Registry
 }
 
-// AddFlags registers -metrics and -pprof on the default flag set and
-// returns the handle the CLI uses after flag.Parse. The snapshot is
+// AddFlags registers -metrics, -pprof and -prom on the default flag set
+// and returns the handle the CLI uses after flag.Parse. The snapshot is
 // taken from telemetry.Default(), where all instrumented packages
 // record.
 func AddFlags() *Telemetry {
@@ -55,6 +55,12 @@ func AddFlagsTo(fs *flag.FlagSet) *Telemetry {
 		"serve net/http/pprof on this address, e.g. localhost:6060")
 	fs.StringVar(&t.promAddr, "prom", "",
 		"serve a continuous Prometheus text-format /metrics endpoint on this address, e.g. localhost:9100 (scrape a long campaign live instead of waiting for the -metrics exit snapshot)")
+	return t
+}
+
+// AddFsyncTo registers -fsync on fs: the durability policy of the
+// checkpoint or shard WAL the CLI appends to.
+func (t *Telemetry) AddFsyncTo(fs *flag.FlagSet) {
 	fs.Func("fsync", "checkpoint durability policy: never|interval|always (default interval)",
 		func(s string) error {
 			p, err := durable.ParseSyncPolicy(s)
@@ -64,9 +70,14 @@ func AddFlagsTo(fs *flag.FlagSet) *Telemetry {
 			t.fsync = p
 			return nil
 		})
+}
+
+// AddCheckpointFlagsTo registers -fsync and -lock on fs, for the CLIs
+// that write a campaign checkpoint (faultsim, maxnvm).
+func (t *Telemetry) AddCheckpointFlagsTo(fs *flag.FlagSet) {
+	t.AddFsyncTo(fs)
 	fs.BoolVar(&t.lock, "lock", true,
 		"hold an exclusive lock on the checkpoint so two campaigns cannot interleave one file")
-	return t
 }
 
 // SyncPolicy returns the -fsync choice (durable.SyncInterval unless the

@@ -17,7 +17,7 @@ import (
 	"repro/internal/telemetry"
 )
 
-// AddFlagsTo must register both observability flags on the given set
+// AddFlagsTo must register the observability flags on the given set
 // and leave flag.CommandLine alone, so repeated test registrations do
 // not panic on duplicate flag names.
 func TestAddFlagsToWiresFlags(t *testing.T) {
@@ -146,6 +146,7 @@ func TestDurabilityFlags(t *testing.T) {
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
 		tel := AddFlagsTo(fs)
+		tel.AddCheckpointFlagsTo(fs)
 		if err := fs.Parse(tc.args); err != nil {
 			t.Fatalf("%v: %v", tc.args, err)
 		}
@@ -155,10 +156,23 @@ func TestDurabilityFlags(t *testing.T) {
 		}
 	}
 
-	// A bad policy is a flag-parse error, not a silent default.
+	// Only the CLIs that write a checkpoint register the pair; campaignd's
+	// fleet workers, which lock leases rather than one checkpoint, take
+	// -fsync alone.
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	tel := AddFlagsTo(fs)
+	if fs.Lookup("fsync") != nil || fs.Lookup("lock") != nil {
+		t.Error("AddFlagsTo registers durability flags")
+	}
+	tel.AddFsyncTo(fs)
+	if fs.Lookup("fsync") == nil || fs.Lookup("lock") != nil {
+		t.Error("AddFsyncTo must register -fsync and only -fsync")
+	}
+
+	// A bad policy is a flag-parse error, not a silent default.
+	fs = flag.NewFlagSet("test", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	AddFlagsTo(fs)
+	AddFlagsTo(fs).AddFsyncTo(fs)
 	if err := fs.Parse([]string{"-fsync", "sometimes"}); err == nil {
 		t.Error("bogus -fsync value accepted")
 	}
@@ -175,6 +189,7 @@ func TestLockUnsupportedWarning(t *testing.T) {
 
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	tel := AddFlagsTo(fs)
+	tel.AddCheckpointFlagsTo(fs)
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
@@ -194,6 +209,7 @@ func TestLockUnsupportedWarning(t *testing.T) {
 	buf.Reset()
 	fs2 := flag.NewFlagSet("test", flag.ContinueOnError)
 	tel2 := AddFlagsTo(fs2)
+	tel2.AddCheckpointFlagsTo(fs2)
 	if err := fs2.Parse([]string{"-lock=false"}); err != nil {
 		t.Fatal(err)
 	}

@@ -21,16 +21,15 @@ func CheckResume(cmd string, resume bool, checkpoint string) {
 	}
 }
 
-// ExitInterrupted ends an interrupted run whose partial results (what:
-// "aggregates" or "sweep") are printed above: it tells stdout how to
-// finish them (rerun with -resume -checkpoint, or set -checkpoint to make
-// such runs resumable), writes the telemetry dump os.Exit would skip, and
-// exits 130.
-func (t *Telemetry) ExitInterrupted(what, runs, checkpoint string) {
+// ExitInterrupted ends an interrupted campaign whose partial aggregates
+// are printed above: it tells stdout how to finish them (rerun with
+// -resume -checkpoint, or set -checkpoint to make such runs resumable),
+// writes the telemetry dump os.Exit would skip, and exits 130.
+func (t *Telemetry) ExitInterrupted(checkpoint string) {
 	if checkpoint != "" {
-		fmt.Printf("interrupted: partial %s above; rerun with -resume -checkpoint %s to finish\n", what, checkpoint)
+		fmt.Printf("interrupted: partial aggregates above; rerun with -resume -checkpoint %s to finish\n", checkpoint)
 	} else {
-		fmt.Printf("interrupted: partial %s above (set -checkpoint to make %s resumable)\n", what, runs)
+		fmt.Println("interrupted: partial aggregates above (set -checkpoint to make runs resumable)")
 	}
 	t.Dump()
 	os.Exit(130)

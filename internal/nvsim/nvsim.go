@@ -15,7 +15,6 @@
 package nvsim
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -106,75 +105,32 @@ var widthChoices = []int{8, 16, 32, 64, 128}
 // 2.3): one sensing stage serves 8 columns.
 const muxFactor = 8
 
-// Organization is one point of the sweep search space.
-type Organization struct {
-	Banks     int
-	Mats      int // mats per bank
-	DataWidth int // bits per access
-}
-
-// Organizations enumerates the sweep search space: banks x mats x data
-// width, the same for every configuration.
-func Organizations() []Organization {
-	out := make([]Organization, 0, len(bankChoices)*len(matChoices)*len(widthChoices))
-	for _, banks := range bankChoices {
-		for _, mats := range matChoices {
-			for _, dw := range widthChoices {
-				out = append(out, Organization{Banks: banks, Mats: mats, DataWidth: dw})
-			}
-		}
-	}
-	return out
-}
-
-// CharacterizeOrg characterizes a single organization point. The bool is
-// false when the organization is infeasible for cfg. The cfg must be
-// valid (see Validate); campaign-style callers should go through
-// SweepCtx, which validates.
-func CharacterizeOrg(cfg Config, org Organization) (Result, bool) {
-	return characterizeOrg(cfg, org.Banks, org.Mats, org.DataWidth)
-}
-
-// Validate reports whether cfg is a characterizable request: a valid
-// technology, a bits-per-cell setting the technology supports, and a
-// positive capacity.
-func Validate(cfg Config) error { return validate(cfg) }
-
-// Sweep characterizes every organization in the search space. It panics
-// on an invalid cfg; CLI-facing callers should prefer SweepCtx.
-func Sweep(cfg Config) []Result {
-	out, err := SweepCtx(context.Background(), cfg)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// SweepCtx is the checked, cancellable form of Sweep: an invalid cfg is
-// an error, and a cancelled context aborts the sweep between
-// organization points, returning ctx.Err().
-func SweepCtx(ctx context.Context, cfg Config) ([]Result, error) {
+// Sweep characterizes every organization of the search space — banks x
+// mats x data width, the same for every configuration — in that order.
+// An invalid cfg (a technology that fails validation, a bits-per-cell
+// setting it does not support, a non-positive capacity) is an error.
+func Sweep(cfg Config) ([]Result, error) {
 	if err := validate(cfg); err != nil {
 		return nil, err
 	}
-	var out []Result
-	for _, org := range Organizations() {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if r, ok := CharacterizeOrg(cfg, org); ok {
-			out = append(out, r)
+	out := make([]Result, 0, len(bankChoices)*len(matChoices)*len(widthChoices))
+	for _, banks := range bankChoices {
+		for _, mats := range matChoices {
+			for _, dw := range widthChoices {
+				out = append(out, characterizeOrg(cfg, banks, mats, dw))
+			}
 		}
 	}
 	return out, nil
 }
 
-// Characterize returns the best organization for the configured target.
+// Characterize returns the best organization for the configured target:
+// the Sweep point with the lowest figure of merit, the first on a tie. It
+// panics on an invalid cfg.
 func Characterize(cfg Config) Result {
-	points := Sweep(cfg)
-	if len(points) == 0 {
-		panic(fmt.Sprintf("nvsim: no feasible organization for %s %dbpc %d bits",
-			cfg.Tech.Name, cfg.BPC, cfg.CapacityBits))
+	points, err := Sweep(cfg)
+	if err != nil {
+		panic(err)
 	}
 	best := points[0]
 	for _, p := range points[1:] {
@@ -185,10 +141,7 @@ func Characterize(cfg Config) Result {
 	return best
 }
 
-// Score returns r's figure of merit under target t (lower is better) —
-// the ranking Characterize uses to pick the sweep winner.
-func Score(r Result, t Target) float64 { return score(r, t) }
-
+// score returns r's figure of merit under target t (lower is better).
 func score(r Result, t Target) float64 {
 	switch t {
 	case OptArea:
@@ -232,7 +185,7 @@ const (
 	periphLeakMWPerMM2  = 0.05 // periphery leakage density
 )
 
-func characterizeOrg(cfg Config, banks, mats, dataWidth int) (Result, bool) {
+func characterizeOrg(cfg Config, banks, mats, dataWidth int) Result {
 	cells := envm.CellsFor(cfg.CapacityBits, cfg.BPC)
 	totalMats := int64(banks * mats)
 	cellsPerMat := (cells + totalMats - 1) / totalMats
@@ -284,7 +237,7 @@ func characterizeOrg(cfg Config, banks, mats, dataWidth int) (Result, bool) {
 		AreaMM2: area, ReadLatencyNs: lat, ReadEnergyPJ: energy,
 		ReadBandwidthGBs: bw, LeakageMW: leak,
 		WriteTimeSec: cfg.Tech.WriteTimeSeconds(cells, cfg.BPC),
-	}, true
+	}
 }
 
 // Pareto filters points to the (area, latency, energy) Pareto frontier:

@@ -132,14 +132,20 @@ func TestTargetsOptimizeTheirMetric(t *testing.T) {
 func withTarget(c Config, t Target) Config { c.Target = t; return c }
 
 func TestSweepCoversSpace(t *testing.T) {
-	pts := Sweep(Config{Tech: envm.CTT, BPC: 2, CapacityBits: 4 * mb})
+	pts, err := Sweep(Config{Tech: envm.CTT, BPC: 2, CapacityBits: 4 * mb})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(pts) != len(bankChoices)*len(matChoices)*len(widthChoices) {
 		t.Errorf("sweep size %d", len(pts))
 	}
 }
 
 func TestParetoFrontier(t *testing.T) {
-	pts := Sweep(Config{Tech: envm.MLCRRAM, BPC: 2, CapacityBits: 4 * mb})
+	pts, err := Sweep(Config{Tech: envm.MLCRRAM, BPC: 2, CapacityBits: 4 * mb})
+	if err != nil {
+		t.Fatal(err)
+	}
 	front := Pareto(pts)
 	if len(front) == 0 || len(front) >= len(pts) {
 		t.Fatalf("frontier size %d of %d", len(front), len(pts))
