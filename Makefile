@@ -139,6 +139,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzCSRDecode -fuzztime=$(FUZZTIME) ./internal/sparse/
 	$(GO) test -fuzz=FuzzBitMaskDecode -fuzztime=$(FUZZTIME) ./internal/sparse/
 	$(GO) test -fuzz=FuzzDecode24 -fuzztime=$(FUZZTIME) ./internal/sparse/
+	$(GO) test -fuzz=FuzzRedecode -fuzztime=$(FUZZTIME) ./internal/sparse/
 	$(GO) test -fuzz=FuzzECCCorrect -fuzztime=$(FUZZTIME) ./internal/ecc/
 	$(GO) test -fuzz=FuzzLoadCheckpoint -fuzztime=$(FUZZTIME) ./internal/campaign/
 	$(GO) test -fuzz=FuzzDecodeRequest -fuzztime=$(FUZZTIME) ./internal/serve/

@@ -13,6 +13,7 @@ package maxnvm
 import (
 	"context"
 	"io"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -367,21 +368,28 @@ func BenchmarkCompact24(b *testing.B) {
 	}
 }
 
-// BenchmarkProbeStreamDamage measures the exploration's damage probe:
-// one ares.Prober per op over a bitmask+IdxSync layer, probing every
-// stream under MLC3 with and without ECC. Each trial forces its faults,
-// corrects the touched ECC blocks, decodes in full and restores.
+// BenchmarkProbeStreamDamage measures the exploration's damage probe,
+// one sub-benchmark per format and stream of a 256x1024 layer: an op
+// probes the stream under MLC3 with and without ECC, 4 trials each, on
+// a Prober built once. Each trial forces its faults, corrects the
+// touched ECC blocks, re-decodes what they can reach and restores: a
+// stream whose faults cascade (CSR rowcount, a plain bitmask mask, the
+// IdxSync counters) re-decodes to the end of the layer, the others only
+// around the fault.
 func BenchmarkProbeStreamDamage(b *testing.B) {
 	cl := benchClustered(256, 1024, 0.8, 4, 4)
-	enc := sparse.Must(sparse.Encode(sparse.KindBitMaskIdxSync, cl.Indices, cl.Rows, cl.Cols, cl.IndexBits))
 	policies := []ares.StreamPolicy{{BPC: 3}, {BPC: 3, ECC: true}}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for _, kind := range append(slices.Clone(sparse.Kinds), sparse.Kind24) {
+		enc := sparse.Must(ares.EncodeLayer(cl, ares.Config{Encoding: kind}))
 		pb := ares.NewProber(enc, cl)
-		for s := range enc.Streams() {
-			for _, p := range policies {
-				pb.Probe(s, p, 4, stats.NewSource(uint64(i)))
-			}
+		for s, st := range enc.Streams() {
+			b.Run(kind.String()+"/"+st.Name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					for _, p := range policies {
+						pb.Probe(s, p, 4, stats.NewSource(uint64(i)))
+					}
+				}
+			})
 		}
 	}
 }
@@ -420,6 +428,21 @@ func BenchmarkKMeansCluster(b *testing.B) {
 func BenchmarkPrepareLeNet5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		core.Prepare(dnn.ByName("LeNet5"), core.PrepareOptions{Seed: uint64(1 + i%4), MaxLayerWeights: 1 << 18})
+	}
+}
+
+// BenchmarkProfileLeNet5 runs core.NewExplorer, the damage profile of
+// every layer under every format, at the explore workload's options:
+// LeNet5 prepared with every layer capped at 2^18 weights, 3 probe
+// trials, cycling over four seeds.
+func BenchmarkProfileLeNet5(b *testing.B) {
+	var pms []*core.PreparedModel
+	for seed := uint64(1); seed <= 4; seed++ {
+		pms = append(pms, core.Prepare(dnn.ByName("LeNet5"), core.PrepareOptions{Seed: seed, MaxLayerWeights: 1 << 18}))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		core.NewExplorer(pms[i%4], core.ProfileOptions{Seed: uint64(2 + i%4), DamageTrials: 3})
 	}
 }
 

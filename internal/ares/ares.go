@@ -288,7 +288,7 @@ func storageStep(ctx context.Context, enc sparse.Encoding, pr *pristineLayer, re
 	if len(ref) != len(decoded) {
 		return st, nil, fmt.Errorf("ares: %d original indices vs %d decoded", len(ref), len(decoded))
 	}
-	fillCorruption(&st, ref, decoded, centroids, pr.signal(ref, centroids))
+	fillCorruption(&st, ref, decoded, len(ref), centroids, pr.signal(ref, centroids))
 	return st, decoded, nil
 }
 
@@ -343,23 +343,25 @@ func injectStreams(ctx context.Context, enc sparse.Encoding, pr *pristineLayer, 
 	return nil
 }
 
-// fillCorruption computes the corruption statistics between original and
-// decoded index matrices, given sig = signalSS(orig, centroids).
-// Equal elements add nothing, so runs that compare equal are skipped
-// whole; the rest accumulate in index order.
-func fillCorruption(st *TrialStats, orig, decoded []uint8, centroids []float32, sig float64) {
+// fillCorruption computes the corruption statistics between the
+// original and decoded index matrices of a layer of n weights, given
+// sig, the layer's signal sum. orig and decoded may be one stretch of
+// the two, outside which they are equal: equal elements add nothing, so
+// the statistics are those of the whole layer. For the same reason runs
+// that compare equal are skipped whole; the rest accumulate in index
+// order.
+func fillCorruption(st *TrialStats, orig, decoded []uint8, n int, centroids []float32, sig float64) {
 	if len(orig) != len(decoded) {
 		panic("ares: index length mismatch")
 	}
-	n := len(orig)
 	if n == 0 {
 		return
 	}
 	const run = 256
 	var mismatch, structN int
 	var deltaSS float64
-	for lo := 0; lo < n; lo += run {
-		hi := min(lo+run, n)
+	for lo := 0; lo < len(orig); lo += run {
+		hi := min(lo+run, len(orig))
 		if bytes.Equal(orig[lo:hi], decoded[lo:hi]) {
 			continue
 		}

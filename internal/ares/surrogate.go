@@ -2,6 +2,7 @@ package ares
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/bitstream"
 	"repro/internal/ecc"
@@ -165,12 +166,18 @@ func LambdaEffWithBlock(bits int64, sc envm.StoreConfig, eccOn bool, blockBits i
 // encoded layer by forcing fault events and decoding. Damage is
 // tech-independent: it depends only on the encoding, the bits-per-cell
 // grouping, and the level mapping. A Prober holds the pristine
-// reference decode and its signal sum, one working copy of the
-// encoding, a decode buffer, and each stream's SEC-DED parity from its
-// first ECC probe. A trial forces its faults into the working copy,
-// corrects only the ECC blocks that hold the forced cells, decodes into
-// the buffer, measures, and then restores the bits it may have changed
-// from the pristine encoding. A Prober is owned by one goroutine.
+// reference decode, its signal sum and its decoder checkpoints, one
+// working copy of the encoding, a decode buffer that holds the
+// reference between trials, and each stream's SEC-DED parity from its
+// first ECC probe. A trial forces its faults into the working copy and
+// corrects only the ECC blocks that hold the forced cells. It then
+// re-decodes into the buffer only what the changed bits can reach
+// (sparse.Checkpoints.Redecode: from the last checkpoint before them to
+// the first one after them where the decoder is back in its pristine
+// state, or to the end of the layer for a fault that cascades),
+// measures that stretch against the reference, and restores it and the
+// changed bits from the pristine copies. A Prober is owned by one
+// goroutine.
 type Prober struct {
 	pristine, work []*bitstream.Stream
 	clone          sparse.Encoding
@@ -180,7 +187,10 @@ type Prober struct {
 	// measures fault damage only, never static projection loss.
 	ref []uint8
 	sig float64
-	// dec receives each trial's decode.
+	// ck holds the decoder states of ref's decode at the format's
+	// checkpoints.
+	ck *sparse.Checkpoints
+	// dec receives each trial's re-decode; it holds ref outside it.
 	dec []uint8
 	// par holds each stream's pristine parity and prot its working
 	// codeword over the working stream; both are nil until the stream's
@@ -194,11 +204,12 @@ func NewProber(enc sparse.Encoding, cl *quant.Clustered) *Prober {
 	// Exploration encodes known kinds over layers produced by
 	// quant.Cluster, so a clone failure is a programmer error.
 	clone := sparse.Must(sparse.CloneEncoding(enc))
-	ref := enc.Decode()
+	ref := make([]uint8, len(cl.Indices))
+	ck := sparse.DecodeCheckpoints(enc, ref)
 	n := len(enc.Streams())
 	return &Prober{
 		pristine: enc.Streams(), work: clone.Streams(), clone: clone,
-		centroids: cl.Centroids, ref: ref, sig: signalSS(ref, cl.Centroids), dec: make([]uint8, len(ref)),
+		centroids: cl.Centroids, ref: ref, sig: signalSS(ref, cl.Centroids), ck: ck, dec: slices.Clone(ref),
 		par: make([]*bitstream.Array, n), prot: make([]*ecc.Protected, n),
 	}
 }
@@ -208,59 +219,77 @@ func NewProber(enc sparse.Encoding, cl *quant.Clustered) *Prober {
 // the event is two faults in one block (the uncorrectable case);
 // otherwise a single cell fault. src supplies the event placement.
 func (pb *Prober) Probe(streamIdx int, p StreamPolicy, trials int, src *stats.Source) (dStruct, dNSR, dMismatch float64) {
-	s := pb.work[streamIdx]
-	nbits := s.Bits.Len()
-	cells := int(envm.CellsFor(s.SizeBits(), p.BPC))
+	cells := int(envm.CellsFor(pb.work[streamIdx].SizeBits(), p.BPC))
 	if cells == 0 {
 		return 0, 0, 0
 	}
 	code := ecc.NewBlockCode(ECCDataBits)
 	for t := 0; t < trials; t++ {
-		// The trial may change data bits [lo, hi) and, with ECC, parity
-		// bits [pLo, pHi).
-		var lo, hi, pLo, pHi int
-		if p.ECC {
-			// Two faults in one block: pick a block, then two distinct
-			// cells inside it. At BPC 3 a block's cells do not align
-			// with the ECC blocks, so they can straddle two; Correct
-			// reads, and may rewrite, only the blocks that hold them.
-			b := src.Intn(code.Blocks(nbits))
-			cellsPerBlock := ECCDataBits / p.BPC
-			cLo := b * cellsPerBlock
-			cHi := min(cLo+cellsPerBlock, cells)
-			if cHi-cLo < 2 {
-				continue
-			}
-			c1 := cLo + src.Intn(cHi-cLo)
-			c2 := cLo + src.Intn(cHi-cLo)
-			for c2 == c1 {
-				c2 = cLo + src.Intn(cHi-cLo)
-			}
-			forceFault(s, c1, p, src)
-			forceFault(s, c2, p, src)
-			bLo := min(c1, c2) * p.BPC / ECCDataBits
-			bHi := (min(max(c1, c2)*p.BPC+p.BPC, nbits)-1)/ECCDataBits + 1
-			pb.protect(streamIdx, code).CorrectBlocks(bLo, bHi)
-			r := code.ParityBitsPerBlock()
-			lo, hi, pLo, pHi = bLo*ECCDataBits, bHi*ECCDataBits, bLo*r, bHi*r
-		} else {
-			c := src.Intn(cells)
-			forceFault(s, c, p, src)
-			lo, hi = c*p.BPC, (c+1)*p.BPC
+		ev, ok := pb.force(streamIdx, p, cells, code, src)
+		if !ok {
+			continue
 		}
 		var st TrialStats
-		pb.clone.DecodeInto(pb.dec)
-		fillCorruption(&st, pb.ref, pb.dec, pb.centroids, pb.sig)
+		from, to := pb.ck.Redecode(pb.clone, pb.dec, streamIdx, ev.lo, ev.hi)
+		fillCorruption(&st, pb.ref[from:to], pb.dec[from:to], len(pb.ref), pb.centroids, pb.sig)
 		dStruct += st.StructFrac
 		dNSR += st.ValueNSR
 		dMismatch += st.Mismatch
-		restore(s.Bits, pb.pristine[streamIdx].Bits, lo, hi)
-		if p.ECC {
-			restore(pb.prot[streamIdx].Parity.Bits, pb.par[streamIdx], pLo, pHi)
-		}
+		copy(pb.dec[from:to], pb.ref[from:to])
+		pb.undo(streamIdx, ev)
 	}
 	n := float64(trials)
 	return dStruct / n, dNSR / n, dMismatch / n
+}
+
+// event is what one probe trial may have changed: data bits [lo, hi)
+// of the probed stream and, with ECC, parity bits [pLo, pHi).
+type event struct{ lo, hi, pLo, pHi int }
+
+// force forces one fault event into the working copy of stream i, of
+// cells cells under policy p, and returns the bits it may have changed.
+// It places none, and reports false, when the ECC block it draws holds
+// fewer than two cells.
+func (pb *Prober) force(i int, p StreamPolicy, cells int, code ecc.BlockCode, src *stats.Source) (event, bool) {
+	s := pb.work[i]
+	if !p.ECC {
+		c := src.Intn(cells)
+		forceFault(s, c, p, src)
+		return event{lo: c * p.BPC, hi: (c + 1) * p.BPC}, true
+	}
+	// Two faults in one block: pick a block, then two distinct cells
+	// inside it. At BPC 3 a block's cells do not align with the ECC
+	// blocks, so they can straddle two; Correct reads, and may rewrite,
+	// only the blocks that hold them.
+	nbits := s.Bits.Len()
+	b := src.Intn(code.Blocks(nbits))
+	cellsPerBlock := ECCDataBits / p.BPC
+	cLo := b * cellsPerBlock
+	cHi := min(cLo+cellsPerBlock, cells)
+	if cHi-cLo < 2 {
+		return event{}, false
+	}
+	c1 := cLo + src.Intn(cHi-cLo)
+	c2 := cLo + src.Intn(cHi-cLo)
+	for c2 == c1 {
+		c2 = cLo + src.Intn(cHi-cLo)
+	}
+	forceFault(s, c1, p, src)
+	forceFault(s, c2, p, src)
+	bLo := min(c1, c2) * p.BPC / ECCDataBits
+	bHi := (min(max(c1, c2)*p.BPC+p.BPC, nbits)-1)/ECCDataBits + 1
+	pb.protect(i, code).CorrectBlocks(bLo, bHi)
+	r := code.ParityBitsPerBlock()
+	return event{bLo * ECCDataBits, bHi * ECCDataBits, bLo * r, bHi * r}, true
+}
+
+// undo restores the bits ev may have changed in the working copy of
+// stream i and in its working parity from the pristine ones.
+func (pb *Prober) undo(i int, ev event) {
+	restore(pb.work[i].Bits, pb.pristine[i].Bits, ev.lo, ev.hi)
+	if ev.pHi > ev.pLo {
+		restore(pb.prot[i].Parity.Bits, pb.par[i], ev.pLo, ev.pHi)
+	}
 }
 
 // protect returns the working codeword of stream i, computing the

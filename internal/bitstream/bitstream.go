@@ -215,34 +215,39 @@ func (s *Stream) Set(i int, v uint64) {
 // 8 bits.
 func (s *Stream) Values8() []uint8 {
 	out := make([]uint8, s.N)
-	s.Values8Into(out)
+	s.Values8From(0, out)
 	return out
 }
 
-// Values8Into is Values8 into out, which must hold exactly N elements.
-func (s *Stream) Values8Into(out []uint8) {
+// Values8From fills out with the len(out) elements from element first
+// on, which must not run past N; elements must fit in 8 bits.
+func (s *Stream) Values8From(first int, out []uint8) {
 	if s.ElemBits > 8 {
 		panic(fmt.Sprintf("bitstream: Values8 on %d-bit stream %q", s.ElemBits, s.Name))
 	}
-	if len(out) != s.N {
-		panic(fmt.Sprintf("bitstream: Values8Into %d elements into %d", s.N, len(out)))
+	if first < 0 || first+len(out) > s.N {
+		panic(fmt.Sprintf("bitstream: Values8From elements [%d, %d) of %d", first, first+len(out), s.N))
 	}
-	unpack(s, out)
+	unpack(s, out, first)
 }
 
 // Values extracts all elements into a fresh slice.
 func (s *Stream) Values() []uint32 {
 	out := make([]uint32, s.N)
-	unpack(s, out)
+	unpack(s, out, 0)
 	return out
 }
 
-// unpack fills out, N long, with every element, with one word load per
-// 64 bits; buf holds the avail unread bits of the current word.
-func unpack[T uint8 | uint32](s *Stream, out []T) {
+// unpack fills out with the elements from element first on, with one
+// word load per 64 bits; buf holds the avail unread bits of the current
+// word.
+func unpack[T uint8 | uint32](s *Stream, out []T, first int) {
 	width, mask := uint(s.ElemBits), uint64(1)<<uint(s.ElemBits)-1
 	var buf uint64
-	avail, next := uint(0), 0
+	avail, next := uint(0), first*s.ElemBits>>6
+	if sh := uint(first*s.ElemBits) & 63; sh != 0 && len(out) > 0 {
+		buf, avail, next = s.Bits.words[next]>>sh, 64-sh, next+1
+	}
 	for i := range out {
 		if avail < width { // the element continues into the next word
 			w := s.Bits.words[next]

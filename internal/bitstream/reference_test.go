@@ -63,8 +63,9 @@ func TestGetSetBitsMatchReference(t *testing.T) {
 }
 
 // TestStreamCursorsMatchReference: FromValues (uint32 and uint8), Values,
-// Values8 and Reader agree with element-by-element bit-serial packing at
-// every element width.
+// Values8, Values8From (from every kind of start offset) and Reader
+// agree with element-by-element bit-serial packing at every element
+// width.
 func TestStreamCursorsMatchReference(t *testing.T) {
 	src := stats.NewSource(12)
 	for w := 1; w <= 32; w++ {
@@ -98,8 +99,21 @@ func TestStreamCursorsMatchReference(t *testing.T) {
 			for i, v := range vals {
 				v8[i] = uint8(v)
 			}
-			if s8 := FromValues("s", w, v8); !s8.Bits.Equal(want) || string(s8.Values8()) != string(v8) {
+			s8 := FromValues("s", w, v8)
+			if !s8.Bits.Equal(want) || string(s8.Values8()) != string(v8) {
 				t.Fatalf("width %d n %d: uint8 FromValues/Values8 round trip differs", w, n)
+			}
+			for first := 0; first <= n; first += 1 + first/3 {
+				for _, m := range []int{0, 1, 7, 64, n - first} {
+					if m < 0 || first+m > n {
+						continue
+					}
+					part := make([]uint8, m)
+					s8.Values8From(first, part)
+					if string(part) != string(v8[first:first+m]) {
+						t.Fatalf("width %d n %d: Values8From(%d) of %d elements differs", w, n, first, m)
+					}
+				}
 			}
 		}
 	}
@@ -125,6 +139,7 @@ func TestAccessorPanics(t *testing.T) {
 	mustPanic("uint8 FromValues too wide", func() { FromValues("s", 2, []uint8{4}) })
 	s := NewStream("s", 9, 4)
 	mustPanic("Values8 on 9-bit stream", func() { s.Values8() })
+	mustPanic("Values8From past N", func() { NewStream("s", 4, 4).Values8From(3, make([]uint8, 2)) })
 	mustPanic("Get past N", func() { s.Get(4) })
 	mustPanic("Set too wide", func() { s.Set(0, 512) })
 	mustPanic("Reader negative element", func() { s.Reader(-1) })

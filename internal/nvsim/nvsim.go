@@ -15,9 +15,10 @@
 package nvsim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/envm"
 )
@@ -263,7 +264,12 @@ func Pareto(points []Result) []Result {
 			out = append(out, p)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].AreaMM2 < out[j].AreaMM2 })
+	// A full key, so that points of equal area keep one order whatever
+	// the sort algorithm.
+	slices.SortFunc(out, func(a, b Result) int {
+		return cmp.Or(cmp.Compare(a.AreaMM2, b.AreaMM2), cmp.Compare(a.ReadLatencyNs, b.ReadLatencyNs),
+			cmp.Compare(a.ReadEnergyPJ, b.ReadEnergyPJ), cmp.Compare(a.Banks, b.Banks), cmp.Compare(a.Mats, b.Mats))
+	})
 	return out
 }
 

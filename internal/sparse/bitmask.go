@@ -104,47 +104,99 @@ func EncodeBitMask(indices []uint8, rows, cols, valueBits int, opt BitMaskOption
 // a word at a time; a set bit first applies every boundary before it.
 func (e *BitMask) Decode() []uint8 {
 	out := make([]uint8, e.RowsN*e.ColsN)
-	e.decode(out)
+	e.decode(out, bitmaskState{}, nil)
 	return out
 }
 
 // DecodeInto is Decode into out.
 func (e *BitMask) DecodeInto(out []uint8) {
-	clearOut("BitMask", out, e.RowsN*e.ColsN)
-	e.decode(out)
+	checkOut("BitMask", out, e.RowsN*e.ColsN)
+	e.decode(out, bitmaskState{}, nil)
 }
 
-// decode is Decode into out, which holds rows x cols zeros.
-func (e *BitMask) decode(out []uint8) {
-	n := e.RowsN * e.ColsN
-	vals := e.Values.Reader(0)
-	cursor, block, next := 0, 0, math.MaxInt // next: the first unapplied IdxSync boundary
-	if e.Counters != nil {
-		next = e.MaskBlockBits
+// spanBits is the BitMask decoder's checkpoint spacing: one NVDLA block
+// of mask bits, the IdxSync block at its default size.
+const spanBits = BlockBytes * 8
+
+// bitmaskState is the BitMask decoder's state at a checkpoint, the start
+// of a spanBits stretch of the mask: the mask bit, the value cursor and,
+// with IdxSync, the block whose counter it synchronized to last and the
+// prefix sum of the counters before that block.
+type bitmaskState struct {
+	bit, cursor, block int
+	prefix             uint64
+}
+
+// cursor returns the bit of stream s (Streams order) up to which a
+// decode in state st has read it.
+func (e *BitMask) cursor(st bitmaskState, s int) int {
+	switch s {
+	case 0:
+		return st.bit
+	case 1:
+		return st.cursor * e.Values.ElemBits
 	}
-	var prefix uint64 // sum of counters over completed blocks
+	return st.block * e.Counters.ElemBits
+}
+
+// sync applies the IdxSync boundaries up to mask bit i to a decoder
+// synchronized to block, whose prefix sum is prefix. It returns the
+// value cursor, block and prefix sum after them, and the next boundary.
+func (e *BitMask) sync(i, block int, prefix uint64) (int, int, uint64, int) {
+	for blk := i / e.MaskBlockBits; block < blk; block++ {
+		prefix += e.Counters.Get(block)
+	}
+	return int(prefix), block, prefix, (block + 1) * e.MaskBlockBits
+}
+
+// decode is the BitMask decode loop. From st it decodes the mask a
+// spanBits stretch at a time, clearing each stretch of out before it
+// fills it, until stop (nil: never) accepts the state at the start of a
+// later stretch. It returns the state it stopped in, at bit
+// RowsN*ColsN when it ran to the end.
+//
+// A checkpoint applies every IdxSync boundary at or before it, ahead of
+// the set bit that would have applied it, which changes no read. So the
+// state there depends only on what the decode has read, and two decodes
+// that agree on it continue alike.
+func (e *BitMask) decode(out []uint8, st bitmaskState, stop func(bitmaskState) bool) bitmaskState {
+	n := e.RowsN * e.ColsN
+	cursor, block, prefix, next := st.cursor, st.block, st.prefix, math.MaxInt // next: the first unapplied IdxSync boundary
+	if e.Counters != nil {
+		next = (block + 1) * e.MaskBlockBits
+	}
+	vals := e.Values.Reader(cursor)
 	overruns := int64(0)
-	for base := 0; base < n; base += 64 {
-		for w := e.Mask.Bits.GetBits(base, 64); w != 0; w &= w - 1 {
-			i := base + bits.TrailingZeros64(w)
-			if i >= next {
-				for blk := i / e.MaskBlockBits; block < blk; block++ {
-					prefix += e.Counters.Get(block)
+	lo := st.bit
+	for ; lo < n; lo += spanBits {
+		if lo >= next {
+			cursor, block, prefix, next = e.sync(lo, block, prefix)
+			vals = e.Values.Reader(cursor)
+		}
+		if lo > st.bit && stop != nil && stop(bitmaskState{lo, cursor, block, prefix}) {
+			break
+		}
+		hi := min(lo+spanBits, n)
+		clear(out[lo:hi])
+		for base := lo; base < hi; base += 64 {
+			for w := e.Mask.Bits.GetBits(base, 64); w != 0; w &= w - 1 {
+				i := base + bits.TrailingZeros64(w)
+				if i >= next {
+					cursor, block, prefix, next = e.sync(i, block, prefix)
+					vals = e.Values.Reader(cursor)
 				}
-				next = (block + 1) * e.MaskBlockBits
-				cursor = int(prefix)
-				vals = e.Values.Reader(cursor)
+				if cursor < e.Values.N {
+					out[i] = uint8(vals.Next())
+				} else {
+					overruns++
+				}
+				cursor++
 			}
-			if cursor < e.Values.N {
-				out[i] = uint8(vals.Next())
-			} else {
-				overruns++
-			}
-			cursor++
 		}
 	}
 	met.bitmaskDecodes.Inc()
 	met.bitmaskOverruns.Add(overruns)
+	return bitmaskState{min(lo, n), cursor, block, prefix}
 }
 
 // Streams returns the fault-injection targets: mask, values, and (when

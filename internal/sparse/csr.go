@@ -105,23 +105,47 @@ func EncodeCSR(indices []uint8, rows, cols, valueBits, indexBits int) (*CSR, err
 //     row end are dropped.
 func (e *CSR) Decode() []uint8 {
 	out := make([]uint8, e.RowsN*e.ColsN)
-	e.decode(out)
+	e.decode(out, csrState{}, nil)
 	return out
 }
 
 // DecodeInto is Decode into out.
 func (e *CSR) DecodeInto(out []uint8) {
-	clearOut("CSR", out, e.RowsN*e.ColsN)
-	e.decode(out)
+	checkOut("CSR", out, e.RowsN*e.ColsN)
+	e.decode(out, csrState{}, nil)
 }
 
-// decode is Decode into out, which holds rows x cols zeros.
-func (e *CSR) decode(out []uint8) {
-	pos := 0 // global entry cursor into Values/ColIndex
-	total := e.Values.N
-	counts, vals, gaps := e.RowCount.Reader(0), e.Values.Reader(0), e.ColIndex.Reader(0)
+// csrState is the CSR decoder's state at the start of a row, its
+// checkpoint: the row and the entry cursor into Values/ColIndex.
+type csrState struct{ row, pos int }
+
+// cursor returns the bit of stream s (Streams order) up to which a
+// decode in state st has read it.
+func (e *CSR) cursor(st csrState, s int) int {
+	switch s {
+	case 0:
+		return st.pos * e.Values.ElemBits
+	case 1:
+		return st.pos * e.ColIndex.ElemBits
+	}
+	return st.row * e.RowCount.ElemBits
+}
+
+// decode is the CSR decode loop. From st it decodes whole rows into
+// out, clearing each before it fills it, until stop (nil: never)
+// accepts the state at the start of a later row. It returns the state
+// it stopped in, at row RowsN when it ran to the end.
+func (e *CSR) decode(out []uint8, st csrState, stop func(csrState) bool) csrState {
+	pos, total := st.pos, e.Values.N
+	counts, vals, gaps := e.RowCount.Reader(st.row), e.Values.Reader(min(pos, total)), e.ColIndex.Reader(min(pos, total))
 	overruns := int64(0)
-	for r := 0; r < e.RowsN; r++ {
+	r := st.row
+	for ; r < e.RowsN; r++ {
+		if r > st.row && stop != nil && stop(csrState{r, pos}) {
+			break
+		}
+		row := out[r*e.ColsN : (r+1)*e.ColsN]
+		clear(row)
 		n := int(counts.Next())
 		prev := -1
 		for k := 0; k < n; k++ {
@@ -134,13 +158,14 @@ func (e *CSR) decode(out []uint8) {
 			pos++
 			col := prev + int(gap) + 1
 			prev = col
-			if col >= 0 && col < e.ColsN && v != 0 {
-				out[r*e.ColsN+col] = uint8(v)
+			if col >= 0 && col < len(row) && v != 0 {
+				row[col] = uint8(v)
 			}
 		}
 	}
 	met.csrDecodes.Inc()
 	met.csrOverruns.Add(overruns)
+	return csrState{r, pos}
 }
 
 // Streams returns the fault-injection targets in canonical order:

@@ -24,13 +24,12 @@ type Encoding interface {
 	SizeBits() int64
 }
 
-// clearOut zeroes out, a DecodeInto buffer, after checking that it holds
-// exactly n indices.
-func clearOut(format string, out []uint8, n int) {
+// checkOut panics unless out, a DecodeInto buffer, holds exactly n
+// indices.
+func checkOut(format string, out []uint8, n int) {
 	if len(out) != n {
 		panic(fmt.Sprintf("sparse: %s DecodeInto buffer of %d indices, want %d", format, len(out), n))
 	}
-	clear(out)
 }
 
 // Kind selects a weight storage format.
@@ -189,7 +188,15 @@ func EncodeDense(indices []uint8, rows, cols, valueBits int) (*Dense, error) {
 func (e *Dense) Decode() []uint8 { return e.Values.Values8() }
 
 // DecodeInto copies the stored indices into out.
-func (e *Dense) DecodeInto(out []uint8) { e.Values.Values8Into(out) }
+func (e *Dense) DecodeInto(out []uint8) {
+	checkOut("Dense", out, e.Values.N)
+	e.decode(out, 0, len(out))
+}
+
+// decode is the dense decode loop: it copies stored indices [lo, hi)
+// into out[lo:hi]. The format is fixed-rate, so the index is its only
+// state.
+func (e *Dense) decode(out []uint8, lo, hi int) { e.Values.Values8From(lo, out[lo:hi]) }
 
 // Streams returns the single dense stream.
 func (e *Dense) Streams() []*bitstream.Stream { return []*bitstream.Stream{e.Values} }

@@ -6,13 +6,19 @@ package sparse
 // bits). Counts are accumulated in locals inside the decode loops and
 // published with a single atomic Add per decode — never per element.
 //
+// A bounded re-decode (Checkpoints.Redecode, from a checkpoint to the
+// point where the decoder is back in its pristine state) counts as one
+// decode, and it reports the overrun reads a full decode of the same
+// faulted streams reports: outside the re-decoded stretch the decode is
+// the pristine one, which overruns nowhere.
+//
 // Metric names:
 //
-//	sparse.csr.decodes          CSR.Decode calls
+//	sparse.csr.decodes          CSR decodes
 //	sparse.csr.overrun_reads    entry reads past the end of Values/ColIndex
-//	sparse.bitmask.decodes      BitMask.Decode calls
+//	sparse.bitmask.decodes      BitMask decodes
 //	sparse.bitmask.overrun_reads value reads past the end of Values
-//	sparse.e24.decodes          E24.Decode calls (dense materializations;
+//	sparse.e24.decodes          E24 decodes (dense materializations;
 //	                            the compute-direct path never increments it)
 //	sparse.e24.overrun_reads    entry reads past the end of Values/Meta
 import "repro/internal/telemetry"

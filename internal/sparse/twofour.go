@@ -128,25 +128,39 @@ func Encode24(indices []uint8, rows, cols, valueBits int, centroids []float32) (
 // in sparse.e24.overrun_reads).
 func (e *E24) Decode() []uint8 {
 	out := make([]uint8, e.RowsN*e.ColsN)
-	e.decode(out)
+	e.decode(out, 0, e.RowsN*groupsPerRow(e.ColsN))
 	return out
 }
 
 // DecodeInto is Decode into out.
 func (e *E24) DecodeInto(out []uint8) {
-	clearOut("E24", out, e.RowsN*e.ColsN)
-	e.decode(out)
+	checkOut("E24", out, e.RowsN*e.ColsN)
+	e.decode(out, 0, e.RowsN*groupsPerRow(e.ColsN))
 }
 
-// decode is Decode into out, which holds rows x cols zeros.
-func (e *E24) decode(out []uint8) {
+// groupStart returns where group g (row-major over the matrix) starts in
+// the decoded matrix. Groups tile the rows, so groups [g0, g1) decode
+// into out[groupStart(g0):groupStart(g1)].
+func (e *E24) groupStart(g int) int {
+	gpr := groupsPerRow(e.ColsN)
+	return g/gpr*e.ColsN + g%gpr*4
+}
+
+// decode is the E24 decode loop: it clears the columns of groups
+// [g0, g1) (row-major over the matrix) in out and decodes them. The
+// format is fixed-rate, so the group index is its only state.
+func (e *E24) decode(out []uint8, g0, g1 int) {
 	met.e24Decodes.Inc()
+	if g0 >= g1 {
+		return
+	}
+	clear(out[e.groupStart(g0):e.groupStart(g1)])
 	gpr := groupsPerRow(e.ColsN)
 	overruns := 0
-	ent := 0
-	vals, meta := e.Values.Reader(0), e.Meta.Reader(0)
-	for r := 0; r < e.RowsN; r++ {
-		for g := 0; g < gpr; g++ {
+	ent := 2 * g0
+	vals, meta := e.Values.Reader(ent), e.Meta.Reader(ent)
+	for r, g := g0/gpr, g0%gpr; ent < 2*g1; r, g = r+1, 0 {
+		for ; g < gpr && ent < 2*g1; g++ {
 			for s := 0; s < 2; s++ {
 				if ent >= e.Values.N || ent >= e.Meta.N {
 					overruns++

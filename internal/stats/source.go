@@ -77,10 +77,10 @@ func (s *Source) NormFloat64() float64 {
 	}
 	v = s.Float64()
 	r := math.Sqrt(-2 * math.Log(u))
-	theta := 2 * math.Pi * v
-	s.spare = r * math.Sin(theta)
+	sin, cos := math.Sincos(2 * math.Pi * v)
+	s.spare = r * sin
 	s.haveSpare = true
-	return r * math.Cos(theta)
+	return r * cos
 }
 
 // Gaussian returns a normal variate with the given mean and standard

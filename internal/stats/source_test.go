@@ -168,3 +168,24 @@ func TestZeroValueSourceUsable(t *testing.T) {
 	_ = s.Uint64()
 	_ = s.Float64()
 }
+
+// TestSincosMatchesSinCos pins the Box-Muller angle's sine and cosine:
+// NormFloat64 takes both from one math.Sincos call, which must give the
+// bits the separate math.Sin and math.Cos calls give, so that every
+// drawn weight is unchanged. The angles are 2*pi*v for v drawn as
+// Float64 draws it, plus the extremes v = 0 and v = 1-2^-53.
+func TestSincosMatchesSinCos(t *testing.T) {
+	src := NewSource(29)
+	vs := []float64{0, 1 - 0x1p-53, 0x1p-53, 0.25, 0.5, 0.75}
+	for i := 0; i < 200000; i++ {
+		vs = append(vs, src.Float64())
+	}
+	for _, v := range vs {
+		theta := 2 * math.Pi * v
+		sin, cos := math.Sincos(theta)
+		if math.Float64bits(sin) != math.Float64bits(math.Sin(theta)) ||
+			math.Float64bits(cos) != math.Float64bits(math.Cos(theta)) {
+			t.Fatalf("v = %v: Sincos = (%v, %v), Sin, Cos = (%v, %v)", v, sin, cos, math.Sin(theta), math.Cos(theta))
+		}
+	}
+}
