@@ -3,7 +3,9 @@
 // against the shared fleet directory (work), spawns and self-heals a
 // whole worker fleet in one command (supervise), folds completed shard
 // WALs into one deterministic result (merge), and reports live shard
-// state (status; exit 2 when the fleet is stalled or degraded).
+// state (status; exit 2 when the fleet is stalled or degraded). Usage
+// errors exit 2 as well, like the flag package's own; runtime errors
+// exit 1.
 //
 // A fleet directory is the only coordination channel: any number of
 // worker processes — on one machine or many sharing a filesystem —
@@ -92,7 +94,9 @@ func usage() {
   status     report per-shard lease state and record counts
              (exit 2 when any shard is stalled or quarantined)
 
-run "campaignd <subcommand> -h" for flags`)
+Exit status 2 also reports a usage error (a bad or missing flag, an
+unknown subcommand), as the flag package does; 1 is a runtime error.
+Run "campaignd <subcommand> -h" for flags.`)
 }
 
 // specKinds the work subcommand can rebuild a RunFunc for.
@@ -128,7 +132,7 @@ func cmdPlan(args []string) {
 	sleepMS := fs.Int("sleep-ms", 0, "synth: per-trial sleep in milliseconds")
 	fs.Parse(args)
 	if *dir == "" {
-		log.Fatal("plan: -dir is required")
+		cliutil.Usagef("campaignd: plan: -dir is required")
 	}
 
 	ps := fleet.PlanSpec{
@@ -143,7 +147,7 @@ func cmdPlan(args []string) {
 		ps.Seed = *seed
 		ps.Configs = splitList(*configs)
 		if len(ps.Configs) == 0 {
-			log.Fatal("plan: -spec synth requires -configs")
+			cliutil.Usagef("campaignd: plan: -spec synth requires -configs")
 		}
 		raw, err := json.Marshal(synthSpec{SleepMS: *sleepMS})
 		if err != nil {
@@ -162,7 +166,7 @@ func cmdPlan(args []string) {
 		}
 		ps.Spec = raw
 	default:
-		log.Fatalf("plan: unknown -spec %q (want synth or fig5)", *spec)
+		cliutil.Usagef("campaignd: plan: unknown -spec %q (want synth or fig5)", *spec)
 	}
 
 	m, err := fleet.Plan(ps)
@@ -230,11 +234,11 @@ func cmdWork(args []string) {
 	tel.AddFsyncTo(fs)
 	fs.Parse(args)
 	if *dir == "" {
-		log.Fatal("work: -dir is required")
+		cliutil.Usagef("campaignd: work: -dir is required")
 	}
 	cells, err := chaos.ParseCells(*poison)
 	if err != nil {
-		log.Fatal(err)
+		cliutil.Usagef("campaignd: work: %v", err)
 	}
 	tel.Start()
 	defer tel.Dump()
@@ -299,7 +303,7 @@ func cmdSupervise(args []string) {
 	tel.AddFsyncTo(fs)
 	fs.Parse(args)
 	if *dir == "" {
-		log.Fatal("supervise: -dir is required")
+		cliutil.Usagef("campaignd: supervise: -dir is required")
 	}
 	self, err := os.Executable()
 	if err != nil {
@@ -369,7 +373,7 @@ func cmdMerge(args []string) {
 	asJSON := fs.Bool("json", false, "emit the merged result as JSON on stdout")
 	fs.Parse(args)
 	if *dir == "" {
-		log.Fatal("merge: -dir is required")
+		cliutil.Usagef("campaignd: merge: -dir is required")
 	}
 
 	rep, err := fleet.Merge(fleet.MergeOptions{Dir: *dir, AllowPartial: *partial, Log: os.Stderr})
@@ -422,7 +426,7 @@ func cmdStatus(args []string) {
 	dir := fs.String("dir", "", "fleet directory")
 	fs.Parse(args)
 	if *dir == "" {
-		log.Fatal("status: -dir is required")
+		cliutil.Usagef("campaignd: status: -dir is required")
 	}
 
 	m, shards, err := fleet.Status(nil, *dir)

@@ -35,7 +35,7 @@ func TestGrayCodingNecessity(t *testing.T) {
 		if faults == 0 {
 			t.Fatal("no faults injected")
 		}
-		prot.Correct()
+		prot.CorrectReport()
 		return a.DiffBits(ref)
 	}
 	grayResidual := run(true)
@@ -62,7 +62,7 @@ func TestECCWithoutGrayMiscorrects(t *testing.T) {
 	prot := code.Protect(a)
 	a.SetBits(0, bpc, 4) // level 3 -> 4 under binary mapping: 3 bit flips
 	before := a.DiffBits(ref)
-	st := prot.Correct()
+	st := prot.CorrectReport().CorrectionStats
 	after := a.DiffBits(ref)
 	if before != 3 {
 		t.Fatalf("expected a 3-bit corruption, got %d", before)

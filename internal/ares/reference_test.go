@@ -54,7 +54,7 @@ func referenceProbe(enc sparse.Encoding, streamIdx int, cl *quant.Clustered, p S
 			}
 			forceFault(s, c1, p, src)
 			forceFault(s, c2, p, src)
-			prot.Correct()
+			prot.CorrectReport()
 		} else {
 			forceFault(s, src.Intn(cells), p, src)
 		}

@@ -110,18 +110,6 @@ func (a *Array) SetBits(off, n int, v uint64) {
 	}
 }
 
-// Bytes returns the packed bits as a byte slice of ceil(Len/8) bytes,
-// little-endian bit order (bit i of the array is bit i%8 of byte i/8);
-// trailing pad bits are zero. It gives golden-vector tests and external
-// serialization a stable wire view of the array.
-func (a *Array) Bytes() []byte {
-	out := make([]byte, (a.nbits+7)/8)
-	for i := range out {
-		out[i] = byte(a.words[i/8] >> (uint(i%8) * 8))
-	}
-	return out
-}
-
 // PopCount returns the number of set bits. The padding bits past Len
 // are always zero, so whole words can be counted.
 func (a *Array) PopCount() int {
@@ -229,13 +217,6 @@ func (s *Stream) Values8From(first int, out []uint8) {
 		panic(fmt.Sprintf("bitstream: Values8From elements [%d, %d) of %d", first, first+len(out), s.N))
 	}
 	unpack(s, out, first)
-}
-
-// Values extracts all elements into a fresh slice.
-func (s *Stream) Values() []uint32 {
-	out := make([]uint32, s.N)
-	unpack(s, out, 0)
-	return out
 }
 
 // unpack fills out with the elements from element first on, with one

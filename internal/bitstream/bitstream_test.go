@@ -146,7 +146,7 @@ func TestStreamPropertyRoundTrip(t *testing.T) {
 
 func TestStreamFromValues(t *testing.T) {
 	s := FromValues("v", 4, []uint32{1, 15, 0, 7})
-	got := s.Values()
+	got := values(s)
 	want := []uint32{1, 15, 0, 7}
 	for i := range want {
 		if got[i] != want[i] {
@@ -184,4 +184,11 @@ func TestBitsFor(t *testing.T) {
 			t.Errorf("BitsFor(%d) = %d, want %d", in, got, want)
 		}
 	}
+}
+
+// values extracts all elements of s into a fresh slice.
+func values(s *Stream) []uint32 {
+	out := make([]uint32, s.N)
+	unpack(s, out, 0)
+	return out
 }

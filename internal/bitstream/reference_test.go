@@ -82,7 +82,7 @@ func TestStreamCursorsMatchReference(t *testing.T) {
 			if !s.Bits.Equal(want) {
 				t.Fatalf("width %d n %d: FromValues packs differently", w, n)
 			}
-			got := s.Values()
+			got := values(s)
 			r := s.Reader(0)
 			for i, v := range vals {
 				if got[i] != v || r.Next() != uint64(v) {

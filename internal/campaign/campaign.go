@@ -9,8 +9,6 @@
 //   - per-trial panic recovery: a panic in the trial function (or the
 //     library code it calls) becomes a typed *TrialError that fails one
 //     trial, never the campaign;
-//   - bounded retry with exponential backoff for errors marked transient
-//     (see Transient);
 //   - JSONL checkpointing with deterministic seed derivation (TrialSeed),
 //     so an interrupted campaign resumes to bit-identical aggregates;
 //   - streaming aggregation (Welford mean/variance + normal confidence
@@ -66,22 +64,22 @@ type Sample struct {
 // engine additionally applies the per-trial deadline through ctx).
 type RunFunc func(ctx context.Context, t Trial) (Sample, error)
 
-// TrialError is the typed, terminal failure of a single trial. Library
-// panics, per-trial deadline hits, and exhausted retries all surface as
-// TrialErrors in the config's aggregate; they never abort the campaign.
+// TrialError is the typed, terminal failure of a single trial. A trial
+// runs once: library panics, per-trial deadline hits, and errors all
+// surface as TrialErrors in the config's aggregate; they never abort the
+// campaign.
 type TrialError struct {
-	Config   string
-	Trial    int
-	Seed     uint64
-	Kind     string // "panic", "timeout", or "error"
-	Msg      string
-	Attempts int
+	Config string
+	Trial  int
+	Seed   uint64
+	Kind   string // "panic", "timeout", or "error"
+	Msg    string
 }
 
 // Error implements the error interface.
 func (e *TrialError) Error() string {
-	return fmt.Sprintf("campaign: config %q trial %d (seed %d) failed after %d attempt(s): %s: %s",
-		e.Config, e.Trial, e.Seed, e.Attempts, e.Kind, e.Msg)
+	return fmt.Sprintf("campaign: config %q trial %d (seed %d) failed: %s: %s",
+		e.Config, e.Trial, e.Seed, e.Kind, e.Msg)
 }
 
 // Trial failure kinds.
@@ -90,27 +88,6 @@ const (
 	KindTimeout = "timeout"
 	KindError   = "error"
 )
-
-type transientError struct{ err error }
-
-func (t *transientError) Error() string   { return t.err.Error() }
-func (t *transientError) Unwrap() error   { return t.err }
-func (t *transientError) Transient() bool { return true }
-
-// Transient wraps an error so the engine retries the trial (with
-// backoff) instead of failing it terminally.
-func Transient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &transientError{err: err}
-}
-
-// IsTransient reports whether err is marked retryable.
-func IsTransient(err error) bool {
-	var t interface{ Transient() bool }
-	return errors.As(err, &t) && t.Transient()
-}
 
 // Options tunes a campaign. A zero field means the default its comment
 // names, or the mechanism off.
@@ -191,20 +168,12 @@ type Options struct {
 	Identity string
 	// OnTrialStart, when non-nil, is called synchronously on the worker
 	// goroutine immediately before each trial executes (never for
-	// replayed or preloaded records, and once per trial regardless of
-	// retries). It exists for fault-injection harnesses: internal/chaos
-	// uses it to plant poison trials that kill the whole process at a
-	// deterministic (config, index) cell, the way an OOM kill would.
+	// replayed or preloaded records). It exists for fault-injection
+	// harnesses: internal/chaos uses it to plant poison trials that kill
+	// the whole process at a deterministic (config, index) cell, the way
+	// an OOM kill would.
 	OnTrialStart func(Trial)
 }
-
-// A trial that fails transiently is retried trialRetries times (the
-// first attempt is not a retry), after cancellable sleeps drawn by
-// retryBackoff from retryBase, which doubles per attempt.
-const (
-	trialRetries = 2
-	retryBase    = 10 * time.Millisecond
-)
 
 // Span is a per-config trial sub-range [Lo, Hi). See Options.Spans.
 type Span struct {
@@ -314,7 +283,6 @@ type Campaign struct {
 	opt     Options
 
 	state    map[string]*configState
-	order    []string
 	preload  map[trialKey]*Record
 	ckpt     *checkpointWriter
 	met      *engineMetrics
@@ -614,7 +582,7 @@ func (c *Campaign) configStopped(id string) bool {
 	return c.state[id].stopped
 }
 
-// worker executes trials with deadline, panic isolation, and retry, and
+// worker executes trials with deadline and panic isolation, and
 // reports completed outcomes. Cancelled (not timed-out) trials report
 // nothing: they are unfinished, not failed.
 func (c *Campaign) worker(ctx context.Context, specs <-chan Trial, results chan<- *Record) {
@@ -642,67 +610,40 @@ func (c *Campaign) worker(ctx context.Context, specs <-chan Trial, results chan<
 	}
 }
 
-// attempt runs one trial with up to 1+trialRetries attempts. A nil return
-// means the campaign context was cancelled and the trial is unfinished.
-// The returned record (success or terminal failure) is folded into the
-// engine metrics together with the trial's wall time including retries;
-// cancelled trials record nothing.
-func (c *Campaign) attempt(ctx context.Context, spec Trial) (rec *Record) {
+// attempt runs one trial. A nil return means the campaign context was
+// cancelled and the trial is unfinished. The returned record (success
+// or terminal failure) is folded into the engine metrics together with
+// the trial's wall time; cancelled trials record nothing.
+func (c *Campaign) attempt(ctx context.Context, spec Trial) *Record {
 	if c.opt.OnTrialStart != nil {
 		c.opt.OnTrialStart(spec)
 	}
 	start := time.Now()
 	c.met.started.Inc()
-	defer func() {
-		if rec != nil {
-			c.met.observeOutcome(rec, start)
-		}
-	}()
-	var lastErr error
-	attempts := 0
-	for attempts <= trialRetries {
-		attempts++
-		if attempts > 1 {
-			c.met.retried.Inc()
-		}
-		sample, err := c.runOne(ctx, spec)
-		if err == nil {
-			return &Record{Config: spec.Config, Trial: spec.Index, Seed: spec.Seed, Sample: &sample}
-		}
-		if ctx.Err() != nil {
-			return nil // campaign cancelled, not a trial failure
-		}
-		lastErr = err
-		if errors.Is(err, context.DeadlineExceeded) {
-			return failure(spec, KindTimeout, err, attempts)
-		}
-		if pe := (*panicError)(nil); errors.As(err, &pe) {
-			return failure(spec, KindPanic, err, attempts)
-		}
-		if !IsTransient(err) {
-			return failure(spec, KindError, err, attempts)
-		}
-		// Transient: back off (cancellable) and retry. Full jitter keeps
-		// fleet workers that trip over one shared fault (a slow shared
-		// disk, a saturated lease directory) from retrying in lockstep;
-		// deriving it from the trial seed keeps replays deterministic.
-		backoff := retryBackoff(retryBase, spec.Seed, attempts)
-		timer := time.NewTimer(backoff)
-		select {
-		case <-timer.C:
-		case <-ctx.Done():
-			timer.Stop()
-			return nil
-		}
+	sample, err := c.runOne(ctx, spec)
+	if err != nil && ctx.Err() != nil {
+		return nil // campaign cancelled, not a trial failure
 	}
-	return failure(spec, KindError, fmt.Errorf("transient failure persisted: %w", lastErr), attempts)
+	rec := &Record{Config: spec.Config, Trial: spec.Index, Seed: spec.Seed}
+	if err != nil {
+		rec.ErrKind, rec.ErrMsg = errKind(err), err.Error()
+	} else {
+		rec.Sample = &sample
+	}
+	c.met.observeOutcome(rec, start)
+	return rec
 }
 
-func failure(spec Trial, kind string, err error, attempts int) *Record {
-	return &Record{
-		Config: spec.Config, Trial: spec.Index, Seed: spec.Seed,
-		ErrKind: kind, ErrMsg: err.Error(), Attempts: attempts,
+// errKind classifies a trial failure as a deadline hit, a panic, or an
+// error the trial returned.
+func errKind(err error) string {
+	switch {
+	case errors.Is(err, context.DeadlineExceeded):
+		return KindTimeout
+	case errors.As(err, new(*panicError)):
+		return KindPanic
 	}
+	return KindError
 }
 
 // panicError carries a recovered panic out of the trial goroutine.
@@ -784,7 +725,7 @@ func (c *Campaign) fold(rec *Record) {
 		} else {
 			st.errs = append(st.errs, &TrialError{
 				Config: next.Config, Trial: next.Trial, Seed: next.Seed,
-				Kind: next.ErrKind, Msg: next.ErrMsg, Attempts: next.Attempts,
+				Kind: next.ErrKind, Msg: next.ErrMsg,
 			})
 		}
 		if c.opt.CITarget > 0 && st.agg.N() >= int64(c.opt.MinTrials) &&

@@ -1,15 +1,19 @@
 package campaign
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/stats"
 )
 
@@ -195,39 +199,6 @@ func TestTrialTimeout(t *testing.T) {
 	}
 }
 
-func TestTransientRetrySucceeds(t *testing.T) {
-	var calls atomic.Int64
-	run := func(ctx context.Context, tr Trial) (Sample, error) {
-		if tr.Index == 1 && calls.Add(1) <= 2 {
-			return Sample{}, Transient(fmt.Errorf("flaky dependency"))
-		}
-		return detRun(ctx, tr)
-	}
-	res := mustRun(t, []string{"cfg"}, run, Options{
-		Seed: 1, MaxTrials: 3, Workers: 1,
-	})
-	cr := res.Config("cfg")
-	if cr.N != 3 || len(cr.Errors) != 0 {
-		t.Fatalf("transient retries should all succeed: %+v", cr)
-	}
-}
-
-func TestTransientRetryExhausts(t *testing.T) {
-	run := func(ctx context.Context, tr Trial) (Sample, error) {
-		return Sample{}, Transient(fmt.Errorf("always down"))
-	}
-	res := mustRun(t, []string{"cfg"}, run, Options{
-		Seed: 1, MaxTrials: 2, Workers: 1,
-	})
-	cr := res.Config("cfg")
-	if cr.N != 0 || len(cr.Errors) != 2 {
-		t.Fatalf("want 2 terminal errors, got %+v", cr)
-	}
-	if cr.Errors[0].Attempts != 3 {
-		t.Errorf("attempts = %d, want 3 (1 + 2 retries)", cr.Errors[0].Attempts)
-	}
-}
-
 func TestNonTransientErrorIsTerminal(t *testing.T) {
 	var calls atomic.Int64
 	run := func(ctx context.Context, tr Trial) (Sample, error) {
@@ -238,7 +209,7 @@ func TestNonTransientErrorIsTerminal(t *testing.T) {
 		Seed: 1, MaxTrials: 1, Workers: 1,
 	})
 	if got := calls.Load(); got != 1 {
-		t.Errorf("non-transient error retried: %d calls", got)
+		t.Errorf("failed trial ran %d times, want once", got)
 	}
 	cr := res.Config("cfg")
 	if len(cr.Errors) != 1 || cr.Errors[0].Kind != KindError {
@@ -338,18 +309,57 @@ func TestCheckpointRecordsErrors(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "c.jsonl")
 	opt := Options{Seed: 4, MaxTrials: 4, CheckpointPath: ckpt}
 	ref := mustRun(t, []string{"cfg"}, run, opt)
-	opt.Resume = true
-	var calls atomic.Int64
-	resumed := mustRun(t, []string{"cfg"}, func(ctx context.Context, tr Trial) (Sample, error) {
-		calls.Add(1)
-		return detRun(ctx, tr)
-	}, opt)
-	if calls.Load() != 0 {
-		t.Errorf("resume re-executed %d trials (errors must replay, not retry)", calls.Load())
+	if len(ref.Configs[0].Errors) != 1 {
+		t.Fatalf("want one error, got %+v", ref.Configs[0])
 	}
-	sameAggregates(t, ref, resumed)
-	if len(resumed.Configs[0].Errors) != 1 {
-		t.Fatalf("replayed errors lost: %+v", resumed.Configs[0])
+
+	// Checkpoints written before trials ran only once carry an
+	// "attempts" count on their error records. Fleet shards in that
+	// format must still resume, and fold as the fleet merge folds them,
+	// to the same aggregates and the same errors.
+	sr, err := durable.Scan(nil, ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var old []byte
+	for _, ln := range sr.Lines {
+		p := ln.Payload
+		if bytes.Contains(p, []byte(`"err_kind"`)) {
+			p = append(bytes.TrimSuffix(p, []byte("}")), `,"attempts":3}`...)
+		}
+		old = durable.AppendFrame(old, p)
+	}
+	oldCkpt := filepath.Join(t.TempDir(), "old.jsonl")
+	if err := os.WriteFile(oldCkpt, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, path := range []string{ckpt, oldCkpt} {
+		ropt := opt
+		ropt.CheckpointPath = path
+		ropt.Resume = true
+		var calls atomic.Int64
+		resumed := mustRun(t, []string{"cfg"}, func(ctx context.Context, tr Trial) (Sample, error) {
+			calls.Add(1)
+			return detRun(ctx, tr)
+		}, ropt)
+		if calls.Load() != 0 {
+			t.Errorf("%s: resume re-executed %d trials (errors must replay, not rerun)", path, calls.Load())
+		}
+		recs, _, err := ReadCheckpoint(nil, path, opt.Seed, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		folded, err := Fold([]string{"cfg"}, opt, recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, got := range []*Result{resumed, folded} {
+			sameAggregates(t, ref, got)
+			if !reflect.DeepEqual(got.Configs[0].Errors, ref.Configs[0].Errors) {
+				t.Fatalf("%s: errors = %+v, want %+v", path, got.Configs[0].Errors, ref.Configs[0].Errors)
+			}
+		}
 	}
 }
 

@@ -59,13 +59,12 @@ type headerLine struct {
 // Record is one checkpointed trial outcome. Exactly one of Sample /
 // ErrKind+ErrMsg is set.
 type Record struct {
-	Config   string  `json:"config"`
-	Trial    int     `json:"trial"`
-	Seed     uint64  `json:"seed"`
-	Sample   *Sample `json:"sample,omitempty"`
-	ErrKind  string  `json:"err_kind,omitempty"`
-	ErrMsg   string  `json:"err,omitempty"`
-	Attempts int     `json:"attempts,omitempty"`
+	Config  string  `json:"config"`
+	Trial   int     `json:"trial"`
+	Seed    uint64  `json:"seed"`
+	Sample  *Sample `json:"sample,omitempty"`
+	ErrKind string  `json:"err_kind,omitempty"`
+	ErrMsg  string  `json:"err,omitempty"`
 }
 
 // checkpointWriter appends framed records to the WAL; the WAL holds the

@@ -18,7 +18,7 @@ package campaign
 // Fold builds a campaign Result from externally loaded records without
 // executing any trials. Options supplies the statistical contract
 // (Seed, MaxTrials, MinTrials, CITarget, Confidence); execution options
-// (Workers, CheckpointPath, retries, ...) are ignored. Records failing
+// (Workers, CheckpointPath, TrialTimeout, ...) are ignored. Records failing
 // the seed derivation, referencing unknown configs, or carrying no
 // outcome are dropped, exactly as a resume load drops them. Duplicate
 // (config, trial) records collapse to one (under the determinism

@@ -7,12 +7,11 @@ package campaign
 //	campaign.trials.started        trials dispatched to a worker
 //	campaign.trials.completed      trials that returned a sample
 //	campaign.trials.failed         trials that failed terminally
-//	campaign.trials.retried        retry attempts after transient errors
 //	campaign.trials.panicked       terminal failures caused by a panic
 //	campaign.trials.timed_out      terminal failures caused by the deadline
 //	campaign.earlystop.decisions   configs stopped early by the CI target
-//	campaign.workers.busy          workers currently inside a trial attempt
-//	campaign.trial.latency         wall time of one trial incl. retries (ns)
+//	campaign.workers.busy          workers currently inside a trial
+//	campaign.trial.latency         wall time of one trial (ns)
 //	campaign.checkpoint.flushes    checkpoint records flushed
 //	campaign.checkpoint.flush_latency  marshal+write+fsync-to-OS time (ns)
 //	campaign.ckpt.torn_lines       corrupt/undecodable checkpoint lines skipped on load
@@ -32,7 +31,7 @@ import (
 // touches the registry map.
 type engineMetrics struct {
 	started, completed, failed *telemetry.Counter
-	retried, panicked, timeout *telemetry.Counter
+	panicked, timeout          *telemetry.Counter
 	earlyStops                 *telemetry.Counter
 	workersBusy                *telemetry.Gauge
 	trialLatency               *telemetry.Timer
@@ -48,7 +47,6 @@ func newEngineMetrics(r *telemetry.Registry) *engineMetrics {
 		started:      r.Counter("campaign.trials.started"),
 		completed:    r.Counter("campaign.trials.completed"),
 		failed:       r.Counter("campaign.trials.failed"),
-		retried:      r.Counter("campaign.trials.retried"),
 		panicked:     r.Counter("campaign.trials.panicked"),
 		timeout:      r.Counter("campaign.trials.timed_out"),
 		earlyStops:   r.Counter("campaign.earlystop.decisions"),
@@ -62,7 +60,7 @@ func newEngineMetrics(r *telemetry.Registry) *engineMetrics {
 	}
 }
 
-// observeOutcome folds one finished trial attempt chain into the metrics.
+// observeOutcome folds one finished trial into the metrics.
 func (m *engineMetrics) observeOutcome(rec *Record, start time.Time) {
 	m.trialLatency.Since(start)
 	if rec.Sample != nil {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -29,17 +28,7 @@ func TestEngineMetrics(t *testing.T) {
 		}
 		return Sample{Value: float64(tr.Index)}, nil
 	}
-	// Make the transient trial succeed on its second attempt.
-	attempts := make(map[string]int)
-	wrapped := func(ctx context.Context, tr Trial) (Sample, error) {
-		key := fmt.Sprintf("%s/%d", tr.Config, tr.Index)
-		attempts[key]++ // single-worker campaign: no mutex needed
-		if tr.Config == "bad" && tr.Index == 2 && attempts[key] == 1 {
-			return Sample{}, Transient(errors.New("flaky"))
-		}
-		return run(ctx, tr)
-	}
-	c, err := New([]string{"good", "bad"}, wrapped, Options{
+	c, err := New([]string{"good", "bad"}, run, Options{
 		Seed: 7, MaxTrials: 4, Workers: 1,
 		CheckpointPath: ckpt, Metrics: reg,
 	})
@@ -55,16 +44,13 @@ func TestEngineMetrics(t *testing.T) {
 		t.Errorf("started = %d, want 8", got)
 	}
 	if got := get("campaign.trials.completed"); got != 6 {
-		t.Errorf("completed = %d, want 6 (4 good + bad/2 retried + bad/3)", got)
+		t.Errorf("completed = %d, want 6 (4 good + bad/2 + bad/3)", got)
 	}
 	if got := get("campaign.trials.failed"); got != 2 {
 		t.Errorf("failed = %d, want 2 (panic + terminal)", got)
 	}
 	if got := get("campaign.trials.panicked"); got != 1 {
 		t.Errorf("panicked = %d, want 1", got)
-	}
-	if got := get("campaign.trials.retried"); got != 1 {
-		t.Errorf("retried = %d, want 1", got)
 	}
 	if got := get("campaign.checkpoint.flushes"); got != 8 {
 		t.Errorf("checkpoint flushes = %d, want 8", got)

@@ -11,8 +11,6 @@ package campaign
 // which is what makes interrupted campaigns resumable to bit-identical
 // aggregates.
 
-import "time"
-
 const (
 	fnvOffset64 = 0xcbf29ce484222325
 	fnvPrime64  = 0x100000001b3
@@ -42,17 +40,4 @@ func splitmix64(x uint64) uint64 {
 // function invalidates every existing checkpoint.
 func TrialSeed(base uint64, config string, trial int) uint64 {
 	return splitmix64(splitmix64(base^hashConfig(config)) + uint64(trial)*golden64)
-}
-
-// retryBackoff is the sleep before retry attempt `attempt` (1-based
-// count of attempts already made) of a trial: exponential in the
-// attempt number with full jitter drawn deterministically from the
-// trial seed. Uniform in [0, base<<(attempt-1)]; a shift that
-// overflows falls back to the unshifted base.
-func retryBackoff(base time.Duration, seed uint64, attempt int) time.Duration {
-	ceil := base << uint(attempt-1)
-	if ceil <= 0 {
-		ceil = base
-	}
-	return time.Duration(splitmix64(seed^(uint64(attempt)*golden64)) % uint64(ceil+1))
 }

@@ -191,35 +191,6 @@ func TestSpanValidation(t *testing.T) {
 	}
 }
 
-// TestRetryBackoffJitter: the backoff schedule must be a deterministic
-// function of (seed, attempt), bounded by the exponential ceiling, and
-// decorrelated across seeds — the lockstep-retry fix.
-func TestRetryBackoffJitter(t *testing.T) {
-	base := 10 * time.Millisecond
-	for attempt := 1; attempt <= 4; attempt++ {
-		ceil := base << uint(attempt-1)
-		distinct := map[time.Duration]bool{}
-		for seed := uint64(0); seed < 64; seed++ {
-			d := retryBackoff(base, seed, attempt)
-			if d != retryBackoff(base, seed, attempt) {
-				t.Fatal("backoff not deterministic")
-			}
-			if d < 0 || d > ceil {
-				t.Fatalf("backoff %v outside [0, %v] (seed %d attempt %d)", d, ceil, seed, attempt)
-			}
-			distinct[d] = true
-		}
-		if len(distinct) < 32 {
-			t.Fatalf("attempt %d: only %d distinct backoffs over 64 seeds — still lockstep", attempt, len(distinct))
-		}
-	}
-	// Overflowed shifts fall back to the unshifted base instead of
-	// going negative.
-	if d := retryBackoff(time.Hour, 1, 64); d < 0 || d > time.Hour {
-		t.Fatalf("overflow fallback broken: %v", d)
-	}
-}
-
 // TestIdentityPrefixesWarnAndProgress: with Options.Identity set, warn
 // lines (checkpoint damage) and progress lines must carry the
 // "[identity] " prefix so interleaved multi-worker stderr stays

@@ -148,14 +148,6 @@ func (l *Layer) WeightCount() int { return l.WeightRows() * l.WeightCols() }
 // materialized.
 func (l *Layer) BiasCount() int { return l.WeightRows() }
 
-// ParamCount returns weights + biases (spec-derived).
-func (l *Layer) ParamCount() int {
-	if !l.HasWeights() {
-		return 0
-	}
-	return l.WeightCount() + l.BiasCount()
-}
-
 // Materialized reports whether the layer's weight storage is allocated.
 func (l *Layer) Materialized() bool { return !l.HasWeights() || l.Weights != nil }
 
@@ -217,15 +209,6 @@ type Model struct {
 	Classes int
 	Layers  []*Layer
 	Meta    Meta
-}
-
-// ParamCount returns the total number of parameters.
-func (m *Model) ParamCount() int {
-	total := 0
-	for _, l := range m.Layers {
-		total += l.ParamCount()
-	}
-	return total
 }
 
 // WeightCount returns the total number of weight values (excluding bias).

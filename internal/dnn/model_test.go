@@ -26,11 +26,11 @@ func TestWeightShapeSpecDerived(t *testing.T) {
 		t.Errorf("conv weight shape wrong: %d x %d", l.WeightRows(), l.WeightCols())
 	}
 	f := &Layer{Kind: FC, InFeatures: 100, OutFeatures: 10}
-	if f.WeightCount() != 1000 || f.BiasCount() != 10 || f.ParamCount() != 1010 {
+	if f.WeightCount() != 1000 || f.BiasCount() != 10 || layerParams(f) != 1010 {
 		t.Error("fc param counts wrong")
 	}
 	p := &Layer{Kind: MaxPool, PoolK: 2}
-	if p.WeightCount() != 0 || p.ParamCount() != 0 {
+	if p.WeightCount() != 0 || layerParams(p) != 0 {
 		t.Error("pool should have no params")
 	}
 }

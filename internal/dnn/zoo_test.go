@@ -48,11 +48,11 @@ func TestZooParamCountsNearPaper(t *testing.T) {
 	// specified, e.g. biases and BN parameters).
 	for _, name := range ZooNames {
 		m := ByName(name)
-		got := float64(m.ParamCount())
+		got := float64(paramCount(m))
 		want := float64(m.Meta.PaperParams)
 		ratio := got / want
 		if ratio < 0.70 || ratio > 1.15 {
-			t.Errorf("%s params = %d, paper %d (ratio %.3f)", name, m.ParamCount(), m.Meta.PaperParams, ratio)
+			t.Errorf("%s params = %d, paper %d (ratio %.3f)", name, paramCount(m), m.Meta.PaperParams, ratio)
 		}
 	}
 }
@@ -144,4 +144,21 @@ func TestZooMetadataSanity(t *testing.T) {
 			t.Errorf("%s sparsity %v invalid", name, meta.TargetSparsity)
 		}
 	}
+}
+
+// paramCount is the model's weights plus biases.
+func paramCount(m *Model) int {
+	n := 0
+	for _, l := range m.Layers {
+		n += layerParams(l)
+	}
+	return n
+}
+
+// layerParams is the layer's weights plus biases, 0 without weights.
+func layerParams(l *Layer) int {
+	if !l.HasWeights() {
+		return 0
+	}
+	return l.WeightCount() + l.BiasCount()
 }

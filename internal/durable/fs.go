@@ -106,11 +106,3 @@ type osFile struct{ *os.File }
 
 func (f *osFile) Lock() error   { return flockFile(f.File) }
 func (f *osFile) Unlock() error { return funlockFile(f.File) }
-
-// statFS is fs.Stat with a nil-means-OS default.
-func statFS(fsys FS, name string) (os.FileInfo, error) {
-	if fsys == nil {
-		fsys = OS()
-	}
-	return fsys.Stat(name)
-}

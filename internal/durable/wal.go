@@ -366,16 +366,6 @@ func (w *WAL) Append(payload []byte) error {
 	return nil
 }
 
-// Sync forces an fsync regardless of policy.
-func (w *WAL) Sync() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return nil
-	}
-	return w.syncLocked()
-}
-
 func (w *WAL) syncLocked() error {
 	w.lastSync = time.Now()
 	if err := w.f.Sync(); err != nil {

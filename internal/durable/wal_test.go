@@ -372,9 +372,6 @@ func TestAppendAfterCloseFails(t *testing.T) {
 	if err := w.Append([]byte("x")); err == nil {
 		t.Fatal("append after close accepted")
 	}
-	if err := w.Sync(); err != nil {
-		t.Fatal("sync after close should be a no-op")
-	}
 }
 
 func TestParseSyncPolicy(t *testing.T) {

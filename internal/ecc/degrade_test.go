@@ -109,7 +109,7 @@ func TestZeroBlockClearsDataAndParity(t *testing.T) {
 		}
 	}
 	// The degraded block is a valid all-zero codeword: a rescan is clean.
-	if st := p.Correct(); st.Corrected != 0 || st.Detected != 0 {
+	if st := p.CorrectReport().CorrectionStats; st.Corrected != 0 || st.Detected != 0 {
 		t.Fatalf("post-degrade scan not clean: %+v", st)
 	}
 }
@@ -124,7 +124,7 @@ func TestZeroBlockTruncatedFinalBlock(t *testing.T) {
 			t.Fatalf("bit %d not zeroed", i)
 		}
 	}
-	if st := p.Correct(); st.Corrected != 0 || st.Detected != 0 {
+	if st := p.CorrectReport().CorrectionStats; st.Corrected != 0 || st.Detected != 0 {
 		t.Fatalf("post-degrade scan not clean: %+v", st)
 	}
 }
@@ -142,7 +142,7 @@ func TestRewriteBakesInResidualDamage(t *testing.T) {
 		t.Fatalf("setup: want 1 detected, got %+v", rep.CorrectionStats)
 	}
 	p = p.Code.Protect(data)
-	if st := p.Correct(); st.Corrected != 0 || st.Detected != 0 {
+	if st := p.CorrectReport().CorrectionStats; st.Corrected != 0 || st.Detected != 0 {
 		t.Fatalf("post-rewrite scan not clean: %+v", st)
 	}
 	if data.Equal(orig) {
@@ -150,7 +150,7 @@ func TestRewriteBakesInResidualDamage(t *testing.T) {
 	}
 	// But a fresh single-bit error on the rewritten codeword corrects fine.
 	data.FlipBit(20)
-	if st := p.Correct(); st.Corrected != 1 || st.Detected != 0 {
+	if st := p.CorrectReport().CorrectionStats; st.Corrected != 1 || st.Detected != 0 {
 		t.Fatalf("post-rewrite single error: %+v, want 1 corrected", st)
 	}
 }

@@ -142,14 +142,6 @@ type CorrectionStats struct {
 	Detected int
 }
 
-// Correct scans every block, repairs single-bit errors in place (in data
-// or parity), and reports double-error detections. It mirrors the decode
-// path of a memory controller: correction happens before the data is
-// handed to the consumer.
-func (p *Protected) Correct() CorrectionStats {
-	return p.CorrectReport().CorrectionStats
-}
-
 // CorrectOutcome extends CorrectionStats with the identities of the
 // uncorrectable blocks, so a decoder can degrade them (see ZeroBlock)
 // instead of consuming corrupt bits. CorrectionStats itself stays a

@@ -77,7 +77,7 @@ func TestProtectCleanDataNoCorrections(t *testing.T) {
 		}
 	}
 	p := NewBlockCode(64).Protect(data)
-	st := p.Correct()
+	st := p.CorrectReport().CorrectionStats
 	if st.Corrected != 0 || st.Detected != 0 {
 		t.Errorf("clean data produced corrections: %+v", st)
 	}
@@ -102,7 +102,7 @@ func TestSingleBitErrorCorrectedEverywhere(t *testing.T) {
 		ref := data.Clone()
 		p := code.Protect(data)
 		data.FlipBit(pos)
-		st := p.Correct()
+		st := p.CorrectReport().CorrectionStats
 		if st.Corrected != 1 || st.Detected != 0 {
 			t.Fatalf("pos %d: stats %+v", pos, st)
 		}
@@ -120,7 +120,7 @@ func TestSingleParityBitErrorCorrected(t *testing.T) {
 	for j := 0; j < code.ParityBitsPerBlock(); j++ {
 		p := code.Protect(data)
 		p.Parity.Set(j, p.Parity.Get(j)^1)
-		st := p.Correct()
+		st := p.CorrectReport().CorrectionStats
 		if st.Corrected != 1 || st.Detected != 0 {
 			t.Fatalf("parity bit %d: stats %+v", j, st)
 		}
@@ -128,7 +128,7 @@ func TestSingleParityBitErrorCorrected(t *testing.T) {
 			t.Fatalf("parity bit %d: data corrupted", j)
 		}
 		// Parity restored: a second pass sees a clean block.
-		if st2 := p.Correct(); st2.Corrected != 0 || st2.Detected != 0 {
+		if st2 := p.CorrectReport().CorrectionStats; st2.Corrected != 0 || st2.Detected != 0 {
 			t.Fatalf("parity bit %d: not clean after repair: %+v", j, st2)
 		}
 	}
@@ -140,7 +140,7 @@ func TestDoubleErrorDetected(t *testing.T) {
 	p := NewBlockCode(64).Protect(data)
 	data.FlipBit(3)
 	data.FlipBit(17)
-	st := p.Correct()
+	st := p.CorrectReport().CorrectionStats
 	if st.Detected != 1 {
 		t.Errorf("double error not detected: %+v", st)
 	}
@@ -156,7 +156,7 @@ func TestMultiBlockIndependence(t *testing.T) {
 	data.FlipBit(10)       // block 0
 	data.FlipBit(64 + 20)  // block 1
 	data.FlipBit(192 + 63) // block 3
-	st := p.Correct()
+	st := p.CorrectReport().CorrectionStats
 	if st.Corrected != 3 || st.Detected != 0 {
 		t.Errorf("stats %+v, want 3 corrections", st)
 	}
@@ -172,7 +172,7 @@ func TestTruncatedFinalBlock(t *testing.T) {
 	ref := data.Clone()
 	p := NewBlockCode(64).Protect(data)
 	data.FlipBit(90)
-	st := p.Correct()
+	st := p.CorrectReport().CorrectionStats
 	if st.Corrected != 1 {
 		t.Fatalf("stats %+v", st)
 	}
@@ -195,7 +195,7 @@ func TestCorrectRandomSingleErrorsProperty(t *testing.T) {
 		p := code.Protect(data)
 		pos := int(posSeed) % 500
 		data.FlipBit(pos)
-		p.Correct()
+		p.CorrectReport()
 		return data.Equal(ref)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

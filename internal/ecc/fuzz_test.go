@@ -155,7 +155,7 @@ func checkCodec(t *testing.T, raw []byte, nbits, db int, nflips, seed uint64) {
 	for _, b := range rep.Bad {
 		prot.ZeroBlock(b)
 	}
-	if st := prot.Correct(); st.Detected != 0 {
+	if st := prot.CorrectReport().CorrectionStats; st.Detected != 0 {
 		t.Fatalf("degraded codeword still has %d uncorrectable blocks", st.Detected)
 	}
 	for _, b := range rep.Bad {

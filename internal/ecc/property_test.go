@@ -73,14 +73,14 @@ func TestSECDEDExhaustiveSingleFlips(t *testing.T) {
 	for i := 0; i < total; i++ {
 		p := code.Protect(data)
 		flipCodewordBit(p, i)
-		st := p.Correct()
+		st := p.CorrectReport().CorrectionStats
 		if st.Corrected != 1 || st.Detected != 0 {
 			t.Fatalf("flip %d: stats %+v, want exactly one correction", i, st)
 		}
 		if !data.Equal(ref) {
 			t.Fatalf("flip %d: data not restored", i)
 		}
-		if st2 := p.Correct(); st2.Corrected != 0 || st2.Detected != 0 {
+		if st2 := p.CorrectReport().CorrectionStats; st2.Corrected != 0 || st2.Detected != 0 {
 			t.Fatalf("flip %d: codeword not clean after repair: %+v", i, st2)
 		}
 	}
@@ -107,7 +107,7 @@ func TestSECDEDExhaustiveDoubleFlips(t *testing.T) {
 			p := code.Protect(data)
 			flipCodewordBit(p, i)
 			flipCodewordBit(p, j)
-			st := p.Correct()
+			st := p.CorrectReport().CorrectionStats
 			if st.Detected != 1 || st.Corrected != 0 {
 				t.Fatalf("flips (%d,%d): stats %+v, want one detection and no correction", i, j, st)
 			}

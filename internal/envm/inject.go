@@ -96,11 +96,6 @@ func CellsFor(bits int64, bpc int) int64 {
 	return (bits + int64(bpc) - 1) / int64(bpc)
 }
 
-// Cells returns the cell count for a stream under this configuration.
-func (c StoreConfig) Cells(s *bitstream.Stream) int64 {
-	return CellsFor(s.SizeBits(), c.BPC)
-}
-
 // InjectArray samples read faults for every cell of the array and applies
 // them in place, returning the number of faulted cells. Each group of BPC
 // bits is one cell; the stored level is the symbol value (binary mapping)

@@ -120,8 +120,6 @@ type WeightMemory interface {
 	StaticPowerMW() float64
 	// AreaMM2 is on-chip area consumed (0 for off-chip DRAM).
 	AreaMM2() float64
-	// NonVolatile reports whether contents survive power-off.
-	NonVolatile() bool
 }
 
 // DRAMWeights is the baseline: weights in off-chip LPDDR4.
@@ -133,7 +131,6 @@ func (d DRAMWeights) LatencyNs() float64      { return 100 }
 func (d DRAMWeights) EnergyPJPerBit() float64 { return d.D.EnergyPJPerBit }
 func (d DRAMWeights) StaticPowerMW() float64  { return d.D.PowerMW }
 func (d DRAMWeights) AreaMM2() float64        { return 0 }
-func (d DRAMWeights) NonVolatile() bool       { return false }
 
 // ENVMWeights wraps a characterized on-chip eNVM array.
 type ENVMWeights struct{ R nvsim.Result }
@@ -144,7 +141,6 @@ func (e ENVMWeights) LatencyNs() float64      { return e.R.ReadLatencyNs }
 func (e ENVMWeights) EnergyPJPerBit() float64 { return e.R.EnergyPerBitPJ() }
 func (e ENVMWeights) StaticPowerMW() float64  { return e.R.LeakageMW }
 func (e ENVMWeights) AreaMM2() float64        { return e.R.AreaMM2 }
-func (e ENVMWeights) NonVolatile() bool       { return true }
 
 // Report is the system-level outcome of running one inference.
 type Report struct {

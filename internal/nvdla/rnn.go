@@ -30,18 +30,6 @@ func LSTM(input, hidden, layers, steps int) RNNSpec {
 		Gates: 4, WeightBitsPerWeight: 16}
 }
 
-// WeightCount returns the parameter count of the stack.
-func (s RNNSpec) WeightCount() int64 {
-	var total int64
-	in := s.Input
-	for l := 0; l < s.Layers; l++ {
-		// Per gate: input projection + recurrent projection.
-		total += int64(s.Gates) * int64(s.Hidden) * int64(in+s.Hidden)
-		in = s.Hidden
-	}
-	return total
-}
-
 // Workload lowers the RNN into per-timestep layer work: each step
 // refetches every weight once and performs the matching MACs. The
 // returned slice has Layers*Steps entries (one per step per layer), so

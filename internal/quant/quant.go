@@ -280,16 +280,6 @@ func (c *Clustered) Sparsity() float64 {
 	return 1 - float64(c.NNZ())/float64(len(c.Indices))
 }
 
-// Value returns the weight value for cluster index idx.
-func (c *Clustered) Value(idx uint8) float32 { return c.Centroids[idx] }
-
-// Decode reconstructs the full weight matrix.
-func (c *Clustered) Decode() *tensor.Matrix {
-	out := tensor.NewMatrix(c.Rows, c.Cols)
-	c.Apply(out)
-	return out
-}
-
 // Apply writes the reconstructed weights into dst (same shape).
 func (c *Clustered) Apply(dst *tensor.Matrix) {
 	if dst.Rows != c.Rows || dst.Cols != c.Cols {

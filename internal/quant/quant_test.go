@@ -145,12 +145,11 @@ func TestClusterDecodeRoundTripError(t *testing.T) {
 func TestClusterApplyMatchesDecode(t *testing.T) {
 	m := gaussianMatrix(10, 10, 8)
 	c := Cluster(m, 3, ClusterOptions{Seed: 1})
-	d := c.Decode()
 	dst := tensor.NewMatrix(10, 10)
 	c.Apply(dst)
-	for i := range d.Data {
-		if d.Data[i] != dst.Data[i] {
-			t.Fatal("Apply != Decode")
+	for i, idx := range c.Indices {
+		if dst.Data[i] != c.Centroids[idx] {
+			t.Fatal("Apply did not write the centroid of each index")
 		}
 	}
 }

@@ -221,6 +221,3 @@ func (e *BitMask) SizeBits() int64 {
 	}
 	return total
 }
-
-// NNZ returns the number of packed values.
-func (e *BitMask) NNZ() int { return e.Values.N }

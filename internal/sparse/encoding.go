@@ -245,25 +245,6 @@ func CloneEncoding(e Encoding) (Encoding, error) {
 	return nil, fmt.Errorf("sparse: CloneEncoding: unknown encoding type %T", e)
 }
 
-// Mismatch compares an original and a decoded index matrix and returns
-// the fraction of positions whose index differs. It is the structural
-// corruption statistic consumed by the accuracy surrogate.
-func Mismatch(orig, decoded []uint8) float64 {
-	if len(orig) != len(decoded) {
-		panic("sparse: Mismatch length mismatch")
-	}
-	if len(orig) == 0 {
-		return 0
-	}
-	n := 0
-	for i := range orig {
-		if orig[i] != decoded[i] {
-			n++
-		}
-	}
-	return float64(n) / float64(len(orig))
-}
-
 var (
 	_ Encoding = (*Dense)(nil)
 	_ Encoding = (*CSR)(nil)

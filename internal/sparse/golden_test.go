@@ -11,6 +11,8 @@ package sparse
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/bitstream"
 )
 
 // TestCSRGoldenVectors encodes the 2x6 matrix
@@ -39,8 +41,8 @@ func TestCSRGoldenVectors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := enc.Values.Values(); len(got) != 5 {
-		t.Fatalf("values = %v, want 5 entries", got)
+	if enc.Values.N != 5 {
+		t.Fatalf("values = %d entries, want 5", enc.Values.N)
 	}
 	check := func(name string, got, want []byte) {
 		t.Helper()
@@ -48,9 +50,9 @@ func TestCSRGoldenVectors(t *testing.T) {
 			t.Errorf("%s stream = %x, want %x", name, got, want)
 		}
 	}
-	check("values", enc.Values.Bits.Bytes(), []byte{0x53, 0x07, 0x02})
-	check("colidx", enc.ColIndex.Bits.Bytes(), []byte{0xCA, 0x00})
-	check("rowcount", enc.RowCount.Bits.Bytes(), []byte{0x1A})
+	check("values", packed(enc.Values.Bits), []byte{0x53, 0x07, 0x02})
+	check("colidx", packed(enc.ColIndex.Bits), []byte{0xCA, 0x00})
+	check("rowcount", packed(enc.RowCount.Bits), []byte{0x1A})
 	if enc.RowCount.ElemBits != 3 {
 		t.Errorf("rowcount width = %d bits, want 3 (BitsFor(6))", enc.RowCount.ElemBits)
 	}
@@ -93,12 +95,12 @@ func TestBitMaskGoldenVectors(t *testing.T) {
 			t.Errorf("%s stream = %x, want %x", name, got, want)
 		}
 	}
-	check("bitmask", enc.Mask.Bits.Bytes(), []byte{0x9A})
-	check("values", enc.Values.Bits.Bytes(), []byte{0x5E, 0x03})
+	check("bitmask", packed(enc.Mask.Bits), []byte{0x9A})
+	check("values", packed(enc.Values.Bits), []byte{0x5E, 0x03})
 	if enc.Counters == nil {
 		t.Fatal("IdxSync counters missing")
 	}
-	check("idxsync", enc.Counters.Bits.Bytes(), []byte{0x12})
+	check("idxsync", packed(enc.Counters.Bits), []byte{0x12})
 	if enc.Counters.ElemBits != 3 {
 		t.Errorf("counter width = %d bits, want 3 (BitsFor(4))", enc.Counters.ElemBits)
 	}
@@ -128,13 +130,23 @@ func TestBitMaskGoldenNoIdxSync(t *testing.T) {
 	if enc.Counters != nil {
 		t.Fatal("unexpected IdxSync counters")
 	}
-	if !bytes.Equal(enc.Mask.Bits.Bytes(), []byte{0x9A}) {
-		t.Errorf("bitmask = %x, want 9a", enc.Mask.Bits.Bytes())
+	if !bytes.Equal(packed(enc.Mask.Bits), []byte{0x9A}) {
+		t.Errorf("bitmask = %x, want 9a", packed(enc.Mask.Bits))
 	}
-	if !bytes.Equal(enc.Values.Bits.Bytes(), []byte{0x5E, 0x03}) {
-		t.Errorf("values = %x, want 5e03", enc.Values.Bits.Bytes())
+	if !bytes.Equal(packed(enc.Values.Bits), []byte{0x5E, 0x03}) {
+		t.Errorf("values = %x, want 5e03", packed(enc.Values.Bits))
 	}
 	if got := enc.SizeBits(); got != 1032 {
 		t.Errorf("SizeBits = %d, want 1032 (8 mask + 1024 padded values)", got)
 	}
+}
+
+// packed is a's bits as ceil(Len/8) bytes, bit i of the array in bit
+// i%8 of byte i/8, with zero padding: a stable view for golden vectors.
+func packed(a *bitstream.Array) []byte {
+	out := make([]byte, (a.Len()+7)/8)
+	for i := range out {
+		out[i] = byte(a.GetBits(8*i, min(8, a.Len()-8*i)))
+	}
+	return out
 }

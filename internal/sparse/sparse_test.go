@@ -164,7 +164,7 @@ func TestCSRValueFaultSingleWeight(t *testing.T) {
 	}
 	enc.Values.Set(0, repl)
 	dec := enc.Decode()
-	if n := int(Mismatch(idx, dec) * float64(len(idx))); n > 1 {
+	if n := int(mismatch(idx, dec) * float64(len(idx))); n > 1 {
 		t.Errorf("value fault corrupted %d weights, want <= 1", n)
 	}
 }
@@ -428,10 +428,24 @@ func TestSparseEncodingsCompress(t *testing.T) {
 func TestMismatch(t *testing.T) {
 	a := []uint8{1, 2, 3, 4}
 	b := []uint8{1, 0, 3, 5}
-	if m := Mismatch(a, b); m != 0.5 {
-		t.Errorf("Mismatch = %v, want 0.5", m)
+	if m := mismatch(a, b); m != 0.5 {
+		t.Errorf("mismatch = %v, want 0.5", m)
 	}
-	if m := Mismatch(a, a); m != 0 {
+	if m := mismatch(a, a); m != 0 {
 		t.Errorf("self mismatch = %v", m)
 	}
+}
+
+// mismatch is the fraction of positions where decoded differs from orig.
+func mismatch(orig, decoded []uint8) float64 {
+	if len(orig) == 0 {
+		return 0
+	}
+	n := 0
+	for i := range orig {
+		if orig[i] != decoded[i] {
+			n++
+		}
+	}
+	return float64(n) / float64(len(orig))
 }

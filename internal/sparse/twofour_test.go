@@ -47,8 +47,8 @@ func Test24GoldenVectors(t *testing.T) {
 			t.Errorf("%s stream = %x, want %x", name, got, want)
 		}
 	}
-	check("values", enc.Values.Bits.Bytes(), []byte{0x53, 0x72, 0x32, 0x00})
-	check("meta24", enc.Meta.Bits.Bytes(), []byte{0x4D, 0x09})
+	check("values", packed(enc.Values.Bits), []byte{0x53, 0x72, 0x32, 0x00})
+	check("meta24", packed(enc.Meta.Bits), []byte{0x4D, 0x09})
 	if enc.Meta.ElemBits != 2 {
 		t.Errorf("meta width = %d bits, want 2", enc.Meta.ElemBits)
 	}

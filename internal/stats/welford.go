@@ -84,28 +84,3 @@ func ZScore(confidence float64) float64 {
 	}
 	return InvQ((1 - confidence) / 2)
 }
-
-// Merge folds another accumulator into this one (Chan et al. parallel
-// combination). Note that merged results are mathematically equivalent
-// but not bit-identical to sequential folding; the campaign engine folds
-// sequentially for exactly that reason.
-func (w *Welford) Merge(o Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = o
-		return
-	}
-	n := w.n + o.n
-	d := o.mean - w.mean
-	w.m2 += o.m2 + d*d*float64(w.n)*float64(o.n)/float64(n)
-	w.mean += d * float64(o.n) / float64(n)
-	if o.min < w.min {
-		w.min = o.min
-	}
-	if o.max > w.max {
-		w.max = o.max
-	}
-	w.n = n
-}

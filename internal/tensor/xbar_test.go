@@ -266,7 +266,7 @@ func refXbarDot(x *Xbar, j int, v func(p int) float32, clips *int64) float32 {
 	for rt := 0; rt*x.TileRows < k; rt++ {
 		var partial float32
 		for p := rt * x.TileRows; p < min((rt+1)*x.TileRows, k); p++ {
-			partial += x.W.At(j, p) * v(p)
+			partial += elem(x.W, j, p) * v(p)
 		}
 		q, clipped := refQuantize(partial, x.FS[rt*out+j], x.ADCBits)
 		if clipped {
@@ -346,7 +346,7 @@ func TestXbarKernelsMatchReference(t *testing.T) {
 			fx := xbarOf(fw, tileRows, bits)
 			for i := 0; i < fa.Rows; i++ {
 				for j := 0; j < fw.Rows; j++ {
-					fcWant.Set(i, j, refXbarDot(fx, j, func(p int) float32 { return fa.At(i, p) }, &fcClips))
+					fcWant.Set(i, j, refXbarDot(fx, j, func(p int) float32 { return elem(fa, i, p) }, &fcClips))
 				}
 			}
 			convWant := NewTensor4(in.N, cs.OutC, oh, ow)

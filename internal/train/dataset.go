@@ -142,22 +142,3 @@ func (d *Dataset) Batch(idx []int) (*tensor.Tensor4, []int) {
 	}
 	return out, labels
 }
-
-// Split returns views-by-copy of the first n and remaining samples.
-func (d *Dataset) Split(n int) (*Dataset, *Dataset) {
-	if n < 0 || n > d.N() {
-		panic("train: Split size out of range")
-	}
-	first := make([]int, n)
-	for i := range first {
-		first[i] = i
-	}
-	rest := make([]int, d.N()-n)
-	for i := range rest {
-		rest[i] = n + i
-	}
-	aImg, aLab := d.Batch(first)
-	bImg, bLab := d.Batch(rest)
-	return &Dataset{Images: aImg, Labels: aLab, Classes: d.Classes},
-		&Dataset{Images: bImg, Labels: bLab, Classes: d.Classes}
-}

