@@ -139,19 +139,20 @@ func bench24FaultConfig() ares.Config {
 }
 
 // BenchmarkCorruptedTrialThroughput24Direct is the compute-direct 2:4
-// worst case: every trial corrupts the value stream, canonicalizes the
-// compact form, and runs inference through the tensor.Sparse24 kernels —
-// no dense weight matrix is ever materialized. Compare against
-// CorruptedTrialThroughput (CSR decode-to-dense, same replica pool) and
-// the 24Oracle row below for the decode-elimination speedup.
+// worst case: every trial corrupts the value stream, decodes it like
+// every format, compacts the dirty layers' decoded rows and runs
+// inference through the tensor.Sparse24 kernels — no dense weight
+// matrix is ever built. Compare against CorruptedTrialThroughput (CSR
+// decode-to-dense, same replica pool) and the 24Oracle row below (the
+// same trials on the dense kernels) for the 2:4 kernels' speedup.
 func BenchmarkCorruptedTrialThroughput24Direct(b *testing.B) {
 	ev := benchMeasured(b)
 	benchTrials(b, bench24FaultConfig(), ev.EvalTrial)
 }
 
-// BenchmarkCorruptedTrialThroughput24Oracle is the decode-to-dense
-// reference route for the same 2:4 workload (EvalTrialSerial): corrupted
-// streams decode to a dense index matrix and run the dense kernels.
+// BenchmarkCorruptedTrialThroughput24Oracle is the dense-kernel
+// reference route for the same 2:4 workload (EvalTrialSerial): the
+// decoded indices map to a dense weight matrix and run the dense kernels.
 func BenchmarkCorruptedTrialThroughput24Oracle(b *testing.B) {
 	ev := benchMeasured(b)
 	benchTrials(b, bench24FaultConfig(), ev.EvalTrialSerial)

@@ -356,16 +356,16 @@ func BenchmarkDecodeDense(b *testing.B) {
 	}
 }
 
-// BenchmarkCompact24 measures the 2:4 compute-direct read of a storage
-// trial: the canonical compact form, without a dense decode.
-func BenchmarkCompact24(b *testing.B) {
+// BenchmarkDecode24 measures the 2:4 read of a storage trial: the
+// decode into a caller buffer (a dirty layer's rows are compacted for
+// the 2:4 kernels later, on the replica).
+func BenchmarkDecode24(b *testing.B) {
 	cl := benchClustered(256, 1024, 0.8, 4, 4)
 	enc := sparse.Must(sparse.Encode24(cl.Indices, cl.Rows, cl.Cols, cl.IndexBits, cl.Centroids))
-	n := sparse.Entries24(cl.Rows, cl.Cols)
-	vals, pos := make([]uint8, n), make([]uint8, n)
+	out := make([]uint8, cl.Rows*cl.Cols)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		enc.CompactInto(vals, pos)
+		enc.DecodeInto(out)
 	}
 }
 

@@ -269,9 +269,10 @@ func RunTrialChecked(ctx context.Context, enc sparse.Encoding, orig []uint8, cen
 }
 
 // storageStep is the storage trial step shared by RunTrialChecked, the
-// decode-to-dense corrupt step and the lifetime epoch loop: it injects
-// faults per cfg into the caller-owned encoding enc (drawing from src),
-// ECC-corrects, decodes, and compares the decoded indices against ref.
+// storage corrupt step (every encoding) and the lifetime epoch loop: it
+// injects faults per cfg into the caller-owned encoding enc (drawing
+// from src), ECC-corrects, decodes, and compares the decoded indices
+// against ref.
 // A layer whose bits come out equal to its pristine pr decodes to ref,
 // so it returns ref (read-only) and zero fractions without a decode.
 func storageStep(ctx context.Context, enc sparse.Encoding, pr *pristineLayer, ref []uint8, centroids []float32, cfg Config, src *stats.Source) (TrialStats, []uint8, error) {
@@ -296,9 +297,9 @@ func storageStep(ctx context.Context, enc sparse.Encoding, pr *pristineLayer, re
 // caller-owned encoding. Each ECC stream is protected over its current
 // bits, injected and corrected, and with cfg.Degrade its uncorrectable
 // blocks are zeroed instead of reaching the decoder. It is the one
-// fault-injection loop: storageStep (write-time and lifetime trials)
-// and runTrial24 share it, and stream i draws from src.Fork(i+1), the
-// seed contract, so every route draws identical fault maps for the same
+// fault-injection loop (storageStep runs it for write-time and
+// lifetime trials), and stream i draws from src.Fork(i+1), the seed
+// contract, so every route draws identical fault maps for the same
 // (cfg, seed). Protecting the current bits is also a scrub rewrite: the
 // parity is recomputed over the residual damage. Given pr, a stream
 // equal to its pristine copies the cached parity instead, and one that

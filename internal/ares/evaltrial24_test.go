@@ -1,10 +1,10 @@
 package ares
 
 // Bit-parity grid for the compute-direct 2:4 trial route: EvalTrial
-// (corrupted compact streams straight into the tensor.Sparse24 kernels
-// on a pooled replica) must return exactly the same delta and trial
-// statistics as EvalTrialSerial (decode-to-dense oracle through the
-// dense kernels on the shared model) for every Kind24 config — pristine
+// (decoded rows compacted into the tensor.Sparse24 kernels on a pooled
+// replica) must return exactly the same delta and trial statistics as
+// EvalTrialSerial (the oracle: decoded indices through the dense
+// kernels on the shared model) for every Kind24 config — pristine
 // and faulted, values and metadata streams, with and without ECC,
 // serial and under replica-pool contention, on more than one zoo model.
 
@@ -76,7 +76,7 @@ func TestEvalTrial24PristineBaseline(t *testing.T) {
 	}
 	// Baseline 0 makes measureSerial return the absolute error: no
 	// clamp can hide a kernel divergence.
-	tr, err := ev.decodedTrial(asDecoded(tf.orig24), tf.orig24, 0)
+	tr, err := ev.decodedTrial(asDecoded(tf.orig24), tf.orig24, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}

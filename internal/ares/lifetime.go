@@ -186,7 +186,7 @@ func (ev *MeasuredEvaluator) LifetimeTrial(ctx context.Context, cfg Config, lp L
 			}
 			lts[li] = layerTrial{st: st, idx: dec}
 		}
-		tr, err := ev.decodedTrial(lts, refs, baseline)
+		tr, err := ev.decodedTrial(lts, refs, baseline, cfg.Encoding == sparse.Kind24)
 		if err != nil {
 			return res, err
 		}

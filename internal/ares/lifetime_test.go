@@ -217,3 +217,42 @@ func TestLifetimeTrialRejectsCrossbar(t *testing.T) {
 		t.Fatal("lifetime trial accepted a crossbar config")
 	}
 }
+
+// TestLifetimeTrial24RunsDirect: a Kind24 lifetime epoch is measured on
+// the compute-direct route, as a Kind24 EvalTrial is: every measured
+// epoch records ares.eval.direct, and none records ares.phase.eval (the
+// timer of the dense kernels).
+func TestLifetimeTrial24RunsDirect(t *testing.T) {
+	ev := getMeasured(t)
+	ctx := context.Background()
+	cfg := Config{Tech: envm.CTT, Encoding: sparse.Kind24, Default: StreamPolicy{BPC: 3}}
+	direct0, dense0 := met.evalDirect.Hist().Count(), met.eval.Hist().Count()
+	_, st, err := ev.EvalTrial(ctx, cfg, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ev.LifetimeTrial(ctx, cfg, LifetimePolicy{Years: 10, EvalEpochs: 3}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A trial that corrupted no weight takes the fast path: no timer.
+	var trials, epochs int64
+	if st.Mismatch > 0 {
+		trials++
+	}
+	for _, es := range res.Epochs {
+		if es.Stats.Mismatch > 0 {
+			epochs++
+		}
+	}
+	if epochs == 0 {
+		t.Fatal("no lifetime epoch corrupted a weight: the test exercises nothing")
+	}
+	measured := trials + epochs
+	if got := met.evalDirect.Hist().Count() - direct0; got != measured {
+		t.Errorf("ares.eval.direct recorded %d measurements, want %d", got, measured)
+	}
+	if got := met.eval.Hist().Count() - dense0; got != 0 {
+		t.Errorf("ares.phase.eval recorded %d measurements of Kind24 trials, want 0", got)
+	}
+}

@@ -39,7 +39,7 @@ type MeasuredEvaluator struct {
 	// tf is the lazily-built compute-direct 2:4 state (see direct24.go).
 	tf twofourState
 	// prefix caches the clustered baseline's input to each weight layer
-	// over Test, for the decode-to-dense route (see capturePrefix).
+	// over Test, for the dense-kernel route (see capturePrefix).
 	prefix []*tensor.Tensor4
 
 	// pristine shares the model's layers but holds a private copy of
@@ -93,7 +93,7 @@ func NewMeasuredEvaluator(m *dnn.Model, test *train.Dataset, seed uint64) (*Meas
 	for li, w := range m.CloneWeights() {
 		ev.pristine.Layers[li].Weights = w
 	}
-	// The baseline pass doubles as the decode-to-dense route's prefix
+	// The baseline pass doubles as the dense-kernel route's prefix
 	// pass.
 	var fw *dnn.Forwarder
 	ev.BaselineErr, fw = ev.baseline(nil)
@@ -223,7 +223,7 @@ func (ev *MeasuredEvaluator) Bill(cfg Config) ([][]StreamCost, error) {
 
 // baseline measures a route's fault-free error over Test on a one-shot
 // replica, outside the pool, overlaid with the route's pristine
-// operands (none on the decode-to-dense route). It returns the
+// operands (none on the dense-kernel route). It returns the
 // replica's Forwarder too, from whose pass the caller may capture the
 // route's prefix.
 func (ev *MeasuredEvaluator) baseline(layers []layerTrial) (float64, *dnn.Forwarder) {
@@ -261,8 +261,8 @@ func (ev *MeasuredEvaluator) CorruptTrial(ctx context.Context, cfg Config, seed 
 //
 // Crossbar configs take the compute-in-memory route (xbar.go); Kind24
 // configs take the compute-direct route (direct24.go): the corrupted
-// compressed streams go straight into the 2:4 sparse kernels with no
-// dense materialization anywhere on the hot path.
+// layers' decoded rows are compacted for the 2:4 sparse kernels, so no
+// dense weight matrix is built anywhere on the hot path.
 func (ev *MeasuredEvaluator) EvalTrial(ctx context.Context, cfg Config, seed uint64) (float64, TrialStats, error) {
 	tr, err := ev.corrupt(ctx, cfg, stats.NewSource(seed), true)
 	if err != nil {
@@ -275,9 +275,9 @@ func (ev *MeasuredEvaluator) EvalTrial(ctx context.Context, cfg Config, seed uin
 // (overlay the one shared model under a mutex, always run inference).
 // The replica path and the fast path are pinned bit-identical to it by
 // test, and the benchmark suite compares the two. For Kind24 it is the
-// decode-to-dense oracle: the corrupted streams decode to a dense index
-// matrix and run the dense kernels, pinning the compute-direct route by
-// bit parity.
+// dense-kernel oracle: the decoded indices map to a dense weight matrix
+// and run the dense kernels, pinning the compaction and the 2:4 kernels
+// of the compute-direct route by bit parity.
 func (ev *MeasuredEvaluator) EvalTrialSerial(ctx context.Context, cfg Config, seed uint64) (float64, TrialStats, error) {
 	tr, err := ev.corrupt(ctx, cfg, stats.NewSource(seed), false)
 	if err != nil {

@@ -16,7 +16,7 @@ package ares
 //	                     (storage routes) or program+online loop (crossbar) (ns)
 //	ares.phase.decode    time in the clean-layer check plus the decodes run (ns)
 //	ares.decode.skipped  layer-trials served their reference without a decode
-//	ares.phase.eval      time in overlay + inference on the decode-to-dense
+//	ares.phase.eval      time in overlay + inference on the dense-kernel
 //	                     and crossbar routes, and in the serial reference (ns)
 //	ares.enccache.hits   encoding-cache hits
 //	ares.enccache.misses encoding-cache misses: pristine encodes
@@ -28,8 +28,9 @@ package ares
 //
 //	ares.eval.parallel   wall time of measure incl. replica wait (ns)
 //	ares.eval.direct     time in overlay + inference on the compute-direct
-//	                     2:4 route — compressed streams straight into the
-//	                     sparse kernels, no dense decode (ns)
+//	                     2:4 route (write-time and lifetime Kind24 trials):
+//	                     dirty layers' decoded rows compacted into the
+//	                     2:4 kernels, no dense weight matrix (ns)
 //	ares.fastpath.hits   trials that reproduced their route's baseline
 //	                     exactly (inference skipped, delta 0 by construction)
 //	ares.fastpath.misses trials that required real inference

@@ -69,28 +69,20 @@ func layerRows(t *testing.T, ev *MeasuredEvaluator, cfg Config, seed uint64, o i
 	for i := 0; i < o; i++ {
 		tsrc.Uint64()
 	}
-	ctx, cl := context.Background(), ev.clustered[o]
-	if cfg.Encoding == sparse.Kind24 {
-		tf, err := ev.twofour()
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, vals, pos, err := ev.runTrial24(ctx, tf, o, &pristineLayer{ev, o, tf.encs[o], tf.sig24[o]}, cfg, tsrc.Uint64())
-		if err != nil {
-			t.Fatal(err)
-		}
-		ne := 2 * tf.pristine24[o].GroupsPerRow
-		return diffRows(ne, [2][]uint8{vals, tf.compVals[o]}, [2][]uint8{pos, tf.compPos[o]})
-	}
+	cl := ev.clustered[o]
 	encs, err := ev.encodings(cfg.Encoding)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, decoded, err := RunTrialChecked(ctx, encs[o], cl.Indices, cl.Centroids, cfg, tsrc.Uint64())
+	refs, _, _, err := ev.refFor(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return diffRows(cl.Cols, [2][]uint8{decoded, cl.Indices})
+	_, decoded, err := RunTrialChecked(context.Background(), encs[o], refs[o], cl.Centroids, cfg, tsrc.Uint64())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return diffRows(cl.Cols, decoded, refs[o])
 }
 
 // TestPrefixCutParityGrid scans trial seeds, per model and storage

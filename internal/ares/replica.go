@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"repro/internal/dnn"
+	"repro/internal/sparse"
 	"repro/internal/tensor"
 )
 
@@ -98,10 +99,10 @@ func (r *replica) overlay(ev *MeasuredEvaluator, layers []layerTrial, from int) 
 		lt := &layers[i]
 		l := r.model.Layers[ev.layerIdx[i]]
 		switch {
+		case lt.idx != nil && lt.s24 != nil:
+			l.Weights24 = r.decode(ev, i, lt, nil).(*tensor.Sparse24)
 		case lt.idx != nil:
 			l.Weights = r.decode(ev, i, lt, nil).(*tensor.Matrix)
-		case lt.vals != nil:
-			l.Weights24 = r.decode(ev, i, lt, nil).(*tensor.Sparse24)
 		case lt.s24 != nil:
 			l.Weights24 = lt.s24
 		case lt.w != nil:
@@ -116,8 +117,9 @@ func (r *replica) overlay(ev *MeasuredEvaluator, layers []layerTrial, from int) 
 }
 
 // decode fills ordinal i's private buffer with the listed rows (all
-// when nil) of the trial's corrupted indices or compact form, in that
-// order, mapped through the centroids, and returns it.
+// when nil) of the trial's corrupted indices and returns it: mapped
+// through the centroids into a dense matrix, or, on a layer that runs
+// on the 2:4 kernels, compacted (sparse.Compact24Row) into a 2:4 one.
 func (r *replica) decode(ev *MeasuredEvaluator, i int, lt *layerTrial, rows []int) tensor.Operand {
 	cl := ev.clustered[i]
 	for len(r.all) < cl.Rows {
@@ -127,26 +129,22 @@ func (r *replica) decode(ev *MeasuredEvaluator, i int, lt *layerTrial, rows []in
 		rows = r.all[:cl.Rows]
 	}
 	n := len(rows)
-	fill := func(dst []float32, idx []uint8, width int) {
-		for j, row := range rows {
-			for e, v := range idx[row*width:][:width] {
-				dst[j*width+e] = cl.Centroids[v]
-			}
-		}
-	}
-	if lt.idx != nil {
+	if lt.s24 == nil {
 		w := &r.priv[i]
 		w.Reshape(n, cl.Cols)
-		fill(w.Data, lt.idx, cl.Cols)
+		for j, row := range rows {
+			for e, v := range lt.idx[row*cl.Cols:][:cl.Cols] {
+				w.Data[j*cl.Cols+e] = cl.Centroids[v]
+			}
+		}
 		return w
 	}
-	s, gpr := &r.priv24[i], (cl.Cols+3)/4
+	s, gpr := &r.priv24[i], lt.s24.GroupsPerRow
 	ne := 2 * gpr
 	*s = tensor.Sparse24{Rows: n, Cols: cl.Cols, GroupsPerRow: gpr,
 		Val: slices.Grow(s.Val[:0], n*ne)[:n*ne], Pos: slices.Grow(s.Pos[:0], n*ne)[:n*ne]}
-	fill(s.Val, lt.vals, ne)
 	for j, row := range rows {
-		copy(s.Pos[j*ne:(j+1)*ne], lt.pos[row*ne:])
+		sparse.Compact24Row(lt.idx[row*cl.Cols:][:cl.Cols], cl.Centroids, s.Val[j*ne:][:ne], s.Pos[j*ne:][:ne])
 	}
 	return s
 }

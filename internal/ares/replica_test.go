@@ -140,7 +140,7 @@ func TestFastPathFiresIffPristine(t *testing.T) {
 	}
 
 	hits0, misses0 := met.fastHits.Value(), met.fastMisses.Value()
-	tr, err := ev.decodedTrial(asDecoded(pristine), ev.origIdx, ev.BaselineErr)
+	tr, err := ev.decodedTrial(asDecoded(pristine), ev.origIdx, ev.BaselineErr, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestFastPathFiresIffPristine(t *testing.T) {
 		corrupted[0][0] = 0
 	}
 	hits0, misses0 = met.fastHits.Value(), met.fastMisses.Value()
-	trCor, err := ev.decodedTrial(asDecoded(corrupted), ev.origIdx, ev.BaselineErr)
+	trCor, err := ev.decodedTrial(asDecoded(corrupted), ev.origIdx, ev.BaselineErr, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestFastPathOnPerfectStorage(t *testing.T) {
 // validation: malformed decoded layers never reach a measurement.
 func TestMeasureDecodedValidates(t *testing.T) {
 	ev := getMeasured(t)
-	if _, err := ev.decodedTrial(asDecoded(nil), ev.origIdx, ev.BaselineErr); err == nil {
+	if _, err := ev.decodedTrial(asDecoded(nil), ev.origIdx, ev.BaselineErr, false); err == nil {
 		t.Error("nil decoded layers accepted")
 	}
 	bad := make([][]uint8, len(ev.clustered))
@@ -222,7 +222,7 @@ func TestMeasureDecodedValidates(t *testing.T) {
 		bad[i] = append([]uint8(nil), cl.Indices...)
 	}
 	bad[0] = bad[0][:1]
-	if _, err := ev.decodedTrial(asDecoded(bad), ev.origIdx, ev.BaselineErr); err == nil {
+	if _, err := ev.decodedTrial(asDecoded(bad), ev.origIdx, ev.BaselineErr, false); err == nil {
 		t.Error("truncated layer accepted")
 	}
 }

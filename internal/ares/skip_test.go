@@ -43,24 +43,13 @@ func skipGridConfigs() []Config {
 	)
 }
 
-// hotLayer runs layer i of a trial on the hot route's storage step with
-// layer seed seed, returning its statistics, its operand (decoded
-// indices, or the 2:4 compact form as vals/pos) and whether the
-// decode was skipped (the operand is the route's shared reference).
-func hotLayer(t *testing.T, ev *MeasuredEvaluator, cfg Config, i int, seed uint64) (st TrialStats, idx, vals, pos []uint8, skipped bool) {
+// hotLayer runs layer i of a trial on the hot storage step with layer
+// seed seed, returning its statistics, its decoded indices and whether
+// the decode was skipped (the indices are the route's shared
+// reference).
+func hotLayer(t *testing.T, ev *MeasuredEvaluator, cfg Config, i int, seed uint64) (st TrialStats, idx []uint8, skipped bool) {
 	t.Helper()
 	ctx := context.Background()
-	if cfg.Encoding == sparse.Kind24 {
-		tf, err := ev.twofour()
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, vals, pos, err = ev.runTrial24(ctx, tf, i, &pristineLayer{ev, i, tf.encs[i], tf.sig24[i]}, cfg, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st, nil, vals, pos, &vals[0] == &tf.compVals[i][0]
-	}
 	encs, err := ev.encodings(cfg.Encoding)
 	if err != nil {
 		t.Fatal(err)
@@ -77,16 +66,15 @@ func hotLayer(t *testing.T, ev *MeasuredEvaluator, cfg Config, i int, seed uint6
 	if err != nil {
 		t.Fatal(err)
 	}
-	return st, idx, nil, nil, &idx[0] == &refs[i][0]
+	return st, idx, &idx[0] == &refs[i][0]
 }
 
 // TestCleanLayerSkipMatchesFullDecode pins the hot storage step
 // against the full path over the grid, layer by layer: the statistics
-// and the decoded indices (on 2:4, the compact form and the statistics
-// of CompactInto + fillCorruption24) must equal RunTrialChecked's bit
-// for bit. A trial with a layer whose faults ECC corrected in full, so
-// that it took the skip, must measure the same delta on EvalTrial as
-// on EvalTrialSerial.
+// and the decoded indices must equal RunTrialChecked's bit for bit. A
+// trial with a layer whose faults ECC corrected in full, so that it
+// took the skip, must measure the same delta on EvalTrial as on
+// EvalTrialSerial.
 func TestCleanLayerSkipMatchesFullDecode(t *testing.T) {
 	ev := getMeasured(t)
 	ctx := context.Background()
@@ -107,7 +95,7 @@ func TestCleanLayerSkipMatchesFullDecode(t *testing.T) {
 			corrected := false
 			for i, cl := range ev.clustered {
 				ls := tsrc.Uint64()
-				st, idx, vals, pos, skipped := hotLayer(t, ev, cfg, i, ls)
+				st, idx, skipped := hotLayer(t, ev, cfg, i, ls)
 				want, dec, err := RunTrialChecked(ctx, encs[i], refs[i], cl.Centroids, cfg, ls)
 				if err != nil {
 					t.Fatal(err)
@@ -115,16 +103,7 @@ func TestCleanLayerSkipMatchesFullDecode(t *testing.T) {
 				if st != want {
 					t.Fatalf("%v seed %d layer %d: hot stats %+v, full %+v", cfg, seed, i, st, want)
 				}
-				if cfg.Encoding == sparse.Kind24 {
-					tf, _ := ev.twofour()
-					wst, wvals, wpos, err := ev.runTrial24(ctx, tf, i, nil, cfg, ls)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if st != wst || !bytes.Equal(vals, wvals) || !bytes.Equal(pos, wpos) {
-						t.Fatalf("%v seed %d layer %d: hot compact form differs from CompactInto", cfg, seed, i)
-					}
-				} else if !bytes.Equal(idx, dec) {
+				if !bytes.Equal(idx, dec) {
 					t.Fatalf("%v seed %d layer %d: hot indices differ from the full decode", cfg, seed, i)
 				}
 				if skipped {

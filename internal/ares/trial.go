@@ -15,8 +15,9 @@ import (
 	"repro/internal/train"
 )
 
-// The trial pipeline. Every route — decode-to-dense (corruptDense),
-// compute-direct 2:4 (corrupt24, direct24.go) and crossbar
+// The trial pipeline. Every route — storage (corruptStorage: every
+// encoding, measured on the dense kernels or, on the compute-direct 2:4
+// route, on the 2:4 kernels, direct24.go) and crossbar
 // compute-in-memory (corruptXbar, xbar.go) — supplies only its corrupt
 // step: per-layer corruption statistics plus the operand each corrupted
 // layer runs on, and the baseline its deltas are measured against. The
@@ -24,18 +25,18 @@ import (
 // replica pool, and measureSerial is the one serialized reference.
 
 // layerTrial is one weight layer of a corrupted trial: its corruption
-// statistics and the operand it runs on. At most one operand field is
-// set; none means the layer runs on the pristine snapshot.
+// statistics and the operand it runs on. None set means the layer runs
+// on the pristine snapshot.
 type layerTrial struct {
 	st TrialStats
-	// rows lists the rows where a dirty layer differs from its baseline.
+	// rows lists the rows where a dirty layer differs from its route's
+	// clean operand.
 	rows []int
 	// idx holds decoded cluster indices (private, or a clean layer's ref).
 	idx []uint8
-	// vals/pos hold a corrupted canonical 2:4 compact form (a private
-	// compute-direct buffer).
-	vals, pos []uint8
-	// s24 is the evaluator's shared pristine 2:4 weights (read-only).
+	// s24 is the evaluator's shared pristine 2:4 weights (read-only): the
+	// layer runs on the 2:4 kernels, on s24 itself when idx is nil and on
+	// idx compacted otherwise.
 	s24 *tensor.Sparse24
 	// w and x are borrowed from a crossbar trial: effective dense
 	// weights (ideal ADC) or the ADC kernel handle.
@@ -44,9 +45,9 @@ type layerTrial struct {
 }
 
 // dirty reports whether the layer runs on a private corrupted operand
-// (idx or vals). A layer on the shared pristine 2:4 weights (s24) runs
-// on its route's baseline, so it is not dirty.
-func (lt *layerTrial) dirty() bool { return lt.idx != nil || lt.vals != nil }
+// (idx). A layer on the shared pristine 2:4 weights alone runs on its
+// route's baseline, so it is not dirty.
+func (lt *layerTrial) dirty() bool { return lt.idx != nil }
 
 // trial is one corrupted trial, ready to measure.
 type trial struct {
@@ -68,24 +69,22 @@ type trial struct {
 
 // corrupt validates cfg and runs the corrupt step of the route it
 // selects, drawing per-layer seeds from tsrc in layer order. hot picks
-// the hot route (compute-direct Kind24, storageStep's skips); the serial
-// reference passes false for the full path, its bit-parity oracle.
+// the hot path (storageStep's skips, and the compute-direct route for
+// Kind24); the serial reference passes false for the full path, its
+// bit-parity oracle.
 func (ev *MeasuredEvaluator) corrupt(ctx context.Context, cfg Config, tsrc *stats.Source, hot bool) (trial, error) {
 	if err := cfg.Validate(); err != nil {
 		return trial{}, err
 	}
-	switch {
-	case cfg.Crossbar != nil:
+	if cfg.Crossbar != nil {
 		return ev.corruptXbar(ctx, cfg, tsrc)
-	case hot && cfg.Encoding == sparse.Kind24:
-		return ev.corrupt24(ctx, cfg, tsrc)
 	}
-	return ev.corruptDense(ctx, cfg, tsrc, hot)
+	return ev.corruptStorage(ctx, cfg, tsrc, hot)
 }
 
-// corruptDense runs the encode -> inject -> decode stages of the
-// decode-to-dense route: every layer's decoded cluster indices.
-func (ev *MeasuredEvaluator) corruptDense(ctx context.Context, cfg Config, tsrc *stats.Source, hot bool) (trial, error) {
+// corruptStorage runs the encode -> inject -> decode stages of the
+// storage route: every layer's decoded cluster indices.
+func (ev *MeasuredEvaluator) corruptStorage(ctx context.Context, cfg Config, tsrc *stats.Source, hot bool) (trial, error) {
 	encs, err := ev.encodings(cfg.Encoding)
 	if err != nil {
 		return trial{}, err
@@ -113,28 +112,43 @@ func (ev *MeasuredEvaluator) corruptDense(ctx context.Context, cfg Config, tsrc 
 	if err := ctx.Err(); err != nil {
 		return trial{}, err
 	}
-	return ev.decodedTrial(layers, refs, baseline)
+	return ev.decodedTrial(layers, refs, baseline, hot && cfg.Encoding == sparse.Kind24)
 }
 
-// decodedTrial completes a decode-to-dense trial whose layers carry
-// decoded indices (idx): it validates their shapes, marks the trial
-// pristine when every layer equals its reference (refs and baseline
-// come from refFor), and keeps an overlay only where the decoded
-// indices differ from the clustered snapshot, listing the rows that
-// differ — on the Kind24 oracle and lifetime routes a clean layer
-// decodes to the projected indices, which still differ from it.
-func (ev *MeasuredEvaluator) decodedTrial(layers []layerTrial, refs [][]uint8, baseline float64) (trial, error) {
+// decodedTrial completes a storage trial whose layers carry decoded
+// indices (idx): it validates their shapes, marks the trial pristine
+// when every layer equals its reference (refs and baseline come from
+// refFor), and keeps an overlay only where the decoded indices differ
+// from the route's clean operand, listing the rows that differ. On the
+// dense kernels that operand is the clustered snapshot (on the Kind24
+// oracle a clean layer decodes to the projected indices, which still
+// differ from it). On the compute-direct route (direct) it is the
+// projected indices, and every layer carries their compact form, the
+// pristine 2:4 weights.
+func (ev *MeasuredEvaluator) decodedTrial(layers []layerTrial, refs [][]uint8, baseline float64, direct bool) (trial, error) {
 	if len(layers) != len(ev.clustered) {
 		return trial{}, fmt.Errorf("ares: %d decoded layers vs %d clustered", len(layers), len(ev.clustered))
 	}
 	tr := trial{layers: layers, pristine: true, baseline: baseline, prefix: ev.prefix, timer: met.eval}
+	clean := ev.origIdx
+	var tf *twofourState
+	if direct {
+		var err error
+		if tf, err = ev.twofour(); err != nil {
+			return trial{}, err
+		}
+		tr.prefix, tr.timer, clean = tf.prefix, met.evalDirect, tf.orig24
+	}
 	for i, cl := range ev.clustered {
 		lt := &layers[i]
 		if len(lt.idx) != len(cl.Indices) {
 			return trial{}, fmt.Errorf("ares: layer %d: %d decoded indices vs %d weights", i, len(lt.idx), len(cl.Indices))
 		}
 		tr.pristine = tr.pristine && bytes.Equal(lt.idx, refs[i])
-		if lt.rows = diffRows(cl.Cols, [2][]uint8{lt.idx, cl.Indices}); lt.rows == nil {
+		if tf != nil {
+			lt.s24 = tf.pristine24[i]
+		}
+		if lt.rows = diffRows(cl.Cols, lt.idx, clean[i]); lt.rows == nil {
 			lt.idx = nil
 		}
 	}
@@ -143,14 +157,11 @@ func (ev *MeasuredEvaluator) decodedTrial(layers []layerTrial, refs [][]uint8, b
 }
 
 // diffRows returns, ascending, the rows of width entries each on which
-// some pair's two matrices differ, or nil when none does.
-func diffRows(width int, pairs ...[2][]uint8) (rows []int) {
-	for lo := 0; lo < len(pairs[0][0]); lo += width {
-		for _, p := range pairs {
-			if !bytes.Equal(p[0][lo:lo+width], p[1][lo:lo+width]) {
-				rows = append(rows, lo/width)
-				break
-			}
+// matrices a and b differ, or nil when none does.
+func diffRows(width int, a, b []uint8) (rows []int) {
+	for lo := 0; lo < len(a); lo += width {
+		if !bytes.Equal(a[lo:lo+width], b[lo:lo+width]) {
+			rows = append(rows, lo/width)
 		}
 	}
 	return rows

@@ -34,7 +34,7 @@ var errNoCrossbar = errors.New("ares: config has no crossbar design point")
 // exactly (the determinism-parity acceptance test).
 //
 // Seed contract: per-layer seeds are drawn tsrc.Uint64() in layer
-// order from stats.NewSource(seed), matching corruptDense; within a
+// order from stats.NewSource(seed), matching corruptStorage; within a
 // layer, Program forks 1..3 (variation / stuck cells / stuck columns)
 // and the scrubber draws from fork 4. The trial outcome is a pure
 // function of (cfg, seed).

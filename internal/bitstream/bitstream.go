@@ -219,10 +219,10 @@ func (s *Stream) Values8From(first int, out []uint8) {
 	unpack(s, out, first)
 }
 
-// unpack fills out with the elements from element first on, with one
-// word load per 64 bits; buf holds the avail unread bits of the current
-// word.
-func unpack[T uint8 | uint32](s *Stream, out []T, first int) {
+// unpack fills out with the elements (at most 8 bits each) from element
+// first on, with one word load per 64 bits; buf holds the avail unread
+// bits of the current word.
+func unpack(s *Stream, out []uint8, first int) {
 	width, mask := uint(s.ElemBits), uint64(1)<<uint(s.ElemBits)-1
 	var buf uint64
 	avail, next := uint(0), first*s.ElemBits>>6
@@ -232,11 +232,11 @@ func unpack[T uint8 | uint32](s *Stream, out []T, first int) {
 	for i := range out {
 		if avail < width { // the element continues into the next word
 			w := s.Bits.words[next]
-			out[i], next = T((buf|w<<avail)&mask), next+1
+			out[i], next = uint8((buf|w<<avail)&mask), next+1
 			buf, avail = w>>(width-avail), 64-(width-avail)
 			continue
 		}
-		out[i], buf, avail = T(buf&mask), buf>>width, avail-width
+		out[i], buf, avail = uint8(buf&mask), buf>>width, avail-width
 	}
 }
 

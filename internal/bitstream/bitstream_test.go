@@ -189,6 +189,8 @@ func TestBitsFor(t *testing.T) {
 // values extracts all elements of s into a fresh slice.
 func values(s *Stream) []uint32 {
 	out := make([]uint32, s.N)
-	unpack(s, out, 0)
+	for i := range out {
+		out[i] = uint32(s.Get(i))
+	}
 	return out
 }

@@ -18,8 +18,8 @@ package sparse
 //	sparse.csr.overrun_reads    entry reads past the end of Values/ColIndex
 //	sparse.bitmask.decodes      BitMask decodes
 //	sparse.bitmask.overrun_reads value reads past the end of Values
-//	sparse.e24.decodes          E24 decodes (dense materializations;
-//	                            the compute-direct path never increments it)
+//	sparse.e24.decodes          E24 decodes (a dirty 2:4 trial layer
+//	                            and a CompactInto each count one)
 //	sparse.e24.overrun_reads    entry reads past the end of Values/Meta
 import "repro/internal/telemetry"
 

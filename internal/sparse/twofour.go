@@ -183,58 +183,53 @@ func (e *E24) decode(out []uint8, g0, g1 int) {
 	}
 }
 
-// CompactInto extracts the *canonical* compact form of the (possibly
+// CompactInto writes the *canonical* compact form of the (possibly
 // corrupted) encoding into vals and pos, each Entries24(rows, cols)
-// long: per group, the surviving nonzero entries first in ascending
-// position, then (0, 0) pads. It applies the same collision and
-// edge-clamp rules as Decode, then re-canonicalizes, so two encodings
-// have equal compact forms exactly when their decoded matrices are equal
-// — without materializing either matrix. This is the corrupted-trial
-// hot path: the output feeds tensor.Sparse24 directly.
+// long: DecodeInto, then Compact24Row over each decoded row. Two
+// encodings therefore have equal compact forms exactly when their
+// decoded matrices are equal.
 func (e *E24) CompactInto(vals, pos []uint8) {
 	need := Entries24(e.RowsN, e.ColsN)
 	if len(vals) != need || len(pos) != need {
 		panic(fmt.Sprintf("sparse: CompactInto buffers %d/%d != %d entries", len(vals), len(pos), need))
 	}
-	gpr := groupsPerRow(e.ColsN)
-	overruns := 0
-	ent := 0
-	vals8, meta := e.Values.Reader(0), e.Meta.Reader(0)
+	dec := make([]uint8, e.RowsN*e.ColsN)
+	e.DecodeInto(dec)
+	ne := 2 * groupsPerRow(e.ColsN)
 	for r := 0; r < e.RowsN; r++ {
-		for g := 0; g < gpr; g++ {
-			// Reconstruct the group's 4-slot window with Decode's rules.
-			var win [4]uint8
-			for s := 0; s < 2; s++ {
-				if ent >= e.Values.N || ent >= e.Meta.N {
-					overruns++
-					ent++
-					continue
-				}
-				v, p := uint8(vals8.Next()), int(meta.Next())
-				ent++
-				if v == 0 {
-					continue
-				}
-				if c := g*4 + p; c < e.ColsN {
-					win[p] = v
-				}
-			}
-			// Re-canonicalize: at most 2 slots are nonzero (2 entries wrote).
-			o := (r*gpr + g) * 2
-			k := 0
-			for p := 0; p < 4 && k < 2; p++ {
-				if win[p] != 0 {
-					vals[o+k], pos[o+k] = win[p], uint8(p)
-					k++
-				}
-			}
-			for ; k < 2; k++ {
-				vals[o+k], pos[o+k] = 0, 0
+		Compact24Row(dec[r*e.ColsN:][:e.ColsN], identity8[:], vals[r*ne:][:ne], pos[r*ne:][:ne])
+	}
+}
+
+// identity8 maps every cluster index to itself: the table under which
+// Compact24Row emits cluster indices.
+var identity8 = func() (t [256]uint8) {
+	for i := range t {
+		t[i] = uint8(i)
+	}
+	return t
+}()
+
+// Compact24Row is the one compaction rule: it writes the canonical
+// compact form of one decoded row into val and pos, 2 entries per group
+// of 4 columns — the group's nonzero indices in ascending position,
+// then pads of index 0 at position 0 — with each entry's index v
+// written as table[v]. A
+// caller maps indices to weights through a centroid table in the same
+// pass, or keeps them through an identity table. A decoded 2:4 group
+// holds at most 2 nonzeros; of a denser group the first 2 are kept.
+func Compact24Row[V any](row []uint8, table []V, val []V, pos []uint8) {
+	for g := 0; 2*g < len(val); g++ {
+		k, end := 2*g, 2*g+2
+		for p, v := range row[4*g : min(4*g+4, len(row))] {
+			if v != 0 && k < end {
+				val[k], pos[k] = table[v], uint8(p)
+				k++
 			}
 		}
-	}
-	if overruns > 0 {
-		met.e24Overruns.Add(int64(overruns))
+		for ; k < end; k++ {
+			val[k], pos[k] = table[0], 0
+		}
 	}
 }
 

@@ -141,13 +141,18 @@ func Test24RoundTripConforming(t *testing.T) {
 	}
 }
 
-// Test24CompactCanonical: CompactInto of a corrupted encoding equals
-// the compact form Encode24 emits for its decoded matrix — compact
-// equality is decoded-matrix equality, the evaluator's fast-path
-// invariant.
+// Test24CompactCanonical: compacting a corrupted encoding's decoded
+// rows equals the compact form Encode24 emits for its decoded matrix —
+// compact equality is decoded-matrix equality, the evaluator's
+// fast-path invariant. It holds for CompactInto over the whole matrix,
+// in every row's partial trailing group (33 columns), for a group whose
+// two entries collide on one position (the second wins), and for a row
+// subset compacted row by row through a centroid table, as the
+// evaluator's row patch compacts it.
 func Test24CompactCanonical(t *testing.T) {
-	idx := randomIndices(9, 33, 0.6, 4, 22)
-	enc := Must(Encode24(idx, 9, 33, 4, nil))
+	const rows, cols = 9, 33
+	idx := randomIndices(rows, cols, 0.6, 4, 22)
+	enc := Must(Encode24(idx, rows, cols, 4, nil))
 	// Corrupt a handful of value and position elements, including ones
 	// that force in-group collisions and edge overflows.
 	for i := 0; i < enc.Meta.N; i += 7 {
@@ -156,13 +161,45 @@ func Test24CompactCanonical(t *testing.T) {
 	for i := 0; i < enc.Values.N; i += 5 {
 		enc.Values.Set(i, (enc.Values.Get(i)+9)%16)
 	}
-	n := Entries24(9, 33)
+	// Row 0, group 0: both entries at position 2, the second wins.
+	enc.Values.Set(0, 5)
+	enc.Values.Set(1, 9)
+	enc.Meta.Set(0, 2)
+	enc.Meta.Set(1, 2)
+	// Row 1's trailing group holds column 32 alone: an entry at
+	// position 3 is dropped, one at position 0 kept.
+	ne := 2 * groupsPerRow(cols)
+	last := 2*ne - 2
+	enc.Values.Set(last, 7)
+	enc.Meta.Set(last, 3)
+	enc.Values.Set(last+1, 3)
+	enc.Meta.Set(last+1, 0)
+
+	dec := enc.Decode()
+	if !bytes.Equal(dec[:4], []uint8{0, 0, 9, 0}) || dec[cols+32] != 3 {
+		t.Fatalf("decode missed the planted collision or edge drop: %v, %d", dec[:4], dec[cols+32])
+	}
+	re := Must(Encode24(dec, rows, cols, 4, nil))
+	wantV, wantP := re.Values.Values8(), re.Meta.Values8()
+	n := Entries24(rows, cols)
 	vals, pos := make([]uint8, n), make([]uint8, n)
 	enc.CompactInto(vals, pos)
-
-	re := Must(Encode24(enc.Decode(), 9, 33, 4, nil))
-	if !bytes.Equal(vals, re.Values.Values8()) || !bytes.Equal(pos, re.Meta.Values8()) {
+	if !bytes.Equal(vals, wantV) || !bytes.Equal(pos, wantP) {
 		t.Error("CompactInto is not the canonical form of the decoded matrix")
+	}
+	cents := make([]float32, 16)
+	for i := range cents {
+		cents[i] = float32(i) - 7.5
+	}
+	val, p := make([]float32, 4*ne), make([]uint8, 4*ne)
+	for j, r := range []int{1, 8, 0, 4} {
+		Compact24Row(dec[r*cols:][:cols], cents, val[j*ne:][:ne], p[j*ne:][:ne])
+		for k := 0; k < ne; k++ {
+			if w := wantV[r*ne+k]; val[j*ne+k] != cents[w] || p[j*ne+k] != wantP[r*ne+k] {
+				t.Fatalf("row %d entry %d: compacted (%v, %d), canonical (%v, %d)",
+					r, k, val[j*ne+k], p[j*ne+k], cents[w], wantP[r*ne+k])
+			}
+		}
 	}
 }
 
@@ -250,8 +287,9 @@ func Test24ErrorPaths(t *testing.T) {
 }
 
 // FuzzDecode24 is differential: Decode, CompactInto and their overrun
-// counts must match the bit-serial reference. cut%3 truncates nothing,
-// the values or the metadata, to the entry count cut/3 at most.
+// counts must match the bit-serial reference, and the compact form,
+// whole or row by row, must be the canonical one. cut%3 truncates
+// nothing, the values or the metadata, to the entry count cut/3 at most.
 func FuzzDecode24(f *testing.F) {
 	f.Add(uint16(1), uint8(0), []byte{0x00})
 	f.Add(uint16(7), uint8(0), []byte{0xff, 0xff, 0xff, 0xff})
@@ -281,6 +319,22 @@ func FuzzDecode24(f *testing.F) {
 		for i := range vals {
 			if vals[i] >= 1<<valueBits || pos[i] >= 4 {
 				t.Fatalf("compact entry %d out of range: (%d, %d)", i, vals[i], pos[i])
+			}
+		}
+		// Canonical, whole and over a row subset (as the row patch
+		// compacts): the compact form Encode24 gives the decoded matrix.
+		dec := enc.Decode()
+		re := Must(Encode24(dec, rows, cols, valueBits, nil))
+		wantV, wantP := re.Values.Values8(), re.Meta.Values8()
+		if !bytes.Equal(vals, wantV) || !bytes.Equal(pos, wantP) {
+			t.Fatal("CompactInto is not the canonical form of the decoded matrix")
+		}
+		ne := 2 * groupsPerRow(cols)
+		v, p := make([]uint8, ne), make([]uint8, ne)
+		for r := int(seed) % rows; r < rows; r += 1 + int(cut)%rows {
+			Compact24Row(dec[r*cols:][:cols], identity8[:], v, p)
+			if !bytes.Equal(v, wantV[r*ne:][:ne]) || !bytes.Equal(p, wantP[r*ne:][:ne]) {
+				t.Fatalf("row %d compacts to %v %v, canonical %v %v", r, v, p, wantV[r*ne:][:ne], wantP[r*ne:][:ne])
 			}
 		}
 		check24MatchesRef(t, enc)

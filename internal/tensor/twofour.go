@@ -22,8 +22,8 @@ var met24 = struct {
 // Sparse24 is a weight matrix in compute-direct 2:4 structured-sparse
 // form: 2 stored (value, in-group position) entries per group of 4
 // columns, row-major. It is the float-space twin of sparse.E24 — the
-// evaluator maps decoded cluster indices through the centroid table into
-// Val without ever materializing a dense matrix.
+// evaluator compacts decoded cluster indices through the centroid table
+// into Val without ever materializing a dense weight matrix.
 //
 // Contract: entries must be in canonical compact form — within each
 // group, nonzero values first in ascending position (each position in
@@ -31,7 +31,8 @@ var met24 = struct {
 // (0, 0) pads. The kernels trust this: it guarantees in-bounds gathers
 // and the exact ascending-column accumulation order of the dense
 // kernels, which is what makes them bit-identical (see mulABtBand).
-// sparse.(*E24).CompactInto emits exactly this form.
+// sparse.Compact24Row emits exactly this form, from any decoded 2:4
+// row.
 type Sparse24 struct {
 	Rows, Cols int
 	// GroupsPerRow is ceil(Cols/4).
