@@ -16,8 +16,8 @@
 #                  seed-pinned SIGKILL/SIGSTOP schedule plus a poison
 #                  shard, proving quarantine + bit-identical recovery
 #   make fuzz    - short pass over every fuzz target (sparse, ECC,
-#                  checkpoint, serve and fleet decoders, and
-#                  k-means against its reference)
+#                  checkpoint, serve and fleet decoders, k-means and
+#                  the fully-connected kernels against their references)
 #   make paper-golden - `maxnvm all` (every table and figure, ~25-45 s)
 #                  diffed byte for byte against its golden file
 #   make bench   - full benchmark harness (regenerates every figure)
@@ -146,6 +146,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseLease -fuzztime=$(FUZZTIME) ./internal/fleet/
 	$(GO) test -fuzz=FuzzParseHeartbeat -fuzztime=$(FUZZTIME) ./internal/fleet/
 	$(GO) test -fuzz=FuzzKMeans1D -fuzztime=$(FUZZTIME) ./internal/stats/
+	$(GO) test -fuzz=FuzzMulABt -fuzztime=$(FUZZTIME) ./internal/tensor/
 
 bench:
 	$(GO) test -bench=. -benchmem .

@@ -482,6 +482,26 @@ func BenchmarkConvForward(b *testing.B) {
 	}
 }
 
+// BenchmarkFCForward times the fully-connected kernel alone at TinyCNN
+// fc1's shape: 300 post-ReLU activation rows of 144 against 64 outputs,
+// serial (Workers=1, the replica configuration).
+func BenchmarkFCForward(b *testing.B) {
+	a := tensor.NewMatrix(300, 144)
+	w := tensor.NewMatrix(64, 144)
+	src := stats.NewSource(7)
+	for i := range a.Data {
+		a.Data[i] = max(0, float32(src.Gaussian(0, 1)))
+	}
+	for i := range w.Data {
+		w.Data[i] = float32(src.Gaussian(0, 0.1))
+	}
+	out := tensor.NewMatrix(300, 64)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tensor.MulABtInto(out, a, w, 1)
+	}
+}
+
 func BenchmarkNVSimCharacterize(b *testing.B) {
 	cfg := nvsim.Config{Tech: envm.CTT, BPC: 2, CapacityBits: 12 * 8e6, Target: nvsim.OptReadEDP}
 	b.ResetTimer()

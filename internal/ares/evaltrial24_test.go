@@ -6,16 +6,19 @@ package ares
 // EvalTrialSerial (the oracle: decoded indices through the dense
 // kernels on the shared model) for every Kind24 config — pristine
 // and faulted, values and metadata streams, with and without ECC,
-// serial and under replica-pool contention, on more than one zoo model.
+// serial and under replica-pool contention, on more than one zoo model,
+// and the logits of its dirty trials to the oracle's bit for bit.
 
 import (
 	"context"
+	"math"
 	"sync"
 	"testing"
 
 	"repro/internal/dnn"
 	"repro/internal/envm"
 	"repro/internal/sparse"
+	"repro/internal/stats"
 	"repro/internal/train"
 )
 
@@ -58,6 +61,52 @@ func TestEvalTrial24ParityGrid(t *testing.T) {
 	}
 	if degraded == 0 {
 		t.Error("no grid trial degraded a block: the Degrade input exercises nothing")
+	}
+}
+
+// TestEvalTrial24LogitsMatchOracle pins the compute-direct route's
+// logits, not only its error delta, to the decode-to-dense oracle's bit
+// for bit: an error count hides a kernel or a compaction that adds a
+// group's entries in another order. Every dirty trial of the grid is
+// compared: the direct trial through its replica pass (prefix cut and
+// row patch included), the oracle's as a full dense pass over the same
+// decoded indices.
+func TestEvalTrial24LogitsMatchOracle(t *testing.T) {
+	ev := getMeasured(t)
+	ctx := context.Background()
+	dirty := 0
+	for ci, cfg := range grid24Configs() {
+		for _, seed := range []uint64{3, 271, 88888} {
+			direct, err := ev.corrupt(ctx, cfg, stats.NewSource(seed), true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if direct.pristine {
+				continue
+			}
+			dirty++
+			oracle, err := ev.corrupt(ctx, cfg, stats.NewSource(seed), false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := ev.checkout()
+			got := ev.pass(r, direct).Clone()
+			r.reset(ev)
+			r.overlay(ev, oracle.layers, 0)
+			want := r.fw.Forward(ev.Test.Images)
+			for i := range want.Data {
+				if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+					t.Errorf("cfg %d seed %d (first dirty %d): logit %d = %v (%#x), oracle %v (%#x)",
+						ci, seed, firstDirty(direct), i, got.Data[i], math.Float32bits(got.Data[i]),
+						want.Data[i], math.Float32bits(want.Data[i]))
+					break
+				}
+			}
+			ev.checkin(r)
+		}
+	}
+	if dirty == 0 {
+		t.Fatal("every grid trial took the fast path: no logits compared")
 	}
 }
 

@@ -160,8 +160,9 @@ func axpy(dst, src []float32, a float32) {
 
 // mulABtBand computes rows [lo, hi) of dst = a * mᵀ serially: dst[i][j]
 // is the dot product of row i of a and row j of m. Accumulation order
-// and the zero-skip on a's elements match mulBand term for term, so dst
-// is bit-identical to MulInto(dst, a, Transpose(m)).
+// matches mulBand term for term, and the terms mulBand skips are zero
+// products (the ±0 rule, see Operand), so dst is bit-identical to
+// MulInto(dst, a, Transpose(m)).
 func (m *Matrix) mulABtBand(dst, a *Matrix, lo, hi int) {
 	mulABtTiled(dst, a, m, nil, lo, hi)
 }
@@ -171,12 +172,13 @@ func (m *Matrix) mulABtBand(dst, a *Matrix, lo, hi int) {
 // tile and no column has an ADC, which is the plain dense product; with
 // x set it is cut into x's row tiles, each tile's partial converted by
 // its column ADC, and it returns the clips counted. Output columns go
-// four at a time: the four share each activation load and its zero skip
-// (post-ReLU activations are mostly zero), and each keeps its own tile
-// partial, so four independent add chains run where a scalar dot has
-// one (a short last block repeats its last column and drops the copies).
-// Per element the terms still add in ascending order from +0, and the
-// converted partials across tiles in ascending order from +0.
+// four at a time: the four share each activation load, and each keeps
+// its own tile partial, so four independent add chains run where a
+// scalar dot has one (a short last block repeats its last column and
+// drops the copies). Per element the terms add in ascending order from
+// +0, and the converted partials across tiles in ascending order from
+// +0. Zero activations are multiplied too (the ±0 rule, see Operand): a
+// branch on them is mispredicted on post-ReLU data.
 func mulABtTiled(dst, a, w *Matrix, x *Xbar, lo, hi int) (clips int64) {
 	k, n := a.Cols, w.Rows
 	tileRows := max(k, 1)
@@ -203,9 +205,6 @@ func mulABtTiled(dst, a, w *Matrix, x *Xbar, lo, hi int) (clips int64) {
 			for i := lo; i < hi; i++ {
 				var p0, p1, p2, p3 float32
 				for q, av := range a.Data[i*k+tlo : i*k+thi][:len(w0)] {
-					if av == 0 {
-						continue
-					}
 					p0 += av * w0[q]
 					p1 += av * w1[q]
 					p2 += av * w2[q]

@@ -23,6 +23,14 @@ import (
 // an operand of a subset of the rows yields exactly those channels of
 // the full product. The row-patched forward pass
 // (dnn.Forwarder.ForwardRows) rests on this.
+//
+// The ±0 rule: a term with a zero factor can be added or dropped
+// without changing a bit, given finite weights (centroid, projected and
+// crossbar effective weights all are). Every accumulator starts at +0;
+// +0 plus either signed zero is +0 and a + (-a) rounds to +0, so it
+// never holds -0; a zero times a finite factor is ±0, and x + (±0) == x
+// for every x but -0. So the conv GEMMs skip zero weights, the 2:4
+// kernels unstored positions, and the FC kernels no zero activation.
 type Operand interface {
 	// dims returns the Out x In shape. It panics on an internally
 	// inconsistent operand.
@@ -115,7 +123,7 @@ func (j abtJob) run(_, lo, hi int) { j.w.mulABtBand(j.dst, j.a, lo, hi) }
 // most workers bands (0 = GOMAXPROCS; 1 runs serially with no goroutine
 // spawns and no allocation). On dense weights dst is bit-identical to
 // MulInto(dst, a, Transpose(W)), and on 2:4 weights to the dense kernel
-// on the decoded matrix.
+// on the decoded matrix (the ±0 rule, see Operand).
 func MulABtInto(dst, a *Matrix, w Operand, workers int) {
 	rows, cols := w.dims()
 	if a.Cols != cols {

@@ -104,21 +104,15 @@ func count24(rows, n, k, gpr int) {
 // the fully-connected forward pass. Each dot walks w's stored entries in
 // ascending column order, gathering the 2 live a-columns per group —
 // half the MACs of the dense kernel. A dense dot's extra terms all have
-// a zero weight factor, and since the accumulator starts at +0 and
-// x + (±0) == x for every accumulator value this kernel can produce,
-// the result is bit-identical to the dense kernel against the decoded
-// matrix.
+// a zero weight factor, so by the ±0 rule (see Operand) the result is
+// bit-identical to the dense kernel against the decoded matrix. Every
+// gathered activation is multiplied, zeros included, by the same rule.
 //
 // Four batch rows are processed per pass: the stored entries are decoded
 // once and feed four independent accumulator chains, which hides the FMA
 // latency a single serial chain exposes (and quarters the entry-decode
 // overhead). Each accumulator still sums its own row's terms in the same
 // ascending-column order, so the parity argument is per-row unchanged.
-// The blocked path multiplies unconditionally where the dense kernel
-// skips zero activations: those terms are products with a zero factor,
-// i.e. ±0, and an accumulator can never hold -0 (it starts at +0, +0
-// plus any signed zero stays +0, and a + (-a) rounds to +0), so adding
-// them never changes a bit.
 func (w *Sparse24) mulABtBand(dst, a *Matrix, lo, hi int) {
 	k, n := a.Cols, w.Rows
 	gpr := w.GroupsPerRow
@@ -168,14 +162,10 @@ func (w *Sparse24) mulABtBand(dst, a *Matrix, lo, hi int) {
 			col := 0
 			for e := 0; e < len(wr); e += 2 {
 				if wv := wr[e]; wv != 0 {
-					if av := ar[col+int(pr[e])]; av != 0 {
-						acc += av * wv
-					}
+					acc += ar[col+int(pr[e])] * wv
 				}
 				if wv := wr[e+1]; wv != 0 {
-					if av := ar[col+int(pr[e+1])]; av != 0 {
-						acc += av * wv
-					}
+					acc += ar[col+int(pr[e+1])] * wv
 				}
 				col += 4
 			}
