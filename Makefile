@@ -16,8 +16,9 @@
 #                  seed-pinned SIGKILL/SIGSTOP schedule plus a poison
 #                  shard, proving quarantine + bit-identical recovery
 #   make fuzz    - short pass over every fuzz target (sparse, ECC,
-#                  checkpoint, serve and fleet decoders, k-means and
-#                  the fully-connected kernels against their references)
+#                  checkpoint, serve and fleet decoders, k-means, and
+#                  the fully-connected kernels and the row-patched
+#                  forward pass against their references)
 #   make paper-golden - `maxnvm all` (every table and figure, ~25-45 s)
 #                  diffed byte for byte against its golden file
 #   make bench   - full benchmark harness (regenerates every figure)
@@ -147,6 +148,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseHeartbeat -fuzztime=$(FUZZTIME) ./internal/fleet/
 	$(GO) test -fuzz=FuzzKMeans1D -fuzztime=$(FUZZTIME) ./internal/stats/
 	$(GO) test -fuzz=FuzzMulABt -fuzztime=$(FUZZTIME) ./internal/tensor/
+	$(GO) test -fuzz=FuzzForwardRows -fuzztime=$(FUZZTIME) ./internal/dnn/
 
 bench:
 	$(GO) test -bench=. -benchmem .

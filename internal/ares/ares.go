@@ -25,6 +25,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/bitstream"
 	"repro/internal/crossbar"
 	"repro/internal/ecc"
 	"repro/internal/envm"
@@ -265,26 +266,47 @@ func RunTrialChecked(ctx context.Context, enc sparse.Encoding, orig []uint8, cen
 	if err != nil {
 		return TrialStats{}, nil, err
 	}
-	return storageStep(ctx, clone, nil, orig, centroids, cfg, stats.NewSource(seed))
+	return storageStep(ctx, storedOf(clone), nil, orig, centroids, cfg, stats.NewSource(seed))
 }
+
+// stored is an encoding a trial injects into: the encoding, its
+// streams (Streams order, fetched once, since Streams allocates), the
+// buffer it decodes into, nil for a fresh one, and one ECC codeword
+// per stream whose parity buffer a hot-path protect reuses, nil for
+// fresh ones (see pristineLayer.protect).
+type stored struct {
+	enc     sparse.Encoding
+	streams []*bitstream.Stream
+	dec     []uint8
+	prot    []ecc.Protected
+}
+
+// storedOf returns enc as a stored encoding that decodes into a fresh
+// buffer.
+func storedOf(enc sparse.Encoding) stored { return stored{enc: enc, streams: enc.Streams()} }
 
 // storageStep is the storage trial step shared by RunTrialChecked, the
 // storage corrupt step (every encoding) and the lifetime epoch loop: it
-// injects faults per cfg into the caller-owned encoding enc (drawing
+// injects faults per cfg into the caller-owned encoding w.enc (drawing
 // from src), ECC-corrects, decodes, and compares the decoded indices
 // against ref.
 // A layer whose bits come out equal to its pristine pr decodes to ref,
 // so it returns ref (read-only) and zero fractions without a decode.
-func storageStep(ctx context.Context, enc sparse.Encoding, pr *pristineLayer, ref []uint8, centroids []float32, cfg Config, src *stats.Source) (TrialStats, []uint8, error) {
+func storageStep(ctx context.Context, w stored, pr *pristineLayer, ref []uint8, centroids []float32, cfg Config, src *stats.Source) (TrialStats, []uint8, error) {
 	var st TrialStats
-	if err := injectStreams(ctx, enc, pr, cfg, src, &st); err != nil {
+	if err := injectStreams(ctx, w, pr, cfg, src, &st); err != nil {
 		return st, nil, err
 	}
-	if pr.clean(enc) {
+	if pr.clean(w.streams) {
 		return st, ref, nil
 	}
 	decodeStart := time.Now()
-	decoded := enc.Decode()
+	decoded := w.dec
+	if decoded == nil {
+		decoded = w.enc.Decode()
+	} else {
+		w.enc.DecodeInto(decoded)
+	}
 	met.decode.Since(decodeStart)
 	if len(ref) != len(decoded) {
 		return st, nil, fmt.Errorf("ares: %d original indices vs %d decoded", len(ref), len(decoded))
@@ -294,7 +316,7 @@ func storageStep(ctx context.Context, enc sparse.Encoding, pr *pristineLayer, re
 }
 
 // injectStreams injects faults per cfg into every stream of the
-// caller-owned encoding. Each ECC stream is protected over its current
+// caller-owned encoding w. Each ECC stream is protected over its current
 // bits, injected and corrected, and with cfg.Degrade its uncorrectable
 // blocks are zeroed instead of reaching the decoder. It is the one
 // fault-injection loop (storageStep runs it for write-time and
@@ -304,9 +326,9 @@ func storageStep(ctx context.Context, enc sparse.Encoding, pr *pristineLayer, re
 // parity is recomputed over the residual damage. Given pr, a stream
 // equal to its pristine copies the cached parity instead, and one that
 // drew no fault skips Correct (a consistent codeword: zero syndromes).
-func injectStreams(ctx context.Context, enc sparse.Encoding, pr *pristineLayer, cfg Config, src *stats.Source, st *TrialStats) error {
+func injectStreams(ctx context.Context, w stored, pr *pristineLayer, cfg Config, src *stats.Source, st *TrialStats) error {
 	injectStart := time.Now()
-	for i, s := range enc.Streams() {
+	for i, s := range w.streams {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -320,7 +342,11 @@ func injectStreams(ctx context.Context, enc sparse.Encoding, pr *pristineLayer, 
 			st.Faults += envm.InjectArray(s.Bits, sc, ssrc)
 			continue
 		}
-		prot := pr.protect(cfg.Encoding, i, s.Bits, ecc.NewBlockCode(cfg.BlockBits()))
+		var buf *ecc.Protected
+		if w.prot != nil {
+			buf = &w.prot[i]
+		}
+		prot := pr.protect(cfg.Encoding, i, s.Bits, ecc.NewBlockCode(cfg.BlockBits()), buf)
 		// Data cells draw from ssrc, parity cells from ssrc.Fork(2).
 		n := envm.InjectArray(prot.Data, sc, ssrc) + envm.InjectArray(prot.Parity.Bits, sc, ssrc.Fork(2))
 		st.Faults += n

@@ -180,7 +180,7 @@ func (ev *MeasuredEvaluator) LifetimeTrial(ctx context.Context, cfg Config, lp L
 					return res, err
 				}
 			}
-			st, dec, err := storageStep(ctx, cells[li], &pristineLayer{ev, li, encs[li], sigs[li]}, refs[li], cl.Centroids, ecfg, esrc.Fork(uint64(li)+1))
+			st, dec, err := storageStep(ctx, storedOf(cells[li]), &pristineLayer{ev, li, encs[li].Streams(), sigs[li]}, refs[li], cl.Centroids, ecfg, esrc.Fork(uint64(li)+1))
 			if err != nil {
 				return res, err
 			}

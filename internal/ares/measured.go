@@ -57,10 +57,11 @@ type MeasuredEvaluator struct {
 	// replica creation to the pool capacity (see initReplicaPool).
 	replicas   chan *replica
 	replicaSem chan struct{}
-	// encMu guards encCache, each format's pristine per-layer encodings
-	// (trials clone), and parCache, their parity (pristineLayer.protect).
+	// encMu guards encCache, one formatCache per format (its pristine
+	// per-layer encodings; its idle trial scratches have their own
+	// lock), and parCache, their parity (pristineLayer.protect).
 	encMu    sync.Mutex
-	encCache map[sparse.Kind][]sparse.Encoding
+	encCache map[sparse.Kind]*formatCache
 	parCache map[parityKey]*bitstream.Stream
 	// xbarMu guards xbarCache (pristine crossbar mappings and their
 	// mapped baselines, one per tech + mapping design point; see xbar.go).
@@ -99,7 +100,7 @@ func NewMeasuredEvaluator(m *dnn.Model, test *train.Dataset, seed uint64) (*Meas
 	ev.BaselineErr, fw = ev.baseline(nil)
 	ev.prefix = ev.capturePrefix(fw)
 	ev.serial = ev.newReplica(m)
-	ev.encCache = make(map[sparse.Kind][]sparse.Encoding)
+	ev.encCache = make(map[sparse.Kind]*formatCache)
 	ev.parCache = make(map[parityKey]*bitstream.Stream)
 	ev.xbarCache = make(map[string]*xbarState)
 	ev.initReplicaPool()
@@ -128,49 +129,76 @@ func (ev *MeasuredEvaluator) refFor(cfg Config) ([][]uint8, []float64, float64, 
 	return ev.origIdx, ev.origSig, ev.BaselineErr, nil
 }
 
-// encodings returns the pristine per-layer encodings in format kind,
-// encoding each format once and caching the result (trials clone
-// before mutating, so sharing the pristine encodings is safe).
-func (ev *MeasuredEvaluator) encodings(kind sparse.Kind) ([]sparse.Encoding, error) {
+// formatCache is one format's pristine per-layer encodings and their
+// streams (Streams order), which trials never write, and the idle trial
+// scratches that hold working copies of them (see trialScratch). The
+// idle list grows to the most trials ever in flight at once and never
+// shrinks: unlike a sync.Pool, a garbage collection does not empty it,
+// so a steady trial rate allocates nothing.
+type formatCache struct {
+	encs    []sparse.Encoding
+	streams [][]*bitstream.Stream
+	mu      sync.Mutex
+	idle    []*trialScratch
+}
+
+// format returns the cache of format kind, encoding each format once.
+func (ev *MeasuredEvaluator) format(kind sparse.Kind) (*formatCache, error) {
 	ev.encMu.Lock()
 	defer ev.encMu.Unlock()
-	if encs, ok := ev.encCache[kind]; ok {
+	if fc, ok := ev.encCache[kind]; ok {
 		met.cacheHits.Inc()
-		return encs, nil
+		return fc, nil
 	}
 	met.cacheMisses.Inc()
 	start := time.Now()
-	encs := make([]sparse.Encoding, len(ev.clustered))
+	fc := &formatCache{
+		encs:    make([]sparse.Encoding, len(ev.clustered)),
+		streams: make([][]*bitstream.Stream, len(ev.clustered)),
+	}
 	for i, cl := range ev.clustered {
 		enc, err := EncodeLayer(cl, Config{Encoding: kind})
 		if err != nil {
 			return nil, err
 		}
-		encs[i] = enc
+		fc.encs[i], fc.streams[i] = enc, enc.Streams()
 	}
 	met.encode.Since(start)
-	ev.encCache[kind] = encs
-	return encs, nil
+	ev.encCache[kind] = fc
+	return fc, nil
+}
+
+// encodings returns the pristine per-layer encodings in format kind
+// (trials write only copies, so sharing them is safe).
+func (ev *MeasuredEvaluator) encodings(kind sparse.Kind) ([]sparse.Encoding, error) {
+	fc, err := ev.format(kind)
+	if err != nil {
+		return nil, err
+	}
+	return fc.encs, nil
 }
 
 // pristineLayer is layer i of ev's cached pristine encodings in one
-// format, which a trial cloned, and sig, the signal sum of the layer's
-// reference (from refFor). A storage step handed one skips the work a
-// stream equal to its pristine makes redundant; nil is the full path.
+// format, given by its streams, of which a trial injects a copy, and
+// sig, the signal sum of the layer's reference (from refFor). A storage
+// step handed one skips the work a stream equal to its pristine makes
+// redundant; nil is the full path.
 type pristineLayer struct {
-	ev  *MeasuredEvaluator
-	i   int
-	enc sparse.Encoding
-	sig float64
+	ev      *MeasuredEvaluator
+	i       int
+	streams []*bitstream.Stream
+	sig     float64
 }
 
 // parityKey is (format, layer, stream, ECC data bits per block).
 type parityKey [4]int
 
 // protect protects data, a clone's stream s, under code: data equal to
-// the pristine stream copies its parity, cached per (kind, layer, s, code).
-func (pr *pristineLayer) protect(kind sparse.Kind, s int, data *bitstream.Array, code ecc.BlockCode) *ecc.Protected {
-	if pr == nil || !data.Equal(pr.enc.Streams()[s].Bits) {
+// the pristine stream copies its parity, cached per (kind, layer, s,
+// code), into a fresh codeword or, given buf, into buf's parity buffer,
+// which it returns.
+func (pr *pristineLayer) protect(kind sparse.Kind, s int, data *bitstream.Array, code ecc.BlockCode, buf *ecc.Protected) *ecc.Protected {
+	if pr == nil || !data.Equal(pr.streams[s].Bits) {
 		return code.Protect(data)
 	}
 	key := parityKey{int(kind), pr.i, s, code.DataBits}
@@ -181,7 +209,16 @@ func (pr *pristineLayer) protect(kind sparse.Kind, s int, data *bitstream.Array,
 		pr.ev.parCache[key] = par
 	}
 	pr.ev.encMu.Unlock()
-	return &ecc.Protected{Code: code, Data: data, Parity: par.Clone()}
+	if buf == nil {
+		return &ecc.Protected{Code: code, Data: data, Parity: par.Clone()}
+	}
+	if buf.Parity == nil || buf.Parity.N != par.N {
+		buf.Parity = par.Clone()
+	} else {
+		buf.Parity.Bits.CopyFrom(par.Bits)
+	}
+	buf.Code, buf.Data = code, data
+	return buf
 }
 
 // signal returns the signal sum of ref, the layer's reference: cached
@@ -193,14 +230,15 @@ func (pr *pristineLayer) signal(ref []uint8, centroids []float32) float64 {
 	return pr.sig
 }
 
-// clean reports whether every stream of enc holds the pristine bits, so
-// the layer decodes to its reference. The check counts as decode time.
-func (pr *pristineLayer) clean(enc sparse.Encoding) bool {
+// clean reports whether every one of streams holds the pristine bits,
+// so the layer decodes to its reference. The check counts as decode
+// time.
+func (pr *pristineLayer) clean(streams []*bitstream.Stream) bool {
 	if pr == nil {
 		return false
 	}
 	defer met.decode.Since(time.Now())
-	eq := slices.EqualFunc(enc.Streams(), pr.enc.Streams(), func(a, b *bitstream.Stream) bool { return a.Bits.Equal(b.Bits) })
+	eq := slices.EqualFunc(streams, pr.streams, func(a, b *bitstream.Stream) bool { return a.Bits.Equal(b.Bits) })
 	if eq {
 		met.decodeSkipped.Inc()
 	}
@@ -242,6 +280,7 @@ func (ev *MeasuredEvaluator) baseline(layers []layerTrial) (float64, *dnn.Forwar
 // (cfg, seed).
 func (ev *MeasuredEvaluator) CorruptTrial(ctx context.Context, cfg Config, seed uint64) (TrialStats, error) {
 	tr, err := ev.corrupt(ctx, cfg, stats.NewSource(seed), true)
+	tr.release()
 	return tr.stats, err
 }
 
@@ -268,7 +307,9 @@ func (ev *MeasuredEvaluator) EvalTrial(ctx context.Context, cfg Config, seed uin
 	if err != nil {
 		return 0, TrialStats{}, err
 	}
-	return ev.measure(tr), tr.stats, nil
+	delta := ev.measure(tr)
+	tr.release()
+	return delta, tr.stats, nil
 }
 
 // EvalTrialSerial is EvalTrial measured through the serial reference
@@ -283,7 +324,9 @@ func (ev *MeasuredEvaluator) EvalTrialSerial(ctx context.Context, cfg Config, se
 	if err != nil {
 		return 0, TrialStats{}, err
 	}
-	return ev.measureSerial(tr), tr.stats, nil
+	delta := ev.measureSerial(tr)
+	tr.release()
+	return delta, tr.stats, nil
 }
 
 func (ev *MeasuredEvaluator) totalWeights() int {

@@ -82,7 +82,7 @@ func layerRows(t *testing.T, ev *MeasuredEvaluator, cfg Config, seed uint64, o i
 	if err != nil {
 		t.Fatal(err)
 	}
-	return diffRows(cl.Cols, decoded, refs[o])
+	return diffRows(nil, cl.Cols, decoded, refs[o])
 }
 
 // TestPrefixCutParityGrid scans trial seeds, per model and storage

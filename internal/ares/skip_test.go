@@ -62,7 +62,7 @@ func hotLayer(t *testing.T, ev *MeasuredEvaluator, cfg Config, i int, seed uint6
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, idx, err = storageStep(ctx, clone, &pristineLayer{ev, i, encs[i], sigs[i]}, refs[i], ev.clustered[i].Centroids, cfg, stats.NewSource(seed))
+	st, idx, err = storageStep(ctx, storedOf(clone), &pristineLayer{ev, i, encs[i].Streams(), sigs[i]}, refs[i], ev.clustered[i].Centroids, cfg, stats.NewSource(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,14 +149,14 @@ func TestParityCache(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, enc := range encs {
-			pr := &pristineLayer{ev: ev, i: i, enc: enc}
+			pr := &pristineLayer{ev: ev, i: i, streams: enc.Streams()}
 			for s, st := range enc.Streams() {
 				for _, b := range []int{ECCDataBits, 64, 4096} {
 					code := ecc.NewBlockCode(b)
 					want := code.Protect(st.Bits).Parity.Bits
 					key := parityKey{int(kind), i, s, b}
 					for call := 0; call < 2; call++ {
-						prot := pr.protect(kind, s, st.Bits.Clone(), code)
+						prot := pr.protect(kind, s, st.Bits.Clone(), code, nil)
 						ev.encMu.Lock()
 						cached := ev.parCache[key]
 						ev.encMu.Unlock()
@@ -235,16 +235,16 @@ func TestScrubbedResidualDamageReprotects(t *testing.T) {
 	reprotected := 0
 	for seed := uint64(1); seed <= 40; seed++ {
 		for li, cl := range ev.clustered {
-			pr := &pristineLayer{ev, li, encs[li], ev.origSig[li]}
+			pr := &pristineLayer{ev, li, encs[li].Streams(), ev.origSig[li]}
 			hot := sparse.Must(sparse.CloneEncoding(encs[li]))
 			full := sparse.Must(sparse.CloneEncoding(encs[li]))
 			damaged := false
 			for epoch := uint64(1); epoch <= 2; epoch++ {
-				sH, dH, err := storageStep(ctx, hot, pr, cl.Indices, cl.Centroids, cfg, stats.NewSource(seed).Fork(epoch))
+				sH, dH, err := storageStep(ctx, storedOf(hot), pr, cl.Indices, cl.Centroids, cfg, stats.NewSource(seed).Fork(epoch))
 				if err != nil {
 					t.Fatal(err)
 				}
-				sF, dF, err := storageStep(ctx, full, nil, cl.Indices, cl.Centroids, cfg, stats.NewSource(seed).Fork(epoch))
+				sF, dF, err := storageStep(ctx, storedOf(full), nil, cl.Indices, cl.Centroids, cfg, stats.NewSource(seed).Fork(epoch))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -254,7 +254,7 @@ func TestScrubbedResidualDamageReprotects(t *testing.T) {
 				if damaged && sF.Faults > 0 {
 					reprotected++
 				}
-				damaged = !pr.clean(hot)
+				damaged = !pr.clean(hot.Streams())
 			}
 		}
 	}

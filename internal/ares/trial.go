@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/dnn"
+	"repro/internal/ecc"
 	"repro/internal/sparse"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
@@ -65,6 +66,74 @@ type trial struct {
 	// timer is the route's eval timer (the serial reference always
 	// records ares.phase.eval).
 	timer *telemetry.Timer
+	// sc is the storage trial's scratch, which holds its decoded
+	// indices and dirty rows: release returns it once the trial is
+	// measured. Nil on the crossbar route.
+	sc *trialScratch
+}
+
+// trialScratch is the reusable working state of one in-flight storage
+// trial in one format, so that a trial allocates nothing: the layer
+// slice, each layer's working copy of the pristine encoding with its
+// streams, decode buffer and ECC codewords, and each layer's dirty-row
+// list. Between trials every working stream holds its pristine bits,
+// and the format's idle list (formatCache.idle) hands a scratch to one
+// trial at a time.
+type trialScratch struct {
+	fc     *formatCache
+	cfg    Config
+	layers []layerTrial
+	work   []stored
+	rows   [][]int
+}
+
+// acquire takes an idle scratch of fc, or builds one by cloning the
+// pristine encodings, and readies it for a trial under cfg.
+func (ev *MeasuredEvaluator) acquire(fc *formatCache, cfg Config) (*trialScratch, error) {
+	var sc *trialScratch
+	fc.mu.Lock()
+	if n := len(fc.idle); n > 0 {
+		sc, fc.idle = fc.idle[n-1], fc.idle[:n-1]
+	}
+	fc.mu.Unlock()
+	if sc == nil {
+		n := len(ev.clustered)
+		sc = &trialScratch{fc: fc, layers: make([]layerTrial, n), work: make([]stored, n), rows: make([][]int, n)}
+		for i, enc := range fc.encs {
+			clone, err := sparse.CloneEncoding(enc)
+			if err != nil {
+				return nil, err
+			}
+			streams := clone.Streams()
+			sc.work[i] = stored{clone, streams, make([]uint8, len(ev.clustered[i].Indices)), make([]ecc.Protected, len(streams))}
+		}
+	}
+	sc.cfg = cfg
+	return sc, nil
+}
+
+// release returns the trial's scratch, if any, to its format's idle
+// list: it keeps the grown dirty-row lists and copies the pristine bits
+// back into every stream the trial's config stores imperfectly, the
+// only ones a trial writes.
+func (tr *trial) release() {
+	sc := tr.sc
+	if sc == nil {
+		return
+	}
+	tr.sc = nil
+	for i, w := range sc.work {
+		sc.rows[i] = sc.layers[i].rows[:0]
+		for s, st := range w.streams {
+			if sc.cfg.PolicyFor(st.Name).BPC != 0 {
+				st.Bits.CopyFrom(sc.fc.streams[i][s].Bits)
+			}
+		}
+	}
+	sc.cfg = Config{}
+	sc.fc.mu.Lock()
+	sc.fc.idle = append(sc.fc.idle, sc)
+	sc.fc.mu.Unlock()
 }
 
 // corrupt validates cfg and runs the corrupt step of the route it
@@ -83,9 +152,10 @@ func (ev *MeasuredEvaluator) corrupt(ctx context.Context, cfg Config, tsrc *stat
 }
 
 // corruptStorage runs the encode -> inject -> decode stages of the
-// storage route: every layer's decoded cluster indices.
+// storage route: every layer's decoded cluster indices, held in a
+// trialScratch that the returned trial releases.
 func (ev *MeasuredEvaluator) corruptStorage(ctx context.Context, cfg Config, tsrc *stats.Source, hot bool) (trial, error) {
-	encs, err := ev.encodings(cfg.Encoding)
+	fc, err := ev.format(cfg.Encoding)
 	if err != nil {
 		return trial{}, err
 	}
@@ -93,26 +163,40 @@ func (ev *MeasuredEvaluator) corruptStorage(ctx context.Context, cfg Config, tsr
 	if err != nil {
 		return trial{}, err
 	}
-	layers := make([]layerTrial, len(ev.clustered))
-	for i, cl := range ev.clustered {
-		clone, err := sparse.CloneEncoding(encs[i])
-		if err != nil {
-			return trial{}, err
-		}
-		var pr *pristineLayer
-		if hot {
-			pr = &pristineLayer{ev, i, encs[i], sigs[i]}
-		}
-		st, decoded, err := storageStep(ctx, clone, pr, refs[i], cl.Centroids, cfg, stats.NewSource(tsrc.Uint64()))
-		if err != nil {
-			return trial{}, err
-		}
-		layers[i] = layerTrial{st: st, idx: decoded}
-	}
-	if err := ctx.Err(); err != nil {
+	sc, err := ev.acquire(fc, cfg)
+	if err != nil {
 		return trial{}, err
 	}
-	return ev.decodedTrial(layers, refs, baseline, hot && cfg.Encoding == sparse.Kind24)
+	tr, err := ev.storageLayers(ctx, sc, refs, sigs, baseline, tsrc, hot)
+	if err != nil {
+		tr.release()
+		return trial{}, err
+	}
+	return tr, nil
+}
+
+// storageLayers runs the storage step of every layer on sc's working
+// encodings and completes the trial (see decodedTrial). The trial owns
+// sc, also when it comes back with an error.
+func (ev *MeasuredEvaluator) storageLayers(ctx context.Context, sc *trialScratch, refs [][]uint8, sigs []float64, baseline float64, tsrc *stats.Source, hot bool) (trial, error) {
+	cfg := sc.cfg
+	for i, cl := range ev.clustered {
+		var pr *pristineLayer
+		if hot {
+			pr = &pristineLayer{ev, i, sc.fc.streams[i], sigs[i]}
+		}
+		st, decoded, err := storageStep(ctx, sc.work[i], pr, refs[i], cl.Centroids, cfg, stats.NewSource(tsrc.Uint64()))
+		sc.layers[i] = layerTrial{st: st, idx: decoded, rows: sc.rows[i][:0]}
+		if err != nil {
+			return trial{sc: sc}, err
+		}
+	}
+	if err := ctx.Err(); err != nil {
+		return trial{sc: sc}, err
+	}
+	tr, err := ev.decodedTrial(sc.layers, refs, baseline, hot && cfg.Encoding == sparse.Kind24)
+	tr.sc = sc
+	return tr, err
 }
 
 // decodedTrial completes a storage trial whose layers carry decoded
@@ -148,7 +232,7 @@ func (ev *MeasuredEvaluator) decodedTrial(layers []layerTrial, refs [][]uint8, b
 		if tf != nil {
 			lt.s24 = tf.pristine24[i]
 		}
-		if lt.rows = diffRows(cl.Cols, lt.idx, clean[i]); lt.rows == nil {
+		if lt.rows = diffRows(lt.rows[:0], cl.Cols, lt.idx, clean[i]); len(lt.rows) == 0 {
 			lt.idx = nil
 		}
 	}
@@ -156,9 +240,9 @@ func (ev *MeasuredEvaluator) decodedTrial(layers []layerTrial, refs [][]uint8, b
 	return tr, nil
 }
 
-// diffRows returns, ascending, the rows of width entries each on which
-// matrices a and b differ, or nil when none does.
-func diffRows(width int, a, b []uint8) (rows []int) {
+// diffRows appends to rows, ascending, the rows of width entries each
+// on which matrices a and b differ.
+func diffRows(rows []int, width int, a, b []uint8) []int {
 	for lo := 0; lo < len(a); lo += width {
 		if !bytes.Equal(a[lo:lo+width], b[lo:lo+width]) {
 			rows = append(rows, lo/width)

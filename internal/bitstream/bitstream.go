@@ -37,6 +37,15 @@ func (a *Array) Clone() *Array {
 	return out
 }
 
+// CopyFrom overwrites a with the bits of b, which must have a's length.
+// It is Clone into an existing array: it allocates nothing.
+func (a *Array) CopyFrom(b *Array) {
+	if a.nbits != b.nbits {
+		panic("bitstream: CopyFrom length mismatch")
+	}
+	copy(a.words, b.words)
+}
+
 // Equal reports whether two arrays have identical length and contents.
 func (a *Array) Equal(b *Array) bool {
 	return a.nbits == b.nbits && slices.Equal(a.words, b.words)

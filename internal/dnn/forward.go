@@ -8,8 +8,8 @@ import (
 
 // Forwarder runs repeated forward passes over one model with zero
 // steady-state allocation: every inter-layer activation tensor, im2col
-// patch buffer, and logit view is owned by the Forwarder and reused
-// across calls. It is the repository's one forward pass: training
+// patch buffer, padded input frame, and logit view is owned by the
+// Forwarder and reused across calls. It is the repository's one forward pass: training
 // (internal/train) runs its SGD steps on one, reading the activations
 // Input and Output expose for its backward pass, and every inference —
 // baselines, fault-injection trials, the ares replica pool — runs on
@@ -111,7 +111,7 @@ func (f *Forwarder) ForwardFrom(k int, act *tensor.Tensor4) *tensor.Matrix {
 		if l.Kind == Add {
 			y = fetch(i, l.Input2)
 		}
-		f.run(&f.acts[i], l, fetch(i, l.Input), y, l.Operand(), l.Bias, l.WeightRows())
+		f.run(&f.acts[i], l, fetch(i, l.Input), y, l.Operand(), l.Bias, l.WeightRows(), false)
 	}
 	last := f.acts[len(f.acts)-1]
 	f.logits = tensor.Matrix{Rows: last.N, Cols: last.C * last.H * last.W, Data: last.Data}
@@ -119,15 +119,21 @@ func (f *Forwarder) ForwardFrom(k int, act *tensor.Tensor4) *tensor.Matrix {
 }
 
 // run computes layer l on x (and y, for Add) into *slot, with its ReLU;
-// a weight layer runs on w and bias, producing outC channels.
-func (f *Forwarder) run(slot **tensor.Tensor4, l *Layer, x, y *tensor.Tensor4, w tensor.Operand, bias []float32, outC int) *tensor.Tensor4 {
+// a weight layer runs on w and bias, producing outC channels. A conv
+// layer runs on a padded input frame when frame is set
+// (tensor.Conv2DFrameInto), lowered otherwise.
+func (f *Forwarder) run(slot **tensor.Tensor4, l *Layer, x, y *tensor.Tensor4, w tensor.Operand, bias []float32, outC int, frame bool) *tensor.Tensor4 {
 	var out *tensor.Tensor4
 	switch l.Kind {
 	case Conv:
 		cs := l.Conv
 		cs.OutC = outC
 		out = ensure(slot, x.N, outC, cs.OutH(), cs.OutW())
-		tensor.Conv2DInto(out, x, w, bias, cs, &f.conv)
+		if frame {
+			tensor.Conv2DFrameInto(out, x, w, bias, cs, &f.conv)
+		} else {
+			tensor.Conv2DInto(out, x, w, bias, cs, &f.conv)
+		}
 	case FC:
 		out = ensure(slot, x.N, outC, 1, 1)
 		f.flat = tensor.Matrix{Rows: x.N, Cols: x.C * x.H * x.W, Data: x.Data}
@@ -163,10 +169,14 @@ func (f *Forwarder) run(slot **tensor.Tensor4, l *Layer, x, y *tensor.Tensor4, w
 // input of layer n = Model.RowCut(k); w holds just those rows, in that
 // order. It runs k and its channel-local tail on those channels alone,
 // patches them into a copy of next, and continues with ForwardFrom(n).
-// A kernel computes each channel from its own weight row (see
-// tensor.Operand), so the logits are bit-identical. Layer k's operand
-// is never read, in and next are only read, and Output(i) for
-// k <= i < n holds the listed channels only. It panics when n is -1.
+// A conv layer k runs on a zero-padded frame of in
+// (tensor.Conv2DFrameInto): for a few channels, lowering the whole
+// input costs more than their GEMM, so nothing is lowered. A kernel
+// computes each channel from its own weight row (see tensor.Operand),
+// and the frame driver gives the lowered convolution's bits, so the
+// logits are bit-identical. Layer k's operand is never read, in and
+// next are only read, and Output(i) for k <= i < n holds the listed
+// channels only. It panics when n is -1.
 func (f *Forwarder) ForwardRows(k int, rows []int, w tensor.Operand, in, next *tensor.Tensor4) *tensor.Matrix {
 	n := f.m.RowCut(k)
 	if n < 0 {
@@ -183,7 +193,7 @@ func (f *Forwarder) ForwardRows(k int, rows []int, w tensor.Operand, in, next *t
 	}
 	x := in
 	for i := k; i < n; i++ {
-		x = f.run(&f.acts[i], f.m.Layers[i], x, nil, w, bias, len(rows))
+		x = f.run(&f.acts[i], f.m.Layers[i], x, nil, w, bias, len(rows), true)
 	}
 	dst := ensure(&f.patch, next.N, next.C, next.H, next.W)
 	copy(dst.Data, next.Data)

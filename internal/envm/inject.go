@@ -113,8 +113,15 @@ func InjectArray(a *bitstream.Array, cfg StoreConfig, src *stats.Source) int {
 	}
 	fm := cfg.FaultMap()
 	nLevels := fm.NumLevels()
-	// Per-level total fault probability and the thinning bound.
-	pTot := make([]float64, nLevels)
+	// Per-level total fault probability and the thinning bound. At most
+	// 4 bits per cell (Tech.Validate) gives at most 16 levels, which fit
+	// on the stack.
+	var levels [16]float64
+	pTot := levels[:]
+	if nLevels > len(levels) {
+		pTot = make([]float64, nLevels)
+	}
+	pTot = pTot[:nLevels]
 	pMax := 0.0
 	for l := 0; l < nLevels; l++ {
 		pTot[l] = fm.PUp[l] + fm.PDown[l]

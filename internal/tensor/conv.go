@@ -1,6 +1,9 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Tensor4 is a dense NCHW float32 tensor (batch, channels, height, width).
 type Tensor4 struct {
@@ -140,23 +143,26 @@ func im2colBatch(dst *Matrix, in *Tensor4, cs ConvShape, lo, hi int) {
 }
 
 // ConvScratch holds the scratch buffers of one convolution worker: the
-// batched im2col patch matrix and the channel-major GEMM output that is
-// copied out to NCHW. Both grow to the largest layer seen and are reused
+// batched im2col patch matrix or the padded input frame, the GEMM's row
+// offset table into it, and the channel-major GEMM output that is
+// copied out to NCHW. All grow to the largest layer seen and are reused
 // across calls; a scratch must never be shared between concurrent
 // workers.
 type ConvScratch struct {
 	patches Matrix
+	frame   []float32
+	off     []int
 	gemm    Matrix
 }
 
-// ConvWorkspace provides the per-worker scratch buffers Conv2DInto needs
-// to run batch images in parallel without allocating. The zero value is
-// ready to use. Workers bounds parallelism (image bands, or GEMM row
-// bands for a single image): 0 means GOMAXPROCS, 1 keeps the convolution
-// strictly serial (and the steady state allocation-free) for callers
-// that already parallelize at a higher level, e.g. one inference replica
-// per campaign worker. A workspace must not be used by two Conv2DInto
-// calls concurrently.
+// ConvWorkspace provides the per-worker scratch buffers Conv2DInto and
+// Conv2DFrameInto need to run batch images in parallel without
+// allocating. The zero value is ready to use. Workers bounds
+// parallelism (image bands, or GEMM row bands for a single image): 0
+// means GOMAXPROCS, 1 keeps the convolution strictly serial (and the
+// steady state allocation-free) for callers that already parallelize
+// at a higher level, e.g. one inference replica per campaign worker. A
+// workspace must not be used by two convolutions concurrently.
 type ConvWorkspace struct {
 	Workers int
 	scratch []*ConvScratch
@@ -179,8 +185,34 @@ type ConvWorkspace struct {
 // matrix spills L2 and turns every AXPY into a memory stream. Each
 // output element accumulates the same terms in the same order whatever
 // the block width or worker count, so the result is bit-identical to a
-// per-image GEMM.
+// per-image GEMM. Full forward passes run here; the row-patched pass
+// runs its few changed channels on Conv2DFrameInto, which lowers
+// nothing.
 func Conv2DInto(out *Tensor4, in *Tensor4, w Operand, bias []float32, cs ConvShape, ws *ConvWorkspace) {
+	conv(out, in, w, bias, cs, ws, false)
+}
+
+// Conv2DFrameInto is Conv2DInto computed over a zero-padded input frame
+// instead of an im2col lowering, for operands of a few rows: the
+// row-patched forward pass (dnn.Forwarder.ForwardRows) computes only a
+// layer's changed output channels, and lowering the whole input for
+// them costs more than their GEMM. Per block of images it copies the
+// input once into a channel-major frame whose images share their pad
+// rows and pad columns (see frameJob), and the operand's own conv
+// kernel reads each of its K source rows as one contiguous run of the
+// frame. Every output element takes the same terms in the same order
+// as in Conv2DInto, padding included (a pad cell is +0 in both), so
+// the result is bit-identical. A crossbar operand is lowered as in
+// Conv2DInto: its ADC clip count would otherwise include frame
+// positions that are not outputs.
+func Conv2DFrameInto(out *Tensor4, in *Tensor4, w Operand, bias []float32, cs ConvShape, ws *ConvWorkspace) {
+	_, xbar := w.(*Xbar)
+	conv(out, in, w, bias, cs, ws, !xbar)
+}
+
+// conv checks the shapes and runs a convolution over image bands, on a
+// padded frame or lowered.
+func conv(out *Tensor4, in *Tensor4, w Operand, bias []float32, cs ConvShape, ws *ConvWorkspace, frame bool) {
 	if err := cs.Validate(); err != nil {
 		panic(err)
 	}
@@ -201,7 +233,12 @@ func Conv2DInto(out *Tensor4, in *Tensor4, w Operand, bias []float32, cs ConvSha
 	if workers > 1 {
 		gemmWorkers = 1
 	}
-	fanOut(convJob{out, in, w, bias, cs, ws.scratch, gemmWorkers}, in.N, workers)
+	j := convJob{out, in, w, bias, cs, ws.scratch, gemmWorkers}
+	if frame {
+		fanOut(frameJob(j), in.N, workers)
+		return
+	}
+	fanOut(j, in.N, workers)
 }
 
 // convJob is one Conv2DInto call, banded over batch images.
@@ -214,10 +251,11 @@ type convJob struct {
 	gemmWorkers int
 }
 
-// patchBudget bounds the bytes of one image block's patch matrix. It
-// keeps the block's patches and GEMM output inside L2, and it bounds
-// the scratch every Forwarder keeps live: at 256 KB, the per-replica
-// buffers raised a campaign process's peak RSS by about a sixth.
+// patchBudget bounds the bytes of one image block's patch matrix (or
+// padded frame and GEMM output). It keeps the block's patches and GEMM
+// output inside L2, and it bounds the scratch every Forwarder keeps
+// live: at 256 KB, the per-replica buffers raised a campaign process's
+// peak RSS by about a sixth.
 const patchBudget = 64 << 10
 
 // run convolves images [lo, hi) with worker w's scratch.
@@ -228,8 +266,10 @@ func (j convJob) run(w, lo, hi int) {
 	for b0 := lo; b0 < hi; b0 += block {
 		b1 := min(b0+block, hi)
 		im2colBatch(&sc.patches, j.in, cs, b0, b1)
-		sc.gemm.Reshape(cs.OutC, sc.patches.Cols)
-		mul(sc.gemm.Data, j.w, &sc.patches, j.gemmWorkers)
+		src := lowered(&sc.patches, sc.off)
+		sc.off = src.off
+		sc.gemm.Reshape(cs.OutC, src.n)
+		mul(sc.gemm.Data, j.w, src, j.gemmWorkers)
 		for c := 0; c < cs.OutC; c++ {
 			row := sc.gemm.Row(c)
 			for i := b0; i < b1; i++ {
@@ -244,6 +284,92 @@ func (j convJob) run(w, lo, hi int) {
 					plane[k] = seg[k] + b
 				}
 			}
+		}
+	}
+}
+
+// frameJob is one Conv2DFrameInto call, banded over batch images.
+//
+// The frame holds a block of images per input channel, each channel a
+// stack of rows Ws = InW+Pad wide: a row is Pad zeros then one input
+// row, and an image is Pad zero rows then its InH rows, Hs = InH+Pad
+// rows in all. The images of a block follow each other, then come Pad
+// more zero rows and Pad zeros. Read as a padded image, a row's right
+// pad is the next row's left pad and an image's bottom pad is the next
+// image's top pad, so the padded input (c, b, i, j) sits at
+// c·blk + b·Hs·Ws + i·Ws + j, where blk is a channel's length. Weight
+// column (c, kh, kw) then reads frame row c·blk + kh·Ws + kw, and GEMM
+// position b·Hs·Ws + s·oy·Ws + s·ox, for stride s, is output
+// (b, oy, ox): the other positions are discarded.
+type frameJob convJob
+
+// run convolves images [lo, hi) with worker w's scratch.
+func (j frameJob) run(w, lo, hi int) {
+	cs, sc := j.cs, j.scratch[w]
+	oh, ow, s := cs.OutH(), cs.OutW(), cs.Stride
+	ws, hs := cs.InW+cs.Pad, cs.InH+cs.Pad
+	plane := hs * ws
+	block := max(1, min(hi-lo, patchBudget/(4*(cs.InC+cs.OutC)*plane)))
+	blk := (block*hs+cs.Pad)*ws + cs.Pad
+	sc.frame = slices.Grow(sc.frame[:0], cs.InC*blk)[:cs.InC*blk]
+	clear(sc.frame)
+	sc.off = sc.off[:0]
+	for c := 0; c < cs.InC; c++ {
+		for kh := 0; kh < cs.KH; kh++ {
+			for kw := 0; kw < cs.KW; kw++ {
+				sc.off = append(sc.off, c*blk+kh*ws+kw)
+			}
+		}
+	}
+	inPlane := cs.InH * cs.InW
+	for b0 := lo; b0 < hi; b0 += block {
+		b1 := min(b0+block, hi)
+		for c := 0; c < cs.InC; c++ {
+			for i := b0; i < b1; i++ {
+				img := j.in.Data[(i*cs.InC+c)*inPlane:][:inPlane]
+				dst := sc.frame[c*blk+((i-b0)*hs+cs.Pad)*ws+cs.Pad:]
+				for iy := 0; iy < cs.InH; iy++ {
+					d := dst[iy*ws:][:cs.InW] // a loop, as in store
+					for x, v := range img[iy*cs.InW:][:cs.InW] {
+						d[x] = v
+					}
+				}
+			}
+		}
+		n := (b1-b0-1)*plane + s*(oh-1)*ws + s*(ow-1) + 1
+		sc.gemm.Reshape(cs.OutC, n)
+		mul(sc.gemm.Data, j.w, gemmSrc{data: sc.frame, off: sc.off, n: n, keep: (b1 - b0) * oh * ow}, j.gemmWorkers)
+		for c := 0; c < cs.OutC; c++ {
+			row := sc.gemm.Row(c)
+			for i := b0; i < b1; i++ {
+				j.store(j.out.Image(i)[c*oh*ow:(c+1)*oh*ow], row[(i-b0)*plane:], c)
+			}
+		}
+	}
+}
+
+// store copies output channel c of one image, with its bias, into
+// plane from seg, the image's stretch of the GEMM output row, where
+// output (oy, ox) is at position s·oy·Ws + s·ox. Without a bias it adds
+// +0, which changes no GEMM output: none is -0 (the ±0 rule, see
+// Operand). Rows are copied by loops, not copy: a row is a few
+// elements, and a memmove call per row costs more than the row.
+func (j *frameJob) store(plane, seg []float32, c int) {
+	ow, s, ws := j.cs.OutW(), j.cs.Stride, j.cs.InW+j.cs.Pad
+	var b float32
+	if j.bias != nil {
+		b = j.bias[c]
+	}
+	for oy := range j.cs.OutH() {
+		dst, src := plane[oy*ow:(oy+1)*ow], seg[s*oy*ws:]
+		if s == 1 {
+			for ox, v := range src[:ow] {
+				dst[ox] = v + b
+			}
+			continue
+		}
+		for ox := range dst {
+			dst[ox] = src[s*ox] + b
 		}
 	}
 }

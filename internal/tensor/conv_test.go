@@ -95,8 +95,8 @@ func TestConv2DMatchesReference(t *testing.T) {
 	}
 }
 
-// convParityGrid pins the one convolution driver for one weight
-// encoding: dense weights, the 2:4 compact form (against its densified
+// convParityGrid pins both convolution drivers, lowered (Conv2DInto)
+// and on a padded frame (Conv2DFrameInto), for one weight encoding: dense weights, the 2:4 compact form (against its densified
 // twin) or the crossbar route in passthrough (one row tile, FS=0, so the
 // ADC changes nothing). Every shape is crossed with Workers {0, 1, 2, 5,
 // 16} and two batch sizes: the one the shape came with and 70 images,
@@ -176,19 +176,25 @@ func convParityGrid(t *testing.T, encoding string) {
 	if len(rows) == 0 {
 		t.Fatalf("unknown encoding %q", encoding)
 	}
+	drivers := []struct {
+		name string
+		conv func(out, in *Tensor4, w Operand, bias []float32, cs ConvShape, ws *ConvWorkspace)
+	}{{"lowered", Conv2DInto}, {"frame", Conv2DFrameInto}}
 	for _, workers := range []int{0, 1, 2, 5, 16} {
 		ws := ConvWorkspace{Workers: workers}
 		for _, r := range rows {
 			out := NewTensor4(r.in.N, r.cs.OutC, r.cs.OutH(), r.cs.OutW())
 			for pass := 0; pass < 2; pass++ {
-				for i := range out.Data {
-					out.Data[i] = 77 // dirty: the driver must fully overwrite
-				}
-				Conv2DInto(out, r.in, r.w, r.bias, r.cs, &ws)
-				for i := range r.want.Data {
-					if out.Data[i] != r.want.Data[i] {
-						t.Fatalf("%s workers=%d pass %d: differs at %d: %v vs %v",
-							r.name, workers, pass, i, out.Data[i], r.want.Data[i])
+				for _, d := range drivers {
+					for i := range out.Data {
+						out.Data[i] = 77 // dirty: the driver must fully overwrite
+					}
+					d.conv(out, r.in, r.w, r.bias, r.cs, &ws)
+					for i := range r.want.Data {
+						if out.Data[i] != r.want.Data[i] {
+							t.Fatalf("%s %s workers=%d pass %d: differs at %d: %v vs %v",
+								r.name, d.name, workers, pass, i, out.Data[i], r.want.Data[i])
+						}
 					}
 				}
 			}

@@ -86,7 +86,7 @@ func MulInto(dst, a, b *Matrix) {
 	if dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic("tensor: MulInto dst shape mismatch")
 	}
-	mul(dst.Data, a, b, 0)
+	mul(dst.Data, a, lowered(b, nil), 0)
 }
 
 func (m *Matrix) dims() (rows, cols int) { return m.Rows, m.Cols }
@@ -96,45 +96,46 @@ func (m *Matrix) dims() (rows, cols int) { return m.Rows, m.Cols }
 // clears its own rows before accumulating, so large GEMMs never pay a
 // single-threaded zero fill ahead of the parallel section. Each dst
 // element accumulates its terms one at a time in ascending-p order.
-func (m *Matrix) mulBand(dst []float32, b *Matrix, lo, hi int) {
-	k, n := m.Cols, b.Cols
+func (m *Matrix) mulBand(dst []float32, b gemmSrc, lo, hi int) {
+	k, n := m.Cols, b.n
 	for i := lo; i < hi; i++ {
 		ar := m.Data[i*k : (i+1)*k]
 		dr := dst[i*n : (i+1)*n]
 		clear(dr)
-		axpyRows(dr, ar, b.Data, n)
+		axpyRows(dr, ar, b.data, b.off)
 	}
 }
 
-// axpyRows computes dst[i] += w[r]*src[r*stride+i] for every row r of
-// the span in ascending order, skipping zero weights (pruned weights are
+// axpyRows computes dst[i] += w[r]*src[off[r]+i] for every row r of the
+// span in ascending order, skipping zero weights (pruned weights are
 // common). It gathers the nonzero weights four at a time and adds their
 // four rows with one load and one store of dst per element; the adds
 // stay in ascending-r order, left to right, so each element takes
 // exactly the terms and roundings of one axpy per nonzero weight.
-func axpyRows(dst, w, src []float32, stride int) {
+func axpyRows(dst, w, src []float32, off []int) {
 	var ws [4]float32
-	var off [4]int
+	var at [4]int
+	off = off[:len(w)]
 	g := 0
 	for r, wv := range w {
 		if wv == 0 {
 			continue
 		}
-		ws[g], off[g] = wv, r*stride
+		ws[g], at[g] = wv, off[r]
 		if g++; g < 4 {
 			continue
 		}
 		g = 0
-		s0 := src[off[0]:][:len(dst)]
-		s1 := src[off[1]:][:len(dst)]
-		s2 := src[off[2]:][:len(dst)]
-		s3 := src[off[3]:][:len(dst)]
+		s0 := src[at[0]:][:len(dst)]
+		s1 := src[at[1]:][:len(dst)]
+		s2 := src[at[2]:][:len(dst)]
+		s3 := src[at[3]:][:len(dst)]
 		for i, d := range dst {
 			dst[i] = d + ws[0]*s0[i] + ws[1]*s1[i] + ws[2]*s2[i] + ws[3]*s3[i]
 		}
 	}
 	for r := range g {
-		axpy(dst, src[off[r]:], ws[r])
+		axpy(dst, src[at[r]:], ws[r])
 	}
 }
 

@@ -11,9 +11,13 @@ import (
 // or crossbar compute-in-memory (*Xbar). This is the shape of oneDNN's
 // sparse memory descriptor: one memory object, many encodings. Each
 // encoding supplies only its two serial band kernels; the row-band
-// fan-out, the convolution driver (Conv2DInto) and the fully-connected
+// fan-out, the convolution drivers (Conv2DInto, lowered, and
+// Conv2DFrameInto, on a padded input frame) and the fully-connected
 // entry (MulABtInto) are shared, so every encoding gets the same shape
-// checks, worker bound and image blocking.
+// checks, worker bound and image blocking. The conv kernel reads its
+// source rows through an offset table (gemmSrc), so one kernel serves
+// both drivers: an im2col row is a run of the patch matrix, a frame row
+// a run of the padded input.
 //
 // Every kernel accumulates each output element's terms in a fixed order
 // that does not depend on the band split or on the GEMM width, so any
@@ -22,7 +26,9 @@ import (
 // the operand holds: it is computed from its own weight row alone, so
 // an operand of a subset of the rows yields exactly those channels of
 // the full product. The row-patched forward pass
-// (dnn.Forwarder.ForwardRows) rests on this.
+// (dnn.Forwarder.ForwardRows) rests on this, and the frame driver on
+// its twin: an output column does not depend on which other columns
+// the GEMM computes.
 //
 // The ±0 rule: a term with a zero factor can be added or dropped
 // without changing a bit, given finite weights (centroid, projected and
@@ -35,10 +41,10 @@ type Operand interface {
 	// dims returns the Out x In shape. It panics on an internally
 	// inconsistent operand.
 	dims() (rows, cols int)
-	// mulBand computes rows [lo, hi) of dst = W·b, where b is In x N and
-	// dst is row-major Out x N (the convolution GEMM). It overwrites
-	// every element of those rows.
-	mulBand(dst []float32, b *Matrix, lo, hi int)
+	// mulBand computes rows [lo, hi) of dst = W·b, where b is an In x n
+	// source (see gemmSrc) and dst is row-major Out x n (the convolution
+	// GEMM). It overwrites every element of those rows.
+	mulBand(dst []float32, b gemmSrc, lo, hi int)
 	// mulABtBand computes rows [lo, hi) of dst = a·Wᵀ, where a is
 	// M x In and dst is M x Out (the fully-connected forward pass).
 	mulABtBand(dst, a *Matrix, lo, hi int)
@@ -89,20 +95,42 @@ func fanOut[J bandJob](j J, rows, workers int) {
 	wg.Wait()
 }
 
+// gemmSrc is the In x n right-hand side of a convolution GEMM, read
+// through an offset table: row r is data[off[r]:][:n]. An im2col patch
+// matrix has off[r] = r·n (see lowered); the rows of a padded input
+// frame overlap (see frameJob). keep is how many of the n columns the
+// caller keeps as outputs, which is what the 2:4 kernel's telemetry
+// counts.
+type gemmSrc struct {
+	data    []float32
+	off     []int
+	n, keep int
+}
+
+// lowered returns m as a GEMM source with its row offsets in off,
+// grown as needed (pass the previous table back to reuse it).
+func lowered(m *Matrix, off []int) gemmSrc {
+	off = off[:0]
+	for r := 0; r < m.Rows; r++ {
+		off = append(off, r*m.Cols)
+	}
+	return gemmSrc{data: m.Data, off: off, n: m.Cols, keep: m.Cols}
+}
+
 // mulJob is dst = W·b, banded over W's rows.
 type mulJob struct {
 	dst []float32
 	w   Operand
-	b   *Matrix
+	b   gemmSrc
 }
 
 func (j mulJob) run(_, lo, hi int) { j.w.mulBand(j.dst, j.b, lo, hi) }
 
 // mul computes dst = W·b over the full dst slice with at most workers
 // row bands (0 = GOMAXPROCS).
-func mul(dst []float32, w Operand, b *Matrix, workers int) {
+func mul(dst []float32, w Operand, b gemmSrc, workers int) {
 	rows, cols := w.dims()
-	if rows*cols*b.Cols < minParallelMACs {
+	if rows*cols*b.n < minParallelMACs {
 		workers = 1
 	}
 	fanOut(mulJob{dst, w, b}, rows, workers)

@@ -15,7 +15,7 @@ type bandRecorder struct {
 
 func (r *bandRecorder) dims() (int, int) { return r.rows, r.cols }
 
-func (r *bandRecorder) mulBand(_ []float32, _ *Matrix, lo, hi int) { r.record(lo, hi) }
+func (r *bandRecorder) mulBand(_ []float32, _ gemmSrc, lo, hi int) { r.record(lo, hi) }
 
 func (r *bandRecorder) mulABtBand(_, _ *Matrix, lo, hi int) { r.record(lo, hi) }
 

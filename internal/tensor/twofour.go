@@ -65,8 +65,8 @@ func (w *Sparse24) dims() (rows, cols int) { return w.Rows, w.Cols }
 // contribute nothing there because it skips zero weights), so dst is
 // bit-identical to the dense kernel on the decoded matrix — with at most
 // half the MACs.
-func (w *Sparse24) mulBand(dst []float32, b *Matrix, lo, hi int) {
-	n := b.Cols
+func (w *Sparse24) mulBand(dst []float32, b gemmSrc, lo, hi int) {
+	n := b.n
 	gpr := w.GroupsPerRow
 	ne := 2 * gpr
 	for i := lo; i < hi; i++ {
@@ -80,17 +80,16 @@ func (w *Sparse24) mulBand(dst []float32, b *Matrix, lo, hi int) {
 		for e := 0; e < len(wr); e++ {
 			wv := wr[e]
 			if wv != 0 { // pads (and zero centroids) contribute nothing
-				p := col + int(pr[e])
-				axpy(dr, b.Data[p*n:(p+1)*n], wv)
+				axpy(dr, b.data[b.off[col+int(pr[e])]:], wv)
 			}
 			col += 4 * (e & 1)
 		}
 	}
-	count24(hi-lo, n, w.Cols, gpr)
+	count24(hi-lo, b.keep, w.Cols, gpr)
 }
 
 // count24 publishes the group/skipped-MAC telemetry for a kernel call
-// covering rows output rows of n-wide dots against a k-column 2:4
+// covering rows output rows of n kept dots against a k-column 2:4
 // matrix.
 func count24(rows, n, k, gpr int) {
 	met24.groups.Add(int64(rows) * int64(n) * int64(gpr))

@@ -134,8 +134,8 @@ const xbarChunk = 256
 // bands need no shared scratch. Per element the terms and conversions
 // happen in the same order at any chunk, band or GEMM width. Clips are
 // summed per band and published once.
-func (x *Xbar) mulBand(dst []float32, b *Matrix, lo, hi int) {
-	k, n := b.Rows, b.Cols
+func (x *Xbar) mulBand(dst []float32, b gemmSrc, lo, hi int) {
+	k, n := len(b.off), b.n
 	var part [xbarChunk]float32
 	var clips int64
 	for c0 := 0; c0 < n; c0 += xbarChunk {
@@ -148,7 +148,7 @@ func (x *Xbar) mulBand(dst []float32, b *Matrix, lo, hi int) {
 			for tlo, rt := 0, 0; tlo < k; tlo, rt = tlo+x.TileRows, rt+1 {
 				thi := min(tlo+x.TileRows, k)
 				clear(p)
-				axpyRows(p, wr[tlo:thi], b.Data[tlo*n+c0:], n)
+				axpyRows(p, wr[tlo:thi], b.data[c0:], b.off[tlo:thi])
 				x.adc(rt, j).addConv(dr, p, &clips)
 			}
 		}
