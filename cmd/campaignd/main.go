@@ -214,8 +214,7 @@ func runFuncFor(m *fleet.Manifest) (campaign.RunFunc, error) {
 		fmt.Fprintln(os.Stderr, "campaignd: training measured model (TinyCNN on synthetic data)...")
 		return exper.NewEnv(s.EnvSeed).Fig5Runner()
 	default:
-		return nil, fmt.Errorf("campaignd: manifest spec kind %q is not workable by this binary "+
-			"(inline fleets embed their trial function in the planning process)", m.SpecKind)
+		return nil, fmt.Errorf("campaignd: manifest spec kind %q is not workable by this binary", m.SpecKind)
 	}
 }
 

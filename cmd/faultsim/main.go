@@ -71,8 +71,6 @@ func main() {
 	protect := flag.Float64("protect", 0, "criticality-aware protection budget: extra cells as a fraction of the baseline (0 = keep the -ecc/-slc flags as given)")
 	degrade := flag.Bool("degrade", false, "zero uncorrectable ECC blocks instead of decoding their corrupt bits")
 	compare := flag.Bool("compare-encodings", false, "run the same campaign under CSR, bitmask, and 2:4 and report density, blast radius, and trials/s per encoding")
-	fleetN := flag.Int("fleet", 0, "run the campaign as an N-worker single-machine fleet (lease-claimed shards, kill-safe, bit-identical merge)")
-	fleetDir := flag.String("fleet-dir", "", "fleet directory for -fleet (default: a temporary directory; an existing fleet dir is resumed)")
 	xbar := cliutil.AddXbarFlags()
 	tel := cliutil.AddFlags()
 	tel.AddCheckpointFlagsTo(flag.CommandLine)
@@ -111,16 +109,13 @@ func main() {
 	cliutil.CheckResume("faultsim", *resume, *checkpoint)
 	// Flag conflicts and crossbar tile parsing fail here, before the
 	// training phase, like every other flag validation.
-	if *compare && (*eccList != "" || *slcList != "" || *protect > 0 || *lifetimeYears > 0 || *fleetN > 0) {
-		cliutil.Usagef("faultsim: -compare-encodings runs bare per-encoding configs; drop -ecc/-slc/-protect/-lifetime-years/-fleet")
-	}
-	if *fleetN > 0 && *lifetimeYears > 0 {
-		cliutil.Usagef("faultsim: -fleet does not support -lifetime-years (one lifetime trial spans every epoch config; run it single-process)")
+	if *compare && (*eccList != "" || *slcList != "" || *protect > 0 || *lifetimeYears > 0) {
+		cliutil.Usagef("faultsim: -compare-encodings runs bare per-encoding configs; drop -ecc/-slc/-protect/-lifetime-years")
 	}
 	var xcfgs []crossbar.Config
 	if *xbar.Enabled {
-		if *eccList != "" || *slcList != "" || *protect > 0 || *lifetimeYears > 0 || *fleetN > 0 || *compare {
-			cliutil.Usagef("faultsim: -crossbar models faults in the compute arrays, not stored bits; drop -ecc/-slc/-protect/-lifetime-years/-fleet/-compare-encodings")
+		if *eccList != "" || *slcList != "" || *protect > 0 || *lifetimeYears > 0 || *compare {
+			cliutil.Usagef("faultsim: -crossbar models faults in the compute arrays, not stored bits; drop -ecc/-slc/-protect/-lifetime-years/-compare-encodings")
 		}
 		var xerr error
 		if xcfgs, xerr = xbar.Configs(tech); xerr != nil {
@@ -231,28 +226,15 @@ func main() {
 		}, nil
 	}
 	start := time.Now()
-	var res *campaign.Result
-	var runErr error
-	if *fleetN > 0 {
-		// Fleet mode: the trial space is cut into lease-claimed shards run
-		// by N in-process workers. Completed trials live in shard WALs, so
-		// a killed run resumes from -fleet-dir; the merge is bit-identical
-		// to the single-campaign path.
-		res, runErr = fleetRun(ctx, *fleetN, *fleetDir, []string{label}, run, opt)
-		if runErr != nil {
-			log.Fatal(runErr)
-		}
-	} else {
-		c, err := campaign.New([]string{label}, run, opt)
-		if err != nil {
-			log.Fatal(err)
-		}
-		res, runErr = c.Run(ctx)
-		if runErr != nil && (res == nil || !res.Interrupted) {
-			log.Fatal(runErr)
-		}
-		printRecovery(c)
+	c, err := campaign.New([]string{label}, run, opt)
+	if err != nil {
+		log.Fatal(err)
 	}
+	res, runErr := c.Run(ctx)
+	if runErr != nil && (res == nil || !res.Interrupted) {
+		log.Fatal(runErr)
+	}
+	printRecovery(c)
 
 	cr := res.Config(label)
 	fmt.Printf("\ncampaign: %d trials executed, %d reused from checkpoint, %d skipped by early stop (%.1fs)\n",

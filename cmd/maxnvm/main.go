@@ -16,13 +16,12 @@
 //	-cap        per-layer weight cap for profiling (default 262144)
 //	-trials     damage probe trials (default 3)
 //	-max-trials fig5 campaign trial budget per configuration (default 12)
+//	-min-trials fig5 campaign trials before early stopping may trigger
 //	-ci-target  fig5 adaptive early stop CI half-width (0 = full budget)
-//	-timeout    per-trial deadline for the fig5 campaign (0 = none)
-//	-checkpoint fig5 campaign JSONL checkpoint path
-//	-resume     resume the fig5 campaign from -checkpoint
 //
-// SIGINT cancels the run between experiments (and mid-campaign for
-// fig5, flushing completed trials to the checkpoint).
+// SIGINT cancels the run between experiments, and mid-campaign for
+// fig5. The Figure 5 campaign takes under a second; to run it resumably
+// or across processes, use campaignd plan -spec fig5.
 package main
 
 import (
@@ -46,13 +45,7 @@ func main() {
 	maxTrials := flag.Int("max-trials", 12, "fig5 campaign trial budget per configuration")
 	minTrials := flag.Int("min-trials", 4, "fig5 campaign trials before early stopping may trigger")
 	ciTarget := flag.Float64("ci-target", 0, "fig5 early stop: 95% CI half-width target on the error delta (0 = full budget)")
-	workers := flag.Int("workers", 0, "fig5 campaign worker pool (0 = auto)")
-	timeout := flag.Duration("timeout", 0, "fig5 per-trial deadline (0 = none)")
-	checkpoint := flag.String("checkpoint", "", "fig5 campaign JSONL checkpoint path")
-	resume := flag.Bool("resume", false, "resume the fig5 campaign from -checkpoint")
-	progress := flag.Duration("progress", 0, "fig5 campaign progress-line interval on stderr (0 = silent)")
 	tel := cliutil.AddFlags()
-	tel.AddCheckpointFlagsTo(flag.CommandLine)
 	flag.Parse()
 	tel.Start()
 	defer tel.Dump()
@@ -62,7 +55,6 @@ func main() {
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
-	cliutil.CheckResume("maxnvm", *resume, *checkpoint)
 
 	ctx, stop := cliutil.NotifyContext(context.Background())
 	defer stop()
@@ -77,21 +69,7 @@ func main() {
 		fig6Models = []string{*model}
 	}
 
-	campaignOpt := campaign.Options{
-		MaxTrials:      *maxTrials,
-		MinTrials:      *minTrials,
-		CITarget:       *ciTarget,
-		Workers:        *workers,
-		TrialTimeout:   *timeout,
-		CheckpointPath: *checkpoint,
-		Resume:         *resume,
-		Fsync:          tel.SyncPolicy(),
-		LockCheckpoint: tel.LockCheckpoint(),
-	}
-	if *progress > 0 {
-		campaignOpt.Progress = os.Stderr
-		campaignOpt.ProgressEvery = *progress
-	}
+	campaignOpt := campaign.Options{MaxTrials: *maxTrials, MinTrials: *minTrials, CITarget: *ciTarget}
 
 	var run func(name string)
 	run = func(name string) {

@@ -61,12 +61,12 @@ var unsetOptionAllowed = map[string]string{
 		"their fields are set once there and are not options",
 	"crossbar.Config.BPC": "TestXbarGolden pins a write-DAC snap case at BPC 2 (its grid's cfg 1), " +
 		"so folding it to the ideal analog write moves a golden",
-	"train.SynthConfig.H":    "the ares LeNet5 tests synthesize 28x28 inputs",
-	"train.SynthConfig.W":    "the ares LeNet5 tests synthesize 28x28 inputs",
-	"serve.Options.Registry": "lets a test substitute a fake: the serve soak test reads a private registry",
-	"fleet.MergeOptions.FS": "lets a test substitute a fake: RunLocal forwards its workers' filesystem, " +
-		"which only tests replace, to its merge",
+	"train.SynthConfig.H":        "the ares LeNet5 tests synthesize 28x28 inputs",
+	"train.SynthConfig.W":        "the ares LeNet5 tests synthesize 28x28 inputs",
+	"serve.Options.Registry":     "lets a test substitute a fake: the serve soak test reads a private registry",
 	"fleet.MergeOptions.Metrics": "lets a test substitute a fake: the fleet tests merge into a private registry",
+	"fleet.WorkerOptions.Metrics": "lets a test substitute a fake: the fleet tests count leases and steals " +
+		"in a private registry",
 	"fleet.WorkerOptions.FS": "lets a test substitute a fake: TestCrashBetweenClaimAndFirstRecord crashes a worker " +
 		"through a fault-injecting filesystem",
 	"supervise.Options.FS":      "lets a test substitute a fake: the chaos soak probes leases through a fault-injecting filesystem",

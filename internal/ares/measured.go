@@ -21,6 +21,8 @@ import (
 // fault-injected weights — the ground-truth accuracy path used for the
 // small models (Figure 5 reproduction) and for calibrating the surrogate.
 type MeasuredEvaluator struct {
+	// Model is the caller's trained model. Construction prunes and
+	// clusters its weights in place; no trial writes it after that.
 	Model *dnn.Model
 	Test  *train.Dataset
 	// BaselineErr is the fault-free classification error of the clustered
@@ -43,16 +45,10 @@ type MeasuredEvaluator struct {
 	prefix []*tensor.Tensor4
 
 	// pristine shares the model's layers but holds a private copy of
-	// the clustered weights taken at construction: pool replicas and
-	// route baselines clone it, so they never observe the serial
-	// reference's overlays on Model.
+	// the clustered weights taken at construction. Every replica (see
+	// replica.go) clones it, so no measurement reads or writes Model's
+	// weight matrices.
 	pristine *dnn.Model
-	// mu serializes the serial reference (measureSerial): it overlays
-	// trials on the shared model itself (through serial), so only one
-	// caller may occupy the model at a time. The hot path measures on a
-	// checked-out replica (see replica.go) and never takes this lock.
-	mu     sync.Mutex
-	serial *replica
 	// replicas holds idle inference replicas; replicaSem bounds lazy
 	// replica creation to the pool capacity (see initReplicaPool).
 	replicas   chan *replica
@@ -99,12 +95,28 @@ func NewMeasuredEvaluator(m *dnn.Model, test *train.Dataset, seed uint64) (*Meas
 	var fw *dnn.Forwarder
 	ev.BaselineErr, fw = ev.baseline(nil)
 	ev.prefix = ev.capturePrefix(fw)
-	ev.serial = ev.newReplica(m)
 	ev.encCache = make(map[sparse.Kind]*formatCache)
 	ev.parCache = make(map[parityKey]*bitstream.Stream)
 	ev.xbarCache = make(map[string]*xbarState)
 	ev.initReplicaPool()
 	return ev, nil
+}
+
+// measureSerial is the reference measurement: it overlays the trial on
+// a one-shot replica and measures it with train.Error, whose Forwarder
+// splits the kernels across GOMAXPROCS. It always runs the full pass
+// (no fast path, no prefix, no row patch), so the replica pool and the
+// fast path are pinned against it bit for bit.
+func (ev *MeasuredEvaluator) measureSerial(tr trial) float64 {
+	evalStart := time.Now()
+	r := ev.newReplica()
+	r.overlay(ev, tr.layers, 0)
+	delta := train.Error(r.model, ev.Test) - tr.baseline
+	met.eval.Since(evalStart)
+	if delta < 0 {
+		delta = 0
+	}
+	return delta
 }
 
 // Clustered returns the pruned+clustered layers (weight-layer order).
@@ -265,7 +277,7 @@ func (ev *MeasuredEvaluator) Bill(cfg Config) ([][]StreamCost, error) {
 // replica's Forwarder too, from whose pass the caller may capture the
 // route's prefix.
 func (ev *MeasuredEvaluator) baseline(layers []layerTrial) (float64, *dnn.Forwarder) {
-	r := ev.newPoolReplica()
+	r := ev.newReplica()
 	r.overlay(ev, layers, 0)
 	return train.ErrorWith(r.fw, ev.Test), r.fw
 }
@@ -312,8 +324,8 @@ func (ev *MeasuredEvaluator) EvalTrial(ctx context.Context, cfg Config, seed uin
 	return delta, tr.stats, nil
 }
 
-// EvalTrialSerial is EvalTrial measured through the serial reference
-// (overlay the one shared model under a mutex, always run inference).
+// EvalTrialSerial is EvalTrial measured through the reference (a full
+// pass on a one-shot replica, always run, no fast path).
 // The replica path and the fast path are pinned bit-identical to it by
 // test, and the benchmark suite compares the two. For Kind24 it is the
 // dense-kernel oracle: the decoded indices map to a dense weight matrix

@@ -12,16 +12,13 @@ import (
 // The inference replica pool: the parallel measurement tail of every
 // trial route (see trial.go).
 //
-// The serial reference (measureSerial) mutates the ONE shared model
-// under a mutex, so with W campaign workers the encode/inject/decode
-// stages parallelize but every trial still funnels through a single
-// inference critical section — the campaign's throughput ceiling is one
-// core as soon as inference dominates. A replica is a CloneShared copy
-// of the evaluator's pristine model whose weight matrices point at the
-// shared clustered snapshot; a trial checks out a replica, overlays
-// ONLY the layers its route corrupted, runs the allocation-free
-// Forwarder pass, and repoints the shared matrices on check-in.
-// Replicas are created lazily up to GOMAXPROCS.
+// A replica is a CloneShared copy of the evaluator's pristine model
+// whose weight matrices point at the shared clustered snapshot; a trial
+// checks out a replica, overlays ONLY the layers its route corrupted,
+// runs the allocation-free Forwarder pass, and repoints the shared
+// matrices on check-in. No trial writes the model the caller handed
+// in, so W campaign workers run W passes at once, with no inference
+// critical section. Replicas are created lazily up to GOMAXPROCS.
 //
 // Purity argument (why the (cfg, seed) contract survives): a trial's
 // overlays are a pure function of (cfg, seed) — all randomness is drawn
@@ -42,14 +39,11 @@ import (
 // stays the full-pass reference. Which replica serves a trial, and
 // where its pass starts, therefore cannot affect its delta.
 
-// replica is one checked-out-able inference engine. The serial
-// reference is a replica too: one over the evaluator's own model,
-// measured with train.Error under ev.mu.
+// replica is one checked-out-able inference engine. Route baselines and
+// the serial reference measure on one-shot replicas outside the pool.
 type replica struct {
 	model *dnn.Model
-	// fw is the replica's serial Forwarder (nil for the serial
-	// reference, which measures through train.Error).
-	fw *dnn.Forwarder
+	fw    *dnn.Forwarder
 	// home[i] is weight-layer ordinal i's pristine dense matrix, which
 	// reset repoints the layer back at.
 	home []*tensor.Matrix
@@ -64,28 +58,22 @@ type replica struct {
 	dirty []int
 }
 
-// newReplica wraps m, whose weight layers hold pristine dense weights.
-func (ev *MeasuredEvaluator) newReplica(m *dnn.Model) *replica {
+// newReplica clones the pristine model with shared storage and binds a
+// serial (Workers=1) Forwarder: trial-level parallelism already fills
+// the machine, so kernel-level goroutines would only add
+// oversubscription and per-call allocations.
+func (ev *MeasuredEvaluator) newReplica() *replica {
 	n := len(ev.clustered)
 	r := &replica{
-		model:  m,
+		model:  ev.pristine.CloneShared(),
 		home:   make([]*tensor.Matrix, n),
 		priv:   make([]tensor.Matrix, n),
 		priv24: make([]tensor.Sparse24, n),
 		dirty:  make([]int, 0, n),
 	}
 	for i, li := range ev.layerIdx {
-		r.home[i] = m.Layers[li].Weights
+		r.home[i] = r.model.Layers[li].Weights
 	}
-	return r
-}
-
-// newPoolReplica clones the pristine model with shared storage and
-// binds a serial (Workers=1) Forwarder: trial-level parallelism already
-// fills the machine, so kernel-level goroutines would only add
-// oversubscription and per-call allocations.
-func (ev *MeasuredEvaluator) newPoolReplica() *replica {
-	r := ev.newReplica(ev.pristine.CloneShared())
 	r.fw = dnn.NewForwarder(r.model)
 	r.fw.Workers = 1
 	return r
@@ -186,7 +174,7 @@ func (ev *MeasuredEvaluator) checkout() *replica {
 		return r
 	case ev.replicaSem <- struct{}{}:
 		met.replicasCreated.Inc()
-		return ev.newPoolReplica()
+		return ev.newReplica()
 	}
 }
 

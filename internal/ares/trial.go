@@ -23,7 +23,7 @@ import (
 // step: per-layer corruption statistics plus the operand each corrupted
 // layer runs on, and the baseline its deltas are measured against. The
 // rest is shared: aggregate folds the statistics, measure runs the
-// replica pool, and measureSerial is the one serialized reference.
+// replica pool, and measureSerial is the one full-pass reference.
 
 // layerTrial is one weight layer of a corrupted trial: its corruption
 // statistics and the operand it runs on. None set means the layer runs
@@ -334,22 +334,4 @@ func (ev *MeasuredEvaluator) pass(r *replica, tr trial) *tensor.Matrix {
 	}
 	r.overlay(ev, tr.layers, o)
 	return r.fw.ForwardFrom(k, tr.prefix[o])
-}
-
-// measureSerial is the serialized reference measurement: it overlays
-// the trial on the evaluator's own model under ev.mu and always runs
-// inference (no fast path), so the replica pool and the fast path are
-// pinned against it bit for bit.
-func (ev *MeasuredEvaluator) measureSerial(tr trial) float64 {
-	ev.mu.Lock()
-	defer ev.mu.Unlock()
-	evalStart := time.Now()
-	ev.serial.overlay(ev, tr.layers, 0)
-	delta := train.Error(ev.Model, ev.Test) - tr.baseline
-	ev.serial.reset(ev)
-	met.eval.Since(evalStart)
-	if delta < 0 {
-		delta = 0
-	}
-	return delta
 }

@@ -2,8 +2,8 @@
 // -metrics JSON telemetry dump, the -prom live Prometheus /metrics
 // endpoint and the -pprof profiling endpoint (faultsim, maxnvm,
 // campaignd, servesim); the -fsync/-lock checkpoint durability knobs
-// (faultsim and maxnvm take both, campaignd work and supervise -fsync
-// alone); and usage errors and crossbar tile parsing (also nvsweep).
+// (faultsim takes both, campaignd work and supervise -fsync alone); and
+// usage errors and crossbar tile parsing (also nvsweep).
 package cliutil
 
 import (
@@ -72,8 +72,8 @@ func (t *Telemetry) AddFsyncTo(fs *flag.FlagSet) {
 		})
 }
 
-// AddCheckpointFlagsTo registers -fsync and -lock on fs, for the CLIs
-// that write a campaign checkpoint (faultsim, maxnvm).
+// AddCheckpointFlagsTo registers -fsync and -lock on fs, for the CLI
+// that writes a campaign checkpoint (faultsim).
 func (t *Telemetry) AddCheckpointFlagsTo(fs *flag.FlagSet) {
 	t.AddFsyncTo(fs)
 	fs.BoolVar(&t.lock, "lock", true,

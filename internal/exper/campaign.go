@@ -59,10 +59,10 @@ func (e *Env) Fig5Runner() (campaign.RunFunc, error) {
 // small model: the classification-error delta when each structure is
 // stored alone at SLC/MLC2/MLC3, with and without protection. It runs
 // the (config x seed) trials through the campaign engine, so it gets
-// cancellation, per-trial panic isolation, optional checkpoint/resume
-// and adaptive early stopping from opt. Fig5 sets opt.Seed to e.Seed+99
-// (trial seeds are campaign.TrialSeed(e.Seed+99, label, trial), the
-// seeds a fleet worker draws too) and defaults opt.MaxTrials to 12.
+// cancellation, per-trial panic isolation and adaptive early stopping
+// from opt. Fig5 sets opt.Seed to e.Seed+99 (trial seeds are
+// campaign.TrialSeed(e.Seed+99, label, trial), the seeds a fleet worker
+// draws too) and defaults opt.MaxTrials to 12.
 func (e *Env) Fig5(ctx context.Context, w io.Writer, opt campaign.Options) error {
 	run, err := e.Fig5Runner()
 	if err != nil {
@@ -101,7 +101,7 @@ func (e *Env) Fig5(ctx context.Context, w io.Writer, opt campaign.Options) error
 	fmt.Fprintf(w, "trials: %d executed, %d reused from checkpoint, %d skipped by early stop\n",
 		res.Executed, res.Reused, res.Skipped)
 	if res.Interrupted {
-		fmt.Fprintln(w, "campaign interrupted; partial aggregates above were flushed to the checkpoint")
+		fmt.Fprintln(w, "campaign interrupted; the aggregates above are partial")
 	}
 	return runErr
 }

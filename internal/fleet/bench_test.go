@@ -64,7 +64,7 @@ func benchFleet(b *testing.B, workers int) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_, dir := benchPlan(b, i)
-		rep, _, err := RunLocal(context.Background(), workers, WorkerOptions{
+		rep, _, err := runLocal(context.Background(), workers, WorkerOptions{
 			Dir: dir, Run: benchTrial, Workers: 1,
 			TTL: 10 * time.Second,
 			// The default 200ms idle poll would dominate the tail (workers

@@ -101,7 +101,7 @@ func TestKilledWorkerShardStolenMergeBitIdentical(t *testing.T) {
 	}
 
 	reg := telemetry.NewRegistry()
-	rep, reports, err := RunLocal(context.Background(), 4, WorkerOptions{
+	rep, reports, err := runLocal(context.Background(), 4, WorkerOptions{
 		Dir: dir, Run: detRun, Workers: 2,
 		TTL: 300 * time.Millisecond, Heartbeat: 50 * time.Millisecond,
 		Poll: 20 * time.Millisecond,

@@ -46,6 +46,33 @@ func reference(t *testing.T, m *Manifest) *campaign.Result {
 	return res
 }
 
+// runLocal runs the whole fleet protocol inside one process: n
+// workers (goroutines named w0..w<n-1>, WaitForAll set) against the
+// planned fleet directory base.Dir, then the merge. It exercises the
+// claim, heartbeat, steal and merge paths of a multi-process fleet
+// (flock conflicts apply between opens within one process too).
+func runLocal(ctx context.Context, n int, base WorkerOptions) (*MergeReport, []*WorkReport, error) {
+	reports := make([]*WorkReport, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range n {
+		opt := base
+		opt.Name = fmt.Sprintf("w%d", i)
+		opt.WaitForAll = true
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			reports[i], errs[i] = Work(ctx, opt)
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return nil, reports, err
+	}
+	rep, err := Merge(MergeOptions{Dir: base.Dir, Log: base.Log, Metrics: base.Metrics})
+	return rep, reports, err
+}
+
 // sameAggregates compares two results bit for bit (== on float64, no
 // epsilon) — the fleet's core promise.
 func sameAggregates(t *testing.T, a, b *campaign.Result) {
@@ -117,7 +144,7 @@ func TestLocalFleetMatchesSingleProcess(t *testing.T) {
 			MinTrials: 4, CITarget: ci, ShardSize: 5,
 		})
 		ref := reference(t, m)
-		rep, workers, err := RunLocal(context.Background(), 4, WorkerOptions{
+		rep, workers, err := runLocal(context.Background(), 4, WorkerOptions{
 			Dir: dir, Run: detRun, TTL: 2 * time.Second, Workers: 2,
 			Log: os.Stderr, Metrics: telemetry.NewRegistry(),
 		})
@@ -326,7 +353,7 @@ func TestDoubleMergeIdempotent(t *testing.T) {
 	m, dir := planTestFleet(t, PlanSpec{
 		Seed: 5, Configs: []string{"a", "b"}, MaxTrials: 8, ShardSize: 4,
 	})
-	if _, _, err := RunLocal(context.Background(), 2, WorkerOptions{
+	if _, _, err := runLocal(context.Background(), 2, WorkerOptions{
 		Dir: dir, Run: detRun, TTL: time.Second, Metrics: telemetry.NewRegistry(),
 	}); err != nil {
 		t.Fatal(err)

@@ -36,8 +36,6 @@ type MergeOptions struct {
 	// done markers; the Result then reports Interrupted. Without it,
 	// incomplete shards are an error.
 	AllowPartial bool
-	// FS overrides the filesystem (nil = real).
-	FS durable.FS
 	// Log receives warnings (nil = stderr).
 	Log io.Writer
 	// Metrics selects the telemetry registry (nil = telemetry.Default()).
@@ -73,7 +71,7 @@ type MergeReport struct {
 // Merge loads every shard WAL of the fleet directory and folds the
 // union into one campaign result.
 func Merge(opt MergeOptions) (*MergeReport, error) {
-	fsys := orFS(opt.FS)
+	fsys := durable.OS()
 	logw := orStderr(opt.Log)
 	m, err := LoadManifest(fsys, opt.Dir)
 	if err != nil {
