@@ -19,7 +19,7 @@
 #                  checkpoint, serve and fleet decoders, k-means, and
 #                  the fully-connected kernels and the row-patched
 #                  forward pass against their references)
-#   make paper-golden - `maxnvm all` (every table and figure, ~25-45 s)
+#   make paper-golden - `maxnvm all` (every table and figure, ~15 s)
 #                  diffed byte for byte against its golden file
 #   make bench   - full benchmark harness (regenerates every figure)
 #   make all     - check + race
@@ -91,7 +91,7 @@ examples-smoke:
 
 # The whole paper: the stdout of `maxnvm all` at its defaults must
 # equal $(PAPER_GOLDEN) byte for byte, so a kernel, codec or sampler
-# change cannot move a table unnoticed. It takes ~25-45 s on 2 cores,
+# change cannot move a table unnoticed. It takes ~15 s on 2 cores,
 # so it stays out of `go test ./...`. When the science is meant to
 # move, regenerate with `make paper-golden UPDATE=1` and review the
 # diff.

@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/ares"
 	"repro/internal/bitstream"
-	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/dnn"
 	"repro/internal/ecc"
@@ -87,7 +86,7 @@ func BenchmarkTable2ModelSizes(b *testing.B) {
 func BenchmarkFig5StructureVulnerability(b *testing.B) {
 	skipIfShort(b)
 	for i := 0; i < b.N; i++ {
-		if err := env().Fig5(context.Background(), io.Discard, campaign.Options{MaxTrials: 6}); err != nil {
+		if err := env().Fig5(context.Background(), io.Discard, 6, 0, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -4,23 +4,20 @@
 // statistics and classification-error deltas for a chosen storage
 // configuration.
 //
-// Campaigns are interruptible and resumable: Ctrl-C flushes completed
-// trials to the checkpoint (if -checkpoint is set) and a later run with
-// -resume replays them instead of re-executing, converging to the exact
-// aggregates an uninterrupted run would have produced.
+// Every mode runs ONE campaign over all of its configs, so one
+// checkpoint holds them all: Ctrl-C flushes completed trials to it (if
+// -checkpoint is set) and a later run with -resume replays them instead
+// of re-executing, converging to the exact aggregates an uninterrupted
+// run would have produced.
 //
 // Lifetime mode (-lifetime-years) simulates an N-year deployment as
-// age -> inject -> correct -> rewrite epochs instead of a single
-// write-time campaign, with -protect spending a criticality-aware
-// protection budget and -scrub-interval overriding (or, at 0, asking
-// the scheduler for) the refresh period. Every epoch is its own
-// campaign config with its own checkpoint rows.
-//
-// Crossbar mode (-crossbar) maps the weights onto compute-in-memory
-// arrays instead of a stored-bit encoding and prints a before/after
-// table per -tile size: the bare array (programming variation +
-// stuck-at faults) vs the same array with online soft-error detection
-// and remap scrubbing (see cmd/faultsim/crossbar.go).
+// age -> inject -> correct -> rewrite epochs, one config per epoch, with
+// -protect spending a criticality-aware protection budget and
+// -scrub-interval overriding (or, at 0, asking the scheduler for) the
+// refresh period. Compare mode (-compare-encodings) runs one config per
+// encoding (CSR, bitmask, 2:4). Crossbar mode (-crossbar) maps the
+// weights onto compute-in-memory arrays and runs a bare and a mitigated
+// config per -tile size (see cmd/faultsim/crossbar.go).
 //
 // Usage:
 //
@@ -28,6 +25,7 @@
 //	faultsim -trials 64 -ci-target 0.005 -checkpoint run.jsonl
 //	faultsim -resume -checkpoint run.jsonl -trials 64 -ci-target 0.005
 //	faultsim -tech MLC-RRAM -encoding csr -bpc 3 -lifetime-years 10 -protect 0.1
+//	faultsim -compare-encodings -trials 32
 //	faultsim -crossbar -tile 64x32,128x64 -adc-bits 6 -spare-cols 4 -trials 16
 package main
 
@@ -38,17 +36,17 @@ import (
 	"log"
 	"os"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/ares"
 	"repro/internal/campaign"
 	"repro/internal/cliutil"
 	"repro/internal/crossbar"
-	"repro/internal/dnn"
 	"repro/internal/envm"
+	"repro/internal/exper"
 	"repro/internal/mitigate"
 	"repro/internal/sparse"
-	"repro/internal/train"
 )
 
 func main() {
@@ -70,10 +68,10 @@ func main() {
 	scrubInterval := flag.Float64("scrub-interval", 0, "years between scrub rewrites in lifetime mode (0 = let the scheduler choose, negative = never scrub)")
 	protect := flag.Float64("protect", 0, "criticality-aware protection budget: extra cells as a fraction of the baseline (0 = keep the -ecc/-slc flags as given)")
 	degrade := flag.Bool("degrade", false, "zero uncorrectable ECC blocks instead of decoding their corrupt bits")
-	compare := flag.Bool("compare-encodings", false, "run the same campaign under CSR, bitmask, and 2:4 and report density, blast radius, and trials/s per encoding")
+	compare := flag.Bool("compare-encodings", false, "run the same campaign under CSR, bitmask, and 2:4 and report density, blast radius, and ms/trial per encoding")
 	xbar := cliutil.AddXbarFlags()
 	tel := cliutil.AddFlags()
-	tel.AddCheckpointFlagsTo(flag.CommandLine)
+	tel.AddFsyncTo(flag.CommandLine)
 	flag.Parse()
 	tel.Start()
 	defer tel.Dump()
@@ -130,14 +128,7 @@ func main() {
 
 	fmt.Printf("config: %v\n", cfg)
 	fmt.Println("training measured model (TinyCNN on synthetic data)...")
-	trainDS := train.Synthesize(train.SynthConfig{N: 600, Seed: *seed + 10, ProtoSeed: 77})
-	testDS := train.Synthesize(train.SynthConfig{N: 300, Seed: *seed + 11, ProtoSeed: 77})
-	m := dnn.TinyCNN()
-	m.InitWeights(*seed + 42)
-	if _, err := train.Train(m, trainDS, train.Config{Epochs: 6, Seed: *seed}); err != nil {
-		log.Fatal(err)
-	}
-	ev, err := ares.NewMeasuredEvaluator(m, testDS, *seed+5)
+	ev, err := exper.NewEnv(*seed).Measured()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -154,14 +145,14 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	var plan mitigate.Plan
-	planned := false
+	var plan *mitigate.Plan
 	if *protect > 0 {
-		if plan, err = mitigate.PlanProtection(ranks, tech, *protect); err != nil {
+		pl, err := mitigate.PlanProtection(ranks, tech, *protect)
+		if err != nil {
 			log.Fatal(err)
 		}
+		plan = &pl
 		cfg = plan.Apply(cfg)
-		planned = true
 		fmt.Printf("protection plan: %v\n", plan)
 		fmt.Printf("protected config: %v\n", cfg)
 	}
@@ -176,57 +167,26 @@ func main() {
 		CheckpointPath: *checkpoint,
 		Resume:         *resume,
 		Fsync:          tel.SyncPolicy(),
-		LockCheckpoint: tel.LockCheckpoint(),
 	}
 	if *progress > 0 {
 		opt.Progress = os.Stderr
 		opt.ProgressEvery = *progress
 	}
 
-	if *xbar.Enabled {
-		runCrossbar(ctx, ev, m, tech, xcfgs, xbar.Planned(), opt)
-		return
+	var p campaignPlan
+	switch {
+	case *xbar.Enabled:
+		p = crossbarPlan(ev, tech, xcfgs, xbar.Planned(), *trials)
+	case *compare:
+		p = comparePlan(ev, cfg)
+	case *lifetimeYears > 0:
+		p = lifetimePlan(ev, cfg, opt.Seed, *lifetimeYears, *scrubInterval, ranks, plan)
+	default:
+		p = writeTimePlan(ev, cfg, *ciTarget)
 	}
 
-	if *compare {
-		runCompare(ctx, ev, tech, *bpc, *degrade, opt)
-		return
-	}
-
-	if *lifetimeYears > 0 {
-		interrupted := runLifetime(ctx, ev, m, cfg, opt, lifetimeArgs{
-			years:    *lifetimeYears,
-			interval: *scrubInterval,
-			ranks:    ranks,
-			plan:     plan,
-			planned:  planned,
-		})
-		if interrupted {
-			tel.ExitInterrupted(*checkpoint)
-		}
-		return
-	}
-
-	label := cfg.String()
-	run := func(ctx context.Context, t campaign.Trial) (campaign.Sample, error) {
-		delta, st, err := ev.EvalTrial(ctx, cfg, t.Seed)
-		if err != nil {
-			return campaign.Sample{}, err
-		}
-		return campaign.Sample{
-			Value: delta,
-			Extra: map[string]float64{
-				"faults":    float64(st.Faults),
-				"corrected": float64(st.Corrected),
-				"detected":  float64(st.Detected),
-				"degraded":  float64(st.DegradedBlocks),
-				"mismatch":  st.Mismatch,
-				"nsr":       st.ValueNSR,
-			},
-		}, nil
-	}
 	start := time.Now()
-	c, err := campaign.New([]string{label}, run, opt)
+	c, err := campaign.New(p.configs, p.run, opt)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -234,38 +194,78 @@ func main() {
 	if runErr != nil && (res == nil || !res.Interrupted) {
 		log.Fatal(runErr)
 	}
-	printRecovery(c)
-
-	cr := res.Config(label)
-	fmt.Printf("\ncampaign: %d trials executed, %d reused from checkpoint, %d skipped by early stop (%.1fs)\n",
-		res.Executed, res.Reused, res.Skipped, time.Since(start).Seconds())
-	fmt.Printf("over %d fault maps:\n", cr.N)
-	fmt.Printf("  faults/map:        %.1f (ECC corrected %.1f, detected %.1f, blocks degraded %.1f)\n",
-		cr.Extra["faults"], cr.Extra["corrected"], cr.Extra["detected"], cr.Extra["degraded"])
-	fmt.Printf("  index mismatch:    %.5f of weights\n", cr.Extra["mismatch"])
-	fmt.Printf("  weight NSR:        %.5g\n", cr.Extra["nsr"])
-	fmt.Printf("  error delta:       mean +%.4f ±%.4f (95%% CI), worst +%.4f\n", cr.Mean, cr.CIHalf, cr.Max)
-	if cr.EarlyStopped {
-		fmt.Printf("  early stop:        CI target %.4g reached after %d trials\n", *ciTarget, cr.N)
+	// A resumed campaign reports what it salvaged from its checkpoint.
+	if rec := c.Recovery(); rec.Resumed {
+		fmt.Printf("recovery: repaired tail: %d bytes, replayed %d trials", rec.RepairedBytes, rec.Replayed)
+		if rec.TornLines > 0 {
+			fmt.Printf(", skipped %d corrupt lines", rec.TornLines)
+		}
+		fmt.Println()
 	}
-	for _, te := range cr.Errors {
-		fmt.Printf("  failed trial:      %v\n", te)
-	}
-	fmt.Printf("  ITN bound:         %.4f -> %s\n", m.Meta.ErrorBound,
-		verdict(cr.Mean <= m.Meta.ErrorBound))
+	p.report(res, time.Since(start))
 	if res.Interrupted {
 		tel.ExitInterrupted(*checkpoint)
 	}
 }
 
-// runCompare runs the same write-time campaign under each compressed
-// encoding and prints a side-by-side table: storage density (encoded
-// bits as a fraction of the dense clustered baseline), fault blast
-// radius (weights corrupted per uncorrected fault event — the
-// misalignment-cascade signature), and campaign throughput. The 2:4 row
-// runs compute-direct: corrupted streams feed the sparse kernels with
-// no dense materialization.
-func runCompare(ctx context.Context, ev *ares.MeasuredEvaluator, tech envm.Tech, bpc int, degrade bool, opt campaign.Options) {
+// campaignPlan is one mode's campaign: the config labels it runs, the
+// trial function over them, and the report it prints from the
+// aggregates (partial ones when the campaign was interrupted).
+type campaignPlan struct {
+	configs []string
+	run     campaign.RunFunc
+	report  func(res *campaign.Result, elapsed time.Duration)
+}
+
+// runnerOf labels cfgs in order, dropping repeats (a mitigated crossbar
+// config can equal the bare one), and returns the labels with the trial
+// function over them.
+func runnerOf(ev *ares.MeasuredEvaluator, cfgs ...ares.Config) ([]string, campaign.RunFunc) {
+	byLabel := make(map[string]ares.Config, len(cfgs))
+	var labels []string
+	for _, cfg := range cfgs {
+		label := cfg.String()
+		if _, dup := byLabel[label]; !dup {
+			byLabel[label] = cfg
+			labels = append(labels, label)
+		}
+	}
+	return labels, exper.Runner(ev, byLabel)
+}
+
+// writeTimePlan is the default mode: one config, corrupted at write
+// time and read back once per trial.
+func writeTimePlan(ev *ares.MeasuredEvaluator, cfg ares.Config, ciTarget float64) campaignPlan {
+	configs, run := runnerOf(ev, cfg)
+	return campaignPlan{configs: configs, run: run, report: func(res *campaign.Result, elapsed time.Duration) {
+		cr := res.Config(configs[0])
+		fmt.Printf("\ncampaign: %d trials executed, %d reused from checkpoint, %d skipped by early stop (%.1fs)\n",
+			res.Executed, res.Reused, res.Skipped, elapsed.Seconds())
+		fmt.Printf("over %d fault maps:\n", cr.N)
+		fmt.Printf("  faults/map:        %.1f (ECC corrected %.1f, detected %.1f, blocks degraded %.1f)\n",
+			cr.Extra["faults"], cr.Extra["corrected"], cr.Extra["detected"], cr.Extra["degraded"])
+		fmt.Printf("  index mismatch:    %.5f of weights\n", cr.Extra["mismatch"])
+		fmt.Printf("  weight NSR:        %.5g\n", cr.Extra["nsr"])
+		fmt.Printf("  error delta:       mean +%.4f ±%.4f (95%% CI), worst +%.4f\n", cr.Mean, cr.CIHalf, cr.Max)
+		if cr.EarlyStopped {
+			fmt.Printf("  early stop:        CI target %.4g reached after %d trials\n", ciTarget, cr.N)
+		}
+		for _, te := range cr.Errors {
+			fmt.Printf("  failed trial:      %v\n", te)
+		}
+		bound := ev.Model.Meta.ErrorBound
+		fmt.Printf("  ITN bound:         %.4f -> %s\n", bound, verdict(cr.Mean <= bound))
+	}}
+}
+
+// comparePlan runs the bare write-time config cfg under each compressed
+// encoding and reports them side by side: storage density (encoded bits
+// as a fraction of the dense clustered baseline), fault blast radius
+// (weights corrupted per uncorrected fault event — the
+// misalignment-cascade signature) and the mean wall time of an executed
+// trial. The 2:4 config runs compute-direct: corrupted streams feed the
+// sparse kernels with no dense materialization.
+func comparePlan(ev *ares.MeasuredEvaluator, cfg ares.Config) campaignPlan {
 	kinds := []sparse.Kind{sparse.KindCSR, sparse.KindBitMask, sparse.Kind24}
 	totalWeights := 0
 	var denseBits int64
@@ -273,111 +273,117 @@ func runCompare(ctx context.Context, ev *ares.MeasuredEvaluator, tech envm.Tech,
 		totalWeights += len(cl.Indices)
 		denseBits += int64(len(cl.Indices) * cl.IndexBits)
 	}
-	fmt.Printf("\n%-10s %8s %10s %14s %9s %12s %10s\n",
-		"encoding", "density", "bits/wt", "blast wts/flt", "trials/s", "mean +delta", "worst")
-	for _, kind := range kinds {
-		cfg := ares.Config{
-			Tech:      tech,
-			Encoding:  kind,
-			Default:   ares.StreamPolicy{BPC: bpc},
-			Overrides: map[string]ares.StreamPolicy{},
-			Degrade:   degrade,
-		}
-		if err := cfg.Validate(); err != nil {
-			log.Fatal(err)
-		}
-		var encBits int64
+	cfgs := make([]ares.Config, len(kinds))
+	encBits := make([]int64, len(kinds))
+	for i, kind := range kinds {
+		cfgs[i] = cfg
+		cfgs[i].Encoding = kind
 		for _, cl := range ev.Clustered() {
-			enc, err := ares.EncodeLayer(cl, cfg)
+			enc, err := ares.EncodeLayer(cl, cfgs[i])
 			if err != nil {
 				log.Fatal(err)
 			}
-			encBits += enc.SizeBits()
+			encBits[i] += enc.SizeBits()
 		}
-		run := func(ctx context.Context, t campaign.Trial) (campaign.Sample, error) {
-			delta, st, err := ev.EvalTrial(ctx, cfg, t.Seed)
-			if err != nil {
-				return campaign.Sample{}, err
-			}
-			return campaign.Sample{
-				Value: delta,
-				Extra: map[string]float64{
-					"faults":   float64(st.Faults),
-					"mismatch": st.Mismatch,
-				},
-			}, nil
-		}
-		label := cfg.String()
-		c, err := campaign.New([]string{label}, run, opt)
-		if err != nil {
-			log.Fatal(err)
-		}
-		start := time.Now()
-		res, runErr := c.Run(ctx)
-		if runErr != nil {
-			log.Fatal(runErr)
-		}
-		elapsed := time.Since(start).Seconds()
-		cr := res.Config(label)
-		blast := 0.0
-		if cr.Extra["faults"] > 0 {
-			blast = cr.Extra["mismatch"] * float64(totalWeights) / cr.Extra["faults"]
-		}
-		tps := 0.0
-		if elapsed > 0 {
-			tps = float64(res.Executed) / elapsed
-		}
-		fmt.Printf("%-10v %7.1f%% %10.2f %14.2f %9.1f %12.4f %10.4f\n",
-			kind, 100*float64(encBits)/float64(denseBits),
-			float64(encBits)/float64(totalWeights), blast, tps, cr.Mean, cr.Max)
 	}
-	fmt.Printf("dense clustered baseline: %d weights, %.2f bits/wt\n",
-		totalWeights, float64(denseBits)/float64(totalWeights))
+	configs, run := runnerOf(ev, cfgs...)
+	clock := &trialClock{spent: map[string]time.Duration{}, n: map[string]int{}}
+	return campaignPlan{configs: configs, run: clock.time(run), report: func(res *campaign.Result, _ time.Duration) {
+		fmt.Printf("\n%-10s %8s %10s %14s %9s %12s %10s\n",
+			"encoding", "density", "bits/wt", "blast wts/flt", "ms/trial", "mean +delta", "worst")
+		for i, kind := range kinds {
+			cr := res.Config(configs[i])
+			if cr.N == 0 {
+				fmt.Printf("%-10v (no completed trials)\n", kind)
+				continue
+			}
+			blast := 0.0
+			if cr.Extra["faults"] > 0 {
+				blast = cr.Extra["mismatch"] * float64(totalWeights) / cr.Extra["faults"]
+			}
+			fmt.Printf("%-10v %7.1f%% %10.2f %14.2f %9s %12.4f %10.4f\n",
+				kind, 100*float64(encBits[i])/float64(denseBits),
+				float64(encBits[i])/float64(totalWeights), blast, clock.msPerTrial(configs[i]), cr.Mean, cr.Max)
+		}
+		fmt.Printf("dense clustered baseline: %d weights, %.2f bits/wt\n",
+			totalWeights, float64(denseBits)/float64(totalWeights))
+	}}
 }
 
-// lifetimeArgs bundles the lifetime-mode inputs main hands to
-// runLifetime.
-type lifetimeArgs struct {
-	years, interval float64
-	ranks           []mitigate.StreamRank
-	plan            mitigate.Plan
-	planned         bool
+// trialClock sums the wall time of each config's executed trials. It
+// stays out of the samples, so checkpoint records stay deterministic.
+type trialClock struct {
+	mu    sync.Mutex
+	spent map[string]time.Duration
+	n     map[string]int
 }
 
-// runLifetime simulates la.years of deployment: every campaign trial is
+// time wraps run to clock every trial it executes.
+func (tc *trialClock) time(run campaign.RunFunc) campaign.RunFunc {
+	return func(ctx context.Context, t campaign.Trial) (campaign.Sample, error) {
+		start := time.Now()
+		s, err := run(ctx, t)
+		tc.mu.Lock()
+		tc.spent[t.Config] += time.Since(start)
+		tc.n[t.Config]++
+		tc.mu.Unlock()
+		return s, err
+	}
+}
+
+// msPerTrial formats the mean wall time of config's executed trials in
+// milliseconds, or "-" when the run executed none (all replayed).
+func (tc *trialClock) msPerTrial(config string) string {
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	if tc.n[config] == 0 {
+		return "-"
+	}
+	return fmt.Sprintf("%.2f", tc.spent[config].Seconds()*1e3/float64(tc.n[config]))
+}
+
+// deployment is the deployment the mitigation planners size a policy
+// for: the model's own ITN bound over years on tech.
+func deployment(ev *ares.MeasuredEvaluator, tech envm.Tech, years float64) mitigate.Deployment {
+	m := ev.Model
+	return mitigate.Deployment{
+		Tech:          tech,
+		LifetimeYears: years,
+		DeltaBound:    m.Meta.ErrorBound,
+		Sens:          ares.Sensitivity(m.Name),
+		Headroom:      ares.Headroom(m.Classes, ev.BaselineErr),
+	}
+}
+
+// lifetimePlan simulates years of deployment: every campaign trial is
 // one full deployment (age -> inject -> correct -> rewrite per epoch),
 // and every epoch is its own campaign config with its own checkpoint
-// rows and aggregates. It reports whether the campaign was interrupted,
-// in which case the table it printed is partial.
-func runLifetime(ctx context.Context, ev *ares.MeasuredEvaluator, m *dnn.Model,
-	cfg ares.Config, opt campaign.Options, la lifetimeArgs) (interrupted bool) {
-	bound := m.Meta.ErrorBound
-	lp := ares.LifetimePolicy{Years: la.years, FloorDelta: bound}
+// rows and aggregates. Trial t of every epoch simulates the deployment
+// at campaign.TrialSeed(baseSeed, label, t). A zero interval asks the
+// scrub scheduler, predicting over ranks and the -protect plan (nil
+// when -protect did not run).
+func lifetimePlan(ev *ares.MeasuredEvaluator, cfg ares.Config, baseSeed uint64,
+	years, interval float64, ranks []mitigate.StreamRank, plan *mitigate.Plan) campaignPlan {
+	bound := ev.Model.Meta.ErrorBound
+	lp := ares.LifetimePolicy{Years: years, FloorDelta: bound}
 	switch {
-	case la.interval > 0:
-		lp.ScrubIntervalYears = la.interval
-	case la.interval == 0:
+	case interval > 0:
+		lp.ScrubIntervalYears = interval
+	case interval == 0:
 		// Ask the scheduler for the longest interval holding the ITN
 		// bound. When -protect did not run, predict over a bare plan
 		// mirroring the configuration as flagged.
-		pl := la.plan
-		if !la.planned {
-			pl = mitigate.Plan{
-				Policies:  make(map[string]ares.StreamPolicy, len(la.ranks)),
+		if plan == nil {
+			plan = &mitigate.Plan{
+				Policies:  make(map[string]ares.StreamPolicy, len(ranks)),
 				BlockBits: cfg.BlockBits(),
 			}
-			for _, r := range la.ranks {
-				pl.Policies[r.Name] = cfg.PolicyFor(r.Name)
+			for _, r := range ranks {
+				plan.Policies[r.Name] = cfg.PolicyFor(r.Name)
 			}
 		}
-		dep := mitigate.Deployment{
-			Tech:          cfg.Tech,
-			LifetimeYears: la.years,
-			DeltaBound:    bound,
-			Sens:          ares.Sensitivity(m.Name),
-			Headroom:      ares.Headroom(m.Classes, ev.BaselineErr),
-		}
-		sp, err := mitigate.PlanScrub(dep, la.ranks, pl)
+		dep := deployment(ev, cfg.Tech, years)
+		sp, err := mitigate.PlanScrub(dep, ranks, *plan)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -386,7 +392,7 @@ func runLifetime(ctx context.Context, ev *ares.MeasuredEvaluator, m *dnn.Model,
 				sp.IntervalYears, sp.Epochs, sp.Rewrites, sp.EnduranceFrac, sp.PredictedDelta)
 		} else {
 			fmt.Printf("scrub schedule: none needed (predicted %.1f-year delta %.4f within the %.4f bound)\n",
-				la.years, sp.NoScrubDelta, bound)
+				years, sp.NoScrubDelta, bound)
 		}
 		if !sp.Feasible {
 			fmt.Printf("warning: no feasible schedule — %s\n", sp.Reason)
@@ -400,9 +406,9 @@ func runLifetime(ctx context.Context, ev *ares.MeasuredEvaluator, m *dnn.Model,
 	}
 	if lp.Scrubbed() {
 		fmt.Printf("lifetime: %.1f years, scrubbing every %.2f years (%d epochs)\n",
-			la.years, lp.ScrubIntervalYears, lp.EpochCount())
+			years, lp.ScrubIntervalYears, lp.EpochCount())
 	} else {
-		fmt.Printf("lifetime: %.1f years unscrubbed, %d evaluation epochs\n", la.years, lp.EpochCount())
+		fmt.Printf("lifetime: %.1f years unscrubbed, %d evaluation epochs\n", years, lp.EpochCount())
 	}
 
 	epochs := lp.EpochCount()
@@ -418,71 +424,36 @@ func runLifetime(ctx context.Context, ev *ares.MeasuredEvaluator, m *dnn.Model,
 		}
 		out := make([]campaign.Sample, len(ls.Epochs))
 		for e, es := range ls.Epochs {
-			out[e] = campaign.Sample{
-				Value: es.DeltaErr,
-				Extra: map[string]float64{
-					"age":       es.AgeYears,
-					"faults":    float64(es.Stats.Faults),
-					"corrected": float64(es.Stats.Corrected),
-					"detected":  float64(es.Stats.Detected),
-					"degraded":  float64(es.Stats.DegradedBlocks),
-					"mismatch":  es.Stats.Mismatch,
-				},
-			}
+			out[e] = exper.TrialSample(es.DeltaErr, es.Stats)
+			out[e].Extra["age"] = es.AgeYears
 		}
 		return out, nil
 	}
-	c, err := campaign.New(configs, campaign.LifetimeRun(label, epochs, opt.Seed, sim), opt)
-	if err != nil {
-		log.Fatal(err)
-	}
-	start := time.Now()
-	res, runErr := c.Run(ctx)
-	if runErr != nil && (res == nil || !res.Interrupted) {
-		log.Fatal(runErr)
-	}
-	printRecovery(c)
-
-	fmt.Printf("\nlifetime campaign: %d epoch-trials executed, %d reused from checkpoint, %d skipped (%.1fs)\n",
-		res.Executed, res.Reused, res.Skipped, time.Since(start).Seconds())
-	fmt.Printf("  %-5s  %-7s  %-24s  %-8s  %-14s  %-8s  %s\n",
-		"epoch", "age", "error delta (95% CI)", "faults", "ecc corr/det", "degraded", "vs bound")
-	worst := 0.0
-	for e, id := range configs {
-		cr := res.Config(id)
-		if cr.N == 0 {
-			fmt.Printf("  %-5d  (no completed trials)\n", e)
-			continue
+	run := campaign.LifetimeRun(label, epochs, baseSeed, sim)
+	return campaignPlan{configs: configs, run: run, report: func(res *campaign.Result, elapsed time.Duration) {
+		fmt.Printf("\nlifetime campaign: %d epoch-trials executed, %d reused from checkpoint, %d skipped (%.1fs)\n",
+			res.Executed, res.Reused, res.Skipped, elapsed.Seconds())
+		fmt.Printf("  %-5s  %-7s  %-24s  %-8s  %-14s  %-8s  %s\n",
+			"epoch", "age", "error delta (95% CI)", "faults", "ecc corr/det", "degraded", "vs bound")
+		worst := 0.0
+		for e, id := range configs {
+			cr := res.Config(id)
+			if cr.N == 0 {
+				fmt.Printf("  %-5d  (no completed trials)\n", e)
+				continue
+			}
+			worst = max(worst, cr.Mean)
+			fmt.Printf("  %-5d  %5.2fy  +%.4f ±%.4f%10s  %-8.1f  %6.1f/%-7.1f  %-8.1f  %s\n",
+				e, cr.Extra["age"], cr.Mean, cr.CIHalf, "",
+				cr.Extra["faults"], cr.Extra["corrected"], cr.Extra["detected"], cr.Extra["degraded"],
+				verdict(cr.Mean <= bound))
+			for _, te := range cr.Errors {
+				fmt.Printf("         failed trial: %v\n", te)
+			}
 		}
-		if cr.Mean > worst {
-			worst = cr.Mean
-		}
-		fmt.Printf("  %-5d  %5.2fy  +%.4f ±%.4f%10s  %-8.1f  %6.1f/%-7.1f  %-8.1f  %s\n",
-			e, cr.Extra["age"], cr.Mean, cr.CIHalf, "",
-			cr.Extra["faults"], cr.Extra["corrected"], cr.Extra["detected"], cr.Extra["degraded"],
-			verdict(cr.Mean <= bound))
-		for _, te := range cr.Errors {
-			fmt.Printf("         failed trial: %v\n", te)
-		}
-	}
-	fmt.Printf("  ITN bound %.4f over the whole deployment -> %s (worst epoch mean +%.4f)\n",
-		bound, verdict(worst <= bound), worst)
-	return res.Interrupted
-}
-
-// printRecovery summarizes what a resumed campaign salvaged from its
-// checkpoint: the torn tail it repaired and the trials it replayed
-// instead of re-executing.
-func printRecovery(c *campaign.Campaign) {
-	rec := c.Recovery()
-	if !rec.Resumed {
-		return
-	}
-	line := fmt.Sprintf("recovery: repaired tail: %d bytes, replayed %d trials", rec.RepairedBytes, rec.Replayed)
-	if rec.TornLines > 0 {
-		line += fmt.Sprintf(", skipped %d corrupt lines", rec.TornLines)
-	}
-	fmt.Println(line)
+		fmt.Printf("  ITN bound %.4f over the whole deployment -> %s (worst epoch mean +%.4f)\n",
+			bound, verdict(worst <= bound), worst)
+	}}
 }
 
 func splitList(s string) []string {

@@ -31,7 +31,6 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/campaign"
 	"repro/internal/cliutil"
 	"repro/internal/exper"
 )
@@ -69,8 +68,6 @@ func main() {
 		fig6Models = []string{*model}
 	}
 
-	campaignOpt := campaign.Options{MaxTrials: *maxTrials, MinTrials: *minTrials, CITarget: *ciTarget}
-
 	var run func(name string)
 	run = func(name string) {
 		if err := ctx.Err(); err != nil {
@@ -87,7 +84,7 @@ func main() {
 		case "table2":
 			env.Table2(w, models)
 		case "fig5":
-			if err := env.Fig5(ctx, w, campaignOpt); err != nil {
+			if err := env.Fig5(ctx, w, *maxTrials, *minTrials, *ciTarget); err != nil {
 				if ctx.Err() != nil {
 					fmt.Fprintln(os.Stderr, "fig5: interrupted")
 					tel.Dump()

@@ -113,7 +113,9 @@ type Options struct {
 	// TrialTimeout is the per-trial deadline (0 = none).
 	TrialTimeout time.Duration
 	// CheckpointPath appends every completed trial to a JSONL file ("" =
-	// no checkpointing).
+	// no checkpointing). The campaign holds an exclusive advisory lock on
+	// it while it runs, so two campaigns cannot interleave one file: the
+	// second one fails with durable.ErrLocked.
 	CheckpointPath string
 	// Resume preloads outcomes from CheckpointPath (if it exists) so only
 	// missing trials execute. A torn tail left by a killed run is
@@ -122,10 +124,6 @@ type Options struct {
 	// Fsync is the checkpoint durability policy (the zero value is
 	// durable.SyncInterval: fsync at most once a second).
 	Fsync durable.SyncPolicy
-	// LockCheckpoint takes an exclusive advisory lock on the checkpoint
-	// for the campaign's lifetime, so two campaigns cannot interleave
-	// one file; the second one fails with durable.ErrLocked.
-	LockCheckpoint bool
 	// FS overrides the filesystem the checkpoint is stored on (nil =
 	// the real one). Tests substitute internal/errfs to prove recovery
 	// under injected faults.

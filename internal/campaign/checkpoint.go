@@ -82,7 +82,7 @@ func openCheckpoint(opt Options, met *engineMetrics) (*checkpointWriter, durable
 	wopt := durable.Options{
 		FS:   opt.FS,
 		Sync: opt.Fsync,
-		Lock: opt.LockCheckpoint,
+		Lock: true,
 	}
 	var rep durable.RepairInfo
 	if opt.Resume {

@@ -61,7 +61,6 @@ func TestCrashMatrixRecovery(t *testing.T) {
 				copt.CheckpointPath = path
 				copt.FS = fs
 				copt.Fsync = pol
-				copt.LockCheckpoint = true
 				copt.Metrics = telemetry.NewRegistry()
 
 				crashed := mustRun(t, configs, detRun, copt)
@@ -82,7 +81,6 @@ func TestCrashMatrixRecovery(t *testing.T) {
 				ropt := base
 				ropt.CheckpointPath = path
 				ropt.Resume = true
-				ropt.LockCheckpoint = true
 				ropt.Metrics = telemetry.NewRegistry()
 				resumed := mustRun(t, configs, detRun, ropt)
 				if resumed.Degraded {
@@ -351,7 +349,7 @@ func TestCheckpointLockConflict(t *testing.T) {
 
 	opt := Options{
 		Seed: 1, MaxTrials: 2, CheckpointPath: path, Resume: true,
-		LockCheckpoint: true, Log: io.Discard, Metrics: telemetry.NewRegistry(),
+		Log: io.Discard, Metrics: telemetry.NewRegistry(),
 	}
 	c, err := New([]string{"cfg"}, detRun, opt)
 	if err != nil {

@@ -1,9 +1,9 @@
 // Package cliutil holds the flag plumbing shared by the repro CLIs: the
 // -metrics JSON telemetry dump, the -prom live Prometheus /metrics
 // endpoint and the -pprof profiling endpoint (faultsim, maxnvm,
-// campaignd, servesim); the -fsync/-lock checkpoint durability knobs
-// (faultsim takes both, campaignd work and supervise -fsync alone); and
-// usage errors and crossbar tile parsing (also nvsweep).
+// campaignd, servesim); the -fsync checkpoint durability policy
+// (faultsim, campaignd work and supervise); and usage errors and
+// crossbar tile parsing (also nvsweep).
 package cliutil
 
 import (
@@ -11,7 +11,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof handlers on DefaultServeMux
@@ -31,8 +30,6 @@ type Telemetry struct {
 	promAddr    string
 	promLn      net.Listener
 	fsync       durable.SyncPolicy
-	lock        bool
-	lockWarned  bool
 	reg         *telemetry.Registry
 }
 
@@ -72,38 +69,9 @@ func (t *Telemetry) AddFsyncTo(fs *flag.FlagSet) {
 		})
 }
 
-// AddCheckpointFlagsTo registers -fsync and -lock on fs, for the CLI
-// that writes a campaign checkpoint (faultsim).
-func (t *Telemetry) AddCheckpointFlagsTo(fs *flag.FlagSet) {
-	t.AddFsyncTo(fs)
-	fs.BoolVar(&t.lock, "lock", true,
-		"hold an exclusive lock on the checkpoint so two campaigns cannot interleave one file")
-}
-
 // SyncPolicy returns the -fsync choice (durable.SyncInterval unless the
 // flag was given).
 func (t *Telemetry) SyncPolicy() durable.SyncPolicy { return t.fsync }
-
-// lockSupported and lockWarnWriter are seams so tests can exercise the
-// unsupported-platform warning on any platform.
-var (
-	lockSupported            = durable.LockSupported
-	lockWarnWriter io.Writer = os.Stderr
-)
-
-// LockCheckpoint returns the -lock choice (true by default). When
-// locking is requested but the platform cannot enforce it, the first
-// call warns loudly: the run proceeds, but a second concurrent campaign
-// would not be excluded from the checkpoint.
-func (t *Telemetry) LockCheckpoint() bool {
-	if t.lock && !lockSupported && !t.lockWarned {
-		t.lockWarned = true
-		fmt.Fprintln(lockWarnWriter,
-			"WARNING: -lock requested but this platform has no exclusive file locking; "+
-				"a second campaign writing the same checkpoint would NOT be excluded")
-	}
-	return t.lock
-}
 
 // NotifyContext returns a context cancelled on SIGINT or SIGTERM: the
 // shared graceful-shutdown contract of the repro CLIs (the campaign

@@ -1,14 +1,12 @@
 package cliutil
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -126,47 +124,37 @@ func TestNotifyContextCancelsOnSIGINT(t *testing.T) {
 	}
 }
 
-// The durability flags: -fsync parses through durable.ParseSyncPolicy
-// (defaulting to the interval policy), -lock defaults to on.
+// The durability flag: -fsync parses through durable.ParseSyncPolicy,
+// defaulting to the interval policy.
 func TestDurabilityFlags(t *testing.T) {
 	cases := []struct {
 		args []string
 		sync durable.SyncPolicy
-		lock bool
 	}{
-		{nil, durable.SyncInterval, true},
-		{[]string{"-fsync", "never"}, durable.SyncNever, true},
-		{[]string{"-fsync", "interval"}, durable.SyncInterval, true},
-		{[]string{"-fsync", "always"}, durable.SyncAlways, true},
-		{[]string{"-fsync", "every-record"}, durable.SyncAlways, true},
-		{[]string{"-lock=false"}, durable.SyncInterval, false},
-		{[]string{"-fsync", "always", "-lock=false"}, durable.SyncAlways, false},
+		{nil, durable.SyncInterval},
+		{[]string{"-fsync", "never"}, durable.SyncNever},
+		{[]string{"-fsync", "interval"}, durable.SyncInterval},
+		{[]string{"-fsync", "always"}, durable.SyncAlways},
+		{[]string{"-fsync", "every-record"}, durable.SyncAlways},
 	}
 	for _, tc := range cases {
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
 		tel := AddFlagsTo(fs)
-		tel.AddCheckpointFlagsTo(fs)
+		tel.AddFsyncTo(fs)
 		if err := fs.Parse(tc.args); err != nil {
 			t.Fatalf("%v: %v", tc.args, err)
 		}
-		if tel.SyncPolicy() != tc.sync || tel.LockCheckpoint() != tc.lock {
-			t.Errorf("%v: sync=%v lock=%v, want %v/%v",
-				tc.args, tel.SyncPolicy(), tel.LockCheckpoint(), tc.sync, tc.lock)
+		if tel.SyncPolicy() != tc.sync {
+			t.Errorf("%v: sync=%v, want %v", tc.args, tel.SyncPolicy(), tc.sync)
 		}
 	}
 
-	// Only the CLIs that write a checkpoint register the pair; campaignd's
-	// fleet workers, which lock leases rather than one checkpoint, take
-	// -fsync alone.
+	// Only the CLIs that write a checkpoint or shard WAL register it.
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	tel := AddFlagsTo(fs)
-	if fs.Lookup("fsync") != nil || fs.Lookup("lock") != nil {
-		t.Error("AddFlagsTo registers durability flags")
-	}
-	tel.AddFsyncTo(fs)
-	if fs.Lookup("fsync") == nil || fs.Lookup("lock") != nil {
-		t.Error("AddFsyncTo must register -fsync and only -fsync")
+	AddFlagsTo(fs)
+	if fs.Lookup("fsync") != nil {
+		t.Error("AddFlagsTo registers -fsync")
 	}
 
 	// A bad policy is a flag-parse error, not a silent default.
@@ -175,46 +163,5 @@ func TestDurabilityFlags(t *testing.T) {
 	AddFlagsTo(fs).AddFsyncTo(fs)
 	if err := fs.Parse([]string{"-fsync", "sometimes"}); err == nil {
 		t.Error("bogus -fsync value accepted")
-	}
-}
-
-// The unsupported-lock warning: when the platform cannot enforce -lock,
-// the first LockCheckpoint call warns loudly, exactly once, and only
-// when locking was actually requested.
-func TestLockUnsupportedWarning(t *testing.T) {
-	defer func(sup bool, w io.Writer) { lockSupported, lockWarnWriter = sup, w }(lockSupported, lockWarnWriter)
-	lockSupported = false
-	var buf bytes.Buffer
-	lockWarnWriter = &buf
-
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	tel := AddFlagsTo(fs)
-	tel.AddCheckpointFlagsTo(fs)
-	if err := fs.Parse(nil); err != nil {
-		t.Fatal(err)
-	}
-	if !tel.LockCheckpoint() {
-		t.Fatal("lock default changed")
-	}
-	if !strings.Contains(buf.String(), "WARNING") {
-		t.Fatalf("no warning on unsupported lock: %q", buf.String())
-	}
-	n := buf.Len()
-	tel.LockCheckpoint()
-	if buf.Len() != n {
-		t.Fatal("warning repeated on second call")
-	}
-
-	// -lock=false: nothing to warn about.
-	buf.Reset()
-	fs2 := flag.NewFlagSet("test", flag.ContinueOnError)
-	tel2 := AddFlagsTo(fs2)
-	tel2.AddCheckpointFlagsTo(fs2)
-	if err := fs2.Parse([]string{"-lock=false"}); err != nil {
-		t.Fatal(err)
-	}
-	tel2.LockCheckpoint()
-	if buf.Len() != 0 {
-		t.Fatalf("warned with -lock=false: %q", buf.String())
 	}
 }

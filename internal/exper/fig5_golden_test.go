@@ -7,8 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"repro/internal/campaign"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files with the current output")
@@ -21,7 +19,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files with the cur
 // table from the new file.
 func TestFig5Golden(t *testing.T) {
 	var b bytes.Buffer
-	if err := NewEnv(1).Fig5(context.Background(), &b, campaign.Options{}); err != nil {
+	if err := NewEnv(1).Fig5(context.Background(), &b, 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	golden := filepath.Join("testdata", "fig5.golden")

@@ -319,7 +319,6 @@ func runShard(ctx context.Context, opt WorkerOptions, fsys durable.FS, m *Manife
 		Spans:          []campaign.Span{{Config: sh.Config, Lo: sh.Lo, Hi: sh.Hi}},
 		CheckpointPath: walPath(opt.Dir, sh.ID, epoch),
 		Fsync:          opt.Fsync,
-		LockCheckpoint: true,
 		FS:             opt.FS,
 		Log:            opt.Log,
 		Progress:       opt.Progress,
