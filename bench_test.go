@@ -21,6 +21,7 @@ import (
 	"repro/internal/ares"
 	"repro/internal/bitstream"
 	"repro/internal/core"
+	"repro/internal/crossbar"
 	"repro/internal/dnn"
 	"repro/internal/ecc"
 	"repro/internal/envm"
@@ -483,7 +484,11 @@ func BenchmarkConvForward(b *testing.B) {
 
 // BenchmarkFCForward times the fully-connected kernel alone at TinyCNN
 // fc1's shape: 300 post-ReLU activation rows of 144 against 64 outputs,
-// serial (Workers=1, the replica configuration).
+// serial (Workers=1, the replica configuration). The pruned cases zero
+// three in five weights, as BenchmarkForwardRows does, and run them as
+// dense, 2:4 (the pattern keeps at most 2 of every 4 columns) and
+// crossbar operands (64-row tiles, 8-bit column ADCs); dense keeps every
+// weight, as training does.
 func BenchmarkFCForward(b *testing.B) {
 	a := tensor.NewMatrix(300, 144)
 	w := tensor.NewMatrix(64, 144)
@@ -494,10 +499,44 @@ func BenchmarkFCForward(b *testing.B) {
 	for i := range w.Data {
 		w.Data[i] = float32(src.Gaussian(0, 0.1))
 	}
+	pruned := w.Clone()
+	for i := range pruned.Data {
+		if i%5 < 3 {
+			pruned.Data[i] = 0
+		}
+	}
+	s24 := tensor.NewSparse24(pruned.Rows, pruned.Cols)
+	for r := range pruned.Rows {
+		for c, v := range pruned.Row(r) {
+			if v != 0 {
+				e := (r*s24.GroupsPerRow + c/4) * 2
+				if s24.Val[e] != 0 {
+					e++
+				}
+				s24.Val[e], s24.Pos[e] = v, uint8(c%4)
+			}
+		}
+	}
+	ly, err := crossbar.Map(pruned, *benchXbarConfig(8).Crossbar, envm.CTT)
+	if err != nil {
+		b.Fatal(err)
+	}
 	out := tensor.NewMatrix(300, 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tensor.MulABtInto(out, a, w, 1)
+	for _, c := range []struct {
+		name string
+		w    tensor.Operand
+	}{
+		{"dense", w},
+		{"pruned", pruned},
+		{"pruned24", s24},
+		{"prunedXbar", ly.PristineXbar()},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				tensor.MulABtInto(out, a, c.w, 1)
+			}
+		})
 	}
 }
 

@@ -176,8 +176,8 @@ type TrialStats struct {
 // Trial is one programmed instance of a mapped layer: the pristine
 // targets plus sampled variation and faults, materialized as an
 // effective weight matrix the kernels consume. A Trial is reusable
-// (Program resets it) but not concurrency-safe; the ares replica pool
-// gives each worker its own.
+// (Program resets it) but not concurrency-safe; ares builds a new one
+// for every layer of every trial (corruptXbar calls NewTrial).
 type Trial struct {
 	ly         *Layer
 	cfg        Config // full trial config, defaults applied
@@ -218,13 +218,9 @@ func (t *Trial) Program(src *stats.Source) {
 	ly, cfg := t.ly, t.cfg
 	t.Stats = TrialStats{}
 	t.remapsUsed = 0
-	for i := range t.sparesUsed {
-		t.sparesUsed[i] = 0
-	}
-	for i := range t.dPos {
-		t.dPos[i] = 0
-		t.dNeg[i] = 0
-	}
+	clear(t.sparesUsed)
+	clear(t.dPos)
+	clear(t.dNeg)
 	if cfg.VarSigma > 0 {
 		vsrc := src.Fork(1)
 		for i := range t.dPos {

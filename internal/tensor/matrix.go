@@ -159,67 +159,147 @@ func axpy(dst, src []float32, a float32) {
 	}
 }
 
-// mulABtBand computes rows [lo, hi) of dst = a * mᵀ serially: dst[i][j]
-// is the dot product of row i of a and row j of m. Accumulation order
-// matches mulBand term for term, and the terms mulBand skips are zero
-// products (the ±0 rule, see Operand), so dst is bit-identical to
-// MulInto(dst, a, Transpose(m)).
+// mulABtBand computes rows [lo, hi) of dst = a * mᵀ serially (see
+// mulABtGathered): the terms and order of mulBand, which skips the same
+// zero weights, so dst is bit-identical to MulInto(dst, a, Transpose(m)).
 func (m *Matrix) mulABtBand(dst, a *Matrix, lo, hi int) {
-	mulABtTiled(dst, a, m, nil, lo, hi)
+	mulABtGathered(dst, a, m, nil, lo, hi)
 }
 
-// mulABtTiled computes rows [lo, hi) of dst = a * wᵀ: the FC kernel of
-// the dense and the crossbar operands. With x nil the k dimension is one
-// tile and no column has an ADC, which is the plain dense product; with
-// x set it is cut into x's row tiles, each tile's partial converted by
-// its column ADC, and it returns the clips counted. Output columns go
-// four at a time: the four share each activation load, and each keeps
-// its own tile partial, so four independent add chains run where a
-// scalar dot has one (a short last block repeats its last column and
-// drops the copies). Per element the terms add in ascending order from
-// +0, and the converted partials across tiles in ascending order from
-// +0. Zero activations are multiplied too (the ±0 rule, see Operand): a
-// branch on them is mispredicted on post-ReLU data.
-func mulABtTiled(dst, a, w *Matrix, x *Xbar, lo, hi int) (clips int64) {
-	k, n := a.Cols, w.Rows
+// The FC kernel gathers the non-zero weights of fcChunk input columns at
+// a time onto the stack, and keeps there the partials of a block of
+// fcRows (a multiple of 4) batch rows while a tile spans such windows.
+const (
+	fcChunk = 256
+	fcRows  = 256
+)
+
+// fcGather is one window of an output column's non-zero weights, in
+// ascending order: w[e] multiplies column c[e] of the window.
+type fcGather struct {
+	w [fcChunk]float32
+	c [fcChunk]int
+}
+
+// put stores weight v of window column c as entry ne and returns ne+1,
+// or ne for a zero v; it does not branch, as pruned zeros fall at random.
+func (g *fcGather) put(ne int, v float32, c int) int {
+	g.w[ne], g.c[ne] = v, c
+	b := math.Float32bits(v) << 1
+	return ne + int((b|-b)>>31)
+}
+
+// gather fills g with output column j's non-zero weights in the window
+// [c0, c1) of w and returns how many: a dense row's, or a 2:4 row's
+// stored ones at column 4·group + pos (c0 is a multiple of 4, as a 2:4
+// operand is one tile). An Operand method would make g escape.
+func (g *fcGather) gather(w Operand, j, c0, c1 int) (ne int) {
+	switch w := w.(type) {
+	case *Matrix:
+		for c, v := range w.Row(j)[c0:c1] {
+			ne = g.put(ne, v, c)
+		}
+	case *Sparse24:
+		e0 := j*2*w.GroupsPerRow + c0/2
+		for e, v := range w.Val[e0 : e0+(c1-c0+3)/4*2] {
+			ne = g.put(ne, v, e/2*4+int(w.Pos[e0+e]))
+		}
+	}
+	return ne
+}
+
+// mulABtGathered computes rows [lo, hi) of dst = a * wᵀ, the FC kernel
+// of every operand. With x nil, k is one tile and each element is its
+// dot product; with x set, k is cut into x's row tiles and each tile's
+// partial is converted by its column ADC and added (clips returned).
+// Per output column and window it gathers the non-zero weights once and
+// runs the batch rows four at a time against them, each row with its own
+// accumulator (a short last group repeats its last row). Each element
+// adds its non-zero-weight terms, then its tile partials, in ascending
+// order from +0, so only zero-weight terms drop out (the ±0 rule, see
+// Operand). Every activation is multiplied: a branch on zero ones is
+// mispredicted on post-ReLU data.
+func mulABtGathered(dst, a *Matrix, w Operand, x *Xbar, lo, hi int) (clips int64) {
+	k, n := a.Cols, dst.Cols
 	tileRows := max(k, 1)
 	if x != nil {
 		tileRows = x.TileRows
 	}
-	for i := lo; i < hi; i++ {
-		clear(dst.Data[i*n : (i+1)*n])
-	}
-	for j := 0; j < n; j += 4 {
-		width := min(4, n-j)
-		for tlo, rt := 0, 0; tlo < k; tlo, rt = tlo+tileRows, rt+1 {
-			thi := min(tlo+tileRows, k)
-			var wr [4][]float32
-			var adc [4]colADC
-			for c := range wr {
-				jc := j + min(c, width-1)
-				wr[c] = w.Data[jc*k+tlo : jc*k+thi]
+	clear(dst.Data[lo*n : hi*n]) // every tile's result adds to +0
+	var g fcGather
+	var part [fcRows]float32
+	for b0 := lo; b0 < hi; b0 += fcRows {
+		b1 := min(b0+fcRows, hi)
+		for j := 0; j < n; j++ {
+			for tlo, rt := 0, 0; tlo < k; tlo, rt = tlo+tileRows, rt+1 {
+				thi := min(tlo+tileRows, k)
+				var adc colADC
 				if x != nil {
-					adc[c] = x.adc(rt, jc)
+					adc = x.adc(rt, j)
 				}
-			}
-			w0, w1, w2, w3 := wr[0], wr[1][:len(wr[0])], wr[2][:len(wr[0])], wr[3][:len(wr[0])]
-			for i := lo; i < hi; i++ {
-				var p0, p1, p2, p3 float32
-				for q, av := range a.Data[i*k+tlo : i*k+thi][:len(w0)] {
-					p0 += av * w0[q]
-					p1 += av * w1[q]
-					p2 += av * w2[q]
-					p3 += av * w3[q]
-				}
-				p := [4]float32{p0, p1, p2, p3}
-				d := dst.Data[i*n+j : i*n+j+width]
-				for c := range d {
-					adc[c].addConv(d[c:c+1], p[c:c+1], &clips)
+				for c0 := tlo; c0 < thi; c0 += fcChunk {
+					c1 := min(c0+fcChunk, thi)
+					ne := g.gather(w, j, c0, c1)
+					for i := b0; i < b1; i += 4 {
+						last := min(3, b1-1-i)
+						p := (*[4]float32)(part[i-b0:])
+						if c0 == tlo {
+							*p = [4]float32{}
+						}
+						r := [4]int{i*k + c0, (i+min(1, last))*k + c0, (i+min(2, last))*k + c0, (i+last)*k + c0}
+						if ne == c1-c0 { // no zero weight: the columns run from c0
+							dense4(p, a.Data, r, g.w[:ne])
+						} else {
+							dots4(p, a.Data, r, g.w[:ne], g.c[:ne])
+						}
+						if c1 < thi {
+							continue
+						}
+						sum := p[:last+1] // no copy of *p: it stalls on dots4's stores
+						if x != nil {
+							var q [4]float32
+							adc.addConv(q[:last+1], sum, &clips)
+							sum = q[:last+1]
+						}
+						for d, v := range sum { // +0 + v == v: v is never -0
+							dst.Data[(i+d)*n+j] += v
+						}
+					}
 				}
 			}
 		}
 	}
 	return clips
+}
+
+// dots4 adds to p[q], in order, the terms of weights ws (window columns
+// cs) and activation row q, whose window starts at a[r[q]].
+func dots4(p *[4]float32, a []float32, r [4]int, ws []float32, cs []int) {
+	n := len(a) - r[3] // r[3] is the largest start
+	a0, a1, a2, a3 := a[r[0]:][:n], a[r[1]:][:n], a[r[2]:][:n], a[r[3]:][:n]
+	p0, p1, p2, p3 := p[0], p[1], p[2], p[3]
+	for e, wv := range ws[:len(cs)] {
+		c := cs[e]
+		p0 += a0[c] * wv
+		p1 += a1[c] * wv
+		p2 += a2[c] * wv
+		p3 += a3[c] * wv
+	}
+	p[0], p[1], p[2], p[3] = p0, p1, p2, p3
+}
+
+// dense4 is dots4 on a window with no zero weight (cs[e] == e), without
+// the column loads and bounds checks, so dense weights lose no speed.
+func dense4(p *[4]float32, a []float32, r [4]int, ws []float32) {
+	a0, a1, a2, a3 := a[r[0]:][:len(ws)], a[r[1]:][:len(ws)], a[r[2]:][:len(ws)], a[r[3]:][:len(ws)]
+	p0, p1, p2, p3 := p[0], p[1], p[2], p[3]
+	for e, wv := range ws {
+		p0 += a0[e] * wv
+		p1 += a1[e] * wv
+		p2 += a2[e] * wv
+		p3 += a3[e] * wv
+	}
+	p[0], p[1], p[2], p[3] = p0, p1, p2, p3
 }
 
 // Mul returns a * b as a new matrix.

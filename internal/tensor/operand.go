@@ -35,8 +35,8 @@ import (
 // crossbar effective weights all are). Every accumulator starts at +0;
 // +0 plus either signed zero is +0 and a + (-a) rounds to +0, so it
 // never holds -0; a zero times a finite factor is ±0, and x + (±0) == x
-// for every x but -0. So the conv GEMMs skip zero weights, the 2:4
-// kernels unstored positions, and the FC kernels no zero activation.
+// for every x but -0. So every kernel skips zero weights (2:4 ones their
+// unstored positions), and the FC kernel multiplies zero activations.
 type Operand interface {
 	// dims returns the Out x In shape. It panics on an internally
 	// inconsistent operand.
@@ -146,12 +146,12 @@ func (j abtJob) run(_, lo, hi int) { j.w.mulABtBand(j.dst, j.a, lo, hi) }
 
 // MulABtInto computes dst = a·Wᵀ for a weight operand in any encoding:
 // a is M x In, W is Out x In, dst is M x Out. It is the fully-connected
-// forward pass: both operands are walked row-major, so no transposed
-// weight copy and no zero fill are needed. Rows of a are split into at
-// most workers bands (0 = GOMAXPROCS; 1 runs serially with no goroutine
-// spawns and no allocation). On dense weights dst is bit-identical to
-// MulInto(dst, a, Transpose(W)), and on 2:4 weights to the dense kernel
-// on the decoded matrix (the ±0 rule, see Operand).
+// forward pass: every encoding runs one kernel over each weight row's
+// non-zero entries (mulABtGathered), with no transposed weight copy.
+// Rows of a are split into at most workers bands (0 = GOMAXPROCS; 1 runs
+// serially with no goroutine spawns and no allocation). On dense weights
+// dst is bit-identical to MulInto(dst, a, Transpose(W)), and on 2:4
+// weights to the dense kernel on the decoded matrix (±0 rule, Operand).
 func MulABtInto(dst, a *Matrix, w Operand, workers int) {
 	rows, cols := w.dims()
 	if a.Cols != cols {

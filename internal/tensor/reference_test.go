@@ -1,10 +1,11 @@
 package tensor
 
-// The fully-connected kernels against the branchy FC kernel they
-// replaced: refMulABtTiled skips every zero activation, the production
-// kernels multiply it. The ±0 rule (see Operand) says the two agree bit
-// for bit on finite weights; TestMulABtMatchesReference and FuzzMulABt
-// hold every FC operand to that, ADC clip counts included.
+// The fully-connected kernel against the branchy FC kernel of the past:
+// refMulABtTiled multiplies every weight and skips every zero
+// activation, the production kernel skips every zero weight and
+// multiplies every activation. The ±0 rule (see Operand) says the two
+// agree bit for bit on finite weights; TestMulABtMatchesReference and
+// FuzzMulABt hold every FC operand to that, ADC clip counts included.
 
 import (
 	"fmt"
@@ -13,8 +14,8 @@ import (
 	"testing"
 )
 
-// refMulABtTiled is mulABtTiled as it was when it still skipped zero
-// activations, kept verbatim as the oracle.
+// refMulABtTiled is the dense and crossbar FC kernel as it was when it
+// still skipped zero activations, kept verbatim as the oracle.
 func refMulABtTiled(dst, a, w *Matrix, x *Xbar, lo, hi int) (clips int64) {
 	k, n := a.Cols, w.Rows
 	tileRows := max(k, 1)
@@ -80,11 +81,16 @@ func postReLU(rows, cols int, seed uint64) *Matrix {
 }
 
 // fcWeights returns finite rows x cols weights of both signs with
-// zeros, -0 entries, and an all-zero last row (a dead output).
+// zeros, -0 entries, zero input columns 8-15 (an all-zero crossbar tile
+// at tile height 8, all-pad 2:4 groups) and an all-zero last row (a dead
+// output).
 func fcWeights(rows, cols int, seed uint64) *Matrix {
 	w := denseRand(rows, cols, seed)
 	for i := 3; i < len(w.Data); i += 13 {
 		w.Data[i] = negZero
+	}
+	for r := range rows {
+		clear(w.Row(r)[min(8, cols):min(16, cols)])
 	}
 	if rows > 1 {
 		clear(w.Row(rows - 1))
@@ -178,13 +184,16 @@ func checkAllFC(t testing.TB, shape string, a, w *Matrix, tiles []int, workers i
 
 // TestMulABtMatchesReference pins every FC kernel, bit for bit and clip
 // for clip, to the branchy kernel on post-ReLU activations (zero runs
-// and -0 entries), batch rows that are not a multiple of 4, output
-// counts of every residue mod 4, tile heights that split k unevenly,
-// ADCs off, in range and clipping, and 1 and 2 workers. The largest
-// shape is above the serial threshold, so 2 workers split its rows.
+// and -0 entries), batch rows of every residue mod 4, output counts of
+// every residue mod 4, tile heights that split k unevenly, an all-zero
+// tile, ADCs off, in range and clipping, and 1 and 2 workers. The
+// largest shape is above the serial threshold, so 2 workers split its
+// rows. A k above the gather window (3·fcChunk+5) runs dense windows and
+// tiles that span several windows, with batches of one and more than
+// fcRows rows.
 func TestMulABtMatchesReference(t *testing.T) {
 	const k = 131
-	for _, m := range []int{1, 3, 6, 13, 37} {
+	for _, m := range []int{1, 3, 6, 8, 13, 37} {
 		for _, n := range []int{1, 2, 3, 4, 5, 14, 17} {
 			a := postReLU(m, k, uint64(m))
 			w := fcWeights(n, k, uint64(100+n))
@@ -193,16 +202,37 @@ func TestMulABtMatchesReference(t *testing.T) {
 			}
 		}
 	}
+	const wide = 3*fcChunk + 5
+	for _, m := range []int{1, fcRows + 6} {
+		for _, n := range []int{2, 5} {
+			a := postReLU(m, wide, uint64(m))
+			w := fcWeights(n, wide, uint64(200+n))
+			for r := range n - 1 {
+				for c, v := range w.Row(r)[fcChunk:] {
+					if v == 0 {
+						// Past the first window, every weight of a live
+						// output is non-zero (dense windows).
+						w.Row(r)[fcChunk+c] = 0.125
+					}
+				}
+			}
+			for _, workers := range []int{1, 2} {
+				checkAllFC(t, fmt.Sprintf("%dx%dx%d", m, wide, n), a, w, []int{64, fcChunk + 44, wide}, workers)
+			}
+		}
+	}
 }
 
-// FuzzMulABt draws shapes, tile heights and worker counts and holds
-// every FC kernel to the reference on them.
+// FuzzMulABt draws shapes (k up to above four gather windows), tile
+// heights and worker counts and holds every FC kernel to the reference
+// on them.
 func FuzzMulABt(f *testing.F) {
-	f.Add(uint64(1), uint8(5), uint8(131), uint8(7), uint8(8), uint8(2))
-	f.Add(uint64(2), uint8(37), uint8(64), uint8(14), uint8(3), uint8(1))
-	f.Add(uint64(3), uint8(4), uint8(0), uint8(1), uint8(1), uint8(2))
-	f.Fuzz(func(t *testing.T, seed uint64, m, k, n, tileRows, workers uint8) {
-		rows, cols, outs := int(m%48)+1, int(k), int(n%24)+1
+	f.Add(uint64(1), uint8(5), uint16(131), uint8(7), uint8(8), uint8(2))
+	f.Add(uint64(2), uint8(37), uint16(64), uint8(14), uint8(3), uint8(1))
+	f.Add(uint64(3), uint8(4), uint16(0), uint8(1), uint8(1), uint8(2))
+	f.Add(uint64(4), uint8(47), uint16(3*fcChunk+5), uint8(3), uint8(255), uint8(1))
+	f.Fuzz(func(t *testing.T, seed uint64, m uint8, k uint16, n, tileRows, workers uint8) {
+		rows, cols, outs := int(m%48)+1, int(k%1100), int(n%24)+1
 		a := postReLU(rows, cols, seed)
 		w := fcWeights(outs, cols, seed^0x9e3779b97f4a7c15)
 		shape := fmt.Sprintf("%dx%dx%d", rows, cols, outs)

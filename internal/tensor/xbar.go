@@ -116,10 +116,10 @@ func (x *Xbar) dims() (rows, cols int) {
 
 // mulABtBand computes rows [lo, hi) of dst = a * Weffᵀ through the
 // crossbar dataflow: dst[i][j] sums the ADC-quantized per-tile partial
-// dot products of a's row i and Weff's row j (see mulABtTiled). Clips
-// are summed per band and published once.
+// dot products of a's row i and Weff's row j, gathered per tile (see
+// mulABtGathered). Clips are summed per band and published once.
 func (x *Xbar) mulABtBand(dst, a *Matrix, lo, hi int) {
-	x.addClips(mulABtTiled(dst, a, x.W, x, lo, hi))
+	x.addClips(mulABtGathered(dst, a, x.W, x, lo, hi))
 }
 
 // xbarChunk is the column width of the analog partial sums mulBand keeps
